@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Commands: solve, sweep, simulate, generate, estimate, report.  Every run
-resolves its parameters from an optional TOML config file plus flags (flags
+resolves its parameters from an optional INI config file plus flags (flags
 win), writes the outputs plus a deterministic ``manifest.json`` capturing
 the resolved configuration, seed, and package version, and a separate
 ``timing.json`` with the wall clock so the data files stay byte-identical
@@ -45,9 +45,9 @@ from .empirics import (
     bribe_schedule,
     decompose,
     estimate_gamma,
-    iter_bundles,
+    ingest,
+    iter_bundles,  # noqa: F401  perfbench's tracer test reads cli.iter_bundles
     write_bundles,
-    IngestReport,
     DEFAULT_BERGEMANN_RULE,
 )
 from .diagnostics import (
@@ -101,6 +101,11 @@ def _resolve(args, config, keys, parser):
     return out
 
 
+def _flag_or_config(flag, config, key, default=None):
+    """A flag that was given (zero included) wins over the config value."""
+    return flag if flag is not None else config.get(key, default)
+
+
 def _profile_from(params) -> TypeProfile:
     return TypeProfile(
         tau=MevType.parse(str(params["type"])),
@@ -145,11 +150,12 @@ def cmd_solve(args, parser):
     epsilon = float(params["epsilon"])
     out = _out_dir(args)
 
-    grid = default_grid(profile, nodes=int(args.nodes or config.get("nodes", 2000)))
-    if args.v_min or args.v_max:
+    nodes = int(_flag_or_config(args.nodes, config, "nodes", 2000))
+    grid = default_grid(profile, nodes=nodes)
+    if args.v_min is not None or args.v_max is not None:
         grid = GridSpec(
-            v_min=float(args.v_min or grid.v_min),
-            v_max=float(args.v_max or grid.v_max),
+            v_min=float(args.v_min if args.v_min is not None else grid.v_min),
+            v_max=float(args.v_max if args.v_max is not None else grid.v_max),
             nodes=grid.nodes,
         )
     curve = solve_bid_ode(profile, grid)
@@ -227,11 +233,11 @@ def cmd_generate(args, parser):
     started = time.time()
     config = _load_config(args.config, "generate")
     specs = _specs_from_config(config, args, parser)
-    blocks = args.blocks if args.blocks is not None else config.get("blocks")
-    seed = args.seed if args.seed is not None else config.get("seed")
+    blocks = _flag_or_config(args.blocks, config, "blocks")
+    seed = _flag_or_config(args.seed, config, "seed")
     if blocks is None or seed is None:
         parser.error("missing required parameter --blocks or --seed")
-    opb = int(args.opportunities or config.get("opportunities_per_block", 1))
+    opb = int(_flag_or_config(args.opportunities, config, "opportunities_per_block", 1))
     out = _out_dir(args)
     records = generate_synthetic(specs, int(blocks), int(seed),
                                  opportunities_per_block=opb)
@@ -244,15 +250,15 @@ def cmd_generate(args, parser):
     return 0
 
 
-def _schedules_by_type(path):
-    present = defaultdict(int)
-    for rec in iter_bundles(path):
-        if rec.extracted_value > 0:
-            present[rec.mev_type] += 1
+def _schedules_by_type(records):
+    """Bribe schedules of every type with enough positive-value records."""
+    by_type = defaultdict(list)
+    for rec in records:
+        by_type[rec.mev_type].append(rec)
     schedules = {}
-    for mev_type in sorted(present, key=lambda t: t.value):
+    for mev_type in sorted(by_type, key=lambda t: t.value):
         try:
-            schedules[mev_type] = bribe_schedule(iter_bundles(path), mev_type)
+            schedules[mev_type] = bribe_schedule(by_type[mev_type], mev_type)
         except ThinSampleError:
             continue
     return schedules
@@ -265,7 +271,8 @@ def cmd_estimate(args, parser):
     if not path:
         parser.error("missing required parameter --input")
     out = _out_dir(args)
-    schedules = _schedules_by_type(path)
+    records, _ = ingest(path)
+    schedules = _schedules_by_type(records)
     estimates = {t: estimate_gamma(s) for t, s in schedules.items()}
     for mev_type, schedule in schedules.items():
         _write(out / f"fig2_{mev_type.value}.csv", schedule.to_csv())
@@ -283,15 +290,17 @@ def cmd_report(args, parser):
     if not path:
         parser.error("missing required parameter --input")
     rule = args.bergemann_rule or config.get("bergemann_rule", DEFAULT_BERGEMANN_RULE)
-    window = int(args.window or config.get("window", 50))
+    window = int(_flag_or_config(args.window, config, "window", 50))
     out = _out_dir(args)
+    records, ingest_report = ingest(path)
+    # before any output is written, so a bad window leaves no partial report
+    counted = effective_bidder_counts(records, window=window)
 
-    # pass 1: summary statistics and data quality
-    ingest_report = IngestReport()
+    # summary statistics and data quality
     per_type_values = defaultdict(list)
     per_type_tips = defaultdict(float)
     nonpositive = 0
-    for rec in iter_bundles(path, ingest_report):
+    for rec in records:
         ev = rec.extracted_value
         if ev <= 0:
             nonpositive += 1
@@ -316,25 +325,24 @@ def cmd_report(args, parser):
                      f"{all_tips / vals.sum():.12g}\n")
     _write(out / "tab1_summary.csv", "".join(lines))
 
-    # pass 2: schedules, estimates, decomposition
-    schedules = _schedules_by_type(path)
+    # schedules, estimates, decomposition
+    schedules = _schedules_by_type(records)
     estimates = {t: estimate_gamma(s) for t, s in schedules.items()}
     skipped_thin = sorted(t.value for t in per_type_values if t not in estimates)
     for mev_type, schedule in schedules.items():
         _write(out / f"fig2_{mev_type.value}.csv", schedule.to_csv())
     decomposition = None
     if estimates:
-        estimated = (r for r in iter_bundles(path) if r.mev_type in estimates)
+        estimated = (r for r in records if r.mev_type in estimates)
         decomposition = decompose(estimated, estimates)
         _write(out / "fig3_decomposition.csv", decomposition.to_csv())
 
-    # pass 3: diagnostics (materialized once)
-    records = list(iter_bundles(path))
+    # diagnostics
     pairs = affiliation_pairs(records)
     _write(out / "figA1_pairs.csv",
            "mev_type,log_value_top,log_value_second\n" + "".join(
                f"{t.value},{x:.12g},{y:.12g}\n" for t, x, y in pairs))
-    affiliation = affiliation_diagnostic(records)
+    affiliation = affiliation_diagnostic(pairs)
     conc = concentration(records, by="searcher")
     lorenz_lines = ["mev_type,population_share,value_share\n"]
     for mev_type, stat in sorted(conc.items(), key=lambda kv: kv[0].value):
@@ -342,7 +350,7 @@ def cmd_report(args, parser):
             lorenz_lines.append(f"{mev_type.value},{p:.12g},{v:.12g}\n")
     _write(out / "figA2_lorenz.csv", "".join(lorenz_lines))
     _write(out / "tabA1_builders.csv", builder_table_csv(builder_table(records)))
-    board = board_diagnostic(records, window=window)
+    board = board_diagnostic(counted)
     _write(out / "figA3_board.csv",
            "mev_type,count_lo,count_hi,records,mean_revenue,mean_bribe_share\n"
            + "".join(f"{r.mev_type.value},{r.count_lo},{r.count_hi},{r.records},"
@@ -351,7 +359,7 @@ def cmd_report(args, parser):
 
     # disclosure benchmark per type from the median bidder-count proxy
     proxies = defaultdict(list)
-    for rec, proxy in effective_bidder_counts(records, window=window):
+    for rec, proxy in counted:
         proxies[rec.mev_type].append(proxy)
     berg_lines = ["mev_type,n_effective,threshold\n"]
     berg = {}
@@ -415,7 +423,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="TOML config file")
+        p.add_argument("--config", help="INI config file")
         p.add_argument("--out-dir", help="output directory (or MEVAUCTION_OUT)")
 
     p = sub.add_parser("solve", help="solve the bid curve and cutoff")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -52,12 +53,12 @@ def affiliation_pairs(records):
     return out
 
 
-def affiliation_diagnostic(records):
-    """Per-type least-squares slope and correlation of the within-block pairs.
+def affiliation_diagnostic(pairs):
+    """Per-type least-squares slope and correlation of the within-block pairs
+    that ``affiliation_pairs`` returns.
 
     Types with fewer than two pairs report slope and correlation as None.
     """
-    pairs = affiliation_pairs(records)
     grouped = defaultdict(list)
     for mev_type, x, y in pairs:
         grouped[mev_type].append((x, y))
@@ -224,25 +225,22 @@ def effective_bidder_counts(records, window: int = DEFAULT_PROXY_WINDOW):
     return out
 
 
-def board_diagnostic(records, bin_edges=DEFAULT_COUNT_BINS,
-                     window: int = DEFAULT_PROXY_WINDOW):
+def board_diagnostic(counted, bin_edges=DEFAULT_COUNT_BINS):
     """Mean auction revenue (tip) and bribe share by bidder-count bin.
 
-    ``bin_edges`` are left edges of the count bins; the last bin is open.
-    No monotonicity is enforced; thin and thick markets may behave
-    differently and the point is to show it.
+    ``counted`` is the ``(record, proxy)`` list from
+    ``effective_bidder_counts``.  ``bin_edges`` are left edges of the count
+    bins; the last bin is open.  No monotonicity is enforced; thin and thick
+    markets may behave differently and the point is to show it.
     """
     edges = tuple(bin_edges)
     if len(edges) < 1 or any(b <= a for a, b in zip(edges, edges[1:])):
         raise ConfigurationError("bin edges must be strictly increasing")
-    pairs = effective_bidder_counts(records, window=window)
     grouped = defaultdict(list)
-    for rec, proxy in pairs:
+    for rec, proxy in counted:
         if rec.extracted_value <= 0:
             continue
-        i = int(np.searchsorted(edges, proxy, side="right") - 1)
-        if i < 0:
-            i = 0
+        i = max(0, bisect_right(edges, proxy) - 1)
         grouped[(rec.mev_type, i)].append((rec.tip, rec.tip / rec.extracted_value))
     rows = []
     for (mev_type, i), vals in sorted(grouped.items(),

@@ -31,6 +31,7 @@ from .equilibrium import PiecewiseStrategy
 from .errors import DomainError, ParameterError
 from .profiles import TypeProfile
 from .rng import stream
+from .values import affiliated_signal
 
 CHUNK = 1 << 16
 
@@ -137,7 +138,7 @@ def _simulate_chunk(strategy, profile, seed, chunk_index, size, antithetic):
     else:
         Z = rng_v.standard_normal(size)
     u = rng_v.standard_normal((size, profile.n))
-    z = math.sqrt(profile.rho) * Z[:, None] + math.sqrt(1.0 - profile.rho) * u
+    z = affiliated_signal(Z[:, None], u, profile.rho)
     values = np.exp(profile.mu + profile.sigma * z)
     bids = strategy.bid(values)
     winner = np.argmax(bids, axis=1)
@@ -235,11 +236,9 @@ def _rival_chunk(v, strategy, profile, seed, chunk_index, size):
     """Highest rival bid per block, rivals conditioned on the deviant's value."""
     z0 = (math.log(v) - profile.mu) / profile.sigma
     rng = stream(seed, chunk_index, 0)
-    z_post = math.sqrt(profile.rho) * z0 + math.sqrt(1.0 - profile.rho) \
-        * rng.standard_normal(size)
+    z_post = affiliated_signal(z0, rng.standard_normal(size), profile.rho)
     u = rng.standard_normal((size, profile.n - 1))
-    z_riv = math.sqrt(profile.rho) * z_post[:, None] \
-        + math.sqrt(1.0 - profile.rho) * u
+    z_riv = affiliated_signal(z_post[:, None], u, profile.rho)
     rival_values = np.exp(profile.mu + profile.sigma * z_riv)
     rival_top = np.max(strategy.bid(rival_values), axis=1)
     defect = stream(seed, chunk_index, 1).random(size) < strategy.epsilon

@@ -14,7 +14,6 @@ planted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ from .equilibrium import PiecewiseStrategy, solve_strategy
 from .errors import ParameterError
 from .profiles import TypeProfile
 from .rng import stream
+from .values import affiliated_signal
 
 DEFAULT_BUILDER_POOL = ("builder_alpha", "builder_beta", "builder_gamma", "builder_delta")
 _CHUNK = 1 << 14
@@ -90,8 +90,7 @@ def generate_synthetic(specs, blocks: int, seed: int, *,
             rng = stream(seed, t_idx, chunk_idx, 0)
             Z = rng.standard_normal(size)  # one common factor per block
             u = rng.standard_normal((size, k, n))
-            z = math.sqrt(profile.rho) * Z[:, None, None] \
-                + math.sqrt(1.0 - profile.rho) * u
+            z = affiliated_signal(Z[:, None, None], u, profile.rho)
             values = np.exp(profile.mu + profile.sigma * z)
             bids = strategy.bid(values)
             winner = np.argmax(bids, axis=2)

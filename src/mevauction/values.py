@@ -67,12 +67,16 @@ class ValueDraw:
     values: np.ndarray
 
 
+def affiliated_signal(common, idiosyncratic, rho: float):
+    """z = sqrt(rho) * common + sqrt(1 - rho) * idiosyncratic (broadcasting)."""
+    return math.sqrt(rho) * common + math.sqrt(1.0 - rho) * idiosyncratic
+
+
 def sample_signals(profile: TypeProfile, size: int, rng: np.random.Generator):
     """Draw ``size`` blocks of n signals; returns (Z, z) with shapes (size,), (size, n)."""
     Z = rng.standard_normal(size)
     u = rng.standard_normal((size, profile.n))
-    z = math.sqrt(profile.rho) * Z[:, None] + math.sqrt(1.0 - profile.rho) * u
-    return Z, z
+    return Z, affiliated_signal(Z[:, None], u, profile.rho)
 
 
 def sample_values(profile: TypeProfile, seed: int) -> ValueDraw:
@@ -80,7 +84,7 @@ def sample_values(profile: TypeProfile, seed: int) -> ValueDraw:
     rng = stream(seed)
     Z = float(rng.standard_normal())
     u = rng.standard_normal(profile.n)
-    z = math.sqrt(profile.rho) * Z + math.sqrt(1.0 - profile.rho) * u
+    z = affiliated_signal(Z, u, profile.rho)
     v = np.exp(profile.mu + profile.sigma * z)
     return ValueDraw(common_factor=Z, idiosyncratic=u, signals=z, values=v)
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import mevauction.empirics
 from mevauction.cli import main
 from mevauction.empirics import CSV_COLUMNS
 
@@ -185,3 +186,43 @@ class TestGenerateEstimateReport:
         for name in ("tab1_summary.csv", "fig2_naked_arb.csv", "report.json",
                      "fig3_decomposition.csv", "tabA1_builders.csv", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["estimate", "report"])
+    def test_each_row_parsed_once(self, tmp_path, monkeypatch, command):
+        bundles = self.make_bundles(tmp_path, blocks=300)
+        rows = len(bundles.read_text().splitlines()) - 1
+        parse_row = mevauction.empirics._parse_row
+        calls = []
+
+        def counted(row):
+            calls.append(row)
+            return parse_row(row)
+
+        monkeypatch.setattr(mevauction.empirics, "_parse_row", counted)
+        assert run([command, "--input", str(bundles),
+                    "--out-dir", str(tmp_path / command)]) == 0
+        assert len(calls) == rows
+
+
+ZERO_FLAGS = {
+    "nodes": ["solve", *SOLVE_FLAGS, "--epsilon", "0.2", "--nodes", "0"],
+    "v-min": ["solve", *SOLVE_FLAGS, "--epsilon", "0.2", "--v-min", "0"],
+    "opportunities": ["generate", *SOLVE_FLAGS, "--epsilon", "0.2", "--blocks", "10",
+                      "--seed", "1", "--opportunities", "0"],
+    "window": ["report", "--window", "0"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(ZERO_FLAGS))
+def test_zero_flag_is_not_treated_as_missing(tmp_path, capsys, flag):
+    argv = ZERO_FLAGS[flag]
+    if argv[0] == "report":
+        bundles = TestGenerateEstimateReport().make_bundles(tmp_path, blocks=300)
+        argv = [*argv, "--input", str(bundles)]
+        capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([*argv, "--out-dir", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] in ("ParameterError", "ConfigurationError")
+    if argv[0] == "report":
+        assert not any(out.iterdir())

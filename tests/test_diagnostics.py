@@ -41,12 +41,12 @@ def top_two_blocks(rho, blocks, seed, mev_type=MevType.NAKED_ARB):
 class TestAffiliation:
     def test_no_pairs_reported_absent(self):
         records = [record(tip=1.0, profit=1.0, block=i, tx=f"0x{i:x}") for i in range(9)]
-        stats = affiliation_diagnostic(records)
+        stats = affiliation_diagnostic(affiliation_pairs(records))
         assert stats == {} or all(s.pairs < 2 for s in stats.values())
 
     def test_affiliated_pool_shows_positive_correlation(self):
         records = top_two_blocks(rho=0.6, blocks=4000, seed=3)
-        stats = affiliation_diagnostic(records)[MevType.NAKED_ARB]
+        stats = affiliation_diagnostic(affiliation_pairs(records))[MevType.NAKED_ARB]
         assert stats.pairs == 4000
         se = 1.0 / math.sqrt(stats.pairs)
         assert stats.correlation > 3 * se
@@ -56,7 +56,7 @@ class TestAffiliation:
         # even iid pools correlate max with second-max; compare against a
         # brute-force null built by permuting the second coordinates
         records = top_two_blocks(rho=0.0, blocks=3000, seed=4)
-        stats = affiliation_diagnostic(records)[MevType.NAKED_ARB]
+        stats = affiliation_diagnostic(affiliation_pairs(records))[MevType.NAKED_ARB]
         pairs = np.array([(x, y) for _, x, y in affiliation_pairs(records)])
         rng = stream(5)
         null = []
@@ -146,7 +146,7 @@ class TestBoardDiagnostic:
         records = [record(tip=0.5 * v, profit=0.5 * v, searcher=f"s{i % 4}", block=i,
                           tx=f"0x{i:x}")
                    for i, v in enumerate(np.exp(rng.normal(0, 1, size=200)))]
-        rows = board_diagnostic(records, bin_edges=(1,))
+        rows = board_diagnostic(effective_bidder_counts(records), bin_edges=(1,))
         assert len(rows) == 1
         tips = [r.tip for r in records]
         assert rows[0].mean_revenue == pytest.approx(np.mean(tips))
@@ -157,7 +157,7 @@ class TestBoardDiagnostic:
         records = [record(tip=0.7 * v, profit=0.3 * v, searcher=f"s{i % 13}", block=i,
                           tx=f"0x{i:x}")
                    for i, v in enumerate(np.exp(rng.normal(0, 1, size=500)))]
-        rows = board_diagnostic(records)
+        rows = board_diagnostic(effective_bidder_counts(records))
         for row in rows:
             assert row.mean_bribe_share == pytest.approx(0.7)
 

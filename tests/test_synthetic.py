@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mevauction import solve_strategy
-from mevauction.diagnostics import board_diagnostic
+from mevauction.diagnostics import board_diagnostic, effective_bidder_counts
 from mevauction.empirics import bribe_schedule, estimate_gamma
 from mevauction.profiles import MevType
 from mevauction.synthetic import SyntheticSpec, generate_synthetic
@@ -120,6 +120,7 @@ class TestRoundTrips:
         specs2 = [SyntheticSpec(profile=thick, epsilon=0.0)]
         recs2 = list(generate_synthetic(specs2, 4000, seed=12,
                                         base_block_number=100_000))
-        rows = board_diagnostic(recs + recs2, bin_edges=(1, 6), window=25)
+        rows = board_diagnostic(effective_bidder_counts(recs + recs2, window=25),
+                                bin_edges=(1, 6))
         assert len(rows) == 2
         assert rows[1].mean_bribe_share > rows[0].mean_bribe_share
