@@ -60,7 +60,7 @@ from .diagnostics import (
     effective_bidder_counts,
 )
 from .equilibrium import GridSpec, default_grid, solve_bid_ode, solve_strategy
-from .errors import MevAuctionError, ThinSampleError
+from .errors import MevAuctionError, ParameterError, ThinSampleError
 from .profiles import MevType, TypeProfile
 from .revenue import optimal_epsilon, revenue_sweep
 from .simulate import run_many
@@ -174,17 +174,21 @@ def cmd_sweep(args, parser):
     config = _load_config(args.config, "sweep")
     params = _resolve(args, config, PROFILE_KEYS, parser)
     profile = _profile_from(params)
-    out = _out_dir(args)
-    eps_text = args.epsilons or config.get("epsilons")
-    if eps_text:
+    eps_text = _flag_or_config(args.epsilons, config, "epsilons")
+    if eps_text is not None:
         # explicit grids of any size are honored; argmax is over that grid
-        grid = [float(x) for x in str(eps_text).split(",")]
+        try:
+            grid = [float(x) for x in str(eps_text).split(",")]
+        except ValueError:
+            raise ParameterError(
+                f"epsilons must be comma-separated numbers, got {eps_text!r}") from None
         rp = revenue_sweep(profile, grid)
         star = float(rp.epsilons[int(np.argmax(rp.revenues))])
         regime = rp.regime
     else:
         result = optimal_epsilon(profile)
         rp, star, regime = result.profile, result.epsilon_star, result.regime
+    out = _out_dir(args)
     _write(out / "revenue_profile.csv", rp.to_csv())
     _write(out / "revenue_profile.json", json.dumps(
         {"epsilon_star": star, "regime": regime,
@@ -238,9 +242,9 @@ def cmd_generate(args, parser):
     if blocks is None or seed is None:
         parser.error("missing required parameter --blocks or --seed")
     opb = int(_flag_or_config(args.opportunities, config, "opportunities_per_block", 1))
-    out = _out_dir(args)
     records = generate_synthetic(specs, int(blocks), int(seed),
                                  opportunities_per_block=opb)
+    out = _out_dir(args)
     count = write_bundles(out / "bundles.csv", records)
     _manifest(out, "generate", {
         "blocks": int(blocks), "seed": int(seed),

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -78,13 +77,6 @@ class IngestReport:
     records: int = 0
     malformed: int = 0
     samples: list = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"rows_read": self.rows_read, "records": self.records,
-             "malformed": self.malformed, "malformed_samples": self.samples[:10]},
-            indent=1,
-        )
 
 
 def _parse_row(row):
@@ -192,22 +184,6 @@ class BribeSchedule:
             buf.write(f"{i},{b.value_lo:.12g},{b.value_hi:.12g},"
                       f"{b.mean_bribe_share:.12g},{b.std_bribe_share:.12g},{b.count}\n")
         return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mev_type": self.mev_type.value,
-                "excluded_nonpositive": self.excluded_nonpositive,
-                "shares_above_one": self.shares_above_one,
-                "bins": [
-                    {"value_lo": b.value_lo, "value_hi": b.value_hi,
-                     "mean_bribe_share": b.mean_bribe_share,
-                     "std_bribe_share": b.std_bribe_share, "count": b.count}
-                    for b in self.bins
-                ],
-            },
-            indent=1,
-        )
 
 
 def bribe_schedule(records, mev_type: MevType, bins: int = FULL_BINS) -> BribeSchedule:

@@ -140,15 +140,6 @@ class BidCurve:
         )
         return float(out[0]) if scalar else out
 
-    def bid_derivative(self, v):
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        inside = self._interp.derivative()(np.clip(v, self.grid[0], self.grid[-1]))
-        lo_share = self.bids[0] / self.grid[0]
-        hi_share = self.bids[-1] / self.grid[-1]
-        out = np.where(v < self.grid[0], lo_share,
-                       np.where(v > self.grid[-1], hi_share, inside))
-        return out if out.size > 1 else float(out[0])
-
     # -- serialization ------------------------------------------------------
 
     def to_csv(self) -> str:

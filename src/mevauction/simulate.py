@@ -7,10 +7,15 @@ value strictly exceeds the winning bid.  Revert protection means a frontrun
 block pays the builder gamma * v_top, zeroes the searcher, and collects no
 bid.
 
-Blocks are generated in fixed-size chunks, each on its own split random
-stream keyed (seed, chunk, purpose).  Reductions use exact summation over
-chunk partials, so the report is bit-identical for any worker count and
-``run_block`` reproduces block zero of ``run_many`` exactly.
+One private kernel, ``_play``, draws and plays a chunk of auctions; the
+game engine here and ``synthetic.generate_synthetic`` both call it, so the
+rule is written once.  Blocks are generated in fixed-size chunks, each on
+its own split random stream keyed (seed, chunk, purpose): the chunk sizes
+are part of that stream schedule, so changing ``CHUNK`` changes the draws.
+``run_many`` reduces each chunk as it is drawn and keeps no chunk arrays,
+so its memory is O(chunk) however many blocks it plays.  Chunk moments are
+combined in index order, so the report is bit-identical for any worker
+count and ``run_block`` reproduces block zero of ``run_many`` exactly.
 
 The deviation harness conditions on the deviant's valuation: her signal is
 pinned and rivals draw the common factor from its posterior, then their own
@@ -23,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,9 +86,9 @@ class SimReport:
         )
 
 
-def _chunk_sizes(blocks: int):
-    full, rem = divmod(blocks, CHUNK)
-    sizes = [CHUNK] * full
+def _chunk_sizes(blocks: int, chunk: int = CHUNK):
+    full, rem = divmod(blocks, chunk)
+    sizes = [chunk] * full
     if rem:
         sizes.append(rem)
     return sizes
@@ -128,25 +134,43 @@ class _MomentAccumulator:
         return se if se.ndim else float(se)
 
 
-def _simulate_chunk(strategy, profile, seed, chunk_index, size, antithetic):
-    rng_v = stream(seed, chunk_index, 0)
+def _play(strategy, profile, gamma, epsilon, key, shape, antithetic=False):
+    """Draw and play the auctions of one chunk on the streams of ``key``.
+
+    ``shape`` is (blocks,) or (blocks, auctions per block); the auctions of a
+    block share its common factor.  Stream ``key + (0,)`` draws the values,
+    ``key + (1,)`` the defection coins, which is returned so a caller can
+    draw more from it.  The highest bid wins (ties to the lowest index) and
+    a defecting builder frontruns when ``gamma * top_val > top_bid``.
+    Returns (winner, top_bid, top_val, defect, frontrun, coin_stream).
+    """
+    rng_v = stream(*key, 0)
+    rows = shape[0]
     if antithetic:
-        if size % 2:
+        if rows % 2:
             raise ParameterError("antithetic sampling needs an even chunk size")
-        half = rng_v.standard_normal(size // 2)
+        half = rng_v.standard_normal(rows // 2)
         Z = np.concatenate([half, -half])
     else:
-        Z = rng_v.standard_normal(size)
-    u = rng_v.standard_normal((size, profile.n))
-    z = affiliated_signal(Z[:, None], u, profile.rho)
-    values = np.exp(profile.mu + profile.sigma * z)
+        Z = rng_v.standard_normal(rows)
+    u = rng_v.standard_normal(shape + (profile.n,))
+    z = affiliated_signal(Z.reshape(Z.shape + (1,) * len(shape)), u, profile.rho)
+    values = np.exp(profile.mu + profile.sigma * z).reshape(-1, profile.n)
     bids = strategy.bid(values)
     winner = np.argmax(bids, axis=1)
-    rows = np.arange(size)
-    top_bid = bids[rows, winner]
-    top_val = values[rows, winner]
-    defect = stream(seed, chunk_index, 1).random(size) < strategy.epsilon
-    frontrun = defect & (strategy.gamma * top_val > top_bid)
+    auctions = np.arange(winner.size)
+    top_bid = bids[auctions, winner].reshape(shape)
+    top_val = values[auctions, winner].reshape(shape)
+    coin = stream(*key, 1)
+    defect = coin.random(shape) < epsilon
+    frontrun = defect & (gamma * top_val > top_bid)
+    return winner.reshape(shape), top_bid, top_val, defect, frontrun, coin
+
+
+def _simulate_chunk(strategy, profile, seed, chunk_index, size, antithetic):
+    winner, top_bid, top_val, defect, frontrun, _ = _play(
+        strategy, profile, strategy.gamma, strategy.epsilon, (seed, chunk_index),
+        (size,), antithetic)
     revenue = np.where(frontrun, strategy.gamma * top_val, top_bid)
     surplus = np.where(frontrun, 0.0, top_val - top_bid)
     return winner, top_bid, top_val, defect, frontrun, revenue, surplus
@@ -171,9 +195,10 @@ def run_many(strategy: PiecewiseStrategy, profile: TypeProfile, blocks: int,
              trace_path=None, trace_cap: int = 10_000) -> SimReport:
     """Aggregate ``blocks`` independent blocks into a SimReport.
 
-    ``workers`` only parallelizes chunk evaluation; the result is identical
-    for any value because chunk streams are keyed by index and partial sums
-    are combined in index order with exact summation.
+    Each chunk is reduced (and traced) as it arrives, in index order, so
+    memory is O(chunk).  ``workers`` only parallelizes chunk evaluation; the
+    result is identical for any value because chunk streams are keyed by
+    index and chunk moments are combined in index order.
     """
     if blocks < 1:
         raise ParameterError("blocks must be >= 1")
@@ -184,36 +209,35 @@ def run_many(strategy: PiecewiseStrategy, profile: TypeProfile, blocks: int,
     def work(i):
         return _simulate_chunk(strategy, profile, seed, i, sizes[i], antithetic)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, range(len(sizes))))
-    else:
-        results = [work(i) for i in range(len(sizes))]
-
     rev_acc, sur_acc = _MomentAccumulator(), _MomentAccumulator()
     n_defect, n_front = 0, 0
     traced = 0
-    trace_file = open(trace_path, "w", encoding="utf-8") if trace_path else None
-    if trace_file:
-        trace_file.write("block,winner_index,winning_bid,winner_value,"
-                         "defected,frontran,builder_revenue,searcher_surplus\n")
     offset = 0
-    for w, b, v, d, f, rev, sur in results:
-        rev_acc.add(rev)
-        sur_acc.add(sur)
-        n_defect += int(np.sum(d))
-        n_front += int(np.sum(f))
-        if trace_file and traced < trace_cap:
-            take = min(trace_cap - traced, w.size)
-            for j in range(take):
-                trace_file.write(
-                    f"{offset + j},{w[j]},{b[j]:.12g},{v[j]:.12g},"
-                    f"{int(d[j])},{int(f[j])},{rev[j]:.12g},{sur[j]:.12g}\n"
-                )
-            traced += take
-        offset += w.size
-    if trace_file:
-        trace_file.close()
+    with ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
+            chunks = pool.map(work, range(len(sizes)))
+        else:
+            chunks = map(work, range(len(sizes)))
+        trace_file = None
+        if trace_path:
+            trace_file = stack.enter_context(open(trace_path, "w", encoding="utf-8"))
+            trace_file.write("block,winner_index,winning_bid,winner_value,"
+                             "defected,frontran,builder_revenue,searcher_surplus\n")
+        for w, b, v, d, f, rev, sur in chunks:
+            rev_acc.add(rev)
+            sur_acc.add(sur)
+            n_defect += int(np.sum(d))
+            n_front += int(np.sum(f))
+            if trace_file and traced < trace_cap:
+                take = min(trace_cap - traced, w.size)
+                for j in range(take):
+                    trace_file.write(
+                        f"{offset + j},{w[j]},{b[j]:.12g},{v[j]:.12g},"
+                        f"{int(d[j])},{int(f[j])},{rev[j]:.12g},{sur[j]:.12g}\n"
+                    )
+                traced += take
+            offset += w.size
 
     rev_mean, rev_se = rev_acc.mean, rev_acc.stderr
     sur_mean, sur_se = sur_acc.mean, sur_acc.stderr

@@ -1,10 +1,13 @@
 """Synthetic bundle streams from the game engine.
 
 For every block and configured type the auction is played once (or
-``opportunities_per_block`` times with a shared per-block common factor) and
-the winner is emitted as a bundle record: tip is the payment actually
-collected and profit is value minus tip.  A frontrun block collects no
-payment and emits no record, matching revert protection.
+``opportunities_per_block`` times with a shared per-block common factor) by
+the game engine's one chunk kernel, ``simulate._play``, and the winner is
+emitted as a bundle record: tip is the payment actually collected and
+profit is value minus tip.  A frontrun block collects no payment and emits
+no record, matching revert protection.  Records are drawn and emitted one
+chunk of ``_CHUNK`` blocks at a time, so memory is O(chunk); the chunk size
+is part of the stream schedule (keyed (seed, type, chunk, purpose)).
 
 This is the verification harness for the estimators: plant a profile and a
 defection rate (or a hand-built strategy with a known cutoff), generate,
@@ -16,14 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .empirics import BundleRecord
 from .equilibrium import PiecewiseStrategy, solve_strategy
 from .errors import ParameterError
 from .profiles import TypeProfile
-from .rng import stream
-from .values import affiliated_signal
+from .simulate import _chunk_sizes, _play
 
 DEFAULT_BUILDER_POOL = ("builder_alpha", "builder_beta", "builder_gamma", "builder_delta")
 _CHUNK = 1 << 14
@@ -56,12 +56,14 @@ def generate_synthetic(specs, blocks: int, seed: int, *,
                        opportunities_per_block: int = 1,
                        builder_pool=DEFAULT_BUILDER_POOL,
                        base_block_number: int = 1):
-    """Yield bundle records for ``blocks`` blocks across the given specs.
+    """Return an iterator of bundle records for ``blocks`` blocks of each spec.
 
     ``specs`` is an iterable of SyntheticSpec (or a mapping whose values are
     specs).  With ``opportunities_per_block`` > 1 the auctions of one block
     share the block's common factor, so within-block values are affiliated
-    exactly as the signals are.
+    exactly as the signals are.  The arguments are checked and every
+    strategy is resolved here, before the first record is drawn, so a bad
+    argument raises before a caller opens its output.
     """
     if blocks < 0:
         raise ParameterError("blocks must be >= 0")
@@ -74,35 +76,22 @@ def generate_synthetic(specs, blocks: int, seed: int, *,
     builder_pool = tuple(builder_pool)
     if not builder_pool:
         raise ParameterError("builder pool must be nonempty")
-    if blocks == 0:
-        return
-
     resolved = [(spec, spec.resolved_strategy(), spec.resolved_searchers())
                 for spec in specs]
+    return _records(resolved, blocks, seed, opportunities_per_block, builder_pool,
+                    base_block_number)
 
+
+def _records(resolved, blocks, seed, k, builder_pool, base_block_number):
     for t_idx, (spec, strategy, searchers) in enumerate(resolved):
         profile = spec.profile
-        n, k = profile.n, opportunities_per_block
-        done = 0
-        chunk_idx = 0
-        while done < blocks:
-            size = min(_CHUNK, blocks - done)
-            rng = stream(seed, t_idx, chunk_idx, 0)
-            Z = rng.standard_normal(size)  # one common factor per block
-            u = rng.standard_normal((size, k, n))
-            z = affiliated_signal(Z[:, None, None], u, profile.rho)
-            values = np.exp(profile.mu + profile.sigma * z)
-            bids = strategy.bid(values)
-            winner = np.argmax(bids, axis=2)
-            b_idx, o_idx = np.ogrid[:size, :k]
-            top_bid = bids[b_idx, o_idx, winner]
-            top_val = values[b_idx, o_idx, winner]
-            aux = stream(seed, t_idx, chunk_idx, 1)
-            defect = aux.random((size, k)) < spec.epsilon
-            frontrun = defect & (profile.gamma * top_val > top_bid)
-            builder_ids = aux.integers(0, len(builder_pool), size=(size, k))
+        block_no = base_block_number
+        for chunk, size in enumerate(_chunk_sizes(blocks, _CHUNK)):
+            winner, top_bid, top_val, _, frontrun, coin = _play(
+                strategy, profile, profile.gamma, spec.epsilon, (seed, t_idx, chunk),
+                (size, k))
+            builder_ids = coin.integers(0, len(builder_pool), size=(size, k))
             for b in range(size):
-                block_no = base_block_number + done + b
                 for o in range(k):
                     if frontrun[b, o]:
                         continue  # reverted, no payment, no record
@@ -118,5 +107,4 @@ def generate_synthetic(specs, blocks: int, seed: int, *,
                         tip=tip,
                         profit=value - tip,
                     )
-            done += size
-            chunk_idx += 1
+                block_no += 1

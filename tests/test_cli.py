@@ -210,6 +210,8 @@ ZERO_FLAGS = {
     "opportunities": ["generate", *SOLVE_FLAGS, "--epsilon", "0.2", "--blocks", "10",
                       "--seed", "1", "--opportunities", "0"],
     "window": ["report", "--window", "0"],
+    "epsilons-empty": ["sweep", *SOLVE_FLAGS, "--epsilons", ""],
+    "epsilons-not-numeric": ["sweep", *SOLVE_FLAGS, "--epsilons", "0.1,abc"],
 }
 
 
@@ -224,5 +226,4 @@ def test_zero_flag_is_not_treated_as_missing(tmp_path, capsys, flag):
     assert run([*argv, "--out-dir", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] in ("ParameterError", "ConfigurationError")
-    if argv[0] == "report":
-        assert not any(out.iterdir())
+    assert not out.exists() or not any(out.iterdir())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mevauction import (
 )
 from mevauction.equilibrium import PiecewiseStrategy
 from mevauction.errors import ParameterError
+from mevauction.simulate import CHUNK
 
 from conftest import marginal_quantile
 
@@ -108,6 +110,21 @@ class TestRunMany:
             plain.stderr_builder_revenue, anti.stderr_builder_revenue
         )
         assert abs(z) < 4.0
+
+    def test_memory_flat_in_blocks(self, flagship):
+        # each chunk is reduced as it is drawn, so the peak is O(chunk)
+        profile, curve = flagship
+        strat = solve_strategy(profile, 0.2, curve=curve)
+
+        def peak(blocks):
+            tracemalloc.start()
+            try:
+                run_many(strat, profile, blocks, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(12 * CHUNK) <= 1.1 * peak(2 * CHUNK)
 
     def test_rejects_zero_blocks(self, flagship):
         profile, curve = flagship

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -64,6 +65,19 @@ class TestGenerateSynthetic:
                                           opportunities_per_block=2))
         per_block = Counter(r.block_number for r in records)
         assert set(per_block.values()) == {2}
+
+    def test_coin_uses_spec_epsilon_and_profile_gamma(self, solved):
+        # risky everywhere and the threat binds everywhere, so a block survives
+        # exactly when the builder does not defect
+        profile, curve = solved(n=3, rho=0.2, gamma=0.95)
+        strategy = solve_strategy(profile, 0.0, curve=curve)
+        assert strategy.cutoff == math.inf
+        blocks = 5000
+        for planted in (strategy, dataclasses.replace(strategy, gamma=0.0)):
+            spec = SyntheticSpec(profile=profile, epsilon=0.9, strategy=planted)
+            records = list(generate_synthetic([spec], blocks, seed=13))
+            # the strategy's epsilon (0) or its gamma (0) would keep every block
+            assert len(records) / blocks == pytest.approx(0.1, abs=0.02)
 
     def test_searcher_labels_from_pool(self, flagship):
         profile, curve = flagship
