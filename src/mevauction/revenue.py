@@ -1,18 +1,23 @@
 """Builder-side objective: expected revenue, its derivative, and the best
 defection rate.
 
-Expected revenue integrates the bid actually collected against the density of
-the highest valuation.  Below the cutoff the builder collects the risky bid
-when honoring and max(bid, gamma*v) when defecting (the max is evaluated
-pointwise, never assumed); at and above the cutoff the deterrence bid
-gamma*v is collected regardless.  The Monte Carlo engine in ``simulate``
-implements the game mechanics independently, and the acceptance suite
-requires the two to agree.
+Below the cutoff the builder collects the risky bid b when honoring and
+max(b, gamma*v) when defecting (evaluated pointwise, never assumed), so at
+defection rate eps it collects b + eps * (gamma*v - b)^+.  Against the
+density f1 of the highest valuation the risky branch is ``bid + eps * gap``,
+with bid and gap the integrals of b and (gamma*v - b)^+ over (0, v*); neither
+depends on eps, so a sweep computes them once per distinct cutoff.  At and
+above the cutoff the deterrence bid gamma*v leaves nothing to frontrun, so
+that branch is gamma * E[v_(1) 1{v_(1) > v*}], in closed form.  The
+derivative in eps is ``gap`` plus the boundary term of a moving cutoff, and
+honest first-price revenue is ``bid``.  The Monte Carlo engine in
+``simulate`` implements the game mechanics independently, and the acceptance
+suite requires the two to agree.
 
-Quadrature runs to the 1 - 1e-8 quantile of the max-value distribution; the
-remaining tail is added analytically with the bid share frozen at the cap,
-which is exact for the deterrence branch and a sub-1e-7 relative
-approximation otherwise.
+Without a finite cutoff the quadrature runs to the 1 - 1e-8 quantile of the
+max-value distribution and both tails beyond it are added analytically with
+the bid frozen there, a sub-1e-7 relative approximation.  Each quadrature's
+error estimate must meet the tolerance it asked for.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .errors import (
     ConsistencyError,
     DegenerateCutoffError,
     ParameterError,
+    SolverError,
 )
 from .equilibrium import BidCurve, PiecewiseStrategy, indifference_epsilon, \
     solve_bid_ode, solve_cutoff
@@ -46,6 +52,7 @@ from .values import (
 DEFAULT_EPSILON_GRID = tuple(round(0.05 * k, 2) for k in range(20)) + (0.99,)
 
 _TAIL_Q = 1.0 - 1e-8
+_EPSREL = 1e-10
 
 
 def _check_consistent(epsilon, strategy, profile):
@@ -70,29 +77,81 @@ def _binding_kink(curve: BidCurve, gamma: float):
                         curve.grid[i], curve.grid[i + 1]))
 
 
-def _frozen_tail(epsilon, gamma, b_cap, cap, profile):
-    """Integral of the risky integrand beyond the cap with the bid frozen.
+def _quad(integrand, hi, points, epsabs):
+    """Adaptive quadrature on (0, hi) whose error estimate must meet its tolerance."""
+    val, err = quad(integrand, 0.0, hi, points=points, limit=400,
+                    epsabs=epsabs, epsrel=_EPSREL)
+    tol = max(epsabs, _EPSREL * abs(val))
+    if err > tol:
+        raise SolverError(
+            f"revenue quadrature on (0, {hi:.6g}) has error estimate {err:.3g} "
+            f"above its tolerance {tol:.3g}"
+        )
+    return val
+
+
+def _frozen_tail(gamma, b_cap, cap, profile):
+    """(bid, gap) integrals beyond the cap with the bid frozen at ``b_cap``.
 
     Exact in f1; only the bid's variation beyond the cap is neglected.
-    Returns (value, d/d-epsilon) so the analytic derivative matches the
-    finite differences of expected_revenue term by term.
     """
-    sf_cap = top_value_sf(cap, profile)
-    t1_cap = top_value_tail_mean(cap, profile)
-    v_cross = b_cap / gamma if gamma > 0 else math.inf
-    if v_cross <= cap:
-        # binding throughout the tail
-        defect_part = gamma * t1_cap
-        sf_cross = sf_cap
-    elif math.isinf(v_cross):
-        defect_part = b_cap * sf_cap
-        sf_cross = 0.0
-    else:
-        sf_cross = top_value_sf(v_cross, profile)
-        defect_part = b_cap * (sf_cap - sf_cross) + gamma * top_value_tail_mean(v_cross, profile)
-    value = (1.0 - epsilon) * b_cap * sf_cap + epsilon * defect_part
-    slope = defect_part - b_cap * sf_cap
-    return value, slope
+    bid = b_cap * top_value_sf(cap, profile)
+    if gamma == 0.0:
+        return bid, 0.0
+    # (gamma*v - b_cap)^+ is positive beyond the crossing b_cap/gamma
+    w = max(cap, b_cap / gamma)
+    return bid, gamma * top_value_tail_mean(w, profile) - b_cap * top_value_sf(w, profile)
+
+
+def _risky_parts(curve: BidCurve, profile: TypeProfile, v_star: float):
+    """(bid, gap, safe) for the strategy with cutoff ``v_star``.
+
+    ``bid`` and ``gap`` integrate b and (gamma*v - b)^+ against f1 below the
+    cutoff, plus the frozen tail beyond the cap when the cutoff is infinite;
+    ``safe`` is the deterrence branch above a finite cutoff.
+    """
+    gamma = profile.gamma
+    cap = top_value_quantile(_TAIL_Q, profile)
+    if math.isfinite(v_star):
+        cap = max(cap, min(v_star, curve.v_max))
+    hi = min(v_star, cap)
+    pts = sorted({p for p in (_binding_kink(curve, gamma), curve.v_min, curve.v_min * 30)
+                  if p is not None and 0.0 < p < hi}) or None
+    epsabs = 1e-9 * max(1.0, gamma * top_value_tail_mean(0.0, profile))
+
+    def bid_integrand(v):
+        return curve.bid(v) * top_value_density(v, profile) if v > 0.0 else 0.0
+
+    def gap_integrand(v):
+        if v <= 0.0:
+            return 0.0
+        return max(gamma * v - curve.bid(v), 0.0) * top_value_density(v, profile)
+
+    bid = _quad(bid_integrand, hi, pts, epsabs)
+    gap = _quad(gap_integrand, hi, pts, epsabs)
+    if math.isfinite(v_star):
+        return bid, gap, gamma * top_value_tail_mean(hi, profile)
+    tail_bid, tail_gap = _frozen_tail(gamma, curve.bid(cap), cap, profile)
+    return bid + tail_bid, gap + tail_gap, 0.0
+
+
+def _derivative(epsilon, strategy: PiecewiseStrategy, profile: TypeProfile, gap):
+    """``gap`` plus the boundary term when the cutoff tracks epsilon."""
+    v_star = strategy.cutoff
+    if not math.isfinite(v_star):
+        return float(gap)
+    curve, gamma = strategy.curve, profile.gamma
+    ebar_star = indifference_epsilon(v_star, curve, gamma)
+    if epsilon > 0.0 and abs(ebar_star - epsilon) < 1e-9:
+        ebar_grid = indifference_epsilon(curve.grid, curve, gamma)
+        slope = float(PchipInterpolator(curve.grid, ebar_grid).derivative()(v_star))
+        if abs(slope) < 1e-12:
+            raise DegenerateCutoffError(
+                f"indifference level is flat at the cutoff (|slope|={abs(slope):.2e})"
+            )
+        dvstar = 1.0 / slope
+        gap -= dvstar * v_star * epsilon * (1.0 - gamma) * top_value_density(v_star, profile)
+    return float(gap)
 
 
 def expected_revenue(epsilon: float, strategy: PiecewiseStrategy,
@@ -100,54 +159,15 @@ def expected_revenue(epsilon: float, strategy: PiecewiseStrategy,
     """Ex-ante builder revenue for the piecewise strategy at ``epsilon``."""
     _check_consistent(epsilon, strategy, profile)
     profile.require_dispersion()
-    gamma = profile.gamma
-    curve = strategy.curve
-    v_star = strategy.cutoff
-
-    cap = top_value_quantile(_TAIL_Q, profile)
-    if math.isfinite(v_star):
-        cap = max(cap, min(v_star, curve.v_max))
-
-    def risky_integrand(v):
-        if v <= 0.0:
-            return 0.0
-        b = curve.bid(v)
-        pay = (1.0 - epsilon) * b + epsilon * max(b, gamma * v)
-        return pay * top_value_density(v, profile)
-
-    hi = min(v_star, cap)
-    pts = [p for p in (_binding_kink(curve, gamma), curve.v_min, curve.v_min * 30)
-           if p is not None and 0.0 < p < hi]
-    scale = max(1.0, gamma * top_value_tail_mean(0.0, profile))
-    total, _ = quad(risky_integrand, 0.0, hi, points=sorted(set(pts)) or None,
-                    limit=400, epsabs=1e-9 * scale, epsrel=1e-10)
-
-    if math.isfinite(v_star):
-        if v_star < cap:
-            mid = [p for p in (v_star * 10, v_star * 1e3) if v_star < p < cap]
-            safe, _ = quad(lambda v: gamma * v * top_value_density(v, profile),
-                           v_star, cap, points=mid or None,
-                           limit=400, epsabs=1e-9 * scale, epsrel=1e-10)
-            total += safe
-        total += gamma * top_value_tail_mean(cap, profile)
-    else:
-        tail, _ = _frozen_tail(epsilon, gamma, curve.bid(cap), cap, profile)
-        total += tail
-    return float(total)
+    bid, gap, safe = _risky_parts(strategy.curve, profile, strategy.cutoff)
+    return float(bid + epsilon * gap + safe)
 
 
 def first_price_revenue(curve: BidCurve, profile: TypeProfile) -> float:
     """Honest first-price revenue: the risky bid against the top density."""
     profile.require_dispersion()
-    cap = top_value_quantile(_TAIL_Q, profile)
-    scale = max(1.0, top_value_tail_mean(0.0, profile))
-
-    def integrand(v):
-        return curve.bid(v) * top_value_density(v, profile) if v > 0.0 else 0.0
-
-    val, _ = quad(integrand, 0.0, cap, points=[curve.v_min, curve.v_min * 30],
-                  limit=400, epsabs=1e-9 * scale, epsrel=1e-10)
-    return float(val + curve.bid(cap) * top_value_sf(cap, profile))
+    bid, _, _ = _risky_parts(curve, profile, math.inf)
+    return float(bid)
 
 
 def revenue_derivative(epsilon: float, strategy: PiecewiseStrategy,
@@ -165,15 +185,13 @@ def revenue_derivative(epsilon: float, strategy: PiecewiseStrategy,
     """
     _check_consistent(epsilon, strategy, profile)
     profile.require_dispersion()
-    gamma = profile.gamma
     curve = strategy.curve
-    v_star = strategy.cutoff
 
-    gap = gamma * curve.grid - curve.bids
+    gap = profile.gamma * curve.grid - curve.bids
     if np.all(gap <= 0.0):
         return 0.0
 
-    below = curve.grid < v_star
+    below = curve.grid < strategy.cutoff
     if require_binding and np.any(gap[below] <= 0.0):
         raise AssumptionViolationError(
             "frontrunning threat does not bind on all of [v_min, v*); "
@@ -181,40 +199,8 @@ def revenue_derivative(epsilon: float, strategy: PiecewiseStrategy,
             "require_binding=False for the positive-part derivative)"
         )
 
-    cap = top_value_quantile(_TAIL_Q, profile)
-    if math.isfinite(v_star):
-        cap = max(cap, min(v_star, curve.v_max))
-
-    def integrand(v):
-        if v <= 0.0:
-            return 0.0
-        diff = gamma * v - curve.bid(v)
-        return max(diff, 0.0) * top_value_density(v, profile)
-
-    hi = min(v_star, cap)
-    pts = [p for p in (_binding_kink(curve, gamma), curve.v_min)
-           if p is not None and 0.0 < p < hi]
-    scale = max(1.0, gamma * top_value_tail_mean(0.0, profile))
-    total, _ = quad(integrand, 0.0, hi, points=sorted(set(pts)) or None,
-                    limit=400, epsabs=1e-9 * scale, epsrel=1e-10)
-
-    if not math.isfinite(v_star):
-        _, tail_slope = _frozen_tail(epsilon, gamma, curve.bid(cap), cap, profile)
-        total += tail_slope
-        return float(total)
-
-    # boundary term only when the cutoff actually tracks epsilon
-    ebar_star = indifference_epsilon(v_star, curve, gamma)
-    if epsilon > 0.0 and abs(ebar_star - epsilon) < 1e-9:
-        ebar_grid = indifference_epsilon(curve.grid, curve, gamma)
-        slope = float(PchipInterpolator(curve.grid, ebar_grid).derivative()(v_star))
-        if abs(slope) < 1e-12:
-            raise DegenerateCutoffError(
-                f"indifference level is flat at the cutoff (|slope|={abs(slope):.2e})"
-            )
-        dvstar = 1.0 / slope
-        total -= dvstar * v_star * epsilon * (1.0 - gamma) * top_value_density(v_star, profile)
-    return float(total)
+    _, gap_integral, _ = _risky_parts(curve, profile, strategy.cutoff)
+    return _derivative(epsilon, strategy, profile, gap_integral)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +276,9 @@ def revenue_sweep(profile: TypeProfile, grid, curve: BidCurve | None = None) -> 
     """Revenue, derivative, and cutoff at each grid rate (any grid size >= 1).
 
     The bid curve is shared across the sweep (it never depends on epsilon);
-    only the cutoff is re-solved per grid point.
+    only the cutoff is re-solved per grid point, and the integrals are
+    computed once per distinct cutoff.  Derivatives are the positive-part
+    form (``require_binding=False``).
     """
     eps_grid = np.asarray(grid, dtype=float)
     if eps_grid.ndim != 1 or eps_grid.size < 1:
@@ -299,15 +287,19 @@ def revenue_sweep(profile: TypeProfile, grid, curve: BidCurve | None = None) -> 
         raise ParameterError("epsilon grid must be increasing within [0, 1)")
 
     curve = curve if curve is not None else solve_bid_ode(profile)
+    profile.require_dispersion()
+    binds = np.any(profile.gamma * curve.grid - curve.bids > 0.0)
+    parts = {}  # cutoff -> (bid, gap, safe)
     revenues, derivatives, cutoffs = [], [], []
-    for eps in eps_grid:
-        cut = solve_cutoff(curve, profile.gamma, float(eps))
+    for eps in map(float, eps_grid):
+        cut = solve_cutoff(curve, profile.gamma, eps)
         strat = PiecewiseStrategy(curve=curve, cutoff=cut,
-                                  gamma=profile.gamma, epsilon=float(eps))
-        revenues.append(expected_revenue(float(eps), strat, profile))
-        derivatives.append(
-            revenue_derivative(float(eps), strat, profile, require_binding=False)
-        )
+                                  gamma=profile.gamma, epsilon=eps)
+        if cut not in parts:
+            parts[cut] = _risky_parts(curve, profile, cut)
+        bid, gap, safe = parts[cut]
+        revenues.append(bid + eps * gap + safe)
+        derivatives.append(_derivative(eps, strat, profile, gap) if binds else 0.0)
         cutoffs.append(cut)
 
     return RevenueProfile(

@@ -128,7 +128,7 @@ def rival_max_cdf(y, v, profile: TypeProfile):
     v = _check_positive("v", v)
     scalar = y.ndim == 0 and np.asarray(v).ndim == 0
     out = np.exp(_log_rival_max_cdf(y, v, profile))
-    return float(out[0]) if (scalar or out.size == 1) else out
+    return float(out[0]) if scalar else out
 
 
 def rival_max_hazard_ratio(v, profile: TypeProfile):

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+import mevauction.revenue as revenue_module
 from mevauction import (
     DEFAULT_EPSILON_GRID,
     RevenueProfile,
@@ -12,18 +14,54 @@ from mevauction import (
     first_price_revenue,
     optimal_epsilon,
     revenue_derivative,
+    revenue_sweep,
     run_many,
     solve_strategy,
+    top_value_density,
     top_value_mean,
+    top_value_quantile,
 )
 from mevauction.errors import (
     AssumptionViolationError,
     ConsistencyError,
     ParameterError,
+    SolverError,
 )
 
 def strategy_for(profile, epsilon, curve):
     return solve_strategy(profile, epsilon, curve=curve)
+
+
+def direct_revenue(epsilon, strategy, profile):
+    """One tight quad in ln v of the piecewise payoff against f1.
+
+    The builder collects (1 - eps) b + eps max(b, gamma v) below the cutoff
+    and gamma v at and above it.  Beyond the 1 - 1e-8 quantile of the top
+    value the bid is frozen at its value there, the tail convention
+    ``expected_revenue`` documents.
+    """
+    curve, gamma, v_star = strategy.curve, profile.gamma, strategy.cutoff
+    cap = top_value_quantile(1.0 - 1e-8, profile)
+
+    def payoff(v):
+        if v >= v_star:
+            return gamma * v
+        b = curve.bid(min(v, cap))
+        return (1.0 - epsilon) * b + epsilon * max(b, gamma * v)
+
+    def integrand(s):
+        v = math.exp(s)
+        return payoff(v) * top_value_density(v, profile) * v
+
+    gap = gamma * curve.grid - curve.bids
+    kinks = curve.grid[np.flatnonzero(np.sign(gap[:-1]) * np.sign(gap[1:]) < 0)]
+    breaks = [curve.v_min, curve.v_max, cap, v_star, *kinks]
+    s_lo = profile.mu - 12.0 * profile.sigma
+    s_hi = profile.mu + profile.sigma * (profile.sigma + 15.0)
+    points = sorted(math.log(p) for p in breaks if s_lo < math.log(p) < s_hi)
+    val, _ = quad(integrand, s_lo, s_hi, points=points,
+                  epsabs=0.0, epsrel=1e-12, limit=1000)
+    return val
 
 
 class TestExpectedRevenue:
@@ -49,6 +87,29 @@ class TestExpectedRevenue:
         report = run_many(strat, profile, 400_000, seed=2024)
         z = (r - report.mean_builder_revenue) / report.stderr_builder_revenue
         assert abs(z) < 3.0
+
+    @pytest.mark.parametrize(
+        "params, epsilon",
+        [({}, 0.2), ({}, 0.5), ({}, 0.7),
+         ({"n": 50}, 0.2), ({"n": 50}, 0.5), ({"n": 50}, 0.7),
+         ({"n": 3, "rho": 0.2, "gamma": 0.998}, 0.5)],
+        ids=["flagship-0.2", "flagship-0.5", "flagship-0.7",
+             "n50-0.2", "n50-0.5", "n50-0.7", "all_binding-0.5"],
+    )
+    def test_matches_direct_quadrature(self, solved, params, epsilon):
+        profile, curve = solved(**params)
+        strat = strategy_for(profile, epsilon, curve)
+        assert expected_revenue(epsilon, strat, profile) == pytest.approx(
+            direct_revenue(epsilon, strat, profile), rel=1e-9)
+
+    def test_quadrature_error_estimate_checked(self, flagship, monkeypatch):
+        profile, curve = flagship
+        strat = strategy_for(profile, 0.2, curve)
+        monkeypatch.setattr(revenue_module, "quad", lambda f, a, b, **kw: (1.0, 1e3))
+        with pytest.raises(SolverError):
+            expected_revenue(0.2, strat, profile)
+        with pytest.raises(SolverError):
+            first_price_revenue(curve, profile)
 
     def test_mismatched_epsilon_rejected(self, flagship):
         profile, curve = flagship
@@ -138,6 +199,21 @@ class TestOptimalEpsilon:
         result = optimal_epsilon(profile, curve=curve)
         assert result.regime == "mixed"
         assert np.all(np.isfinite(result.profile.revenues))
+
+    def test_sweep_integrates_once_per_cutoff(self, solved, monkeypatch):
+        # every rate shares the infinite cutoff: one bid and one gap integral
+        profile, curve = solved(n=3, rho=0.2, gamma=0.998)
+        calls = []
+        real_quad = revenue_module.quad
+
+        def counting_quad(*args, **kwargs):
+            calls.append(args[2])
+            return real_quad(*args, **kwargs)
+
+        monkeypatch.setattr(revenue_module, "quad", counting_quad)
+        rp = revenue_sweep(profile, DEFAULT_EPSILON_GRID, curve=curve)
+        assert np.all(np.isinf(rp.cutoffs))
+        assert len(calls) == 2
 
     def test_grid_validation(self, flagship):
         profile, _ = flagship

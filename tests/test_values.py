@@ -104,6 +104,10 @@ class TestRivalMaxCdf:
         h_v = rival_max_cdf(np.full_like(vs, 10.0), vs, profile)
         # affiliation: a higher own value shifts rivals up, H falls
         assert np.all(np.diff(h_v) <= 1e-12)
+        # array in, array out, whatever the size; scalars give floats
+        one = rival_max_cdf(np.array([1.0]), 2.0, profile)
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        assert isinstance(rival_max_cdf(1.0, 2.0, profile), float)
 
     def test_domain_errors(self):
         profile = make_profile()
@@ -187,6 +191,22 @@ class TestTopValue:
             mc = float(np.mean(vmax * (vmax > limit)))
             se = float(np.std(vmax * (vmax > limit)) / math.sqrt(vmax.size))
             assert abs(top_value_tail_mean(limit, profile) - mc) < 4.0 * se
+
+    @pytest.mark.parametrize("params", [{}, {"n": 50}, {"n": 4, "rho": 0.0}],
+                             ids=["flagship", "n50", "independent"])
+    def test_tail_mean_against_log_space_quadrature(self, params):
+        # deterministic oracle: a tight quad of v * f1(v) dv = e^(2s) f1(e^s) ds
+        profile = make_profile(**params)
+        s_hi = profile.mu + profile.sigma * (profile.sigma + 15.0)
+
+        def integrand(s):
+            return math.exp(2.0 * s) * top_value_density(math.exp(s), profile)
+
+        for q in (0.01, 0.5, 0.9, 0.999, 1.0 - 1e-6):
+            limit = top_value_quantile(q, profile)
+            oracle, _ = quad(integrand, math.log(limit), s_hi,
+                             epsabs=0.0, epsrel=1e-13, limit=500)
+            assert top_value_tail_mean(limit, profile) == pytest.approx(oracle, rel=1e-10)
 
     def test_mean_consistency(self):
         profile = make_profile(n=3, rho=0.4, sigma=0.8)
