@@ -63,7 +63,7 @@ from .equilibrium import GridSpec, default_grid, solve_bid_ode, solve_strategy
 from .errors import MevAuctionError, ParameterError, ThinSampleError
 from .profiles import MevType, TypeProfile
 from .revenue import optimal_epsilon, revenue_sweep
-from .simulate import run_many
+from .simulate import _check_run_args, run_many
 from .synthetic import SyntheticSpec, generate_synthetic
 
 PROFILE_KEYS = ("type", "n", "rho", "gamma", "mu", "sigma")
@@ -203,10 +203,12 @@ def cmd_simulate(args, parser):
     config = _load_config(args.config, "simulate")
     params = _resolve(args, config, PROFILE_KEYS + ("epsilon", "blocks", "seed"), parser)
     profile = _profile_from(params)
+    blocks = int(params["blocks"])
+    _check_run_args(blocks, args.threads, args.antithetic, args.trace_cap)
     out = _out_dir(args)
     strategy = solve_strategy(profile, float(params["epsilon"]))
     trace_path = out / "trace.csv" if args.trace else None
-    report = run_many(strategy, profile, int(params["blocks"]), int(params["seed"]),
+    report = run_many(strategy, profile, blocks, int(params["seed"]),
                       workers=args.threads, antithetic=args.antithetic,
                       trace_path=trace_path, trace_cap=args.trace_cap)
     _write(out / "sim_report.json", report.to_json())

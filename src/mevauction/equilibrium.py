@@ -398,11 +398,17 @@ class PiecewiseStrategy:
                 )
 
     def bid(self, v):
+        """gamma*v at and above the cutoff, the curve below it.
+
+        Only values below the cutoff reach the curve; NaN and v <= 0 take
+        that path too, so the curve's DomainError still fires.
+        """
         v_arr = np.asarray(v, dtype=float)
         scalar = v_arr.ndim == 0
         v_arr = np.atleast_1d(v_arr)
-        risky = np.atleast_1d(self.curve.bid(v_arr))
-        out = np.where(v_arr >= self.cutoff, self.gamma * v_arr, risky)
+        out = self.gamma * v_arr
+        risky = ~(v_arr >= self.cutoff)
+        out[risky] = self.curve.bid(v_arr[risky])
         return float(out[0]) if scalar else out
 
     def to_json(self) -> str:

@@ -1,11 +1,17 @@
 """Monte Carlo engine for the full auction game.
 
-Each block: draw the n affiliated values, apply the piecewise strategy, pick
-the winner (highest bid, ties to the lowest index), flip the builder's
-defection coin, and frontrun exactly when the defecting builder's replicated
-value strictly exceeds the winning bid.  Revert protection means a frontrun
-block pays the builder gamma * v_top, zeroes the searcher, and collects no
-bid.
+Each block: draw the n affiliated values, pick the winner, price its bid
+with the piecewise strategy, flip the builder's defection coin, and frontrun
+exactly when the defecting builder's replicated value strictly exceeds the
+winning bid.  Revert protection means a frontrun block pays the builder
+gamma * v_top, zeroes the searcher, and collects no bid.
+
+Tie rule: the winner is the highest-value searcher, ties to the lowest
+index.  The strategy never decreases, so this is the highest bidder and
+only the winner's bid is evaluated.  It differs from "highest bid, ties to
+the lowest index" only where the strategy is flat (or dips at the cutoff
+within the tolerance ``PiecewiseStrategy`` allows): the top bid is the same,
+but the higher value wins.
 
 One private kernel, ``_play``, draws and plays a chunk of auctions; the
 game engine here and ``synthetic.generate_synthetic`` both call it, so the
@@ -140,8 +146,10 @@ def _play(strategy, profile, gamma, epsilon, key, shape, antithetic=False):
     ``shape`` is (blocks,) or (blocks, auctions per block); the auctions of a
     block share its common factor.  Stream ``key + (0,)`` draws the values,
     ``key + (1,)`` the defection coins, which is returned so a caller can
-    draw more from it.  The highest bid wins (ties to the lowest index) and
-    a defecting builder frontruns when ``gamma * top_val > top_bid``.
+    draw more from it.  The highest value wins (ties to the lowest index),
+    ``strategy.bid`` prices that one value per auction, and a defecting
+    builder frontruns when ``gamma * top_val > top_bid``.  Where the strategy
+    is flat, a higher value beats an equal bid at a lower index.
     Returns (winner, top_bid, top_val, defect, frontrun, coin_stream).
     """
     rng_v = stream(*key, 0)
@@ -156,11 +164,10 @@ def _play(strategy, profile, gamma, epsilon, key, shape, antithetic=False):
     u = rng_v.standard_normal(shape + (profile.n,))
     z = affiliated_signal(Z.reshape(Z.shape + (1,) * len(shape)), u, profile.rho)
     values = np.exp(profile.mu + profile.sigma * z).reshape(-1, profile.n)
-    bids = strategy.bid(values)
-    winner = np.argmax(bids, axis=1)
-    auctions = np.arange(winner.size)
-    top_bid = bids[auctions, winner].reshape(shape)
-    top_val = values[auctions, winner].reshape(shape)
+    winner = np.argmax(values, axis=1)
+    top_val = values[np.arange(winner.size), winner]
+    top_bid = strategy.bid(top_val).reshape(shape)
+    top_val = top_val.reshape(shape)
     coin = stream(*key, 1)
     defect = coin.random(shape) < epsilon
     frontrun = defect & (gamma * top_val > top_bid)
@@ -190,6 +197,18 @@ def run_block(strategy: PiecewiseStrategy, profile: TypeProfile, seed: int) -> B
     )
 
 
+def _check_run_args(blocks, workers, antithetic, trace_cap):
+    """Reject ``run_many`` arguments up front (the CLI calls this first too)."""
+    if blocks < 1:
+        raise ParameterError("blocks must be >= 1")
+    if antithetic and blocks % 2:
+        raise ParameterError("antithetic sampling needs an even number of blocks")
+    if workers < 1:
+        raise ParameterError("workers must be >= 1")
+    if trace_cap < 0:
+        raise ParameterError("trace_cap must be >= 0")
+
+
 def run_many(strategy: PiecewiseStrategy, profile: TypeProfile, blocks: int,
              seed: int, *, workers: int = 1, antithetic: bool = False,
              trace_path=None, trace_cap: int = 10_000) -> SimReport:
@@ -200,10 +219,7 @@ def run_many(strategy: PiecewiseStrategy, profile: TypeProfile, blocks: int,
     result is identical for any value because chunk streams are keyed by
     index and chunk moments are combined in index order.
     """
-    if blocks < 1:
-        raise ParameterError("blocks must be >= 1")
-    if antithetic and blocks % 2:
-        raise ParameterError("antithetic sampling needs an even number of blocks")
+    _check_run_args(blocks, workers, antithetic, trace_cap)
     sizes = _chunk_sizes(blocks)
 
     def work(i):
@@ -264,7 +280,7 @@ def _rival_chunk(v, strategy, profile, seed, chunk_index, size):
     u = rng.standard_normal((size, profile.n - 1))
     z_riv = affiliated_signal(z_post[:, None], u, profile.rho)
     rival_values = np.exp(profile.mu + profile.sigma * z_riv)
-    rival_top = np.max(strategy.bid(rival_values), axis=1)
+    rival_top = strategy.bid(rival_values.max(axis=1))
     defect = stream(seed, chunk_index, 1).random(size) < strategy.epsilon
     return rival_top, defect
 
@@ -299,6 +315,10 @@ def deviation_payoff_grid(v: float, bids, strategy: PiecewiseStrategy,
     if bids.ndim != 1 or bids.size == 0 or np.any(bids < 0):
         raise ParameterError("bids must be a 1-d array of nonnegative bids")
     ref = bids.size // 2 if reference_index is None else int(reference_index)
+    if not 0 <= ref < bids.size:
+        raise ParameterError(f"reference_index must be in [0, {bids.size})")
+    if blocks < 1:
+        raise ParameterError("blocks must be >= 1")
     sizes = _chunk_sizes(blocks)
 
     k = bids.size

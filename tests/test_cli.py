@@ -111,6 +111,17 @@ class TestSimulate:
         assert code == 0
         assert len((out / "trace.csv").read_text().splitlines()) == 101
 
+    @pytest.mark.parametrize("flags", [["--threads", "-2"],
+                                       ["--trace", "--trace-cap", "-5"]],
+                             ids=["threads", "trace-cap"])
+    def test_bad_flag_rejected_before_out_dir(self, tmp_path, capsys, flags):
+        out = tmp_path / "sim"
+        code = run(["simulate", *SOLVE_FLAGS, "--epsilon", "0.2",
+                    "--blocks", "2000", "--seed", "3", *flags, "--out-dir", str(out)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        assert not out.exists()
+
 
 class TestGenerateEstimateReport:
     def make_bundles(self, tmp_path, blocks=4000):

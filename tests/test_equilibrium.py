@@ -21,6 +21,7 @@ from mevauction import (
 from mevauction.errors import (
     BoundaryError,
     CutoffMonotonicityError,
+    DomainError,
     ParameterError,
     SolverError,
 )
@@ -249,6 +250,62 @@ class TestPiecewiseStrategy:
         v_mid = float(np.exp(0.5 * (np.log(curve.v_min) + np.log(curve.v_max))))
         with pytest.raises(SolverError):
             PiecewiseStrategy(curve=curve, cutoff=v_mid, gamma=0.001, epsilon=0.2)
+
+    @staticmethod
+    def _where_rule(strat, v):
+        # the rule written with both branches evaluated everywhere
+        v = np.asarray(v, dtype=float)
+        return np.where(v >= strat.cutoff, strat.gamma * v, strat.curve.bid(v))
+
+    @pytest.mark.parametrize("cutoff_kind", ["finite", "inf"])
+    def test_bid_matches_where_rule(self, flagship, cutoff_kind):
+        profile, curve = flagship
+        strat = solve_strategy(profile, 0.2, curve=curve)
+        if cutoff_kind == "inf":
+            strat = PiecewiseStrategy(curve=curve, cutoff=math.inf,
+                                      gamma=profile.gamma, epsilon=0.2)
+        else:
+            assert math.isfinite(strat.cutoff)
+        c = strat.cutoff if math.isfinite(strat.cutoff) else curve.v_max
+        vs = np.concatenate([np.geomspace(curve.v_min / 10, 100 * c, 997),
+                             [c, np.nextafter(c, 0.0), np.nextafter(c, math.inf)]])
+        for v in (vs, vs.reshape(-1, 5)):
+            np.testing.assert_array_equal(strat.bid(v), self._where_rule(strat, v))
+        empty = strat.bid(np.empty(0))
+        assert empty.shape == (0,)
+
+    def test_scalar_in_float_out(self, flagship):
+        profile, curve = flagship
+        strat = solve_strategy(profile, 0.2, curve=curve)
+        for v in (0.5 * strat.cutoff, 2.0 * strat.cutoff, np.float64(strat.cutoff)):
+            out = strat.bid(v)
+            assert type(out) is float
+            assert out == self._where_rule(strat, v)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, [0.0], [1e9, -3.0]])
+    def test_nonpositive_value_raises(self, flagship, bad):
+        profile, curve = flagship
+        strat = solve_strategy(profile, 0.2, curve=curve)
+        with pytest.raises(DomainError):
+            strat.bid(bad)
+
+    def test_curve_sees_only_values_below_cutoff(self, flagship, monkeypatch):
+        profile, curve = flagship
+        strat = solve_strategy(profile, 0.2, curve=curve)
+        seen = []
+        original = BidCurve.bid
+
+        def counting(self, v):
+            seen.append(np.array(v, dtype=float))
+            return original(self, v)
+
+        monkeypatch.setattr(BidCurve, "bid", counting)
+        vs = strat.cutoff * np.geomspace(0.1, 10.0, 101)
+        strat.bid(vs)
+        np.testing.assert_array_equal(np.concatenate(seen), vs[vs < strat.cutoff])
+        seen.clear()
+        strat.bid(vs[vs >= strat.cutoff])
+        assert sum(s.size for s in seen) == 0
 
     def test_truncation_mass(self, flagship):
         profile, curve = flagship

@@ -11,11 +11,50 @@ from mevauction import (
     run_many,
     solve_strategy,
 )
-from mevauction.equilibrium import PiecewiseStrategy
+from mevauction.equilibrium import BidCurve, PiecewiseStrategy
 from mevauction.errors import ParameterError
-from mevauction.simulate import CHUNK
+from mevauction.rng import stream
+from mevauction.simulate import CHUNK, _play, _rival_chunk
+from mevauction.values import affiliated_signal
 
-from conftest import marginal_quantile
+from conftest import curve_for, make_profile, marginal_quantile
+from test_acceptance import SIM_MATRIX
+
+# the acceptance simulation matrix plus the benchmark's two simulate profiles
+KERNEL_PROFILES = SIM_MATRIX + [(make_profile(n=50), 0.2)]
+
+
+def _priced_everywhere(strategy, values):
+    # both branches on every value: the bid rule with no shortcut
+    return np.where(values >= strategy.cutoff, strategy.gamma * values,
+                    strategy.curve.bid(values))
+
+
+def _draw_values(profile, key, shape, antithetic):
+    """The values ``_play`` draws on ``stream(*key, 0)``, one row per auction."""
+    rng = stream(*key, 0)
+    rows = shape[0]
+    if antithetic:
+        half = rng.standard_normal(rows // 2)
+        Z = np.concatenate([half, -half])
+    else:
+        Z = rng.standard_normal(rows)
+    u = rng.standard_normal(shape + (profile.n,))
+    z = affiliated_signal(Z.reshape(Z.shape + (1,) * len(shape)), u, profile.rho)
+    return np.exp(profile.mu + profile.sigma * z).reshape(-1, profile.n)
+
+
+def _reference_play(strategy, profile, gamma, epsilon, key, shape, antithetic=False):
+    """Price every searcher; the highest bid wins, ties to the lowest index."""
+    values = _draw_values(profile, key, shape, antithetic)
+    bids = _priced_everywhere(strategy, values)
+    winner = np.argmax(bids, axis=1)
+    auctions = np.arange(winner.size)
+    top_bid = bids[auctions, winner].reshape(shape)
+    top_val = values[auctions, winner].reshape(shape)
+    defect = stream(*key, 1).random(shape) < epsilon
+    frontrun = defect & (gamma * top_val > top_bid)
+    return winner.reshape(shape), top_bid, top_val, defect, frontrun
 
 
 class TestRunBlock:
@@ -132,6 +171,80 @@ class TestRunMany:
         with pytest.raises(ParameterError):
             run_many(strat, profile, 0, seed=1)
 
+    def test_rejects_negative_workers(self, flagship):
+        profile, curve = flagship
+        strat = solve_strategy(profile, 0.2, curve=curve)
+        with pytest.raises(ParameterError):
+            run_many(strat, profile, 1000, seed=1, workers=-3)
+
+    def test_rejects_negative_trace_cap(self, flagship, tmp_path):
+        profile, curve = flagship
+        strat = solve_strategy(profile, 0.2, curve=curve)
+        trace = tmp_path / "trace.csv"
+        with pytest.raises(ParameterError):
+            run_many(strat, profile, 1000, seed=1, trace_path=trace, trace_cap=-5)
+        assert not trace.exists()
+
+
+class TestKernelMatchesPricingEverySearcher:
+    """The kernel prices only the winner; pricing every searcher must agree."""
+
+    @pytest.mark.parametrize("shape,antithetic", [((CHUNK,), False),
+                                                  ((CHUNK // 2, 2), False),
+                                                  ((CHUNK,), True)],
+                             ids=["plain", "two-per-block", "antithetic"])
+    def test_play(self, shape, antithetic):
+        for profile, epsilon in KERNEL_PROFILES:
+            curve = curve_for(profile)
+            assert np.all(np.diff(curve.bids) > 0)
+            strat = solve_strategy(profile, epsilon, curve=curve)
+            key = (11, profile.n, 3)
+            got = _play(strat, profile, profile.gamma, epsilon, key, shape, antithetic)
+            want = _reference_play(strat, profile, profile.gamma, epsilon, key, shape,
+                                   antithetic)
+            for name, a, b in zip(("winner", "top_bid", "top_val", "defect", "frontrun"),
+                                  got[:5], want):
+                np.testing.assert_array_equal(a, b, err_msg=f"{name} n={profile.n}")
+
+    def test_rival_chunk(self):
+        for profile, epsilon in KERNEL_PROFILES:
+            strat = solve_strategy(profile, epsilon, curve=curve_for(profile))
+            v = marginal_quantile(0.9)
+            rival_top, defect = _rival_chunk(v, strat, profile, 5, 2, 20_000)
+            # redraw the rivals exactly as _rival_chunk does, then bid them all
+            z0 = (math.log(v) - profile.mu) / profile.sigma
+            rng = stream(5, 2, 0)
+            z_post = affiliated_signal(z0, rng.standard_normal(20_000), profile.rho)
+            u = rng.standard_normal((20_000, profile.n - 1))
+            rivals = np.exp(profile.mu + profile.sigma
+                            * affiliated_signal(z_post[:, None], u, profile.rho))
+            np.testing.assert_array_equal(
+                rival_top, np.max(_priced_everywhere(strat, rivals), axis=1))
+            np.testing.assert_array_equal(
+                defect, stream(5, 2, 1).random(20_000) < strat.epsilon)
+
+    def test_flat_stretch_goes_to_the_higher_value(self):
+        # bids tie on [2, 3]; values cluster there, so most auctions tie on bid
+        curve = BidCurve(grid=np.array([1.0, 2.0, 3.0, 4.0]),
+                         bids=np.array([0.5, 0.9, 0.9, 1.5]))
+        strat = PiecewiseStrategy(curve=curve, cutoff=math.inf, gamma=0.5, epsilon=0.5)
+        profile = make_profile(n=3, rho=0.3, gamma=0.5, mu=math.log(2.5), sigma=0.05)
+        key, shape = (1, 0), (5000,)
+        winner, top_bid, top_val, defect, frontrun, _ = _play(
+            strat, profile, 0.5, 0.5, key, shape)
+        values = _draw_values(profile, key, shape, False)
+        np.testing.assert_array_equal(winner, np.argmax(values, axis=1))
+        np.testing.assert_array_equal(top_val, values.max(axis=1))
+        old_winner, old_bid, old_val, _, _ = _reference_play(
+            strat, profile, 0.5, 0.5, key, shape)
+        # same top bid; where bids tie the higher value wins, not the lower index
+        np.testing.assert_array_equal(top_bid, old_bid)
+        tied = winner != old_winner
+        assert tied.sum() > 1000
+        assert np.all(top_bid[tied] == 0.9)
+        assert np.all(top_val[tied] > old_val[tied])
+        assert np.all(old_winner[tied] < winner[tied])
+
 
 class TestDeviationPayoffs:
     def test_sure_safe_overbid_pays_value_minus_bid(self, flagship):
@@ -174,3 +287,18 @@ class TestDeviationPayoffs:
         ratio = lo.means / hi.means
         np.testing.assert_allclose(ratio, (1 - 0.2) / (1 - 0.5), rtol=0.02)
         assert abs(int(np.argmax(lo.means)) - int(np.argmax(hi.means))) <= 2
+
+    @pytest.mark.parametrize("ref", [-1, 3])
+    def test_rejects_reference_outside_grid(self, flagship, ref):
+        profile, curve = flagship
+        strat = solve_strategy(profile, 0.3, curve=curve)
+        with pytest.raises(ParameterError):
+            deviation_payoff_grid(marginal_quantile(0.5), [1.0, 2.0, 3.0], strat, profile,
+                                  blocks=1000, seed=3, reference_index=ref)
+
+    def test_rejects_zero_blocks(self, flagship):
+        profile, curve = flagship
+        strat = solve_strategy(profile, 0.3, curve=curve)
+        with pytest.raises(ParameterError):
+            deviation_payoff_grid(marginal_quantile(0.5), [1.0, 2.0, 3.0], strat, profile,
+                                  blocks=0, seed=3)
