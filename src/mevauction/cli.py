@@ -34,18 +34,20 @@ import math
 import os
 import sys
 import time
-from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .empirics import (
+    MEV_TYPES,
+    BundleTable,
+    IngestReport,
+    _types_present,
     bergemann_threshold,
     bribe_schedule,
     decompose,
     estimate_gamma,
-    ingest,
     iter_bundles,  # noqa: F401  perfbench's tracer test reads cli.iter_bundles
     write_bundles,
     DEFAULT_BERGEMANN_RULE,
@@ -64,7 +66,7 @@ from .errors import MevAuctionError, ParameterError, ThinSampleError
 from .profiles import MevType, TypeProfile
 from .revenue import optimal_epsilon, revenue_sweep
 from .simulate import _check_run_args, run_many
-from .synthetic import SyntheticSpec, generate_synthetic
+from .synthetic import SyntheticSpec, generate_chunks
 
 PROFILE_KEYS = ("type", "n", "rho", "gamma", "mu", "sigma")
 
@@ -244,10 +246,9 @@ def cmd_generate(args, parser):
     if blocks is None or seed is None:
         parser.error("missing required parameter --blocks or --seed")
     opb = int(_flag_or_config(args.opportunities, config, "opportunities_per_block", 1))
-    records = generate_synthetic(specs, int(blocks), int(seed),
-                                 opportunities_per_block=opb)
+    chunks = generate_chunks(specs, int(blocks), int(seed), opportunities_per_block=opb)
     out = _out_dir(args)
-    count = write_bundles(out / "bundles.csv", records)
+    count = write_bundles(out / "bundles.csv", chunks)
     _manifest(out, "generate", {
         "blocks": int(blocks), "seed": int(seed),
         "opportunities_per_block": opb,
@@ -256,15 +257,12 @@ def cmd_generate(args, parser):
     return 0
 
 
-def _schedules_by_type(records):
+def _schedules_by_type(table):
     """Bribe schedules of every type with enough positive-value records."""
-    by_type = defaultdict(list)
-    for rec in records:
-        by_type[rec.mev_type].append(rec)
     schedules = {}
-    for mev_type in sorted(by_type, key=lambda t: t.value):
+    for c in _types_present(table.mev_type):
         try:
-            schedules[mev_type] = bribe_schedule(by_type[mev_type], mev_type)
+            schedules[MEV_TYPES[c]] = bribe_schedule(table, MEV_TYPES[c])
         except ThinSampleError:
             continue
     return schedules
@@ -277,8 +275,7 @@ def cmd_estimate(args, parser):
     if not path:
         parser.error("missing required parameter --input")
     out = _out_dir(args)
-    records, _ = ingest(path)
-    schedules = _schedules_by_type(records)
+    schedules = _schedules_by_type(BundleTable.read(path))
     estimates = {t: estimate_gamma(s) for t, s in schedules.items()}
     for mev_type, schedule in schedules.items():
         _write(out / f"fig2_{mev_type.value}.csv", schedule.to_csv())
@@ -298,32 +295,29 @@ def cmd_report(args, parser):
     rule = args.bergemann_rule or config.get("bergemann_rule", DEFAULT_BERGEMANN_RULE)
     window = int(_flag_or_config(args.window, config, "window", 50))
     out = _out_dir(args)
-    records, ingest_report = ingest(path)
+    ingest_report = IngestReport()
+    table = BundleTable.read(path, ingest_report)
     # before any output is written, so a bad window leaves no partial report
-    counted = effective_bidder_counts(records, window=window)
+    counted = effective_bidder_counts(table, window=window)
 
     # summary statistics and data quality
-    per_type_values = defaultdict(list)
-    per_type_tips = defaultdict(float)
-    nonpositive = 0
-    for rec in records:
-        ev = rec.extracted_value
-        if ev <= 0:
-            nonpositive += 1
-            continue
-        per_type_values[rec.mev_type].append(ev)
-        per_type_tips[rec.mev_type] += rec.tip
+    positive = ~(table.value <= 0)
+    nonpositive = len(table) - int(np.count_nonzero(positive))
+    codes = table.mev_type[positive]
+    values = table.value[positive]
+    type_tips = np.bincount(codes, weights=table.tip[positive], minlength=len(MEV_TYPES))
+    summarized = _types_present(codes)
 
     lines = ["mev_type,count,total_extracted,mean,median,std,mean_bribe_share\n"]
     all_vals, all_tips = [], 0.0
-    for mev_type in sorted(per_type_values, key=lambda t: t.value):
-        vals = np.asarray(per_type_values[mev_type])
+    for c in summarized:
+        vals = values[codes == c]
         all_vals.append(vals)
-        all_tips += per_type_tips[mev_type]
+        all_tips += type_tips[c]
         lines.append(
-            f"{mev_type.value},{vals.size},{vals.sum():.12g},{vals.mean():.12g},"
+            f"{MEV_TYPES[c].value},{vals.size},{vals.sum():.12g},{vals.mean():.12g},"
             f"{np.median(vals):.12g},{vals.std():.12g},"
-            f"{per_type_tips[mev_type] / vals.sum():.12g}\n")
+            f"{type_tips[c] / vals.sum():.12g}\n")
     if all_vals:
         vals = np.concatenate(all_vals)
         lines.append(f"all,{vals.size},{vals.sum():.12g},{vals.mean():.12g},"
@@ -332,30 +326,31 @@ def cmd_report(args, parser):
     _write(out / "tab1_summary.csv", "".join(lines))
 
     # schedules, estimates, decomposition
-    schedules = _schedules_by_type(records)
+    schedules = _schedules_by_type(table)
     estimates = {t: estimate_gamma(s) for t, s in schedules.items()}
-    skipped_thin = sorted(t.value for t in per_type_values if t not in estimates)
+    skipped_thin = sorted(MEV_TYPES[c].value for c in summarized
+                          if MEV_TYPES[c] not in estimates)
     for mev_type, schedule in schedules.items():
         _write(out / f"fig2_{mev_type.value}.csv", schedule.to_csv())
     decomposition = None
     if estimates:
-        estimated = (r for r in records if r.mev_type in estimates)
-        decomposition = decompose(estimated, estimates)
+        estimated = np.isin(table.mev_type, [MEV_TYPES.index(t) for t in estimates])
+        decomposition = decompose(table.select(estimated), estimates)
         _write(out / "fig3_decomposition.csv", decomposition.to_csv())
 
     # diagnostics
-    pairs = affiliation_pairs(records)
+    pairs = affiliation_pairs(table)
     _write(out / "figA1_pairs.csv",
            "mev_type,log_value_top,log_value_second\n" + "".join(
                f"{t.value},{x:.12g},{y:.12g}\n" for t, x, y in pairs))
     affiliation = affiliation_diagnostic(pairs)
-    conc = concentration(records, by="searcher")
+    conc = concentration(table, by="searcher")
     lorenz_lines = ["mev_type,population_share,value_share\n"]
     for mev_type, stat in sorted(conc.items(), key=lambda kv: kv[0].value):
         for p, v in zip(stat.lorenz_population, stat.lorenz_value):
             lorenz_lines.append(f"{mev_type.value},{p:.12g},{v:.12g}\n")
     _write(out / "figA2_lorenz.csv", "".join(lorenz_lines))
-    _write(out / "tabA1_builders.csv", builder_table_csv(builder_table(records)))
+    _write(out / "tabA1_builders.csv", builder_table_csv(builder_table(table)))
     board = board_diagnostic(counted)
     _write(out / "figA3_board.csv",
            "mev_type,count_lo,count_hi,records,mean_revenue,mean_bribe_share\n"
@@ -364,13 +359,12 @@ def cmd_report(args, parser):
                      for r in board))
 
     # disclosure benchmark per type from the median bidder-count proxy
-    proxies = defaultdict(list)
-    for rec, proxy in counted:
-        proxies[rec.mev_type].append(proxy)
+    proxy_types = counted.table.mev_type[counted.order]
     berg_lines = ["mev_type,n_effective,threshold\n"]
     berg = {}
-    for mev_type in sorted(proxies, key=lambda t: t.value):
-        n_eff = max(2, int(round(float(np.median(proxies[mev_type])))))
+    for c in _types_present(proxy_types):
+        mev_type = MEV_TYPES[c]
+        n_eff = max(2, int(round(float(np.median(counted.proxy[proxy_types == c])))))
         thr = bergemann_threshold(n_eff, rule=rule)
         berg[mev_type.value] = {"n_effective": n_eff, "threshold": thr}
         berg_lines.append(f"{mev_type.value},{n_eff},{thr:.12g}\n")

@@ -5,18 +5,29 @@ two extracted values, concentration of extracted value across searchers or
 builders (Lorenz, Gini, top-k shares), per-builder aggregates, and revenue
 by effective-bidder-count bins.  Nothing here enforces a sign or a slope;
 the numbers are reported as found.
+
+Every diagnostic takes a ``BundleTable`` (or an iterable of records) and
+groups its columns with numpy sorts and ``bincount``, keeping record order
+within each group so the sums match a record-by-record loop bit for bit.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
+from .empirics import (
+    _BY_LABEL,
+    _LABEL_RANK,
+    MEV_TYPES,
+    BundleTable,
+    _as_table,
+    _first_seen,
+)
 from .errors import ConfigurationError
 from .profiles import MevType
 
@@ -38,19 +49,32 @@ class AffiliationStat:
 
 def affiliation_pairs(records):
     """(mev_type, log v_top, log v_second) for each block with two or more
-    positive-value records of the same type."""
-    by_key = defaultdict(list)
-    for rec in records:
-        ev = rec.extracted_value
-        if ev > 0:
-            by_key[(rec.block_number, rec.mev_type)].append(ev)
-    out = []
-    for (_, mev_type), vals in sorted(by_key.items(),
-                                      key=lambda kv: (kv[0][0], kv[0][1].value)):
-        if len(vals) >= 2:
-            top2 = sorted(vals, reverse=True)[:2]
-            out.append((mev_type, math.log(top2[0]), math.log(top2[1])))
-    return out
+    positive-value records of the same type, by block then type label."""
+    table = _as_table(records)
+    positive = table.value > 0
+    block = table.block[positive]
+    codes = table.mev_type[positive]
+    value = table.value[positive]
+    # within each (block, type) group the values ascend, so the top two close it
+    order = np.lexsort((value, _LABEL_RANK[codes], block))
+    block, codes, value = block[order], codes[order], value[order]
+    starts = _group_starts(block, codes)
+    ends = np.append(starts[1:], block.size)
+    ends = ends[ends - starts >= 2]
+    return [(MEV_TYPES[c], math.log(top), math.log(second))
+            for c, top, second in zip(codes[ends - 1].tolist(), value[ends - 1].tolist(),
+                                      value[ends - 2].tolist())]
+
+
+def _group_starts(*keys):
+    """Start positions of the runs of equal keys in sorted key arrays."""
+    size = keys[0].size
+    new = np.ones(size, dtype=bool)
+    if size:
+        new[1:] = False
+        for key in keys:
+            new[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(new)
 
 
 def affiliation_diagnostic(pairs):
@@ -108,14 +132,19 @@ def concentration(records, by: str = "searcher"):
     """
     if by not in ("searcher", "builder"):
         raise ConfigurationError("grouping key must be 'searcher' or 'builder'")
-    sums = defaultdict(lambda: defaultdict(float))
-    for rec in records:
-        ev = rec.extracted_value
-        if ev > 0:
-            sums[rec.mev_type][getattr(rec, by)] += ev
+    table = _as_table(records)
+    positive = table.value > 0
+    labels = table.searchers if by == "searcher" else table.builders
+    key = (table.searcher if by == "searcher" else table.builder)[positive]
+    codes = table.mev_type[positive]
+    cell = codes * len(labels) + key
+    size = len(MEV_TYPES) * len(labels)
+    sums = np.bincount(cell, weights=table.value[positive], minlength=size)
+    seen = np.bincount(cell, minlength=size) > 0
+    sums, seen = sums.reshape(len(MEV_TYPES), -1), seen.reshape(len(MEV_TYPES), -1)
     out = {}
-    for mev_type, groups in sums.items():
-        totals = np.sort(np.fromiter(groups.values(), dtype=float))
+    for c in _first_seen(codes):
+        totals = np.sort(sums[c][seen[c]])
         m = totals.size
         cum = np.concatenate([[0.0], np.cumsum(totals)]) / totals.sum()
         pop = np.linspace(0.0, 1.0, m + 1)
@@ -123,8 +152,8 @@ def concentration(records, by: str = "searcher"):
         top_k = {
             k: float(desc[: min(k, m)].sum() / totals.sum()) for k in (1, 5, 10)
         }
-        out[mev_type] = ConcentrationStat(
-            mev_type=mev_type, groups=m, gini=gini_coefficient(totals),
+        out[MEV_TYPES[c]] = ConcentrationStat(
+            mev_type=MEV_TYPES[c], groups=m, gini=gini_coefficient(totals),
             lorenz_population=pop, lorenz_value=cum, top_k_shares=top_k,
         )
     return out
@@ -151,27 +180,26 @@ def builder_table(records):
     records with positive extracted value (population std, zero for a
     single record).
     """
-    count = Counter()
-    total = defaultdict(float)
-    shares = defaultdict(list)
-    searchers = defaultdict(set)
-    for rec in records:
-        count[rec.builder] += 1
-        total[rec.builder] += rec.extracted_value
-        searchers[rec.builder].add(rec.searcher)
-        share = rec.bribe_share
-        if share is not None:
-            shares[rec.builder].append(share)
+    table = _as_table(records)
+    builder, n = table.builder, len(table.builders)
+    count = np.bincount(builder, minlength=n)
+    total = np.bincount(builder, weights=table.value, minlength=n)
+    pairs = np.unique(builder * max(1, len(table.searchers)) + table.searcher)
+    searchers = np.bincount(pairs // max(1, len(table.searchers)), minlength=n)
+    positive = table.value > 0
+    by_builder = np.argsort(builder[positive], kind="stable")
+    shares = (table.tip[positive] / table.value[positive])[by_builder]
+    split = np.split(shares, np.cumsum(np.bincount(builder[positive], minlength=n))[:-1])
     rows = []
-    for builder in count:
-        s = np.asarray(shares.get(builder, []), dtype=float)
+    for b in np.flatnonzero(count).tolist():
+        s = split[b]
         rows.append(BuilderRow(
-            builder=builder,
-            count=count[builder],
-            total_extracted=total[builder],
+            builder=table.builders[b],
+            count=int(count[b]),
+            total_extracted=float(total[b]),
             mean_bribe_share=float(s.mean()) if s.size else math.nan,
             bribe_share_std=float(s.std()) if s.size else math.nan,
-            searchers=len(searchers[builder]),
+            searchers=int(searchers[b]),
         ))
     rows.sort(key=lambda r: (-r.total_extracted, r.builder))
     return rows
@@ -200,57 +228,122 @@ class BoardBin:
     mean_bribe_share: float
 
 
-def effective_bidder_counts(records, window: int = DEFAULT_PROXY_WINDOW):
+@dataclass(frozen=True, eq=False)
+class BidderCounts:
+    """Bidder-count proxies of a table's records.
+
+    ``order`` lists row positions of ``table`` by type label, then block,
+    then file order within a block; ``proxy[i]`` is the proxy of row
+    ``order[i]``.  Iterating yields ``(record, proxy)`` pairs in that order.
+    """
+
+    table: BundleTable
+    order: np.ndarray
+    proxy: np.ndarray
+
+    def __len__(self) -> int:
+        return self.order.size
+
+    def __iter__(self):
+        return zip(self.table.select(self.order).records(), self.proxy.tolist())
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "BidderCounts":
+        """Counts from an iterable of ``(record, proxy)`` pairs, kept in order."""
+        pairs = list(pairs)
+        table = _as_table(rec for rec, _ in pairs)
+        proxy = np.array([p for _, p in pairs], dtype=np.int64)
+        return cls(table, np.arange(len(table)), proxy)
+
+
+def effective_bidder_counts(records, window: int = DEFAULT_PROXY_WINDOW) -> BidderCounts:
     """Proxy for market thickness: distinct same-type searchers active in the
-    trailing ``window`` blocks (inclusive).  Returns records paired with
-    their proxy, ordered by block number within type."""
+    trailing ``window`` blocks (inclusive).  Returns the records' proxies,
+    ordered by block number within type (see ``BidderCounts``)."""
     if window < 1:
         raise ConfigurationError("proxy window must be >= 1")
-    by_type = defaultdict(list)
-    for rec in records:
-        by_type[rec.mev_type].append(rec)
-    out = []
-    for mev_type in sorted(by_type, key=lambda t: t.value):
-        recs = sorted(by_type[mev_type], key=lambda r: r.block_number)
-        active = Counter()
-        lo = 0
-        for i, rec in enumerate(recs):
-            active[rec.searcher] += 1
-            while recs[lo].block_number <= rec.block_number - window:
-                active[recs[lo].searcher] -= 1
-                if active[recs[lo].searcher] == 0:
-                    del active[recs[lo].searcher]
-                lo += 1
-            out.append((rec, len(active)))
-    return out
+    table = _as_table(records)
+    order = np.lexsort((table.block, _LABEL_RANK[table.mev_type]))
+    codes = table.mev_type[order]
+    proxy = np.empty(order.size, dtype=np.int64)
+    for start, end in zip(*_runs(codes)):
+        rows = order[start:end]
+        proxy[start:end] = _window_counts(table.block[rows], table.searcher[rows], window)
+    return BidderCounts(table, order, proxy)
+
+
+def _runs(sorted_keys):
+    """(starts, ends) of the runs of equal values in a sorted array."""
+    starts = _group_starts(sorted_keys)
+    return starts, np.append(starts[1:], sorted_keys.size)
+
+
+def _window_counts(block, searcher, window):
+    """For records sorted by block (file order within a block): the distinct
+    searchers among this record and the records before it whose block lies
+    in (block - window, block].
+
+    A searcher's active blocks less than ``window`` apart form one run, and
+    the searcher counts at block b exactly when one of its runs has
+    start <= b and last > b - window.  Runs of one searcher never overlap in
+    that sense, so the count is #(starts <= b) - #(lasts <= b - window).  A
+    record that starts a run (``fresh``) is not yet counted by the records
+    of its block that come before it in the file.
+    """
+    if block.size == 0:
+        return block
+    # a window wider than the blocks spanned counts the same and cannot overflow
+    window = min(window, int(block[-1]) - int(block[0]) + 1)
+    by_searcher = np.lexsort((block, searcher))
+    sb, ss = block[by_searcher], searcher[by_searcher]
+    first = np.ones(sb.size, dtype=bool)
+    first[1:] = (ss[1:] != ss[:-1]) | (sb[1:] != sb[:-1])
+    active_block, active_searcher = sb[first], ss[first]
+    run = np.ones(active_block.size, dtype=bool)
+    run[1:] = ((active_searcher[1:] != active_searcher[:-1])
+               | (active_block[1:] - active_block[:-1] >= window))
+    starts = np.sort(active_block[run])
+    lasts = np.sort(active_block[np.append(np.flatnonzero(run)[1:] - 1, run.size - 1)])
+    counts = (np.searchsorted(starts, block, side="right")
+              - np.searchsorted(lasts, block - window, side="right"))
+    fresh = np.zeros(block.size, dtype=bool)
+    fresh[by_searcher[first]] = run
+    seen = np.cumsum(fresh)
+    block_end = np.searchsorted(block, block, side="right") - 1
+    return counts - (seen[block_end] - seen)
 
 
 def board_diagnostic(counted, bin_edges=DEFAULT_COUNT_BINS):
     """Mean auction revenue (tip) and bribe share by bidder-count bin.
 
-    ``counted`` is the ``(record, proxy)`` list from
-    ``effective_bidder_counts``.  ``bin_edges`` are left edges of the count
-    bins; the last bin is open.  No monotonicity is enforced; thin and thick
-    markets may behave differently and the point is to show it.
+    ``counted`` is the ``BidderCounts`` from ``effective_bidder_counts`` (or
+    an iterable of ``(record, proxy)`` pairs).  ``bin_edges`` are left edges
+    of the count bins; the last bin is open.  No monotonicity is enforced;
+    thin and thick markets may behave differently and the point is to show
+    it.
     """
     edges = tuple(bin_edges)
     if len(edges) < 1 or any(b <= a for a, b in zip(edges, edges[1:])):
         raise ConfigurationError("bin edges must be strictly increasing")
-    grouped = defaultdict(list)
-    for rec, proxy in counted:
-        if rec.extracted_value <= 0:
-            continue
-        i = max(0, bisect_right(edges, proxy) - 1)
-        grouped[(rec.mev_type, i)].append((rec.tip, rec.tip / rec.extracted_value))
-    rows = []
-    for (mev_type, i), vals in sorted(grouped.items(),
-                                      key=lambda kv: (kv[0][0].value, kv[0][1])):
-        arr = np.asarray(vals)
+    if not isinstance(counted, BidderCounts):
+        counted = BidderCounts.from_pairs(counted)
+    table, rows = counted.table, counted.order
+    value = table.value[rows]
+    keep = ~(value <= 0)
+    tip = table.tip[rows][keep]
+    share = tip / value[keep]
+    bins = np.maximum(0, np.searchsorted(edges, counted.proxy[keep], side="right") - 1)
+    cell = _LABEL_RANK[table.mev_type[rows][keep]] * len(edges) + bins
+    by_cell = np.argsort(cell, kind="stable")
+    cell, tip, share = cell[by_cell], tip[by_cell], share[by_cell]
+    out = []
+    for start, end in zip(*_runs(cell)):
+        rank, i = divmod(int(cell[start]), len(edges))
         hi = edges[i + 1] - 1 if i + 1 < len(edges) else np.iinfo(np.int32).max
-        rows.append(BoardBin(
-            mev_type=mev_type, count_lo=edges[i], count_hi=int(hi),
-            records=arr.shape[0],
-            mean_revenue=float(arr[:, 0].mean()),
-            mean_bribe_share=float(arr[:, 1].mean()),
+        out.append(BoardBin(
+            mev_type=MEV_TYPES[_BY_LABEL[rank]], count_lo=edges[i], count_hi=int(hi),
+            records=int(end - start),
+            mean_revenue=float(tip[start:end].mean()),
+            mean_bribe_share=float(share[start:end].mean()),
         ))
-    return rows
+    return out

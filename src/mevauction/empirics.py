@@ -11,6 +11,22 @@ extracted value are excluded from schedules and the decomposition and
 counted in a data-quality sidebar.  Bribe shares above one are kept and
 flagged, never clamped; data-quality issues should stay visible.
 
+Records are held as one columnar :class:`BundleTable`: float64 ``tip``,
+``profit`` and ``value`` (tip + profit, summed once), int64 ``block``, small
+integer codes for type, builder and searcher with their label tuples, and
+the tx hashes as a list.  ``BundleTable.read`` builds it in a single
+``csv.reader`` pass that applies the malformed-row rules row by row;
+``iter_bundles`` and ``ingest`` are record views over that table, and every
+schedule, estimate and diagnostic groups the columns with numpy instead of
+looping over records.  Each of them also accepts an iterable of
+:class:`BundleRecord` and collects it into a table first.
+
+Grouped sums keep the order of the records: a per-group total is
+``np.bincount`` with weights, which adds in input order exactly as a
+``total[key] += x`` loop does, and means and standard deviations are taken
+with ``np.mean``/``np.std`` over each group's values in record order.  The
+outputs therefore match a record-by-record computation bit for bit.
+
 Bribe schedules use equal-count quantile bins of extracted value (50 by
 default, fewer for thin types), and the replicable share of a type is the
 count-weighted mean bribe share over the top fifth of bins, with the
@@ -22,7 +38,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 import warnings
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +61,46 @@ MALFORMED_LIMIT = 0.001
 FULL_BINS = 50
 THIN_THRESHOLD = 500
 GAMMA_FLAG_CEILING = 1.5
+
+# type code -> MevType; codes of a table index this tuple
+MEV_TYPES = tuple(MevType)
+_TYPE_CODE = {t: i for i, t in enumerate(MEV_TYPES)}
+_LABEL_CODE = {t.value: i for i, t in enumerate(MEV_TYPES)}
+# outputs list types by label; LABEL_RANK[code] is the type's place in that order
+_BY_LABEL = tuple(sorted(range(len(MEV_TYPES)), key=lambda c: MEV_TYPES[c].value))
+_LABEL_RANK = np.argsort(_BY_LABEL)
+_BLOCK_MIN, _BLOCK_MAX = -(1 << 63), (1 << 63) - 1
+_CHUNK_ROWS = 1 << 14
+
+
+@dataclass
+class IngestReport:
+    rows_read: int = 0
+    records: int = 0
+    malformed: int = 0
+    samples: list = field(default_factory=list)
+
+
+def _parse_row(row):
+    """(tx_hash, block, type code, builder, searcher, tip, profit) of one data
+    row; ValueError if the row is malformed.
+
+    The checks run in a fixed order (field count, tip, profit, finiteness,
+    block, type), so the first failing one names the row's error.
+    """
+    if len(row) != len(CSV_COLUMNS):
+        raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+    tip = float(row[5])
+    profit = float(row[6])
+    if not (0.0 <= tip < math.inf and -math.inf < profit < math.inf):
+        raise ValueError("tip must be nonnegative and finite, profit finite")
+    block = int(row[1])
+    if not _BLOCK_MIN <= block <= _BLOCK_MAX:
+        raise ValueError(f"block number {block} outside the signed 64-bit range")
+    code = _LABEL_CODE.get(row[2])
+    if code is None:
+        code = _TYPE_CODE[MevType.parse(row[2])]
+    return row[0], block, code, row[3], row[4], tip, profit
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,95 +124,238 @@ class BundleRecord:
         ev = self.extracted_value
         return self.tip / ev if ev > 0 else None
 
-    def to_csv_row(self):
-        return (self.tx_hash, str(self.block_number), self.mev_type.value,
-                self.builder, self.searcher, f"{self.tip:.12g}", f"{self.profit:.12g}")
+
+@dataclass(frozen=True, eq=False)
+class BundleTable:
+    """Bundle records as columns, in record order.
+
+    ``mev_type`` holds codes into ``MEV_TYPES``, ``builder`` and ``searcher``
+    codes into the ``builders`` and ``searchers`` label tuples.  ``value`` is
+    tip + profit, computed once.
+    """
+
+    tx_hash: list
+    block: np.ndarray
+    mev_type: np.ndarray
+    builder: np.ndarray
+    builders: tuple
+    searcher: np.ndarray
+    searchers: tuple
+    tip: np.ndarray
+    profit: np.ndarray
+    value: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", self.tip + self.profit)
+
+    def __len__(self) -> int:
+        return len(self.tx_hash)
+
+    @classmethod
+    def from_records(cls, records) -> "BundleTable":
+        """Collect an iterable of BundleRecord into a table."""
+        records = list(records)
+        builders, searchers = {}, {}
+        return cls(
+            [r.tx_hash for r in records],
+            np.array([r.block_number for r in records], dtype=np.int64),
+            np.array([_TYPE_CODE[r.mev_type] for r in records], dtype=np.intp),
+            np.array([builders.setdefault(r.builder, len(builders)) for r in records],
+                     dtype=np.intp), tuple(builders),
+            np.array([searchers.setdefault(r.searcher, len(searchers)) for r in records],
+                     dtype=np.intp), tuple(searchers),
+            np.array([r.tip for r in records], dtype=float),
+            np.array([r.profit for r in records], dtype=float))
+
+    @classmethod
+    def read(cls, path, report: IngestReport | None = None) -> "BundleTable":
+        """Read a bundle CSV in one pass.
+
+        Malformed rows are counted in ``report`` (not fatal); if they exceed
+        0.1% of rows, IngestError is raised with samples.  A header not
+        matching the schema is a hard SchemaError up front.
+        """
+        report = report if report is not None else IngestReport()
+        parse = _parse_row
+        samples = report.samples
+        malformed = 0
+        # typed arrays hold each parsed field in 8 bytes (types in 1), with no
+        # per-row Python object kept but the tx hash
+        tx, builder_codes, searcher_codes = [], {}, {}
+        block, types = array("q"), array("B")
+        builder, searcher = array("q"), array("q")
+        tip, profit = array("d"), array("d")
+        add_tx, add_block, add_type = tx.append, block.append, types.append
+        add_builder, add_searcher = builder.append, searcher.append
+        add_tip, add_profit = tip.append, profit.append
+        builder_code, searcher_code = builder_codes.setdefault, searcher_codes.setdefault
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError(f"{path}: empty file, expected header "
+                                  f"{','.join(CSV_COLUMNS)}") from None
+            got = tuple(h.strip() for h in header)
+            if got != CSV_COLUMNS:
+                missing = set(CSV_COLUMNS) - set(got)
+                extra = set(got) - set(CSV_COLUMNS)
+                raise SchemaError(
+                    f"{path}: header mismatch; missing={sorted(missing)} "
+                    f"unexpected={sorted(extra)}"
+                )
+            lineno = 1
+            for lineno, row in enumerate(reader, start=2):
+                try:
+                    t, b, c, bu, se, tp, pr = parse(row)
+                except (ValueError, KeyError) as exc:
+                    malformed += 1
+                    if len(samples) < 10:
+                        samples.append({"line": lineno, "error": str(exc)})
+                    continue
+                add_tx(t)
+                add_block(b)
+                add_type(c)
+                add_builder(builder_code(bu, len(builder_codes)))
+                add_searcher(searcher_code(se, len(searcher_codes)))
+                add_tip(tp)
+                add_profit(pr)
+        report.rows_read += lineno - 1
+        report.malformed += malformed
+        report.records += len(tx)
+        if report.rows_read and report.malformed > MALFORMED_LIMIT * report.rows_read:
+            raise IngestError(
+                f"{path}: {report.malformed}/{report.rows_read} malformed rows "
+                f"exceed the {MALFORMED_LIMIT:.1%} threshold; samples: {report.samples[:5]}"
+            )
+
+        def codes(column):
+            return np.frombuffer(column, dtype=np.int64).astype(np.intp, copy=False)
+
+        return cls(tx, np.frombuffer(block, dtype=np.int64),
+                   np.frombuffer(types, dtype=np.uint8).astype(np.intp),
+                   codes(builder), tuple(builder_codes),
+                   codes(searcher), tuple(searcher_codes),
+                   np.frombuffer(tip, dtype=float), np.frombuffer(profit, dtype=float))
+
+    def select(self, index) -> "BundleTable":
+        """The rows at ``index`` (a boolean mask or integer positions), in that order."""
+        index = np.asarray(index)
+        if index.dtype == bool:
+            index = np.flatnonzero(index)
+        tx = self.tx_hash
+        return BundleTable([tx[i] for i in index.tolist()], self.block[index],
+                           self.mev_type[index], self.builder[index], self.builders,
+                           self.searcher[index], self.searchers,
+                           self.tip[index], self.profit[index])
+
+    def records(self):
+        """The rows as BundleRecord objects, in table order."""
+        builders, searchers = self.builders, self.searchers
+        for tx, block, t, b, s, tip, profit in zip(
+                self.tx_hash, self.block.tolist(), self.mev_type.tolist(),
+                self.builder.tolist(), self.searcher.tolist(),
+                self.tip.tolist(), self.profit.tolist()):
+            yield BundleRecord(tx, block, MEV_TYPES[t], builders[b], searchers[s],
+                               tip, profit)
+
+    def to_csv(self) -> str:
+        """The rows as lines of the input schema, byte for byte what
+        ``csv.writer`` writes for them (floats to 12 significant digits)."""
+        tx = self.tx_hash
+        if _CSV_SPECIAL.search("".join(tx)):
+            tx = [_csv_field(t) for t in tx]
+        types = [t.value for t in MEV_TYPES]
+        builders = [_csv_field(b) for b in self.builders]
+        searchers = [_csv_field(s) for s in self.searchers]
+        return "".join(map("%s,%d,%s,%s,%s,%.12g,%.12g\r\n".__mod__, zip(
+            tx, self.block.tolist(), [types[t] for t in self.mev_type.tolist()],
+            [builders[b] for b in self.builder.tolist()],
+            [searchers[s] for s in self.searcher.tolist()],
+            self.tip.tolist(), self.profit.tolist())))
 
 
-@dataclass
-class IngestReport:
-    rows_read: int = 0
-    records: int = 0
-    malformed: int = 0
-    samples: list = field(default_factory=list)
+_CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
-def _parse_row(row):
-    if len(row) != len(CSV_COLUMNS):
-        raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-    tip = float(row[5])
-    profit = float(row[6])
-    if tip < 0 or not math.isfinite(tip) or not math.isfinite(profit):
-        raise ValueError("tip must be nonnegative and finite, profit finite")
-    return BundleRecord(
-        tx_hash=row[0],
-        block_number=int(row[1]),
-        mev_type=MevType.parse(row[2]),
-        builder=row[3],
-        searcher=row[4],
-        tip=tip,
-        profit=profit,
-    )
+def _csv_field(text: str) -> str:
+    """``text`` as a field of csv.writer's default dialect: quoted, with quotes
+    doubled, when it holds a comma, a quote or a line break."""
+    if _CSV_SPECIAL.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _as_table(records) -> BundleTable:
+    """``records`` as a BundleTable: a table passes through, an iterable of
+    BundleRecord is collected."""
+    if isinstance(records, BundleTable):
+        return records
+    return BundleTable.from_records(records)
+
+
+def _types_present(codes) -> list:
+    """The type codes occurring in ``codes``, in label order."""
+    present = np.bincount(codes, minlength=len(MEV_TYPES)) > 0
+    return [c for c in _BY_LABEL if present[c]]
+
+
+def _first_seen(codes) -> list:
+    """The distinct values of ``codes`` in order of first occurrence."""
+    values, first = np.unique(codes, return_index=True)
+    return values[np.argsort(first)].tolist()
 
 
 def iter_bundles(path, report: IngestReport | None = None):
-    """Stream records from a bundle CSV.
+    """Stream records from a bundle CSV (a record view of ``BundleTable.read``).
 
     Malformed rows are counted in ``report`` (not fatal); if they exceed
-    0.1% of rows at end of stream, IngestError is raised with samples.
-    A header not matching the schema is a hard SchemaError up front.
+    0.1% of rows, IngestError is raised with samples before any record is
+    yielded.  A header not matching the schema is a hard SchemaError.
     """
-    report = report if report is not None else IngestReport()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected header "
-                              f"{','.join(CSV_COLUMNS)}") from None
-        got = tuple(h.strip() for h in header)
-        if got != CSV_COLUMNS:
-            missing = set(CSV_COLUMNS) - set(got)
-            extra = set(got) - set(CSV_COLUMNS)
-            raise SchemaError(
-                f"{path}: header mismatch; missing={sorted(missing)} "
-                f"unexpected={sorted(extra)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            report.rows_read += 1
-            try:
-                rec = _parse_row(row)
-            except (ValueError, KeyError) as exc:
-                report.malformed += 1
-                if len(report.samples) < 10:
-                    report.samples.append({"line": lineno, "error": str(exc)})
-                continue
-            report.records += 1
-            yield rec
-    if report.rows_read and report.malformed > MALFORMED_LIMIT * report.rows_read:
-        raise IngestError(
-            f"{path}: {report.malformed}/{report.rows_read} malformed rows "
-            f"exceed the {MALFORMED_LIMIT:.1%} threshold; samples: {report.samples[:5]}"
-        )
+    yield from BundleTable.read(path, report).records()
 
 
 def ingest(path):
     """Read a bundle CSV eagerly; returns (records, IngestReport)."""
     report = IngestReport()
-    records = list(iter_bundles(path, report))
+    records = list(BundleTable.read(path, report).records())
     return records, report
 
 
 def write_bundles(path, records) -> int:
-    """Write records in the input schema; inverse of ``ingest`` on valid rows."""
+    """Write records in the input schema; inverse of ``ingest`` on valid rows.
+
+    ``records`` is a BundleTable or an iterable of BundleTable chunks and
+    BundleRecord objects; records are written in batches.
+    """
+    if isinstance(records, BundleTable):
+        records = (records,)
     count = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(rec.to_csv_row())
-            count += 1
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        for chunk in _table_chunks(records):
+            fh.write(chunk.to_csv())
+            count += len(chunk)
     return count
+
+
+def _table_chunks(items):
+    """Tables pass through; runs of records are collected into tables."""
+    batch = []
+    for item in items:
+        if isinstance(item, BundleTable):
+            if batch:
+                yield BundleTable.from_records(batch)
+                batch = []
+            yield item
+            continue
+        batch.append(item)
+        if len(batch) == _CHUNK_ROWS:
+            yield BundleTable.from_records(batch)
+            batch = []
+    if batch:
+        yield BundleTable.from_records(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -189,27 +390,21 @@ class BribeSchedule:
 def bribe_schedule(records, mev_type: MevType, bins: int = FULL_BINS) -> BribeSchedule:
     """Quantile-binned bribe shares for one MEV type.
 
-    Bins partition the records by extracted value with equal counts (+-1, up
-    to ties).  Types with fewer than 500 valid records fall back to
-    max(10, count // 20) bins with a warning.
+    ``records`` is a BundleTable or an iterable of records.  Bins partition
+    the records by extracted value with equal counts (+-1, up to ties).
+    Types with fewer than 500 valid records fall back to max(10, count // 20)
+    bins with a warning.
     """
-    values, shares = [], []
-    excluded = 0
-    above_one = 0
-    for rec in records:
-        if rec.mev_type != mev_type:
-            continue
-        ev = rec.extracted_value
-        if ev <= 0:
-            excluded += 1
-            continue
-        share = rec.tip / ev
-        if share > 1.0:
-            above_one += 1
-        values.append(ev)
-        shares.append(share)
+    table = _as_table(records)
+    of_type = table.mev_type == _TYPE_CODE[mev_type]
+    values = table.value[of_type]
+    nonpositive = values <= 0
+    excluded = int(np.count_nonzero(nonpositive))
+    values = values[~nonpositive]
+    shares = table.tip[of_type][~nonpositive] / values
+    above_one = int(np.count_nonzero(shares > 1.0))
 
-    count = len(values)
+    count = values.size
     if count < 10:
         raise ThinSampleError(
             f"{mev_type.value}: only {count} valid records, cannot form 10 bins"
@@ -224,8 +419,6 @@ def bribe_schedule(records, mev_type: MevType, bins: int = FULL_BINS) -> BribeSc
             )
             bins = fallback
 
-    values = np.asarray(values)
-    shares = np.asarray(shares)
     order = np.argsort(values, kind="stable")
     values, shares = values[order], shares[order]
     out = []
@@ -323,35 +516,40 @@ class DecompositionReport:
 def decompose(records, gammas) -> DecompositionReport:
     """Foregone frontrun surplus: sum of max(0, gamma_hat * value - tip).
 
-    ``gammas`` maps MevType to a GammaEstimate (or bare float); every type
-    present in the stream must have an estimate.
+    ``records`` is a BundleTable or an iterable of records.  ``gammas`` maps
+    MevType to a GammaEstimate (or bare float); every type present with a
+    positive value must have an estimate.
     """
-    tips, foregone, counts = {}, {}, {}
-    excluded = 0
-    for rec in records:
-        ev = rec.extracted_value
-        if ev <= 0:
-            excluded += 1
-            continue
-        if rec.mev_type not in gammas:
+    table = _as_table(records)
+    positive = ~(table.value <= 0)
+    excluded = len(table) - int(np.count_nonzero(positive))
+    codes = table.mev_type[positive]
+    seen = _first_seen(codes)
+    gamma_of = np.zeros(len(MEV_TYPES))
+    for c in seen:
+        mev_type = MEV_TYPES[c]
+        if mev_type not in gammas:
             raise ConfigurationError(
-                f"no gamma estimate for observed type {rec.mev_type.value!r}"
+                f"no gamma estimate for observed type {mev_type.value!r}"
             )
-        g = gammas[rec.mev_type]
-        g = g.gamma_hat if isinstance(g, GammaEstimate) else float(g)
-        tips[rec.mev_type] = tips.get(rec.mev_type, 0.0) + rec.tip
-        foregone[rec.mev_type] = foregone.get(rec.mev_type, 0.0) \
-            + max(0.0, g * ev - rec.tip)
-        counts[rec.mev_type] = counts.get(rec.mev_type, 0) + 1
+        g = gammas[mev_type]
+        gamma_of[c] = g.gamma_hat if isinstance(g, GammaEstimate) else float(g)
+    tips = table.tip[positive]
+    gap = gamma_of[codes] * table.value[positive] - tips
+    k = len(MEV_TYPES)
+    tip_sum = np.bincount(codes, weights=tips, minlength=k)
+    foregone = np.bincount(codes, weights=np.where(gap > 0.0, gap, 0.0), minlength=k)
+    counts = np.bincount(codes, minlength=k)
     per_type = tuple(
-        TypeDecomposition(mev_type=t, observed_tips=tips[t],
-                          foregone_surplus=foregone[t], records=counts[t])
-        for t in sorted(tips, key=lambda t: t.value)
+        TypeDecomposition(mev_type=MEV_TYPES[c], observed_tips=float(tip_sum[c]),
+                          foregone_surplus=float(foregone[c]), records=int(counts[c]))
+        for c in _BY_LABEL if c in seen
     )
+    # type totals summed in first-seen order, as the per-record loop did
     return DecompositionReport(
         per_type=per_type,
-        total_tips=sum(tips.values()),
-        total_foregone=sum(foregone.values()),
+        total_tips=sum(float(tip_sum[c]) for c in seen),
+        total_foregone=sum(float(foregone[c]) for c in seen),
         excluded_nonpositive=excluded,
     )
 

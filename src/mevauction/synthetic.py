@@ -5,9 +5,11 @@ For every block and configured type the auction is played once (or
 the game engine's one chunk kernel, ``simulate._play``, and the winner is
 emitted as a bundle record: tip is the payment actually collected and
 profit is value minus tip.  A frontrun block collects no payment and emits
-no record, matching revert protection.  Records are drawn and emitted one
-chunk of ``_CHUNK`` blocks at a time, so memory is O(chunk); the chunk size
-is part of the stream schedule (keyed (seed, type, chunk, purpose)).
+no record, matching revert protection.  Records are drawn one chunk of
+``_CHUNK`` blocks at a time and emitted as one ``BundleTable`` per chunk
+(``generate_chunks``), so memory is O(chunk); ``generate_synthetic``
+expands the same chunks into records.  The chunk size is part of the stream
+schedule (keyed (seed, type, chunk, purpose)).
 
 This is the verification harness for the estimators: plant a profile and a
 defection rate (or a hand-built strategy with a known cutoff), generate,
@@ -19,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .empirics import BundleRecord
+import numpy as np
+
+from .empirics import MEV_TYPES, BundleTable
 from .equilibrium import PiecewiseStrategy, solve_strategy
 from .errors import ParameterError
 from .profiles import TypeProfile
@@ -65,6 +69,20 @@ def generate_synthetic(specs, blocks: int, seed: int, *,
     strategy is resolved here, before the first record is drawn, so a bad
     argument raises before a caller opens its output.
     """
+    chunks = generate_chunks(specs, blocks, seed,
+                             opportunities_per_block=opportunities_per_block,
+                             builder_pool=builder_pool,
+                             base_block_number=base_block_number)
+    return (rec for table in chunks for rec in table.records())
+
+
+def generate_chunks(specs, blocks: int, seed: int, *,
+                    opportunities_per_block: int = 1,
+                    builder_pool=DEFAULT_BUILDER_POOL,
+                    base_block_number: int = 1):
+    """The records of ``generate_synthetic`` as an iterator of BundleTable
+    chunks, one per drawn chunk of blocks and type (same arguments and
+    checks)."""
     if blocks < 0:
         raise ParameterError("blocks must be >= 0")
     if opportunities_per_block < 1:
@@ -78,33 +96,30 @@ def generate_synthetic(specs, blocks: int, seed: int, *,
         raise ParameterError("builder pool must be nonempty")
     resolved = [(spec, spec.resolved_strategy(), spec.resolved_searchers())
                 for spec in specs]
-    return _records(resolved, blocks, seed, opportunities_per_block, builder_pool,
-                    base_block_number)
+    return _chunks(resolved, blocks, seed, opportunities_per_block, builder_pool,
+                   base_block_number)
 
 
-def _records(resolved, blocks, seed, k, builder_pool, base_block_number):
+def _chunks(resolved, blocks, seed, k, builder_pool, base_block_number):
     for t_idx, (spec, strategy, searchers) in enumerate(resolved):
         profile = spec.profile
-        block_no = base_block_number
+        type_code = MEV_TYPES.index(profile.tau)
+        tx_hash = f"0x{seed & 0xffffffff:08x}{t_idx:02x}%010x%02x".__mod__
+        first_block = base_block_number
         for chunk, size in enumerate(_chunk_sizes(blocks, _CHUNK)):
             winner, top_bid, top_val, _, frontrun, coin = _play(
                 strategy, profile, profile.gamma, spec.epsilon, (seed, t_idx, chunk),
                 (size, k))
             builder_ids = coin.integers(0, len(builder_pool), size=(size, k))
-            for b in range(size):
-                for o in range(k):
-                    if frontrun[b, o]:
-                        continue  # reverted, no payment, no record
-                    tip = float(top_bid[b, o])
-                    value = float(top_val[b, o])
-                    yield BundleRecord(
-                        tx_hash=f"0x{seed & 0xffffffff:08x}{t_idx:02x}"
-                                f"{block_no:010x}{o:02x}",
-                        block_number=block_no,
-                        mev_type=profile.tau,
-                        builder=builder_pool[builder_ids[b, o]],
-                        searcher=searchers[int(winner[b, o])],
-                        tip=tip,
-                        profit=value - tip,
-                    )
-                block_no += 1
+            # surviving auctions in block-major order; a frontrun one reverts
+            # unpaid and leaves no record
+            b, o = np.nonzero(~frontrun)
+            block = first_block + b
+            tip = top_bid[b, o]
+            yield BundleTable(
+                list(map(tx_hash, zip(block.tolist(), o.tolist()))),
+                block.astype(np.int64), np.full(b.size, type_code, dtype=np.intp),
+                builder_ids[b, o].astype(np.intp), builder_pool,
+                winner[b, o].astype(np.intp), searchers,
+                tip, top_val[b, o] - tip)
+            first_block += size

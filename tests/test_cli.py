@@ -214,6 +214,16 @@ class TestGenerateEstimateReport:
                     "--out-dir", str(tmp_path / command)]) == 0
         assert len(calls) == rows
 
+    def test_pipeline_builds_no_records(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a BundleRecord was built")
+
+        monkeypatch.setattr(mevauction.empirics, "BundleRecord", forbidden)
+        bundles = self.make_bundles(tmp_path, blocks=300)
+        for command in ("estimate", "report"):
+            assert run([command, "--input", str(bundles),
+                        "--out-dir", str(tmp_path / command)]) == 0
+
 
 ZERO_FLAGS = {
     "nodes": ["solve", *SOLVE_FLAGS, "--epsilon", "0.2", "--nodes", "0"],

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,9 @@ from hypothesis import strategies as st
 
 from mevauction.empirics import (
     CSV_COLUMNS,
+    MEV_TYPES,
     BundleRecord,
+    BundleTable,
     bergemann_threshold,
     bribe_schedule,
     decompose,
@@ -108,6 +113,70 @@ class TestIngest:
         records, report = ingest(path)
         assert report.malformed == 1
         assert len(records) == 999
+
+    def test_malformed_rows_keep_messages_and_lines(self, tmp_path):
+        good = [f"0x{i:x},{i},naked_arb,b,s,1.0,0.5" for i in range(6000)]
+        bad = [  # the injected kinds of the benchmark, then a non-integer block
+            ("0xa,1,naked_arb,b,s,1.0", "expected 7 fields, got 6"),
+            ("0xb,1,naked_arb,b,s,not-a-number,0.5",
+             "could not convert string to float: 'not-a-number'"),
+            ("0xc,1,naked_arb,b,s,-1.5,0.5",
+             "tip must be nonnegative and finite, profit finite"),
+            ("0xd,1,unknown_type,b,s,1.0,0.5",
+             "unknown MEV type 'unknown_type'; expected one of "
+             "['sandwich', 'naked_arb', 'liquidation', 'backrun']"),
+            ("0xe,1,naked_arb,b,s,1.0,nan",
+             "tip must be nonnegative and finite, profit finite"),
+            ("0xf,notanint,naked_arb,b,s,1.0,0.5",
+             "invalid literal for int() with base 10: 'notanint'"),
+        ]
+        rows = list(good)
+        for k, (row, _) in enumerate(bad):
+            rows.insert(100 * (k + 1), row)
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+        records, report = ingest(path)
+        assert (report.rows_read, report.records, report.malformed) == (6006, 6000, 6)
+        # data row i sits on line i + 2 (line 1 is the header)
+        assert report.samples == [{"line": 100 * (k + 1) + 2, "error": msg}
+                                  for k, (_, msg) in enumerate(bad)]
+        assert [r.tx_hash for r in records] == [f"0x{i:x}" for i in range(6000)]
+
+    def test_type_labels_are_normalised(self, tmp_path):
+        labels = [" Naked_Arb ", "NAKED_ARB", "naked_arb", "Naked_arb"]
+        path = tmp_path / "labels.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(
+            f"0x{i:x},{i},{labels[i % 4]},b,s,1.0,{i + 1}\n" for i in range(40)))
+        table = BundleTable.read(path)
+        assert set(table.mev_type.tolist()) == {MEV_TYPES.index(MevType.NAKED_ARB)}
+        records, _ = ingest(path)
+        assert all(r.mev_type is MevType.NAKED_ARB for r in records)
+        schedule = bribe_schedule(table, MevType.NAKED_ARB)
+        assert sum(b.count for b in schedule.bins) == 40
+
+    def test_labels_with_commas_and_quotes_round_trip(self, tmp_path):
+        records = [record(tip=1.5, profit=0.25, block=i, tx=f'0x"{i}",',
+                          builder=['a,b', 'say "hi"', "plain"][i % 3],
+                          searcher=['x\ny', '"', ",,"][i % 3])
+                   for i in range(9)]
+        path = tmp_path / "quoted.csv"
+        write_bundles(path, records)
+        back, report = ingest(path)
+        assert report.malformed == 0
+        assert back == records
+
+    @given(st.lists(st.tuples(st.text(max_size=6), st.text(max_size=6),
+                              st.text(max_size=6)), max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_csv_text_matches_csv_writer(self, labels):
+        records = [record(tip=0.1 * i, profit=1e-7 * i - 3, block=i - 4, tx=tx,
+                          builder=b, searcher=s)
+                   for i, (tx, b, s) in enumerate(labels)]
+        buf = io.StringIO()
+        csv.writer(buf).writerows(
+            (r.tx_hash, str(r.block_number), r.mev_type.value, r.builder, r.searcher,
+             f"{r.tip:.12g}", f"{r.profit:.12g}") for r in records)
+        assert BundleTable.from_records(records).to_csv() == buf.getvalue()
 
 
 class TestBribeSchedule:
