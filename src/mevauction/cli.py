@@ -130,6 +130,12 @@ def _write(path: Path, text: str):
     path.write_text(text, encoding="utf-8")
 
 
+def _finite_or_none(x):
+    """JSON has no inf or NaN: a ratio over a zero total, or a correlation of
+    a constant series, is written as null (as is a statistic already None)."""
+    return x if x is not None and math.isfinite(x) else None
+
+
 def _manifest(out: Path, command: str, resolved: dict, started: float):
     clean = {k: (v if not isinstance(v, float) or math.isfinite(v) else str(v))
              for k, v in resolved.items()}
@@ -382,10 +388,11 @@ def cmd_report(args, parser):
         "decomposition": None if decomposition is None else {
             "total_tips": decomposition.total_tips,
             "total_foregone": decomposition.total_foregone,
-            "ratio": decomposition.total_ratio,
+            "ratio": _finite_or_none(decomposition.total_ratio),
         },
-        "affiliation": {t.value: {"pairs": a.pairs, "slope": a.slope,
-                                  "correlation": a.correlation}
+        "affiliation": {t.value: {"pairs": a.pairs,
+                                  "slope": _finite_or_none(a.slope),
+                                  "correlation": _finite_or_none(a.correlation)}
                         for t, a in affiliation.items()},
         "concentration": {t.value: {"groups": c.groups, "gini": c.gini,
                                     "top_k_shares": c.top_k_shares}
@@ -394,7 +401,7 @@ def cmd_report(args, parser):
                       "per_type": berg},
         "bin_weighting": "record-weighted within bins; bin-uniform dispersion "
                          "reported by estimate_gamma",
-    }, indent=1, sort_keys=True))
+    }, indent=1, sort_keys=True, allow_nan=False))
     _manifest(out, "report", {"input": str(path), "bergemann_rule": rule,
                               "window": window}, started)
     print(f"report written to {out} ({ingest_report.records} records)")

@@ -224,6 +224,27 @@ class TestGenerateEstimateReport:
             assert run([command, "--input", str(bundles),
                         "--out-dir", str(tmp_path / command)]) == 0
 
+    def test_report_json_is_strict_json_when_tips_are_zero(self, tmp_path):
+        # zero tips make the decomposition ratio infinite; a constant second
+        # value per block makes the affiliation correlation NaN
+        path = tmp_path / "zero_tips.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(
+            f"0x{i:x},{i // 2},backrun,b,s{i % 3},0,{1 if i % 2 else 2 + i}\n"
+            for i in range(50)))
+        out = tmp_path / "report"
+        assert run(["report", "--input", str(path), "--out-dir", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"report.json holds the bare constant {constant}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert report["decomposition"]["total_tips"] == 0.0
+        assert report["decomposition"]["ratio"] is None
+        assert report["affiliation"]["backrun"]["pairs"] == 25
+        assert report["affiliation"]["backrun"]["correlation"] is None
+        assert (out / "fig3_decomposition.csv").read_text().splitlines()[-1] \
+            == "all,0,0,inf,50"
+
 
 ZERO_FLAGS = {
     "nodes": ["solve", *SOLVE_FLAGS, "--epsilon", "0.2", "--nodes", "0"],
