@@ -258,8 +258,9 @@ class BidderCounts:
 
 def effective_bidder_counts(records, window: int = DEFAULT_PROXY_WINDOW) -> BidderCounts:
     """Proxy for market thickness: distinct same-type searchers active in the
-    trailing ``window`` blocks (inclusive).  Returns the records' proxies,
-    ordered by block number within type (see ``BidderCounts``)."""
+    trailing ``window`` blocks (inclusive), so every record of a block sees
+    the whole block.  Returns the records' proxies, ordered by block number
+    within type (see ``BidderCounts``)."""
     if window < 1:
         raise ConfigurationError("proxy window must be >= 1")
     table = _as_table(records)
@@ -279,16 +280,14 @@ def _runs(sorted_keys):
 
 
 def _window_counts(block, searcher, window):
-    """For records sorted by block (file order within a block): the distinct
-    searchers among this record and the records before it whose block lies
-    in (block - window, block].
+    """For records sorted by block: the distinct searchers with a record in
+    a block of (block - window, block].
 
     A searcher's active blocks less than ``window`` apart form one run, and
     the searcher counts at block b exactly when one of its runs has
     start <= b and last > b - window.  Runs of one searcher never overlap in
-    that sense, so the count is #(starts <= b) - #(lasts <= b - window).  A
-    record that starts a run (``fresh``) is not yet counted by the records
-    of its block that come before it in the file.
+    that sense, so the count is #(starts <= b) - #(lasts <= b - window):
+    O(n log n) however many searchers there are.
     """
     if block.size == 0:
         return block
@@ -304,13 +303,8 @@ def _window_counts(block, searcher, window):
                | (active_block[1:] - active_block[:-1] >= window))
     starts = np.sort(active_block[run])
     lasts = np.sort(active_block[np.append(np.flatnonzero(run)[1:] - 1, run.size - 1)])
-    counts = (np.searchsorted(starts, block, side="right")
-              - np.searchsorted(lasts, block - window, side="right"))
-    fresh = np.zeros(block.size, dtype=bool)
-    fresh[by_searcher[first]] = run
-    seen = np.cumsum(fresh)
-    block_end = np.searchsorted(block, block, side="right") - 1
-    return counts - (seen[block_end] - seen)
+    return (np.searchsorted(starts, block, side="right")
+            - np.searchsorted(lasts, block - window, side="right"))
 
 
 def board_diagnostic(counted, bin_edges=DEFAULT_COUNT_BINS):

@@ -1,10 +1,13 @@
 import json
+import random
+from itertools import groupby
 
 import pytest
 
 import mevauction.empirics
 from mevauction.cli import main
-from mevauction.empirics import CSV_COLUMNS
+from mevauction.diagnostics import effective_bidder_counts
+from mevauction.empirics import CSV_COLUMNS, BundleTable
 
 SOLVE_FLAGS = ["--type", "naked_arb", "--n", "4", "--rho", "0.2",
                "--gamma", "0.74", "--mu", "1.102", "--sigma", "1.5"]
@@ -244,6 +247,33 @@ class TestGenerateEstimateReport:
         assert report["affiliation"]["backrun"]["correlation"] is None
         assert (out / "fig3_decomposition.csv").read_text().splitlines()[-1] \
             == "all,0,0,inf,50"
+
+    def test_proxy_ignores_row_order_within_blocks(self, tmp_path):
+        gen = tmp_path / "gen"
+        assert run(["generate", *SOLVE_FLAGS, "--epsilon", "0.3", "--blocks", "600",
+                    "--seed", "23", "--opportunities", "3", "--out-dir", str(gen)]) == 0
+        header, *rows = (gen / "bundles.csv").read_text().splitlines(keepends=True)
+        rng = random.Random(5)
+        shuffled = []
+        for _, block_rows in groupby(rows, key=lambda row: row.split(",")[1]):
+            block_rows = list(block_rows)
+            rng.shuffle(block_rows)
+            shuffled += block_rows
+        assert shuffled != rows
+        inputs = [gen / "bundles.csv", tmp_path / "shuffled.csv"]
+        inputs[1].write_text(header + "".join(shuffled))
+
+        proxies, outputs = [], []
+        for k, path in enumerate(inputs):
+            counted = effective_bidder_counts(BundleTable.read(path), window=3)
+            proxies.append({rec.tx_hash: proxy for rec, proxy in counted})
+            out = tmp_path / f"report{k}"
+            assert run(["report", "--input", str(path), "--window", "3",
+                        "--out-dir", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("figA3_board.csv", "fig4_bergemann.csv")])
+        assert proxies[0] == proxies[1]
+        assert outputs[0] == outputs[1]
 
 
 ZERO_FLAGS = {

@@ -2,7 +2,9 @@
 
 The ``oracle_*`` functions below are the record-by-record implementations
 that the columnar ``BundleTable`` code replaced, kept as the reference the
-way ``quad`` is kept in test_revenue.py.  Every columnar function must give
+way ``quad`` is kept in test_revenue.py.  The bidder-count oracle counts
+every record of a block, as its docstring always said; the loop it replaced
+counted only the records up to the current one in file order.  Every columnar function must give
 the same output as its oracle, compared with ``==`` on every field: floats
 bit for bit, scalars of the same Python type.
 """
@@ -172,21 +174,17 @@ def oracle_builder_table(records):
 
 
 def oracle_effective_bidder_counts(records, window=50):
+    """Distinct same-type searchers over every record of the blocks in
+    (block - window, block], records in block order within type."""
     by_type = defaultdict(list)
     for rec in records:
         by_type[rec.mev_type].append(rec)
     out = []
     for mev_type in sorted(by_type, key=lambda t: t.value):
         recs = sorted(by_type[mev_type], key=lambda r: r.block_number)
-        active = Counter()
-        lo = 0
         for rec in recs:
-            active[rec.searcher] += 1
-            while recs[lo].block_number <= rec.block_number - window:
-                active[recs[lo].searcher] -= 1
-                if active[recs[lo].searcher] == 0:
-                    del active[recs[lo].searcher]
-                lo += 1
+            active = {r.searcher for r in recs
+                      if rec.block_number - window < r.block_number <= rec.block_number}
             out.append((rec, len(active)))
     return out
 
