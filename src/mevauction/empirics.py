@@ -9,7 +9,8 @@ Input schema (CSV, header required, UTF-8, RFC-4180 quoting):
 defined only for positive extracted value.  Records with non-positive
 extracted value are excluded from schedules and the decomposition and
 counted in a data-quality sidebar.  Bribe shares above one are kept and
-flagged, never clamped; data-quality issues should stay visible.
+flagged, never clamped; data-quality issues should stay visible.  A block
+number outside the signed 64-bit range makes a row malformed.
 
 Records are held as one columnar :class:`BundleTable`: float64 ``tip``,
 ``profit`` and ``value`` (tip + profit, summed once), int64 ``block``, small
@@ -19,13 +20,16 @@ the tx hashes as a list.  ``BundleTable.read`` builds it in a single
 ``iter_bundles`` and ``ingest`` are record views over that table, and every
 schedule, estimate and diagnostic groups the columns with numpy instead of
 looping over records.  Each of them also accepts an iterable of
-:class:`BundleRecord` and collects it into a table first.
+:class:`BundleRecord` and collects it into a table first.  ``write_bundles``
+writes a table (or chunks of one) with one format per row, quoting fields
+exactly as ``csv.writer``'s default dialect does.
 
 Grouped sums keep the order of the records: a per-group total is
 ``np.bincount`` with weights, which adds in input order exactly as a
-``total[key] += x`` loop does, and means and standard deviations are taken
-with ``np.mean``/``np.std`` over each group's values in record order.  The
-outputs therefore match a record-by-record computation bit for bit.
+``total[key] += x`` loop does; totals over types add the per-type totals
+in the order the types first appear; and means and standard deviations are
+taken with ``np.mean``/``np.std`` over each group's values in record order.
+The outputs therefore match a record-by-record computation bit for bit.
 
 Bribe schedules use equal-count quantile bins of extracted value (50 by
 default, fewer for thin types), and the replicable share of a type is the
@@ -66,7 +70,7 @@ GAMMA_FLAG_CEILING = 1.5
 MEV_TYPES = tuple(MevType)
 _TYPE_CODE = {t: i for i, t in enumerate(MEV_TYPES)}
 _LABEL_CODE = {t.value: i for i, t in enumerate(MEV_TYPES)}
-# outputs list types by label; LABEL_RANK[code] is the type's place in that order
+# outputs list types by label; _LABEL_RANK[code] is the type's place in that order
 _BY_LABEL = tuple(sorted(range(len(MEV_TYPES)), key=lambda c: MEV_TYPES[c].value))
 _LABEL_RANK = np.argsort(_BY_LABEL)
 _BLOCK_MIN, _BLOCK_MAX = -(1 << 63), (1 << 63) - 1
