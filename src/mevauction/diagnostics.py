@@ -58,23 +58,23 @@ def affiliation_pairs(records):
     # within each (block, type) group the values ascend, so the top two close it
     order = np.lexsort((value, _LABEL_RANK[codes], block))
     block, codes, value = block[order], codes[order], value[order]
-    starts = _group_starts(block, codes)
-    ends = np.append(starts[1:], block.size)
+    starts, ends = _runs(block, codes)
     ends = ends[ends - starts >= 2]
     return [(MEV_TYPES[c], math.log(top), math.log(second))
             for c, top, second in zip(codes[ends - 1].tolist(), value[ends - 1].tolist(),
                                       value[ends - 2].tolist())]
 
 
-def _group_starts(*keys):
-    """Start positions of the runs of equal keys in sorted key arrays."""
+def _runs(*keys):
+    """(starts, ends) of the runs of equal key tuples in sorted key arrays."""
     size = keys[0].size
     new = np.ones(size, dtype=bool)
     if size:
         new[1:] = False
         for key in keys:
             new[1:] |= key[1:] != key[:-1]
-    return np.flatnonzero(new)
+    starts = np.flatnonzero(new)
+    return starts, np.append(starts[1:], size)
 
 
 def affiliation_diagnostic(pairs):
@@ -184,8 +184,9 @@ def builder_table(records):
     builder, n = table.builder, len(table.builders)
     count = np.bincount(builder, minlength=n)
     total = np.bincount(builder, weights=table.value, minlength=n)
-    pairs = np.unique(builder * max(1, len(table.searchers)) + table.searcher)
-    searchers = np.bincount(pairs // max(1, len(table.searchers)), minlength=n)
+    width = max(1, len(table.searchers))
+    pairs = np.unique(builder * width + table.searcher)
+    searchers = np.bincount(pairs // width, minlength=n)
     positive = table.value > 0
     by_builder = np.argsort(builder[positive], kind="stable")
     shares = (table.tip[positive] / table.value[positive])[by_builder]
@@ -247,14 +248,6 @@ class BidderCounts:
     def __iter__(self):
         return zip(self.table.select(self.order).records(), self.proxy.tolist())
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "BidderCounts":
-        """Counts from an iterable of ``(record, proxy)`` pairs, kept in order."""
-        pairs = list(pairs)
-        table = _as_table(rec for rec, _ in pairs)
-        proxy = np.array([p for _, p in pairs], dtype=np.int64)
-        return cls(table, np.arange(len(table)), proxy)
-
 
 def effective_bidder_counts(records, window: int = DEFAULT_PROXY_WINDOW) -> BidderCounts:
     """Proxy for market thickness: distinct same-type searchers active in the
@@ -271,12 +264,6 @@ def effective_bidder_counts(records, window: int = DEFAULT_PROXY_WINDOW) -> Bidd
         rows = order[start:end]
         proxy[start:end] = _window_counts(table.block[rows], table.searcher[rows], window)
     return BidderCounts(table, order, proxy)
-
-
-def _runs(sorted_keys):
-    """(starts, ends) of the runs of equal values in a sorted array."""
-    starts = _group_starts(sorted_keys)
-    return starts, np.append(starts[1:], sorted_keys.size)
 
 
 def _window_counts(block, searcher, window):
@@ -310,17 +297,14 @@ def _window_counts(block, searcher, window):
 def board_diagnostic(counted, bin_edges=DEFAULT_COUNT_BINS):
     """Mean auction revenue (tip) and bribe share by bidder-count bin.
 
-    ``counted`` is the ``BidderCounts`` from ``effective_bidder_counts`` (or
-    an iterable of ``(record, proxy)`` pairs).  ``bin_edges`` are left edges
-    of the count bins; the last bin is open.  No monotonicity is enforced;
-    thin and thick markets may behave differently and the point is to show
-    it.
+    ``counted`` is the ``BidderCounts`` from ``effective_bidder_counts``.
+    ``bin_edges`` are left edges of the count bins; the last bin is open.  No
+    monotonicity is enforced; thin and thick markets may behave differently
+    and the point is to show it.
     """
     edges = tuple(bin_edges)
     if len(edges) < 1 or any(b <= a for a, b in zip(edges, edges[1:])):
         raise ConfigurationError("bin edges must be strictly increasing")
-    if not isinstance(counted, BidderCounts):
-        counted = BidderCounts.from_pairs(counted)
     table, rows = counted.table, counted.order
     value = table.value[rows]
     keep = ~(value <= 0)

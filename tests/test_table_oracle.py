@@ -302,8 +302,6 @@ def test_columnar_matches_oracle(records):
         for edges in ((1, 2, 3, 5, 9, 17), (1,), (2, 4)):
             assert_same(board_diagnostic(counted, edges),
                         oracle_board_diagnostic(want, edges), "board_diagnostic")
-            assert_same(board_diagnostic(want, edges),
-                        oracle_board_diagnostic(want, edges), "board_diagnostic(pairs)")
 
 
 def test_full_bins_and_thin_type_match_oracle():
