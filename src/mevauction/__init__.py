@@ -77,7 +77,7 @@ from .diagnostics import (
     effective_bidder_counts,
     gini_coefficient,
 )
-from .synthetic import SyntheticSpec, generate_chunks, generate_synthetic
+from .synthetic import SyntheticSpec, generate_synthetic
 from . import errors
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import math
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,10 @@ def _runs(*keys):
         for key in keys:
             new[1:] |= key[1:] != key[:-1]
     starts = np.flatnonzero(new)
-    return starts, np.append(starts[1:], size)
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1:] = size
+    return starts, ends
 
 
 def affiliation_diagnostic(pairs):
@@ -230,12 +234,13 @@ class BoardBin:
 
 
 @dataclass(frozen=True, eq=False)
-class BidderCounts:
+class BidderCounts(Sequence):
     """Bidder-count proxies of a table's records.
 
     ``order`` lists row positions of ``table`` by type label, then block,
     then file order within a block; ``proxy[i]`` is the proxy of row
-    ``order[i]``.  Iterating yields ``(record, proxy)`` pairs in that order.
+    ``order[i]``.  As a sequence it holds ``(record, proxy)`` pairs in that
+    order.
     """
 
     table: BundleTable
@@ -244,6 +249,13 @@ class BidderCounts:
 
     def __len__(self) -> int:
         return self.order.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(zip(self.table.select(self.order[i]).records(),
+                            self.proxy[i].tolist()))
+        rec, = self.table.select(self.order[[i]]).records()
+        return rec, int(self.proxy[i])
 
     def __iter__(self):
         return zip(self.table.select(self.order).records(), self.proxy.tolist())
@@ -297,14 +309,19 @@ def _window_counts(block, searcher, window):
 def board_diagnostic(counted, bin_edges=DEFAULT_COUNT_BINS):
     """Mean auction revenue (tip) and bribe share by bidder-count bin.
 
-    ``counted`` is the ``BidderCounts`` from ``effective_bidder_counts``.
-    ``bin_edges`` are left edges of the count bins; the last bin is open.  No
-    monotonicity is enforced; thin and thick markets may behave differently
-    and the point is to show it.
+    ``counted`` is the ``BidderCounts`` from ``effective_bidder_counts`` or
+    any iterable of ``(record, proxy)`` pairs.  ``bin_edges`` are left edges
+    of the count bins; the last bin is open.  No monotonicity is enforced;
+    thin and thick markets may behave differently and the point is to show
+    it.
     """
     edges = tuple(bin_edges)
     if len(edges) < 1 or any(b <= a for a, b in zip(edges, edges[1:])):
         raise ConfigurationError("bin edges must be strictly increasing")
+    if not isinstance(counted, BidderCounts):
+        pairs = list(counted)
+        counted = BidderCounts(_as_table([rec for rec, _ in pairs]), np.arange(len(pairs)),
+                               np.array([proxy for _, proxy in pairs], dtype=np.int64))
     table, rows = counted.table, counted.order
     value = table.value[rows]
     keep = ~(value <= 0)

@@ -6,7 +6,7 @@ import pytest
 
 import mevauction.empirics
 from mevauction.cli import main
-from mevauction.diagnostics import effective_bidder_counts
+from mevauction.diagnostics import affiliation_pairs, effective_bidder_counts
 from mevauction.empirics import CSV_COLUMNS, BundleTable
 
 SOLVE_FLAGS = ["--type", "naked_arb", "--n", "4", "--rho", "0.2",
@@ -247,6 +247,26 @@ class TestGenerateEstimateReport:
         assert report["affiliation"]["backrun"]["correlation"] is None
         assert (out / "fig3_decomposition.csv").read_text().splitlines()[-1] \
             == "all,0,0,inf,50"
+
+    @pytest.mark.parametrize("rows", ["", "".join(
+        f"0x{i:x},{i // 2},naked_arb,b,s{i % 2},1,{-1 - i}\n" for i in range(6))],
+        ids=["header-only", "all-nonpositive"])
+    def test_report_without_positive_values(self, tmp_path, rows):
+        path = tmp_path / "in.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + rows)
+        out = tmp_path / "report"
+        assert run(["report", "--input", str(path), "--out-dir", str(out)]) == 0
+        for name in ("tab1_summary.csv", "figA1_pairs.csv", "figA2_lorenz.csv",
+                     "tabA1_builders.csv", "figA3_board.csv", "fig4_bergemann.csv",
+                     "report.json"):
+            assert (out / name).exists(), name
+        assert (out / "figA1_pairs.csv").read_text() \
+            == "mev_type,log_value_top,log_value_second\n"
+        report = json.loads((out / "report.json").read_text())
+        assert report["decomposition"] is None
+        assert report["affiliation"] == {}
+        assert affiliation_pairs(BundleTable.read(path)) == []
+        assert affiliation_pairs(BundleTable.from_records([])) == []
 
     def test_proxy_ignores_row_order_within_blocks(self, tmp_path):
         gen = tmp_path / "gen"

@@ -165,6 +165,30 @@ class TestIngest:
         assert report.malformed == 0
         assert back == records
 
+    def test_write_accepts_tables_chunks_and_records(self, tmp_path):
+        records = [record(tip=0.5 * i, profit=1.0, block=i, tx=f"0x{i:x}",
+                          builder=f"b{i % 2}", searcher=f"s{i % 3}") for i in range(7)]
+        table = BundleTable.from_records(records)
+        given_forms = {"table": table, "chunks": [table.select(range(3)),
+                                                  table.select(range(3, 7))],
+                       "records": records, "record-iterator": iter(records)}
+        for name, given_records in given_forms.items():
+            path = tmp_path / f"{name}.csv"
+            assert write_bundles(path, given_records) == 7
+            assert ingest(path)[0] == records, name
+        assert write_bundles(tmp_path / "empty.csv", []) == 0
+        assert (tmp_path / "empty.csv").read_text() == ",".join(CSV_COLUMNS) + "\n"
+
+    def test_repeated_labels_are_one_group(self):
+        table = BundleTable(["a", "b", "c"], np.array([1, 1, 2]),
+                            np.zeros(3, dtype=np.intp),
+                            np.array([0, 1, 2]), ("x", "y", "x"),
+                            np.array([1, 0, 1]), ("s", "s"),
+                            np.ones(3), np.ones(3))
+        assert table.builders == ("x", "y") and table.builder.tolist() == [0, 1, 0]
+        assert table.searchers == ("s",) and table.searcher.tolist() == [0, 0, 0]
+        assert [r.builder for r in table.records()] == ["x", "y", "x"]
+
     @given(st.lists(st.tuples(st.text(max_size=6), st.text(max_size=6),
                               st.text(max_size=6)), max_size=8))
     @settings(max_examples=50, deadline=None)

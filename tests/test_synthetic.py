@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 
 from mevauction import solve_strategy
-from mevauction.diagnostics import board_diagnostic, effective_bidder_counts
+from mevauction.diagnostics import (
+    board_diagnostic,
+    builder_table,
+    concentration,
+    effective_bidder_counts,
+)
 from mevauction.empirics import bribe_schedule, estimate_gamma
 from mevauction.profiles import MevType
-from mevauction.synthetic import SyntheticSpec, generate_synthetic
+from mevauction.synthetic import SyntheticSpec, generate_chunks, generate_synthetic
 
 from conftest import make_profile
 
@@ -87,6 +92,25 @@ class TestGenerateSynthetic:
         records = list(generate_synthetic([spec], 100, seed=6))
         assert {r.searcher for r in records} <= {f"whale_{i}" for i in range(profile.n)}
 
+
+    def test_repeated_pool_labels_group_as_one(self, flagship):
+        # a label listed twice in a pool is one builder or searcher in every
+        # grouping of the chunk tables, as it is in the records
+        profile, curve = flagship
+        pool = ("whale", "whale") + tuple(f"s{i}" for i in range(profile.n - 2))
+        spec = SyntheticSpec(profile=profile, epsilon=0.0,
+                             strategy=solve_strategy(profile, 0.0, curve=curve),
+                             searcher_pool=pool)
+        args = ([spec], 300, 7)
+        kwargs = dict(builder_pool=("b", "c", "b"))
+        records = list(generate_synthetic(*args, **kwargs))
+        for table in generate_chunks(*args, **kwargs):
+            assert table.builders == ("b", "c")
+            assert len(set(table.searchers)) == len(table.searchers)
+        chunk, = generate_chunks(*args, **kwargs)
+        assert builder_table(chunk) == builder_table(records)
+        assert concentration(chunk)[profile.tau].groups \
+            == concentration(records)[profile.tau].groups
 
 class TestRoundTrips:
     def test_planted_gamma_recovered(self, solved):
