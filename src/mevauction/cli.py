@@ -131,8 +131,9 @@ def _write(path: Path, text: str):
 
 
 def _finite_or_none(x):
-    """JSON has no inf or NaN: a ratio over a zero total, or a correlation of
-    a constant series, is written as null (as is a statistic already None)."""
+    """JSON has no inf or NaN: a ratio over a zero total is written as null
+    (as is a statistic already None, such as the correlation of a constant
+    series)."""
     return x if x is not None and math.isfinite(x) else None
 
 

@@ -85,7 +85,9 @@ def affiliation_diagnostic(pairs):
     """Per-type least-squares slope and correlation of the within-block pairs
     that ``affiliation_pairs`` returns.
 
-    Types with fewer than two pairs report slope and correlation as None.
+    Types with fewer than two pairs, or a constant top-value series, report
+    slope and correlation as None; a constant second-value series keeps its
+    slope and reports the correlation as None.
     """
     grouped = defaultdict(list)
     for mev_type, x, y in pairs:
@@ -98,7 +100,7 @@ def affiliation_diagnostic(pairs):
             continue
         x, y = arr[:, 0], arr[:, 1]
         slope = float(np.polyfit(x, y, 1)[0])
-        corr = float(np.corrcoef(x, y)[0, 1])
+        corr = float(np.corrcoef(x, y)[0, 1]) if np.ptp(y) > 0 else None
         stats[mev_type] = AffiliationStat(mev_type, arr.shape[0], slope, corr)
     return stats
 

@@ -149,18 +149,18 @@ class BidCurve:
             buf.write(f"{v:.12g},{b:.12g}\n")
         return buf.getvalue()
 
+    def _json_dict(self) -> dict:
+        return {
+            "v_min": f"{self.v_min:.12g}",
+            "v_max": f"{self.v_max:.12g}",
+            "nodes": int(self.grid.size),
+            "interpolation": "pchip",
+            "grid": [f"{v:.12g}" for v in self.grid],
+            "bids": [f"{b:.12g}" for b in self.bids],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "v_min": f"{self.v_min:.12g}",
-                "v_max": f"{self.v_max:.12g}",
-                "nodes": int(self.grid.size),
-                "interpolation": "pchip",
-                "grid": [f"{v:.12g}" for v in self.grid],
-                "bids": [f"{b:.12g}" for b in self.bids],
-            },
-            indent=1,
-        )
+        return json.dumps(self._json_dict(), indent=1)
 
     @classmethod
     def from_csv(cls, text: str) -> "BidCurve":
@@ -417,7 +417,7 @@ class PiecewiseStrategy:
                 "gamma": self.gamma,
                 "epsilon": self.epsilon,
                 "cutoff": "inf" if math.isinf(self.cutoff) else f"{self.cutoff:.12g}",
-                "curve": json.loads(self.curve.to_json()),
+                "curve": self.curve._json_dict(),
             },
             indent=1,
         )

@@ -227,9 +227,11 @@ class TestGenerateEstimateReport:
             assert run([command, "--input", str(bundles),
                         "--out-dir", str(tmp_path / command)]) == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_report_json_is_strict_json_when_tips_are_zero(self, tmp_path):
         # zero tips make the decomposition ratio infinite; a constant second
-        # value per block makes the affiliation correlation NaN
+        # value per block leaves the affiliation correlation undefined, which
+        # must be reported as null without a numpy division warning
         path = tmp_path / "zero_tips.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(
             f"0x{i:x},{i // 2},backrun,b,s{i % 3},0,{1 if i % 2 else 2 + i}\n"

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,21 @@ from mevauction.errors import (
     ParameterError,
     SolverError,
 )
+from mevauction.profiles import MevType
+
+from conftest import curve_for, make_profile
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+# the benchmark's theory profiles, whose sweeps reference.json records
+THEORY_PROFILES = {
+    "flagship": {},
+    "all_binding": {"n": 3, "rho": 0.2, "gamma": 0.998, "tau": MevType.SANDWICH},
+    "never_binding": {"n": 10, "rho": 0.4, "gamma": 0.05, "sigma": 0.5,
+                      "tau": MevType.LIQUIDATION},
+    "n50": {"n": 50},
+}
+
 
 def strategy_for(profile, epsilon, curve):
     return solve_strategy(profile, epsilon, curve=curve)
@@ -92,9 +108,11 @@ class TestExpectedRevenue:
         "params, epsilon",
         [({}, 0.2), ({}, 0.5), ({}, 0.7),
          ({"n": 50}, 0.2), ({"n": 50}, 0.5), ({"n": 50}, 0.7),
-         ({"n": 3, "rho": 0.2, "gamma": 0.998}, 0.5)],
+         ({"n": 3, "rho": 0.2, "gamma": 0.998}, 0.5), ({"gamma": 0.32}, 0.3)],
         ids=["flagship-0.2", "flagship-0.5", "flagship-0.7",
-             "n50-0.2", "n50-0.5", "n50-0.7", "all_binding-0.5"],
+             "n50-0.2", "n50-0.5", "n50-0.7", "all_binding-0.5",
+             # gamma*v crosses the bid near v = 90, in the bulk of f1
+             "kink_in_bulk-0.3"],
     )
     def test_matches_direct_quadrature(self, solved, params, epsilon):
         profile, curve = solved(**params)
@@ -103,9 +121,13 @@ class TestExpectedRevenue:
             direct_revenue(epsilon, strat, profile), rel=1e-9)
 
     def test_quadrature_error_estimate_checked(self, flagship, monkeypatch):
+        # a 1-node rule on every panel misses the closed-form mean of the
+        # top value below the cap by more than the 1e-9 the table allows
         profile, curve = flagship
         strat = strategy_for(profile, 0.2, curve)
-        monkeypatch.setattr(revenue_module, "quad", lambda f, a, b, **kw: (1.0, 1e3))
+        x, w = np.polynomial.legendre.leggauss(1)
+        monkeypatch.setattr(revenue_module, "_GL_X", x)
+        monkeypatch.setattr(revenue_module, "_GL_W", w)
         with pytest.raises(SolverError):
             expected_revenue(0.2, strat, profile)
         with pytest.raises(SolverError):
@@ -201,19 +223,29 @@ class TestOptimalEpsilon:
         assert np.all(np.isfinite(result.profile.revenues))
 
     def test_sweep_integrates_once_per_cutoff(self, solved, monkeypatch):
-        # every rate shares the infinite cutoff: one bid and one gap integral
-        profile, curve = solved(n=3, rho=0.2, gamma=0.998)
-        calls = []
-        real_quad = revenue_module.quad
+        # one panel table per sweep, evaluated once per distinct cutoff: the
+        # all-binding rates share the infinite cutoff, flagship has 15
+        tables, cutoffs = [], []
+        real_table = revenue_module._PanelTable
 
-        def counting_quad(*args, **kwargs):
-            calls.append(args[2])
-            return real_quad(*args, **kwargs)
+        class CountingTable(real_table):
+            def __init__(self, *args):
+                tables.append(args)
+                super().__init__(*args)
 
-        monkeypatch.setattr(revenue_module, "quad", counting_quad)
-        rp = revenue_sweep(profile, DEFAULT_EPSILON_GRID, curve=curve)
-        assert np.all(np.isinf(rp.cutoffs))
-        assert len(calls) == 2
+            def parts(self, v_star):
+                cutoffs.append(v_star)
+                return super().parts(v_star)
+
+        monkeypatch.setattr(revenue_module, "_PanelTable", CountingTable)
+        for params, distinct in (({"n": 3, "rho": 0.2, "gamma": 0.998}, 1), ({}, 15)):
+            profile, curve = solved(**params)
+            tables.clear()
+            cutoffs.clear()
+            rp = revenue_sweep(profile, DEFAULT_EPSILON_GRID, curve=curve)
+            assert np.unique(rp.cutoffs).size == distinct
+            assert len(tables) == 1
+            assert sorted(cutoffs) == sorted(np.unique(rp.cutoffs))
 
     def test_grid_validation(self, flagship):
         profile, _ = flagship
@@ -226,6 +258,26 @@ class TestOptimalEpsilon:
         _, curve = solved(n=3, rho=0.2)
         assert classify_regime(curve, 0.998) == "high_extractability"
         assert classify_regime(curve, 0.74) == "mixed"
+
+
+class TestReferenceSweep:
+    @pytest.mark.parametrize("label", list(THEORY_PROFILES))
+    def test_sweep_matches_reference(self, label):
+        # revenues, regime and rate recorded by the benchmark's reference; the
+        # cutoff at eps = 0.2 is the one its solve command records
+        reference = json.loads(REFERENCE.read_text(encoding="utf-8"))[label]
+        profile = make_profile(**THEORY_PROFILES[label])
+        result = optimal_epsilon(profile, curve=curve_for(profile))
+        sweep = reference["sweep"]
+        np.testing.assert_allclose(result.profile.revenues, sweep["revenues"],
+                                   rtol=1e-9, atol=0.0)
+        assert result.regime == sweep["regime"]
+        assert result.epsilon_star == sweep["epsilon_star"]
+        cutoff = result.profile.cutoffs[DEFAULT_EPSILON_GRID.index(0.2)]
+        if reference["solve"]["cutoff"] == "inf":
+            assert cutoff == math.inf
+        else:
+            assert cutoff == pytest.approx(float(reference["solve"]["cutoff"]), rel=1e-9)
 
 
 class TestRevenueProfile:
