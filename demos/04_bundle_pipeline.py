@@ -15,6 +15,7 @@ from pathlib import Path
 from mevauction import solve_strategy
 from mevauction.diagnostics import builder_table, concentration
 from mevauction.empirics import (
+    BundleTable,
     bribe_schedule,
     decompose,
     estimate_gamma,
@@ -87,7 +88,7 @@ for row in builder_table(records)[:4]:
 # %%
 with tempfile.TemporaryDirectory() as tmp:
     bundles = Path(tmp) / "bundles.csv"
-    write_bundles(bundles, records)
+    write_bundles(bundles, BundleTable.from_records(records))
     from mevauction.cli import main
 
     main(["report", "--input", str(bundles), "--out-dir", str(Path(tmp) / "out")])

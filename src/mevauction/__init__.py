@@ -5,10 +5,10 @@ revenue, verify by Monte Carlo simulation, and run the bundle-record
 estimation pipeline on real or synthetic data.
 """
 
+from types import ModuleType as _ModuleType
+
 from .profiles import MevType, TypeProfile
 from .values import (
-    ValueDraw,
-    sample_values,
     rival_max_cdf,
     rival_max_hazard_ratio,
     top_value_density,
@@ -23,7 +23,6 @@ from .equilibrium import (
     GridSpec,
     PiecewiseStrategy,
     default_grid,
-    equilibrium_bid,
     indifference_epsilon,
     ipv_bid,
     ode_residual,
@@ -44,12 +43,10 @@ from .revenue import (
     revenue_sweep,
 )
 from .simulate import (
-    BlockOutcome,
     DeviationScan,
     SimReport,
     deviation_payoff_grid,
     payoff_of_deviation,
-    run_block,
     run_many,
 )
 from .empirics import (
@@ -78,8 +75,9 @@ from .diagnostics import (
     gini_coefficient,
 )
 from .synthetic import SyntheticSpec, generate_synthetic
-from . import errors
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules that the imports bind are not exported
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

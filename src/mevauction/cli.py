@@ -9,7 +9,9 @@ across reruns.  Exit codes: 0 success, 1 domain error (JSON on stderr),
 2 usage error.
 
 Config grammar (INI): one section per command, keys equal to the long flag
-names with dashes replaced by underscores::
+names with dashes replaced by underscores, each value read with its flag's
+type (a value that does not convert, or a file that is not INI, is a usage
+error)::
 
     [solve]
     n = 5
@@ -69,23 +71,30 @@ from .simulate import _check_run_args, run_many
 from .synthetic import SyntheticSpec, generate_chunks
 
 PROFILE_KEYS = ("type", "n", "rho", "gamma", "mu", "sigma")
+# the type of each numeric flag, by config key; other keys are strings
+CONFIG_TYPES = {"n": int, "rho": float, "gamma": float, "mu": float, "sigma": float,
+                "epsilon": float, "blocks": int, "seed": int, "nodes": int,
+                "opportunities_per_block": int, "window": int}
 
 
-def _read_ini(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+def _read_ini(path, parser) -> configparser.ConfigParser:
+    config = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
-        parser.read_file(fh)
-    return parser
+        try:
+            config.read_file(fh)
+        except configparser.Error as exc:
+            parser.error(f"config file {path}: {exc}")
+    return config
 
 
-def _load_config(path, command):
+def _load_config(path, command, parser):
     if not path:
         return {}
-    parser = _read_ini(path)
-    section = dict(parser[command]) if parser.has_section(command) else {}
+    config = _read_ini(path, parser)
+    section = dict(config[command]) if config.has_section(command) else {}
     section["_type_sections"] = [
-        (name.split(".", 2)[2], dict(parser[name]))
-        for name in parser.sections()
+        (name.split(".", 2)[2], dict(config[name]))
+        for name in config.sections()
         if name.startswith(f"{command}.type.")
     ]
     return section
@@ -95,28 +104,32 @@ def _resolve(args, config, keys, parser):
     """Merge config defaults with flag overrides; missing keys are usage errors."""
     out = {}
     for key in keys:
-        flag = getattr(args, key, None)
-        val = flag if flag is not None else config.get(key)
+        val = _flag_or_config(getattr(args, key, None), config, key, parser)
         if val is None:
             parser.error(f"missing required parameter --{key.replace('_', '-')}")
         out[key] = val
     return out
 
 
-def _flag_or_config(flag, config, key, default=None):
-    """A flag that was given (zero included) wins over the config value."""
-    return flag if flag is not None else config.get(key, default)
+def _flag_or_config(flag, config, key, parser, default=None):
+    """A flag that was given (zero included) wins over the config value.  That
+    value is kept as written, but must convert with the flag's type."""
+    if flag is not None:
+        return flag
+    text = config.get(key)
+    if text is None:
+        return default
+    kind = CONFIG_TYPES.get(key, str)
+    try:
+        kind(text)
+    except ValueError:
+        parser.error(f"config value {key} = {text!r} is not {kind.__name__}")
+    return text
 
 
 def _profile_from(params) -> TypeProfile:
-    return TypeProfile(
-        tau=MevType.parse(str(params["type"])),
-        n=int(params["n"]),
-        rho=float(params["rho"]),
-        gamma=float(params["gamma"]),
-        mu=float(params["mu"]),
-        sigma=float(params["sigma"]),
-    )
+    return TypeProfile(MevType.parse(str(params["type"])),
+                       **{k: CONFIG_TYPES[k](params[k]) for k in PROFILE_KEYS[1:]})
 
 
 def _out_dir(args) -> Path:
@@ -153,13 +166,13 @@ def _manifest(out: Path, command: str, resolved: dict, started: float):
 
 def cmd_solve(args, parser):
     started = time.time()
-    config = _load_config(args.config, "solve")
+    config = _load_config(args.config, "solve", parser)
     params = _resolve(args, config, PROFILE_KEYS + ("epsilon",), parser)
     profile = _profile_from(params)
     epsilon = float(params["epsilon"])
+    nodes = int(_flag_or_config(args.nodes, config, "nodes", parser, 2000))
     out = _out_dir(args)
 
-    nodes = int(_flag_or_config(args.nodes, config, "nodes", 2000))
     grid = default_grid(profile, nodes=nodes)
     if args.v_min is not None or args.v_max is not None:
         grid = GridSpec(
@@ -180,10 +193,10 @@ def cmd_solve(args, parser):
 
 def cmd_sweep(args, parser):
     started = time.time()
-    config = _load_config(args.config, "sweep")
+    config = _load_config(args.config, "sweep", parser)
     params = _resolve(args, config, PROFILE_KEYS, parser)
     profile = _profile_from(params)
-    eps_text = _flag_or_config(args.epsilons, config, "epsilons")
+    eps_text = _flag_or_config(args.epsilons, config, "epsilons", parser)
     if eps_text is not None:
         # explicit grids of any size are honored; argmax is over that grid
         try:
@@ -209,7 +222,7 @@ def cmd_sweep(args, parser):
 
 def cmd_simulate(args, parser):
     started = time.time()
-    config = _load_config(args.config, "simulate")
+    config = _load_config(args.config, "simulate", parser)
     params = _resolve(args, config, PROFILE_KEYS + ("epsilon", "blocks", "seed"), parser)
     profile = _profile_from(params)
     blocks = int(params["blocks"])
@@ -232,7 +245,8 @@ def _specs_from_config(config, args, parser):
     if rows:
         specs = []
         for label, row in rows:
-            params = {k: row.get(k) for k in PROFILE_KEYS[1:] + ("epsilon",)}
+            params = {k: _flag_or_config(None, row, k, parser)
+                      for k in PROFILE_KEYS[1:] + ("epsilon",)}
             params["type"] = row.get("type", label)
             if any(v is None for v in params.values()):
                 parser.error(f"[generate.type.{label}] missing keys")
@@ -246,46 +260,45 @@ def _specs_from_config(config, args, parser):
 
 def cmd_generate(args, parser):
     started = time.time()
-    config = _load_config(args.config, "generate")
+    config = _load_config(args.config, "generate", parser)
     specs = _specs_from_config(config, args, parser)
-    blocks = _flag_or_config(args.blocks, config, "blocks")
-    seed = _flag_or_config(args.seed, config, "seed")
-    if blocks is None or seed is None:
-        parser.error("missing required parameter --blocks or --seed")
-    opb = int(_flag_or_config(args.opportunities, config, "opportunities_per_block", 1))
-    chunks = generate_chunks(specs, int(blocks), int(seed), opportunities_per_block=opb)
+    params = _resolve(args, config, ("blocks", "seed"), parser)
+    blocks, seed = int(params["blocks"]), int(params["seed"])
+    opb = int(_flag_or_config(args.opportunities, config, "opportunities_per_block",
+                              parser, 1))
+    chunks = generate_chunks(specs, blocks, seed, opportunities_per_block=opb)
     out = _out_dir(args)
     count = write_bundles(out / "bundles.csv", chunks)
     _manifest(out, "generate", {
-        "blocks": int(blocks), "seed": int(seed),
+        "blocks": blocks, "seed": seed,
         "opportunities_per_block": opb,
         "types": [s.profile.tau.value for s in specs]}, started)
     print(f"wrote {count} records to {out / 'bundles.csv'}")
     return 0
 
 
-def _schedules_by_type(table):
-    """Bribe schedules of every type with enough positive-value records."""
-    schedules = {}
+def _write_estimates(table, out):
+    """Write the bribe schedule of every type with enough positive-value
+    records; return their gamma estimates."""
+    estimates = {}
     for c in _types_present(table.mev_type):
         try:
-            schedules[MEV_TYPES[c]] = bribe_schedule(table, MEV_TYPES[c])
+            schedule = bribe_schedule(table, MEV_TYPES[c])
         except ThinSampleError:
             continue
-    return schedules
+        _write(out / f"fig2_{MEV_TYPES[c].value}.csv", schedule.to_csv())
+        estimates[MEV_TYPES[c]] = estimate_gamma(schedule)
+    return estimates
 
 
 def cmd_estimate(args, parser):
     started = time.time()
-    config = _load_config(args.config, "estimate")
+    config = _load_config(args.config, "estimate", parser)
     path = args.input or config.get("input")
     if not path:
         parser.error("missing required parameter --input")
     out = _out_dir(args)
-    schedules = _schedules_by_type(BundleTable.read(path))
-    estimates = {t: estimate_gamma(s) for t, s in schedules.items()}
-    for mev_type, schedule in schedules.items():
-        _write(out / f"fig2_{mev_type.value}.csv", schedule.to_csv())
+    estimates = _write_estimates(BundleTable.read(path), out)
     _write(out / "gamma_estimates.json", json.dumps(
         {t.value: e.to_dict() for t, e in estimates.items()}, indent=1, sort_keys=True))
     _manifest(out, "estimate", {"input": str(path)}, started)
@@ -295,12 +308,12 @@ def cmd_estimate(args, parser):
 
 def cmd_report(args, parser):
     started = time.time()
-    config = _load_config(args.config, "report")
+    config = _load_config(args.config, "report", parser)
     path = args.input or config.get("input")
     if not path:
         parser.error("missing required parameter --input")
     rule = args.bergemann_rule or config.get("bergemann_rule", DEFAULT_BERGEMANN_RULE)
-    window = int(_flag_or_config(args.window, config, "window", 50))
+    window = int(_flag_or_config(args.window, config, "window", parser, 50))
     out = _out_dir(args)
     ingest_report = IngestReport()
     table = BundleTable.read(path, ingest_report)
@@ -333,12 +346,9 @@ def cmd_report(args, parser):
     _write(out / "tab1_summary.csv", "".join(lines))
 
     # schedules, estimates, decomposition
-    schedules = _schedules_by_type(table)
-    estimates = {t: estimate_gamma(s) for t, s in schedules.items()}
+    estimates = _write_estimates(table, out)
     skipped_thin = sorted(MEV_TYPES[c].value for c in summarized
                           if MEV_TYPES[c] not in estimates)
-    for mev_type, schedule in schedules.items():
-        _write(out / f"fig2_{mev_type.value}.csv", schedule.to_csv())
     decomposition = None
     if estimates:
         estimated = np.isin(table.mev_type, [MEV_TYPES.index(t) for t in estimates])

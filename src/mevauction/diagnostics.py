@@ -6,9 +6,11 @@ builders (Lorenz, Gini, top-k shares), per-builder aggregates, and revenue
 by effective-bidder-count bins.  Nothing here enforces a sign or a slope;
 the numbers are reported as found.
 
-Every diagnostic takes a ``BundleTable`` (or an iterable of records) and
-groups its columns with numpy sorts and ``bincount``, keeping record order
-within each group so the sums match a record-by-record loop bit for bit.
+Every diagnostic takes a ``BundleTable`` (or an iterable of records), except
+``board_diagnostic``, which takes the ``BidderCounts`` that
+``effective_bidder_counts`` returns.  Each groups the columns with numpy
+sorts and ``bincount``, keeping record order within each group so the sums
+match a record-by-record loop bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import io
 import math
 from collections import defaultdict
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,31 +237,17 @@ class BoardBin:
 
 
 @dataclass(frozen=True, eq=False)
-class BidderCounts(Sequence):
+class BidderCounts:
     """Bidder-count proxies of a table's records.
 
     ``order`` lists row positions of ``table`` by type label, then block,
     then file order within a block; ``proxy[i]`` is the proxy of row
-    ``order[i]``.  As a sequence it holds ``(record, proxy)`` pairs in that
-    order.
+    ``order[i]``.
     """
 
     table: BundleTable
     order: np.ndarray
     proxy: np.ndarray
-
-    def __len__(self) -> int:
-        return self.order.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(zip(self.table.select(self.order[i]).records(),
-                            self.proxy[i].tolist()))
-        rec, = self.table.select(self.order[[i]]).records()
-        return rec, int(self.proxy[i])
-
-    def __iter__(self):
-        return zip(self.table.select(self.order).records(), self.proxy.tolist())
 
 
 def effective_bidder_counts(records, window: int = DEFAULT_PROXY_WINDOW) -> BidderCounts:
@@ -308,22 +295,17 @@ def _window_counts(block, searcher, window):
             - np.searchsorted(lasts, block - window, side="right"))
 
 
-def board_diagnostic(counted, bin_edges=DEFAULT_COUNT_BINS):
+def board_diagnostic(counted: BidderCounts, bin_edges=DEFAULT_COUNT_BINS):
     """Mean auction revenue (tip) and bribe share by bidder-count bin.
 
-    ``counted`` is the ``BidderCounts`` from ``effective_bidder_counts`` or
-    any iterable of ``(record, proxy)`` pairs.  ``bin_edges`` are left edges
-    of the count bins; the last bin is open.  No monotonicity is enforced;
-    thin and thick markets may behave differently and the point is to show
-    it.
+    ``counted`` is the ``BidderCounts`` from ``effective_bidder_counts``.
+    ``bin_edges`` are left edges of the count bins; the last bin is open.  No
+    monotonicity is enforced; thin and thick markets may behave differently
+    and the point is to show it.
     """
     edges = tuple(bin_edges)
     if len(edges) < 1 or any(b <= a for a, b in zip(edges, edges[1:])):
         raise ConfigurationError("bin edges must be strictly increasing")
-    if not isinstance(counted, BidderCounts):
-        pairs = list(counted)
-        counted = BidderCounts(_as_table([rec for rec, _ in pairs]), np.arange(len(pairs)),
-                               np.array([proxy for _, proxy in pairs], dtype=np.int64))
     table, rows = counted.table, counted.order
     value = table.value[rows]
     keep = ~(value <= 0)

@@ -21,8 +21,9 @@ the tx hashes as a list.  ``BundleTable.read`` builds it in a single
 schedule, estimate and diagnostic groups the columns with numpy instead of
 looping over records.  Each of them also accepts an iterable of
 :class:`BundleRecord` and collects it into a table first.  ``write_bundles``
-writes tables (records are collected into tables in batches) with one format
-per row, quoting fields exactly as ``csv.writer``'s default dialect does.
+writes one table or a stream of tables (``BundleTable.from_records`` wraps
+records) with one format per row, quoting fields exactly as
+``csv.writer``'s default dialect does.
 
 Grouped sums keep the order of the records: a per-group total is
 ``np.bincount`` with weights, which adds in input order exactly as a
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import re
 import warnings
@@ -54,6 +54,7 @@ from .errors import (
     ConfigurationError,
     DomainError,
     IngestError,
+    ParameterError,
     SchemaError,
     ThinSampleError,
 )
@@ -75,7 +76,6 @@ _LABEL_CODE = {t.value: i for i, t in enumerate(MEV_TYPES)}
 _BY_LABEL = tuple(sorted(range(len(MEV_TYPES)), key=lambda c: MEV_TYPES[c].value))
 _LABEL_RANK = np.argsort(_BY_LABEL)
 _BLOCK_MIN, _BLOCK_MAX = -(1 << 63), (1 << 63) - 1
-_CHUNK_ROWS = 1 << 14
 
 
 @dataclass
@@ -348,21 +348,12 @@ def ingest(path):
     return records, report
 
 
-def write_bundles(path, records) -> int:
-    """Write records in the input schema; inverse of ``ingest`` on valid rows.
-
-    ``records`` is a BundleTable, an iterable of BundleTable chunks, or an
-    iterable of BundleRecord, which is written in batches; the first item
-    decides which.
+def write_bundles(path, tables) -> int:
+    """Write a BundleTable, or an iterable of them written one after the
+    other, in the input schema; inverse of ``BundleTable.read`` on valid rows.
+    Returns the number of rows written.
     """
-    items = iter((records,) if isinstance(records, BundleTable) else records)
-    first = next(items, None)
-    if first is None:
-        chunks = ()
-    elif isinstance(first, BundleTable):
-        chunks = itertools.chain((first,), items)
-    else:
-        chunks = _record_batches(itertools.chain((first,), items))
+    chunks = (tables,) if isinstance(tables, BundleTable) else tables
     count = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
@@ -370,12 +361,6 @@ def write_bundles(path, records) -> int:
             fh.write(chunk.to_csv())
             count += len(chunk)
     return count
-
-
-def _record_batches(records):
-    """Records collected into tables of up to ``_CHUNK_ROWS`` rows."""
-    while batch := list(itertools.islice(records, _CHUNK_ROWS)):
-        yield BundleTable.from_records(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +398,11 @@ def bribe_schedule(records, mev_type: MevType, bins: int = FULL_BINS) -> BribeSc
     ``records`` is a BundleTable or an iterable of records.  Bins partition
     the records by extracted value with equal counts (+-1, up to ties).
     Types with fewer than 500 valid records fall back to max(10, count // 20)
-    bins with a warning.
+    bins with a warning.  ``bins`` must be at least 1, and more bins than
+    valid records is a ThinSampleError.
     """
+    if bins < 1:
+        raise ParameterError(f"bins must be >= 1, got {bins}")
     table = _as_table(records)
     of_type = table.mev_type == _TYPE_CODE[mev_type]
     values = table.value[of_type]
@@ -438,6 +426,9 @@ def bribe_schedule(records, mev_type: MevType, bins: int = FULL_BINS) -> BribeSc
                 stacklevel=2,
             )
             bins = fallback
+    if count < bins:
+        raise ThinSampleError(f"{mev_type.value}: only {count} valid records, "
+                              f"cannot form {bins} bins")
 
     order = np.argsort(values, kind="stable")
     values, shares = values[order], shares[order]

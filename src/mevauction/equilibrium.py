@@ -432,11 +432,6 @@ def solve_strategy(profile: TypeProfile, epsilon: float,
                              gamma=profile.gamma, epsilon=epsilon)
 
 
-def equilibrium_bid(v, strategy: PiecewiseStrategy):
-    """Bid prescribed by the piecewise strategy at valuation v."""
-    return strategy.bid(v)
-
-
 def truncation_mass(strategy: PiecewiseStrategy, profile: TypeProfile) -> dict:
     """Probability mass above the cutoff (marginal and for the max).
 

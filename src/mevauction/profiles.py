@@ -37,9 +37,8 @@ class MevType(str, enum.Enum):
 class TypeProfile:
     """Per-type structural parameters.
 
-    sigma = 0 is tolerated as a degenerate case (all values equal exp(mu));
-    sampling works there, but the equilibrium and revenue solvers require
-    sigma > 0.
+    sigma = 0 is tolerated as a degenerate case (all values equal exp(mu)),
+    but the equilibrium and revenue solvers require sigma > 0.
     """
 
     tau: MevType

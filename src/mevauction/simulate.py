@@ -21,7 +21,7 @@ are part of that stream schedule, so changing ``CHUNK`` changes the draws.
 ``run_many`` reduces each chunk as it is drawn and keeps no chunk arrays,
 so its memory is O(chunk) however many blocks it plays.  Chunk moments are
 combined in index order, so the report is bit-identical for any worker
-count and ``run_block`` reproduces block zero of ``run_many`` exactly.
+count.
 
 The deviation harness conditions on the deviant's valuation: her signal is
 pinned and rivals draw the common factor from its posterior, then their own
@@ -35,7 +35,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,21 +46,6 @@ from .rng import stream
 from .values import affiliated_signal
 
 CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class BlockOutcome:
-    winner_index: int
-    winning_bid: float
-    winner_value: float
-    defected: bool
-    frontran: bool
-    builder_revenue: float
-    searcher_surplus: float
-
-    def __post_init__(self):
-        if self.frontran and not self.defected:
-            raise ParameterError("frontran implies defected")
 
 
 @dataclass(frozen=True)
@@ -78,18 +63,7 @@ class SimReport:
             raise ParameterError("frontrun rate cannot exceed realized defection rate")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "blocks": self.blocks,
-                "mean_builder_revenue": self.mean_builder_revenue,
-                "stderr_builder_revenue": self.stderr_builder_revenue,
-                "mean_searcher_surplus": self.mean_searcher_surplus,
-                "stderr_searcher_surplus": self.stderr_searcher_surplus,
-                "frontrun_rate": self.frontrun_rate,
-                "defection_rate_realized": self.defection_rate_realized,
-            },
-            indent=1,
-        )
+        return json.dumps(asdict(self), indent=1)
 
 
 def _chunk_sizes(blocks: int, chunk: int = CHUNK):
@@ -181,20 +155,6 @@ def _simulate_chunk(strategy, profile, seed, chunk_index, size, antithetic):
     revenue = np.where(frontrun, strategy.gamma * top_val, top_bid)
     surplus = np.where(frontrun, 0.0, top_val - top_bid)
     return winner, top_bid, top_val, defect, frontrun, revenue, surplus
-
-
-def run_block(strategy: PiecewiseStrategy, profile: TypeProfile, seed: int) -> BlockOutcome:
-    """Play a single block; identical to block zero of ``run_many``."""
-    w, b, v, d, f, rev, sur = _simulate_chunk(strategy, profile, seed, 0, 1, False)
-    return BlockOutcome(
-        winner_index=int(w[0]),
-        winning_bid=float(b[0]),
-        winner_value=float(v[0]),
-        defected=bool(d[0]),
-        frontran=bool(f[0]),
-        builder_revenue=float(rev[0]),
-        searcher_surplus=float(sur[0]),
-    )
 
 
 def _check_run_args(blocks, workers, antithetic, trace_cap):

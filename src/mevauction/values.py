@@ -8,7 +8,8 @@ Searcher i receives a latent signal
 
 and values the opportunity at v_i = exp(mu + sigma * z_i).  The marginal of
 every v_i is LogNormal(mu, sigma^2) for any rho in [0, 1); rho is the pairwise
-correlation of signals and carries all the affiliation.
+correlation of signals and carries all the affiliation.  ``affiliated_signal``
+is that map; the game engine and the deviation harness draw through it.
 
 Conditioning on the common factor Z makes the v_i independent log-normals
 with log-mean mu + sigma*sqrt(rho)*Z and log-sd sigma*sqrt(1-rho).  Every
@@ -28,7 +29,6 @@ silently dividing by zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -36,7 +36,6 @@ from scipy.special import log_ndtr, logsumexp, ndtr
 
 from .errors import DomainError, TailUnderflowError
 from .profiles import TypeProfile
-from .rng import stream
 
 GH_ORDER = 96
 _GH_X, _GH_W = np.polynomial.hermite.hermgauss(GH_ORDER)
@@ -54,39 +53,12 @@ def _norm_logpdf(x):
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# the signal draw
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ValueDraw:
-    """One joint draw of the n searchers' signals and values."""
-
-    common_factor: float
-    idiosyncratic: np.ndarray
-    signals: np.ndarray
-    values: np.ndarray
-
 
 def affiliated_signal(common, idiosyncratic, rho: float):
     """z = sqrt(rho) * common + sqrt(1 - rho) * idiosyncratic (broadcasting)."""
     return math.sqrt(rho) * common + math.sqrt(1.0 - rho) * idiosyncratic
-
-
-def sample_signals(profile: TypeProfile, size: int, rng: np.random.Generator):
-    """Draw ``size`` blocks of n signals; returns (Z, z) with shapes (size,), (size, n)."""
-    Z = rng.standard_normal(size)
-    u = rng.standard_normal((size, profile.n))
-    return Z, affiliated_signal(Z[:, None], u, profile.rho)
-
-
-def sample_values(profile: TypeProfile, seed: int) -> ValueDraw:
-    """One draw of the n affiliated values for ``profile``."""
-    rng = stream(seed)
-    Z = float(rng.standard_normal())
-    u = rng.standard_normal(profile.n)
-    z = affiliated_signal(Z, u, profile.rho)
-    v = np.exp(profile.mu + profile.sigma * z)
-    return ValueDraw(common_factor=Z, idiosyncratic=u, signals=z, values=v)
 
 
 # ---------------------------------------------------------------------------

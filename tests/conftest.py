@@ -43,3 +43,8 @@ def marginal_quantile(q, mu=MU, sigma=SIGMA):
     from scipy.stats import norm
 
     return float(np.exp(mu + sigma * norm.ppf(q)))
+
+
+def counted_pairs(counted):
+    """The ``(record, proxy)`` pairs of a ``BidderCounts``, in its order."""
+    return list(zip(counted.table.select(counted.order).records(), counted.proxy.tolist()))

@@ -9,6 +9,8 @@ from mevauction.cli import main
 from mevauction.diagnostics import affiliation_pairs, effective_bidder_counts
 from mevauction.empirics import CSV_COLUMNS, BundleTable
 
+from conftest import counted_pairs
+
 SOLVE_FLAGS = ["--type", "naked_arb", "--n", "4", "--rho", "0.2",
                "--gamma", "0.74", "--mu", "1.102", "--sigma", "1.5"]
 
@@ -288,7 +290,7 @@ class TestGenerateEstimateReport:
         proxies, outputs = [], []
         for k, path in enumerate(inputs):
             counted = effective_bidder_counts(BundleTable.read(path), window=3)
-            proxies.append({rec.tx_hash: proxy for rec, proxy in counted})
+            proxies.append({rec.tx_hash: proxy for rec, proxy in counted_pairs(counted)})
             out = tmp_path / f"report{k}"
             assert run(["report", "--input", str(path), "--window", "3",
                         "--out-dir", str(out)]) == 0
@@ -321,3 +323,36 @@ def test_zero_flag_is_not_treated_as_missing(tmp_path, capsys, flag):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] in ("ParameterError", "ConfigurationError")
     assert not out.exists() or not any(out.iterdir())
+
+
+PROFILE_INI = "type = naked_arb\nn = 4\nrho = 0.2\ngamma = 0.74\nmu = 1.102\nsigma = 1.5\n"
+BAD_CONFIGS = {
+    "solve-n": ("solve", "[solve]\n" + PROFILE_INI.replace("n = 4", "n = five")
+                + "epsilon = 0.2\n"),
+    "solve-nodes": ("solve", "[solve]\n" + PROFILE_INI + "epsilon = 0.2\nnodes = many\n"),
+    "simulate-blocks": ("simulate", "[simulate]\n" + PROFILE_INI
+                        + "epsilon = 0.2\nblocks = 1e6\nseed = 1\n"),
+    "generate-type-section": ("generate", "[generate]\nblocks = 10\nseed = 1\n"
+                              "[generate.type.sandwich]\n"
+                              + PROFILE_INI.replace("rho = 0.2", "rho = high")
+                              + "epsilon = 0.2\n"),
+    "report-window": ("report", "[report]\nwindow = wide\n"),
+    "no-section-header": ("solve", PROFILE_INI + "epsilon = 0.2\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_malformed_config_is_usage_error(tmp_path, case):
+    command, text = BAD_CONFIGS[case]
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    argv = [command, "--config", str(cfg)]
+    if command == "report":
+        bundles = tmp_path / "bundles.csv"
+        bundles.write_text(",".join(CSV_COLUMNS) + "\n")
+        argv += ["--input", str(bundles)]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        run([*argv, "--out-dir", str(out)])
+    assert err.value.code == 2
+    assert not out.exists()

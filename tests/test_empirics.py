@@ -24,6 +24,7 @@ from mevauction.errors import (
     ConfigurationError,
     DomainError,
     IngestError,
+    ParameterError,
     SchemaError,
     ThinSampleError,
 )
@@ -60,7 +61,7 @@ class TestIngest:
         rng = np.random.default_rng(5)
         records = synthetic_records(50, rng)
         path = tmp_path / "bundles.csv"
-        write_bundles(path, records)
+        write_bundles(path, BundleTable.from_records(records))
         back, report = ingest(path)
         assert report.malformed == 0
         assert [r.tx_hash for r in back] == [r.tx_hash for r in records]
@@ -68,7 +69,7 @@ class TestIngest:
                                    rtol=1e-11)
         # write -> read -> write is byte stable
         path2 = tmp_path / "again.csv"
-        write_bundles(path2, back)
+        write_bundles(path2, BundleTable.from_records(back))
         assert path.read_text() == path2.read_text()
 
     def test_empty_file_is_empty_stream(self, tmp_path):
@@ -160,24 +161,25 @@ class TestIngest:
                           searcher=['x\ny', '"', ",,"][i % 3])
                    for i in range(9)]
         path = tmp_path / "quoted.csv"
-        write_bundles(path, records)
+        write_bundles(path, BundleTable.from_records(records))
         back, report = ingest(path)
         assert report.malformed == 0
         assert back == records
 
-    def test_write_accepts_tables_chunks_and_records(self, tmp_path):
+    def test_write_accepts_a_table_or_chunks(self, tmp_path):
         records = [record(tip=0.5 * i, profit=1.0, block=i, tx=f"0x{i:x}",
                           builder=f"b{i % 2}", searcher=f"s{i % 3}") for i in range(7)]
         table = BundleTable.from_records(records)
-        given_forms = {"table": table, "chunks": [table.select(range(3)),
-                                                  table.select(range(3, 7))],
-                       "records": records, "record-iterator": iter(records)}
-        for name, given_records in given_forms.items():
+        chunks = [table.select(range(3)), table.select(range(3, 7))]
+        given_forms = {"table": table, "chunks": chunks, "chunk-iterator": iter(chunks)}
+        for name, tables in given_forms.items():
             path = tmp_path / f"{name}.csv"
-            assert write_bundles(path, given_records) == 7
+            assert write_bundles(path, tables) == 7
             assert ingest(path)[0] == records, name
-        assert write_bundles(tmp_path / "empty.csv", []) == 0
-        assert (tmp_path / "empty.csv").read_text() == ",".join(CSV_COLUMNS) + "\n"
+        header = ",".join(CSV_COLUMNS) + "\n"
+        for name, tables in {"no-chunks": [], "empty-table": BundleTable.from_records([])}.items():
+            assert write_bundles(tmp_path / f"{name}.csv", tables) == 0
+            assert (tmp_path / f"{name}.csv").read_text() == header
 
     def test_repeated_labels_are_one_group(self):
         table = BundleTable(["a", "b", "c"], np.array([1, 1, 2]),
@@ -237,6 +239,19 @@ class TestBribeSchedule:
         rng = np.random.default_rng(5)
         with pytest.raises(ThinSampleError, match="naked_arb"):
             bribe_schedule(synthetic_records(7, rng), MevType.NAKED_ARB)
+
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_bins_below_one_rejected(self, bins):
+        records = synthetic_records(600, np.random.default_rng(5))
+        with pytest.raises(ParameterError, match="bins"):
+            bribe_schedule(records, MevType.NAKED_ARB, bins=bins)
+
+    def test_more_bins_than_records_raises(self):
+        table = BundleTable.from_records(synthetic_records(600, np.random.default_rng(5)))
+        with pytest.raises(ThinSampleError, match="naked_arb: only 600 valid records, "
+                                                  "cannot form 1000 bins"):
+            bribe_schedule(table, MevType.NAKED_ARB, bins=1000)
+        assert len(bribe_schedule(table, MevType.NAKED_ARB, bins=600).bins) == 600
 
     def test_nonpositive_values_excluded_and_counted(self):
         rng = np.random.default_rng(6)

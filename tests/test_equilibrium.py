@@ -9,7 +9,6 @@ from mevauction import (
     GridSpec,
     PiecewiseStrategy,
     default_grid,
-    equilibrium_bid,
     indifference_epsilon,
     ipv_bid,
     ode_residual,
@@ -215,15 +214,15 @@ class TestPiecewiseStrategy:
         strat = solve_strategy(profile, 0.2, curve=curve)
         below = strat.cutoff * 0.9
         above = strat.cutoff * 1.1
-        assert equilibrium_bid(below, strat) == pytest.approx(curve.bid(below))
-        assert equilibrium_bid(above, strat) == pytest.approx(profile.gamma * above)
+        assert strat.bid(below) == pytest.approx(curve.bid(below))
+        assert strat.bid(above) == pytest.approx(profile.gamma * above)
 
     def test_jump_up_only(self, flagship):
         profile, curve = flagship
         strat = solve_strategy(profile, 0.2, curve=curve)
         eps = 1e-9 * strat.cutoff
-        low = equilibrium_bid(strat.cutoff - eps, strat)
-        high = equilibrium_bid(strat.cutoff + eps, strat)
+        low = strat.bid(strat.cutoff - eps)
+        high = strat.bid(strat.cutoff + eps)
         assert high >= low
 
     def test_monotone_bid_function(self, flagship):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import mevauction.revenue as revenue_module
 from mevauction import (
@@ -69,8 +70,11 @@ def direct_revenue(epsilon, strategy, profile):
         v = math.exp(s)
         return payoff(v) * top_value_density(v, profile) * v
 
+    # the payoff kinks where gamma*v crosses the bid: between grid nodes i and
+    # i + 1 wherever the sign of gamma*v - b changes, found by root-finding
     gap = gamma * curve.grid - curve.bids
-    kinks = curve.grid[np.flatnonzero(np.sign(gap[:-1]) * np.sign(gap[1:]) < 0)]
+    kinks = [brentq(lambda v: gamma * v - curve.bid(v), curve.grid[i], curve.grid[i + 1])
+             for i in np.flatnonzero(np.sign(gap[:-1]) * np.sign(gap[1:]) < 0)]
     breaks = [curve.v_min, curve.v_max, cap, v_star, *kinks]
     s_lo = profile.mu - 12.0 * profile.sigma
     s_hi = profile.mu + profile.sigma * (profile.sigma + 15.0)
@@ -108,11 +112,15 @@ class TestExpectedRevenue:
         "params, epsilon",
         [({}, 0.2), ({}, 0.5), ({}, 0.7),
          ({"n": 50}, 0.2), ({"n": 50}, 0.5), ({"n": 50}, 0.7),
-         ({"n": 3, "rho": 0.2, "gamma": 0.998}, 0.5), ({"gamma": 0.32}, 0.3)],
+         ({"n": 3, "rho": 0.2, "gamma": 0.998}, 0.5), ({"gamma": 0.32}, 0.3),
+         ({"gamma": 0.3}, 0.25), ({"gamma": 0.35}, 0.2)],
         ids=["flagship-0.2", "flagship-0.5", "flagship-0.7",
              "n50-0.2", "n50-0.5", "n50-0.7", "all_binding-0.5",
              # gamma*v crosses the bid near v = 90, in the bulk of f1
-             "kink_in_bulk-0.3"],
+             "kink_in_bulk-0.3",
+             # kinks where an oracle breakpoint at the grid node left of the
+             # crossing, instead of at the crossing, is off by 1e-8 to 1e-7
+             "kink_gamma_0.3-0.25", "kink_gamma_0.35-0.2"],
     )
     def test_matches_direct_quadrature(self, solved, params, epsilon):
         profile, curve = solved(**params)

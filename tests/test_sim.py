@@ -7,14 +7,13 @@ import pytest
 from mevauction import (
     deviation_payoff_grid,
     payoff_of_deviation,
-    run_block,
     run_many,
     solve_strategy,
 )
 from mevauction.equilibrium import BidCurve, PiecewiseStrategy
 from mevauction.errors import ParameterError
 from mevauction.rng import stream
-from mevauction.simulate import CHUNK, _play, _rival_chunk
+from mevauction.simulate import CHUNK, _play, _rival_chunk, _simulate_chunk
 from mevauction.values import affiliated_signal
 
 from conftest import curve_for, make_profile, marginal_quantile
@@ -57,41 +56,44 @@ def _reference_play(strategy, profile, gamma, epsilon, key, shape, antithetic=Fa
     return winner.reshape(shape), top_bid, top_val, defect, frontrun
 
 
+def _blocks(strategy, profile, seed, size):
+    """The per-block arrays of one kernel chunk, checked for frontrun => defect."""
+    _, bid, value, defect, frontrun, revenue, surplus = _simulate_chunk(
+        strategy, profile, seed, 0, size, False)
+    assert not np.any(frontrun & ~defect)
+    return bid, value, defect, frontrun, revenue, surplus
+
+
 class TestRunBlock:
+    """The rules of a block, on every block of a kernel chunk."""
+
     def test_no_defection_collects_bid(self, flagship):
         profile, curve = flagship
         strat = solve_strategy(profile, 0.0, curve=curve)
-        for seed in range(5):
-            out = run_block(strat, profile, seed)
-            assert not out.defected and not out.frontran
-            assert out.builder_revenue == out.winning_bid
-            assert out.searcher_surplus == pytest.approx(out.winner_value - out.winning_bid)
-
-    def test_matches_single_block_report(self, flagship):
-        profile, curve = flagship
-        strat = solve_strategy(profile, 0.6, curve=curve)
-        out = run_block(strat, profile, seed=44)
-        report = run_many(strat, profile, blocks=1, seed=44)
-        assert report.mean_builder_revenue == out.builder_revenue
-        assert report.mean_searcher_surplus == out.searcher_surplus
-        assert report.defection_rate_realized == float(out.defected)
+        bid, value, defect, frontrun, revenue, surplus = _blocks(strat, profile, 3, 5_000)
+        assert not defect.any() and not frontrun.any()
+        np.testing.assert_array_equal(revenue, bid)
+        np.testing.assert_array_equal(surplus, value - bid)
 
     def test_safe_winner_never_frontrun(self, solved):
         profile, curve = solved(n=4, rho=0.3, gamma=0.95)
         # cutoff at the grid bottom: every winner bids the deterrence level
         strat = PiecewiseStrategy(curve=curve, cutoff=curve.v_min,
                                   gamma=0.95, epsilon=0.95)
-        report = run_many(strat, profile, 20_000, seed=5)
-        assert report.defection_rate_realized > 0.9
-        assert report.frontrun_rate == 0.0
+        bid, _, defect, frontrun, revenue, _ = _blocks(strat, profile, 5, 20_000)
+        assert defect.mean() > 0.9
+        assert not frontrun.any()
+        np.testing.assert_array_equal(revenue, bid)
 
     def test_risky_winner_frontrun_when_binding(self, solved):
         profile, curve = solved(n=3, rho=0.2, gamma=0.95)
         strat = solve_strategy(profile, 0.5, curve=curve)
         assert strat.cutoff == math.inf  # risky everywhere, threat binds everywhere
-        report = run_many(strat, profile, 50_000, seed=6)
-        assert report.frontrun_rate == report.defection_rate_realized
-        assert report.frontrun_rate == pytest.approx(0.5, abs=0.01)
+        _, value, defect, frontrun, revenue, surplus = _blocks(strat, profile, 6, 50_000)
+        np.testing.assert_array_equal(frontrun, defect)
+        assert frontrun.mean() == pytest.approx(0.5, abs=0.01)
+        np.testing.assert_array_equal(revenue[frontrun], 0.95 * value[frontrun])
+        assert np.all(surplus[frontrun] == 0.0)
 
 
 class TestRunMany:

@@ -45,6 +45,7 @@ from mevauction.empirics import (
 from mevauction.errors import ConfigurationError, ThinSampleError
 from mevauction.profiles import MevType
 
+from conftest import counted_pairs
 from test_empirics import record
 
 
@@ -298,7 +299,7 @@ def test_columnar_matches_oracle(records):
     for window in (1, 3, 50):
         want = oracle_effective_bidder_counts(records, window)
         counted = effective_bidder_counts(table, window)
-        assert_same(list(counted), want, f"effective_bidder_counts(window={window})")
+        assert_same(counted_pairs(counted), want, f"effective_bidder_counts(window={window})")
         for edges in ((1, 2, 3, 5, 9, 17), (1,), (2, 4)):
             assert_same(board_diagnostic(counted, edges),
                         oracle_board_diagnostic(want, edges), "board_diagnostic")
@@ -330,7 +331,7 @@ def test_full_bins_and_thin_type_match_oracle():
     assert any(r.count == 1 for r in rows)
     want = oracle_effective_bidder_counts(records, 20)
     counted = effective_bidder_counts(table, 20)
-    assert_same(list(counted), want)
+    assert_same(counted_pairs(counted), want)
     assert_same(board_diagnostic(counted), oracle_board_diagnostic(want))
 
 

@@ -8,7 +8,6 @@ from scipy.stats import norm
 from mevauction import (
     rival_max_cdf,
     rival_max_hazard_ratio,
-    sample_values,
     top_value_cdf,
     top_value_density,
     top_value_mean,
@@ -18,45 +17,53 @@ from mevauction import (
 )
 from mevauction.errors import DomainError, ParameterError, TailUnderflowError
 from mevauction.rng import stream
-from mevauction.values import sample_signals
+from mevauction.values import affiliated_signal
 
 from conftest import MU, SIGMA, make_profile
 
 
+def draw_signals(profile, size, rng):
+    """(Z, u, z) for ``size`` blocks of n signals, drawn in the engine's order:
+    the common factors, then the idiosyncratic normals."""
+    Z = rng.standard_normal(size)
+    u = rng.standard_normal((size, profile.n))
+    return Z, u, affiliated_signal(Z[:, None], u, profile.rho)
+
+
 class TestSampling:
     def test_degenerate_dispersion(self):
-        draw = sample_values(make_profile(rho=0.0, sigma=0.0), seed=1)
-        assert np.all(draw.values == math.exp(MU))
+        profile = make_profile(rho=0.0, sigma=0.0)
+        _, _, z = draw_signals(profile, 1, stream(1))
+        assert np.all(np.exp(profile.mu + profile.sigma * z) == math.exp(MU))
 
     def test_lognormal_location_recovered(self):
         # mean of ln v over 1e6 draws must sit at mu within 0.01
         profile = make_profile(rho=0.0)
-        _, z = sample_signals(profile, 200_000, stream(7))
+        _, _, z = draw_signals(profile, 200_000, stream(7))
         logv = MU + SIGMA * z.ravel()
         assert abs(logv.mean() - MU) < 0.01
 
     def test_signal_correlation_matches_rho(self):
         profile = make_profile(n=2, rho=0.5)
-        _, z = sample_signals(profile, 1_000_000, stream(11))
+        _, _, z = draw_signals(profile, 1_000_000, stream(11))
         corr = np.corrcoef(z[:, 0], z[:, 1])[0, 1]
         assert abs(corr - 0.5) < 0.01
 
     def test_marginals_standard_normal(self):
         profile = make_profile(n=3, rho=0.7)
-        _, z = sample_signals(profile, 400_000, stream(3))
+        _, _, z = draw_signals(profile, 400_000, stream(3))
         assert abs(z.mean()) < 0.01
         assert abs(z.std() - 1.0) < 0.01
 
     def test_factor_reconstruction(self):
-        draw = sample_values(make_profile(rho=0.4), seed=5)
-        rebuilt = math.sqrt(0.4) * draw.common_factor + math.sqrt(0.6) * draw.idiosyncratic
-        np.testing.assert_allclose(draw.signals, rebuilt, rtol=1e-12)
-        np.testing.assert_allclose(draw.values, np.exp(MU + SIGMA * draw.signals), rtol=1e-12)
+        Z, u, z = draw_signals(make_profile(rho=0.4), 3, stream(5))
+        rebuilt = math.sqrt(0.4) * Z[:, None] + math.sqrt(0.6) * u
+        np.testing.assert_allclose(z, rebuilt, rtol=1e-12)
 
     def test_seed_determinism(self):
-        a = sample_values(make_profile(), seed=9)
-        b = sample_values(make_profile(), seed=9)
-        np.testing.assert_array_equal(a.values, b.values)
+        a = draw_signals(make_profile(), 4, stream(9))[2]
+        b = draw_signals(make_profile(), 4, stream(9))[2]
+        np.testing.assert_array_equal(a, b)
 
     def test_invalid_profile_rejected(self):
         with pytest.raises(ParameterError):
@@ -165,7 +172,7 @@ class TestTopValue:
 
     def test_cdf_matches_sampled_maxima(self):
         profile = make_profile(n=5, rho=0.5)
-        _, z = sample_signals(profile, 1_000_000, stream(21))
+        _, _, z = draw_signals(profile, 1_000_000, stream(21))
         vmax = np.exp(MU + SIGMA * z).max(axis=1)
         grid = np.quantile(vmax, np.linspace(0.02, 0.98, 25))
         empirical = np.searchsorted(np.sort(vmax), grid, side="right") / vmax.size
@@ -185,7 +192,7 @@ class TestTopValue:
 
     def test_tail_mean_against_monte_carlo(self):
         profile = make_profile(n=4, rho=0.3, sigma=1.0)
-        _, z = sample_signals(profile, 2_000_000, stream(33))
+        _, _, z = draw_signals(profile, 2_000_000, stream(33))
         vmax = np.exp(profile.mu + profile.sigma * z).max(axis=1)
         for limit in (0.0, 5.0, 20.0):
             mc = float(np.mean(vmax * (vmax > limit)))
