@@ -8,12 +8,21 @@ the resolved configuration, seed, and package version, and a separate
 across reruns.  Exit codes: 0 success, 1 domain error (JSON on stderr),
 2 usage error.
 
-Config grammar (INI): one section per command, keys equal to the long flag
-names with dashes replaced by underscores, each value read with its flag's
-type (a value that does not convert, or a file that is not INI, is a usage
-error)::
+Each parameter is declared once, as a row (config key, type, default or
+REQUIRED, help) of its command in ``PARAMS``.  The row gives the flag, the
+key with dashes for underscores (``--opportunities`` is the one alias, of
+``opportunities_per_block``; bool keys are store-true flags), and the config
+key.  A flag that is given wins, zero and the empty string included; else
+the config value; else the default.
+
+Config grammar (INI): one section per command, keyed by its rows' keys.
+Each value is read with its row's type, booleans as INI booleans (true/false,
+yes/no, on/off, 1/0), and recorded in ``manifest.json`` as written.  A key
+the section does not list, a value that does not convert, a missing required
+parameter or a file that is not INI is a usage error::
 
     [solve]
+    type = naked_arb
     n = 5
     rho = 0.3
     gamma = 0.74
@@ -22,9 +31,10 @@ error)::
     sigma = 2.524
 
 ``generate`` additionally accepts one section per type, named
-``[generate.type.<label>]`` with the same profile keys plus ``epsilon``.
-The only environment variable honored is MEVAUCTION_OUT (default output
-directory).
+``[generate.type.<label>]``, with the profile keys plus ``epsilon`` (``type``
+defaults to the label); these replace the profile flags and keys of
+``[generate]``.  The only environment variable honored is MEVAUCTION_OUT
+(default output directory).
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -63,73 +74,111 @@ from .diagnostics import (
     concentration,
     effective_bidder_counts,
 )
-from .equilibrium import GridSpec, default_grid, solve_bid_ode, solve_strategy
+from .equilibrium import DEFAULT_NODES, default_grid, solve_bid_ode, solve_strategy
 from .errors import MevAuctionError, ParameterError, ThinSampleError
 from .profiles import MevType, TypeProfile
 from .revenue import optimal_epsilon, revenue_sweep
 from .simulate import _check_run_args, run_many
 from .synthetic import SyntheticSpec, generate_chunks
 
-PROFILE_KEYS = ("type", "n", "rho", "gamma", "mu", "sigma")
-# the type of each numeric flag, by config key; other keys are strings
-CONFIG_TYPES = {"n": int, "rho": float, "gamma": float, "mu": float, "sigma": float,
-                "epsilon": float, "blocks": int, "seed": int, "nodes": int,
-                "opportunities_per_block": int, "window": int}
+REQUIRED = object()  # the default of a parameter that has none
+
+# one row per parameter: (config key, type, default or REQUIRED, help)
+PROFILE = (
+    ("type", str, REQUIRED, "MEV type label (sandwich, naked_arb, liquidation, backrun)"),
+    ("n", int, REQUIRED, "number of entrants"),
+    ("rho", float, REQUIRED, "signal affiliation in [0, 1)"),
+    ("gamma", float, REQUIRED, "replicable share in [0, 1]"),
+    ("mu", float, REQUIRED, "log-scale location"),
+    ("sigma", float, REQUIRED, "log-scale dispersion"),
+)
+# a profile and its defection rate: also the keys of [generate.type.<label>]
+SPEC = PROFILE + (("epsilon", float, REQUIRED, "builder defection rate"),)
+RUN = (("blocks", int, REQUIRED, "blocks to play"), ("seed", int, REQUIRED, "random seed"))
+INPUT = ("input", str, REQUIRED, "bundle CSV")
+PARAMS = {
+    "solve": SPEC + (("v_min", float, None, "grid lower bound (default from the profile)"),
+                     ("v_max", float, None, "grid upper bound (default from the profile)"),
+                     ("nodes", int, DEFAULT_NODES, "RK4 nodes before stability refinement")),
+    "sweep": PROFILE + (
+        ("epsilons", str, None, "comma-separated grid (default 0,0.05,...,0.99)"),),
+    "simulate": SPEC + RUN + (("threads", int, 1, "worker threads"),
+                              ("antithetic", bool, False, "antithetic signal pairs"),
+                              ("trace", bool, False, "write a capped per-block trace"),
+                              ("trace_cap", int, 10_000, "most blocks in the trace")),
+    "generate": SPEC + RUN + (
+        ("opportunities_per_block", int, 1, "auctions per block and type"),),
+    "estimate": (INPUT,),
+    "report": (INPUT, ("bergemann_rule", str, DEFAULT_BERGEMANN_RULE, "named disclosure rule"),
+               ("window", int, 50, "bidder-count proxy window (blocks)")),
+}
 
 
-def _read_ini(path, parser) -> configparser.ConfigParser:
+def _flag(key: str) -> str:
+    return "--opportunities" if key == "opportunities_per_block" else "--" + key.replace("_", "-")
+
+
+def _lookup(rows, flags, section, parser, name):
+    """(values, written) of ``rows``, from ``flags`` (empty for a type
+    section) and the config ``section`` called ``name``; config values are
+    written as they stand in the file, booleans as parsed."""
+    values, written = {}, {}
+    for key, kind, default, _ in rows:
+        text = section.get(key)
+        if flags.get(key) is not None:
+            values[key] = written[key] = flags[key]
+        elif text is not None:
+            try:
+                values[key] = (configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+                               if kind is bool else kind(text))
+            except (KeyError, ValueError):
+                parser.error(f"config value {key} = {text!r} in [{name}] "
+                             f"is not {kind.__name__}")
+            written[key] = values[key] if kind is bool else text
+        elif default is not REQUIRED:
+            values[key] = written[key] = default
+        elif flags:
+            parser.error(f"missing required parameter {_flag(key)}")
+        else:
+            parser.error(f"config section [{name}] misses key {key}")
+    return values, written
+
+
+def _params(args, parser):
+    """Every parameter of ``args.command``, typed (``values``) and as given
+    (``written``, for the manifest).  generate's type sections, when there
+    are any, replace its profile flags and keys: ``values["types"]`` then
+    holds one typed SPEC per section."""
     config = configparser.ConfigParser()
-    with open(path, encoding="utf-8") as fh:
-        try:
-            config.read_file(fh)
-        except configparser.Error as exc:
-            parser.error(f"config file {path}: {exc}")
-    return config
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            try:
+                config.read_file(fh)
+            except configparser.Error as exc:
+                parser.error(f"config file {args.config}: {exc}")
+    declared = {args.command: PARAMS[args.command]}
+    if args.command == "generate":
+        declared.update((name, SPEC) for name in config.sections()
+                        if name.startswith("generate.type."))
+    sections = {name: dict(config[name]) if config.has_section(name) else {}
+                for name in declared}
+    for name, body in sections.items():
+        unknown = sorted(set(body) - {key for key, *_ in declared[name]})
+        if unknown:
+            parser.error(f"config section [{name}] has unknown keys: {', '.join(unknown)}")
+    section = sections.pop(args.command)
+    rows = [row for row in PARAMS[args.command] if not sections or row not in SPEC]
+    values, written = _lookup(rows, vars(args), section, parser, args.command)
+    if sections:
+        values["types"] = [
+            _lookup(SPEC, {}, {"type": name.split(".", 2)[2], **body}, parser, name)[0]
+            for name, body in sections.items()]
+    return values, written
 
 
-def _load_config(path, command, parser):
-    if not path:
-        return {}
-    config = _read_ini(path, parser)
-    section = dict(config[command]) if config.has_section(command) else {}
-    section["_type_sections"] = [
-        (name.split(".", 2)[2], dict(config[name]))
-        for name in config.sections()
-        if name.startswith(f"{command}.type.")
-    ]
-    return section
-
-
-def _resolve(args, config, keys, parser):
-    """Merge config defaults with flag overrides; missing keys are usage errors."""
-    out = {}
-    for key in keys:
-        val = _flag_or_config(getattr(args, key, None), config, key, parser)
-        if val is None:
-            parser.error(f"missing required parameter --{key.replace('_', '-')}")
-        out[key] = val
-    return out
-
-
-def _flag_or_config(flag, config, key, parser, default=None):
-    """A flag that was given (zero included) wins over the config value.  That
-    value is kept as written, but must convert with the flag's type."""
-    if flag is not None:
-        return flag
-    text = config.get(key)
-    if text is None:
-        return default
-    kind = CONFIG_TYPES.get(key, str)
-    try:
-        kind(text)
-    except ValueError:
-        parser.error(f"config value {key} = {text!r} is not {kind.__name__}")
-    return text
-
-
-def _profile_from(params) -> TypeProfile:
-    return TypeProfile(MevType.parse(str(params["type"])),
-                       **{k: CONFIG_TYPES[k](params[k]) for k in PROFILE_KEYS[1:]})
+def _profile_from(values) -> TypeProfile:
+    return TypeProfile(MevType.parse(values["type"]),
+                       **{key: values[key] for key, *_ in PROFILE[1:]})
 
 
 def _out_dir(args) -> Path:
@@ -166,25 +215,17 @@ def _manifest(out: Path, command: str, resolved: dict, started: float):
 
 def cmd_solve(args, parser):
     started = time.time()
-    config = _load_config(args.config, "solve", parser)
-    params = _resolve(args, config, PROFILE_KEYS + ("epsilon",), parser)
-    profile = _profile_from(params)
-    epsilon = float(params["epsilon"])
-    nodes = int(_flag_or_config(args.nodes, config, "nodes", parser, 2000))
+    p, written = _params(args, parser)
+    profile = _profile_from(p)
     out = _out_dir(args)
 
-    grid = default_grid(profile, nodes=nodes)
-    if args.v_min is not None or args.v_max is not None:
-        grid = GridSpec(
-            v_min=float(args.v_min if args.v_min is not None else grid.v_min),
-            v_max=float(args.v_max if args.v_max is not None else grid.v_max),
-            nodes=grid.nodes,
-        )
+    grid = replace(default_grid(profile, nodes=p["nodes"]),
+                   **{k: p[k] for k in ("v_min", "v_max") if p[k] is not None})
     curve = solve_bid_ode(profile, grid)
-    strategy = solve_strategy(profile, epsilon, curve=curve)
+    strategy = solve_strategy(profile, p["epsilon"], curve=curve)
     _write(out / "curve.csv", curve.to_csv())
     _write(out / "strategy.json", strategy.to_json())
-    _manifest(out, "solve", {**params, "nodes": grid.nodes,
+    _manifest(out, "solve", {**written, "nodes": grid.nodes,
                              "v_min": grid.v_min, "v_max": grid.v_max}, started)
     cutoff = "inf" if math.isinf(strategy.cutoff) else f"{strategy.cutoff:.6g}"
     print(f"solved curve ({curve.grid.size} nodes), cutoff = {cutoff}")
@@ -193,14 +234,13 @@ def cmd_solve(args, parser):
 
 def cmd_sweep(args, parser):
     started = time.time()
-    config = _load_config(args.config, "sweep", parser)
-    params = _resolve(args, config, PROFILE_KEYS, parser)
-    profile = _profile_from(params)
-    eps_text = _flag_or_config(args.epsilons, config, "epsilons", parser)
+    p, written = _params(args, parser)
+    profile = _profile_from(p)
+    eps_text = p["epsilons"]
     if eps_text is not None:
         # explicit grids of any size are honored; argmax is over that grid
         try:
-            grid = [float(x) for x in str(eps_text).split(",")]
+            grid = [float(x) for x in eps_text.split(",")]
         except ValueError:
             raise ParameterError(
                 f"epsilons must be comma-separated numbers, got {eps_text!r}") from None
@@ -215,63 +255,43 @@ def cmd_sweep(args, parser):
     _write(out / "revenue_profile.json", json.dumps(
         {"epsilon_star": star, "regime": regime,
          "profile": json.loads(rp.to_json())}, indent=1))
-    _manifest(out, "sweep", {**params, "epsilons": eps_text or "default"}, started)
+    _manifest(out, "sweep", {**written, "epsilons": eps_text or "default"}, started)
     print(f"regime = {regime}, epsilon_star = {star}")
     return 0
 
 
 def cmd_simulate(args, parser):
     started = time.time()
-    config = _load_config(args.config, "simulate", parser)
-    params = _resolve(args, config, PROFILE_KEYS + ("epsilon", "blocks", "seed"), parser)
-    profile = _profile_from(params)
-    blocks = int(params["blocks"])
-    _check_run_args(blocks, args.threads, args.antithetic, args.trace_cap)
+    p, written = _params(args, parser)
+    profile = _profile_from(p)
+    _check_run_args(p["blocks"], p["threads"], p["antithetic"], p["trace_cap"])
     out = _out_dir(args)
-    strategy = solve_strategy(profile, float(params["epsilon"]))
-    trace_path = out / "trace.csv" if args.trace else None
-    report = run_many(strategy, profile, blocks, int(params["seed"]),
-                      workers=args.threads, antithetic=args.antithetic,
-                      trace_path=trace_path, trace_cap=args.trace_cap)
+    strategy = solve_strategy(profile, p["epsilon"])
+    report = run_many(strategy, profile, p["blocks"], p["seed"],
+                      workers=p["threads"], antithetic=p["antithetic"],
+                      trace_path=out / "trace.csv" if p["trace"] else None,
+                      trace_cap=p["trace_cap"])
     _write(out / "sim_report.json", report.to_json())
-    _manifest(out, "simulate", {**params, "antithetic": args.antithetic}, started)
+    # the report is the same for every thread count, and the trace has its own file
+    _manifest(out, "simulate", {k: v for k, v in written.items()
+                                if k not in ("threads", "trace", "trace_cap")}, started)
     print(f"blocks={report.blocks} revenue={report.mean_builder_revenue:.6g}"
           f" +-{report.stderr_builder_revenue:.2g}")
     return 0
 
 
-def _specs_from_config(config, args, parser):
-    rows = config.get("_type_sections") or []
-    if rows:
-        specs = []
-        for label, row in rows:
-            params = {k: _flag_or_config(None, row, k, parser)
-                      for k in PROFILE_KEYS[1:] + ("epsilon",)}
-            params["type"] = row.get("type", label)
-            if any(v is None for v in params.values()):
-                parser.error(f"[generate.type.{label}] missing keys")
-            specs.append(SyntheticSpec(profile=_profile_from(params),
-                                       epsilon=float(params["epsilon"])))
-        return specs
-    params = _resolve(args, config, PROFILE_KEYS + ("epsilon",), parser)
-    return [SyntheticSpec(profile=_profile_from(params),
-                          epsilon=float(params["epsilon"]))]
-
-
 def cmd_generate(args, parser):
     started = time.time()
-    config = _load_config(args.config, "generate", parser)
-    specs = _specs_from_config(config, args, parser)
-    params = _resolve(args, config, ("blocks", "seed"), parser)
-    blocks, seed = int(params["blocks"]), int(params["seed"])
-    opb = int(_flag_or_config(args.opportunities, config, "opportunities_per_block",
-                              parser, 1))
-    chunks = generate_chunks(specs, blocks, seed, opportunities_per_block=opb)
+    p, _ = _params(args, parser)
+    specs = [SyntheticSpec(profile=_profile_from(t), epsilon=t["epsilon"])
+             for t in p.get("types", [p])]
+    chunks = generate_chunks(specs, p["blocks"], p["seed"],
+                             opportunities_per_block=p["opportunities_per_block"])
     out = _out_dir(args)
     count = write_bundles(out / "bundles.csv", chunks)
     _manifest(out, "generate", {
-        "blocks": blocks, "seed": seed,
-        "opportunities_per_block": opb,
+        "blocks": p["blocks"], "seed": p["seed"],
+        "opportunities_per_block": p["opportunities_per_block"],
         "types": [s.profile.tau.value for s in specs]}, started)
     print(f"wrote {count} records to {out / 'bundles.csv'}")
     return 0
@@ -293,30 +313,23 @@ def _write_estimates(table, out):
 
 def cmd_estimate(args, parser):
     started = time.time()
-    config = _load_config(args.config, "estimate", parser)
-    path = args.input or config.get("input")
-    if not path:
-        parser.error("missing required parameter --input")
+    p, _ = _params(args, parser)
     out = _out_dir(args)
-    estimates = _write_estimates(BundleTable.read(path), out)
+    estimates = _write_estimates(BundleTable.read(p["input"]), out)
     _write(out / "gamma_estimates.json", json.dumps(
         {t.value: e.to_dict() for t, e in estimates.items()}, indent=1, sort_keys=True))
-    _manifest(out, "estimate", {"input": str(path)}, started)
+    _manifest(out, "estimate", p, started)
     print(f"estimated gamma for {len(estimates)} types")
     return 0
 
 
 def cmd_report(args, parser):
     started = time.time()
-    config = _load_config(args.config, "report", parser)
-    path = args.input or config.get("input")
-    if not path:
-        parser.error("missing required parameter --input")
-    rule = args.bergemann_rule or config.get("bergemann_rule", DEFAULT_BERGEMANN_RULE)
-    window = int(_flag_or_config(args.window, config, "window", parser, 50))
+    params, _ = _params(args, parser)
+    rule, window = params["bergemann_rule"], params["window"]
     out = _out_dir(args)
     ingest_report = IngestReport()
-    table = BundleTable.read(path, ingest_report)
+    table = BundleTable.read(params["input"], ingest_report)
     # before any output is written, so a bad window leaves no partial report
     counted = effective_bidder_counts(table, window=window)
 
@@ -413,8 +426,7 @@ def cmd_report(args, parser):
         "bin_weighting": "record-weighted within bins; bin-uniform dispersion "
                          "reported by estimate_gamma",
     }, indent=1, sort_keys=True, allow_nan=False))
-    _manifest(out, "report", {"input": str(path), "bergemann_rule": rule,
-                              "window": window}, started)
+    _manifest(out, "report", params, started)
     print(f"report written to {out} ({ingest_report.records} records)")
     return 0
 
@@ -423,15 +435,6 @@ def cmd_report(args, parser):
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_profile_flags(p):
-    p.add_argument("--type", help="MEV type label (sandwich, naked_arb, liquidation, backrun)")
-    p.add_argument("--n", type=int, help="number of entrants")
-    p.add_argument("--rho", type=float, help="signal affiliation in [0, 1)")
-    p.add_argument("--gamma", type=float, help="replicable share in [0, 1]")
-    p.add_argument("--mu", type=float, help="log-scale location")
-    p.add_argument("--sigma", type=float, help="log-scale dispersion")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mevauction",
@@ -439,58 +442,21 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, func, about in (
+            ("solve", cmd_solve, "solve the bid curve and cutoff"),
+            ("sweep", cmd_sweep, "revenue profile over defection rates"),
+            ("simulate", cmd_simulate, "Monte Carlo the full game"),
+            ("generate", cmd_generate, "synthetic bundle records"),
+            ("estimate", cmd_estimate, "bribe schedules and gamma estimates"),
+            ("report", cmd_report, "full estimation pipeline and figure data")):
+        p = sub.add_parser(command, help=about)
         p.add_argument("--config", help="INI config file")
         p.add_argument("--out-dir", help="output directory (or MEVAUCTION_OUT)")
-
-    p = sub.add_parser("solve", help="solve the bid curve and cutoff")
-    common(p)
-    _add_profile_flags(p)
-    p.add_argument("--epsilon", type=float, help="builder defection rate")
-    p.add_argument("--v-min", type=float)
-    p.add_argument("--v-max", type=float)
-    p.add_argument("--nodes", type=int)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("sweep", help="revenue profile over defection rates")
-    common(p)
-    _add_profile_flags(p)
-    p.add_argument("--epsilons", help="comma-separated grid (default 0,0.05,...,0.99)")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("simulate", help="Monte Carlo the full game")
-    common(p)
-    _add_profile_flags(p)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--blocks", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--antithetic", action="store_true")
-    p.add_argument("--trace", action="store_true", help="write a capped per-block trace")
-    p.add_argument("--trace-cap", type=int, default=10_000)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("generate", help="synthetic bundle records")
-    common(p)
-    _add_profile_flags(p)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--blocks", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--opportunities", type=int, help="auctions per block and type")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("estimate", help="bribe schedules and gamma estimates")
-    common(p)
-    p.add_argument("--input", help="bundle CSV")
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("report", help="full estimation pipeline and figure data")
-    common(p)
-    p.add_argument("--input", help="bundle CSV")
-    p.add_argument("--bergemann-rule", help="named disclosure rule")
-    p.add_argument("--window", type=int, help="bidder-count proxy window (blocks)")
-    p.set_defaults(func=cmd_report)
+        for key, kind, _, text in PARAMS[command]:
+            # None when not given, so that a given flag wins even at zero
+            how = dict(action="store_true", default=None) if kind is bool else dict(type=kind)
+            p.add_argument(_flag(key), dest=key, help=text, **how)
+        p.set_defaults(func=func)
     return parser
 
 

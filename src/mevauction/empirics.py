@@ -253,6 +253,8 @@ class BundleTable:
         index = np.asarray(index)
         if index.dtype == bool:
             index = np.flatnonzero(index)
+        elif index.size == 0:  # [] converts to a float array
+            index = index.astype(np.intp)
         tx = self.tx_hash
         return BundleTable([tx[i] for i in index.tolist()], self.block[index],
                            self.mev_type[index], self.builder[index], self.builders,

@@ -63,8 +63,8 @@ class GridSpec:
     nodes: int
 
     def __post_init__(self):
-        if not (0.0 < self.v_min < self.v_max):
-            raise ParameterError("need 0 < v_min < v_max")
+        if not (0.0 < self.v_min < self.v_max < math.inf):
+            raise ParameterError("need 0 < v_min < v_max < inf")
         if self.nodes < 200:
             raise ParameterError("need at least 200 grid nodes")
 
@@ -309,11 +309,15 @@ def solve_cutoff(curve: BidCurve, gamma: float, epsilon: float) -> float:
         raise ParameterError("epsilon must be in [0, 1)")
     if not (0.0 <= gamma <= 1.0):
         raise ParameterError("gamma must be in [0, 1]")
+    ebar = indifference_epsilon(curve.grid, curve, gamma)
+    _check_monotone(curve.grid, ebar)
+    return _cutoff_on_levels(curve, gamma, epsilon, ebar)
 
-    grid = curve.grid
-    ebar = indifference_epsilon(grid, curve, gamma)
+
+def _check_monotone(grid, ebar):
+    """Raise CutoffMonotonicityError unless the indifference levels ``ebar``
+    on ``grid`` are strictly monotone over the binding region (free of eps)."""
     binding = ebar > 0.0
-
     if np.any(binding):
         idx = np.flatnonzero(binding)
         steps = np.diff(ebar[idx[0]: idx[-1] + 1])
@@ -327,6 +331,11 @@ def solve_cutoff(curve: BidCurve, gamma: float, epsilon: float) -> float:
                 interval=(float(grid[j]), float(grid[hi])),
             )
 
+
+def _cutoff_on_levels(curve: BidCurve, gamma: float, epsilon: float, ebar) -> float:
+    """``solve_cutoff`` given the checked indifference levels on the curve's
+    grid, so that a sweep computes them once for all its rates."""
+    grid = curve.grid
     diff = ebar - epsilon
     sign_change = np.flatnonzero(np.sign(diff[:-1]) * np.sign(diff[1:]) < 0)
     exact = np.flatnonzero(diff == 0.0)
@@ -357,9 +366,10 @@ def solve_cutoff(curve: BidCurve, gamma: float, epsilon: float) -> float:
         # deterrence premium exceeds the defection risk at every valuation
         return math.inf
     # epsilon >= ebar everywhere: deterrence wherever the threat binds
-    if not np.any(binding):
+    binding = np.flatnonzero(ebar > 0.0)
+    if not binding.size:
         return math.inf
-    first = int(np.flatnonzero(binding)[0])
+    first = int(binding[0])
     if first == 0:
         return float(grid[0])
     return float(

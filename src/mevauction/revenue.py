@@ -48,8 +48,8 @@ from .errors import (
     ParameterError,
     SolverError,
 )
-from .equilibrium import BidCurve, PiecewiseStrategy, indifference_epsilon, \
-    solve_bid_ode, solve_cutoff
+from .equilibrium import BidCurve, PiecewiseStrategy, _check_monotone, _cutoff_on_levels, \
+    indifference_epsilon, solve_bid_ode
 from .profiles import TypeProfile
 from .values import (
     top_value_density,
@@ -152,11 +152,14 @@ class _PanelTable:
         self.tail = _frozen_tail(profile.gamma, curve.bid(cap), cap, profile)
 
     @cached_property
+    def ebar(self):
+        """The indifference level on the curve's grid."""
+        return indifference_epsilon(self.curve.grid, self.curve, self.profile.gamma)
+
+    @cached_property
     def ebar_slope(self):
         """Derivative of the PCHIP through the indifference level on the grid."""
-        grid = self.curve.grid
-        return PchipInterpolator(
-            grid, indifference_epsilon(grid, self.curve, self.profile.gamma)).derivative()
+        return PchipInterpolator(self.curve.grid, self.ebar).derivative()
 
     def parts(self, v_star: float):
         """(bid, gap, safe) for the strategy with cutoff ``v_star``.
@@ -325,8 +328,9 @@ def revenue_sweep(profile: TypeProfile, grid, curve: BidCurve | None = None) -> 
     """Revenue, derivative, and cutoff at each grid rate (any grid size >= 1).
 
     The bid curve is shared across the sweep (it never depends on epsilon);
-    only the cutoff is re-solved per grid point.  One panel table serves
-    every rate, and each distinct cutoff is evaluated on it once.
+    only the cutoff is re-solved per grid point, on indifference levels
+    computed and checked once.  One panel table serves every rate, and each
+    distinct cutoff is evaluated on it once.
     Derivatives are the positive-part form (``require_binding=False``).
     """
     eps_grid = np.asarray(grid, dtype=float)
@@ -339,10 +343,11 @@ def revenue_sweep(profile: TypeProfile, grid, curve: BidCurve | None = None) -> 
     profile.require_dispersion()
     binds = np.any(profile.gamma * curve.grid - curve.bids > 0.0)
     table = _PanelTable(curve, profile)
+    _check_monotone(curve.grid, table.ebar)
     parts = {}  # cutoff -> (bid, gap, safe)
     revenues, derivatives, cutoffs = [], [], []
     for eps in map(float, eps_grid):
-        cut = solve_cutoff(curve, profile.gamma, eps)
+        cut = _cutoff_on_levels(curve, profile.gamma, eps, table.ebar)
         strat = PiecewiseStrategy(curve=curve, cutoff=cut,
                                   gamma=profile.gamma, epsilon=eps)
         if cut not in parts:

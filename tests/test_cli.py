@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 from itertools import groupby
@@ -5,7 +6,7 @@ from itertools import groupby
 import pytest
 
 import mevauction.empirics
-from mevauction.cli import main
+from mevauction.cli import build_parser, main
 from mevauction.diagnostics import affiliation_pairs, effective_bidder_counts
 from mevauction.empirics import CSV_COLUMNS, BundleTable
 
@@ -337,6 +338,16 @@ BAD_CONFIGS = {
                               + PROFILE_INI.replace("rho = 0.2", "rho = high")
                               + "epsilon = 0.2\n"),
     "report-window": ("report", "[report]\nwindow = wide\n"),
+    "simulate-trace-not-boolean": ("simulate", "[simulate]\n" + PROFILE_INI
+                                   + "epsilon = 0.2\nblocks = 10\nseed = 1\ntrace = often\n"),
+    # a key that the section does not list
+    "generate-unknown-key": ("generate", "[generate]\n" + PROFILE_INI
+                             + "epsilon = 0.2\nblocks = 10\nseed = 1\nopportunities = 2\n"),
+    "simulate-misspelt-key": ("simulate", "[simulate]\n" + PROFILE_INI
+                              + "epsilon = 0.2\nblocks = 10\nseed = 1\nthread = 2\n"),
+    "generate-type-section-unknown-key": ("generate", "[generate]\nblocks = 10\nseed = 1\n"
+                                          "[generate.type.sandwich]\n" + PROFILE_INI
+                                          + "epsilon = 0.2\nseed = 2\n"),
     "no-section-header": ("solve", PROFILE_INI + "epsilon = 0.2\n"),
 }
 
@@ -356,3 +367,75 @@ def test_malformed_config_is_usage_error(tmp_path, case):
         run([*argv, "--out-dir", str(out)])
     assert err.value.code == 2
     assert not out.exists()
+
+
+def parser_flags():
+    """(command, flag, config key) of every parameter flag of every command."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, p in sub.choices.items():
+        for action in p._actions:
+            if action.dest not in ("help", "config", "out_dir"):
+                yield command, action.option_strings[0], action.dest
+
+
+# a valid value of every key, as written in a config file (None: a boolean flag)
+SAMPLE = {"type": "naked_arb", "n": "4", "rho": "0.2", "gamma": "0.74", "mu": "1.102",
+          "sigma": "1.5", "epsilon": "0.2", "v_min": "0.05", "v_max": "900",
+          "nodes": "300", "epsilons": "0.1,0.3", "blocks": "500", "seed": "3",
+          "threads": "2", "antithetic": None, "trace": None, "trace_cap": "50",
+          "opportunities_per_block": "2", "bergemann_rule": "one_minus_inverse_n",
+          "window": "7", "input": "bundles.csv"}
+FLAGS = sorted(parser_flags())
+
+
+@pytest.fixture(scope="module")
+def sample_bundles(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bundles")
+    assert run(["generate", *SOLVE_FLAGS, "--epsilon", "0.3", "--blocks", "1000",
+                "--seed", "5", "--out-dir", str(out)]) == 0
+    return out / "bundles.csv"
+
+
+@pytest.mark.parametrize("command,flag,key", FLAGS, ids=[f"{c}{f}" for c, f, _ in FLAGS])
+def test_every_flag_is_a_config_key(tmp_path, sample_bundles, command, flag, key):
+    # the same run twice, all of its parameters given as flags, except that
+    # the second run sets ``key`` in its config file instead
+    values = dict(SAMPLE, input=str(sample_bundles))
+    flags = {f: k for c, f, k in FLAGS if c == command}
+    argv = {f: [f] if values[k] is None else [f, values[k]] for f, k in flags.items()}
+    written = "true" if values[key] is None else values[key]
+    config = tmp_path / "run.ini"
+    config.write_text(f"[{command}]\n{key} = {written}\n")
+    outs = tmp_path / "flag", tmp_path / "config"
+    assert run([command, *sum(argv.values(), []), "--out-dir", str(outs[0])]) == 0
+    assert run([command, "--config", str(config),
+                *sum((a for f, a in argv.items() if f != flag), []),
+                "--out-dir", str(outs[1])]) == 0
+
+    names = sorted(p.name for p in outs[0].iterdir() if p.name != "timing.json")
+    assert sorted(p.name for p in outs[1].iterdir() if p.name != "timing.json") == names
+    for name in names:
+        if name != "manifest.json":
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    by_flag, by_config = (json.loads((out / "manifest.json").read_text()) for out in outs)
+    if by_config["config"].get(key) != by_flag["config"].get(key):
+        # a config value is recorded as written, a flag as its parsed value
+        assert by_config["config"][key] == written
+        assert str(by_flag["config"][key]) == written
+        by_config["config"][key] = by_flag["config"][key]
+    assert by_config == by_flag
+
+
+@pytest.mark.parametrize("command,flag,error", [
+    ("estimate", "--input", "FileNotFoundError"),
+    ("report", "--input", "FileNotFoundError"),
+    ("report", "--bergemann-rule", "ConfigurationError")])
+def test_empty_flag_does_not_fall_back_to_config(tmp_path, capsys, sample_bundles,
+                                                 command, flag, error):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{command}]\ninput = {sample_bundles}\n"
+                   + ("bergemann_rule = one_minus_inverse_n\n" if command == "report" else ""))
+    assert run([command, "--config", str(cfg), flag, "",
+                "--out-dir", str(tmp_path / "out")]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == error

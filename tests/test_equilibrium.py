@@ -91,6 +91,8 @@ class TestSolveBidOde:
     def test_rejects_thin_grid(self):
         with pytest.raises(ParameterError):
             GridSpec(v_min=0.1, v_max=10.0, nodes=100)
+        with pytest.raises(ParameterError, match="inf"):
+            GridSpec(v_min=0.1, v_max=math.inf, nodes=2000)
 
 
 class TestBidCurve:

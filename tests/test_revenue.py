@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+import mevauction.equilibrium as equilibrium_module
 import mevauction.revenue as revenue_module
 from mevauction import (
     DEFAULT_EPSILON_GRID,
@@ -254,6 +255,24 @@ class TestOptimalEpsilon:
             assert np.unique(rp.cutoffs).size == distinct
             assert len(tables) == 1
             assert sorted(cutoffs) == sorted(np.unique(rp.cutoffs))
+
+    def test_sweep_evaluates_indifference_level_once(self, solved, monkeypatch):
+        # ebar on the whole grid and its monotonicity scan are free of eps:
+        # one evaluation serves every cutoff and the boundary term's slope
+        real = equilibrium_module.indifference_epsilon
+        full_grid = []
+
+        def counting(v, curve, gamma):
+            if np.size(v) == curve.grid.size:
+                full_grid.append(gamma)
+            return real(v, curve, gamma)
+
+        for module in (equilibrium_module, revenue_module):
+            monkeypatch.setattr(module, "indifference_epsilon", counting)
+        profile, curve = solved()
+        rp = revenue_sweep(profile, DEFAULT_EPSILON_GRID, curve=curve)
+        assert np.any(rp.derivatives != 0.0) and np.any(np.isfinite(rp.cutoffs))
+        assert len(full_grid) == 1
 
     def test_grid_validation(self, flagship):
         profile, _ = flagship

@@ -351,3 +351,4 @@ def test_record_view_round_trips():
     assert list(table.records()) == records
     assert list(table.select([1, 0]).records()) == records[::-1]
     assert list(table.select(np.array([False, True])).records()) == records[1:]
+    assert list(table.select([]).records()) == []
