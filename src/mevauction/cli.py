@@ -33,8 +33,14 @@ parameter or a file that is not INI is a usage error::
 ``generate`` additionally accepts one section per type, named
 ``[generate.type.<label>]``, with the profile keys plus ``epsilon`` (``type``
 defaults to the label); these replace the profile flags and keys of
-``[generate]``.  The only environment variable honored is MEVAUCTION_OUT
-(default output directory).
+``[generate]``, and giving any of those beside them is a usage error.  The
+only environment variable honored is MEVAUCTION_OUT (default output
+directory).
+
+This module alone formats output files, from result objects that hold
+numbers: tables through ``_write_csv``, documents (strict JSON) through
+``_write_json``.  Only the bundle CSV (``write_bundles``) and the simulation
+trace (``run_many``) are written elsewhere, as they stream.
 """
 
 from __future__ import annotations
@@ -46,7 +52,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, astuple, replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +63,8 @@ from .empirics import (
     MEV_TYPES,
     BundleTable,
     IngestReport,
+    _bergemann_rule,
+    _csv_field,
     _types_present,
     bergemann_threshold,
     bribe_schedule,
@@ -70,7 +79,6 @@ from .diagnostics import (
     affiliation_pairs,
     board_diagnostic,
     builder_table,
-    builder_table_csv,
     concentration,
     effective_bidder_counts,
 )
@@ -147,8 +155,8 @@ def _lookup(rows, flags, section, parser, name):
 def _params(args, parser):
     """Every parameter of ``args.command``, typed (``values``) and as given
     (``written``, for the manifest).  generate's type sections, when there
-    are any, replace its profile flags and keys: ``values["types"]`` then
-    holds one typed SPEC per section."""
+    are any, replace its profile flags and keys, which must then not be
+    given: ``values["types"]`` holds one typed SPEC per section."""
     config = configparser.ConfigParser()
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -167,6 +175,10 @@ def _params(args, parser):
         if unknown:
             parser.error(f"config section [{name}] has unknown keys: {', '.join(unknown)}")
     section = sections.pop(args.command)
+    given = [key for key, *_ in SPEC if key in section or vars(args).get(key) is not None]
+    if sections and given:
+        parser.error(f"[generate.type.*] sections replace the profile parameters; "
+                     f"drop {', '.join(given)} from the flags and from [generate]")
     rows = [row for row in PARAMS[args.command] if not sections or row not in SPEC]
     values, written = _lookup(rows, vars(args), section, parser, args.command)
     if sections:
@@ -188,8 +200,32 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _write(path: Path, text: str):
-    path.write_text(text, encoding="utf-8")
+def _write_csv(path: Path, header, rows):
+    """Write ``rows`` under the header line ``header``: floats to 12
+    significant digits (inf and nan spelled out), integers in full, MEV types
+    by label and text quoted as ``csv.writer`` quotes it.  The first row fixes
+    each column's kind, and every row is formatted by one ``%``-format."""
+    rows = list(rows)
+    lines = [header + "\n"]
+    if rows:
+        text = [i for i, cell in enumerate(rows[0]) if isinstance(cell, str)]
+        line = ",".join("%s" if i in text else "%.12g" if isinstance(cell, float) else "%d"
+                        for i, cell in enumerate(rows[0])) + "\n"
+        if text:  # each distinct text cell is labelled and quoted once
+            columns = [map(itemgetter(i), rows) for i in range(len(rows[0]))]
+            for i in text:
+                fields = {cell: _csv_field(getattr(cell, "value", cell))
+                          for cell in set(map(itemgetter(i), rows))}
+                columns[i] = map(fields.__getitem__, columns[i])
+            rows = zip(*columns)
+        lines += map(line.__mod__, rows)
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def _write_json(path: Path, doc, sort_keys=False):
+    """Write ``doc`` as strict JSON (a bare inf or NaN is an error)."""
+    path.write_text(json.dumps(doc, indent=1, sort_keys=sort_keys, allow_nan=False),
+                    encoding="utf-8")
 
 
 def _finite_or_none(x):
@@ -202,11 +238,10 @@ def _finite_or_none(x):
 def _manifest(out: Path, command: str, resolved: dict, started: float):
     clean = {k: (v if not isinstance(v, float) or math.isfinite(v) else str(v))
              for k, v in resolved.items()}
-    _write(out / "manifest.json", json.dumps(
-        {"command": command, "config": clean, "version": __version__,
-         "package": "mevauction"}, indent=1, sort_keys=True))
-    _write(out / "timing.json", json.dumps(
-        {"started_unix": started, "wall_seconds": time.time() - started}, indent=1))
+    _write_json(out / "manifest.json", {"command": command, "config": clean, "package":
+                                        "mevauction", "version": __version__}, sort_keys=True)
+    _write_json(out / "timing.json",
+                {"started_unix": started, "wall_seconds": time.time() - started})
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +258,18 @@ def cmd_solve(args, parser):
                    **{k: p[k] for k in ("v_min", "v_max") if p[k] is not None})
     curve = solve_bid_ode(profile, grid)
     strategy = solve_strategy(profile, p["epsilon"], curve=curve)
-    _write(out / "curve.csv", curve.to_csv())
-    _write(out / "strategy.json", strategy.to_json())
+    _write_csv(out / "curve.csv", "v,beta", zip(curve.grid.tolist(), curve.bids.tolist()))
+    # the curve and the cutoff as text of 12 significant digits
+    _write_json(out / "strategy.json", {
+        "gamma": strategy.gamma, "epsilon": strategy.epsilon,
+        "cutoff": "%.12g" % strategy.cutoff,
+        "curve": {"v_min": "%.12g" % curve.v_min, "v_max": "%.12g" % curve.v_max,
+                  "nodes": curve.grid.size, "interpolation": "pchip",
+                  "grid": ["%.12g" % v for v in curve.grid.tolist()],
+                  "bids": ["%.12g" % b for b in curve.bids.tolist()]}})
     _manifest(out, "solve", {**written, "nodes": grid.nodes,
                              "v_min": grid.v_min, "v_max": grid.v_max}, started)
-    cutoff = "inf" if math.isinf(strategy.cutoff) else f"{strategy.cutoff:.6g}"
-    print(f"solved curve ({curve.grid.size} nodes), cutoff = {cutoff}")
+    print(f"solved curve ({curve.grid.size} nodes), cutoff = {strategy.cutoff:.6g}")
     return 0
 
 
@@ -246,17 +287,20 @@ def cmd_sweep(args, parser):
                 f"epsilons must be comma-separated numbers, got {eps_text!r}") from None
         rp = revenue_sweep(profile, grid)
         star = float(rp.epsilons[int(np.argmax(rp.revenues))])
-        regime = rp.regime
     else:
         result = optimal_epsilon(profile)
-        rp, star, regime = result.profile, result.epsilon_star, result.regime
+        rp, star = result.profile, result.epsilon_star
     out = _out_dir(args)
-    _write(out / "revenue_profile.csv", rp.to_csv())
-    _write(out / "revenue_profile.json", json.dumps(
-        {"epsilon_star": star, "regime": regime,
-         "profile": json.loads(rp.to_json())}, indent=1))
+    eps, rev, der, cut = (a.tolist() for a in (rp.epsilons, rp.revenues, rp.derivatives,
+                                               rp.cutoffs))
+    _write_csv(out / "revenue_profile.csv", "epsilon,revenue,derivative,cutoff",
+               zip(eps, rev, der, cut))
+    _write_json(out / "revenue_profile.json", {
+        "epsilon_star": star, "regime": rp.regime,
+        "profile": {"regime": rp.regime, "epsilons": eps, "revenues": rev, "derivatives": der,
+                    "cutoffs": ["inf" if math.isinf(c) else c for c in cut]}})
     _manifest(out, "sweep", {**written, "epsilons": eps_text or "default"}, started)
-    print(f"regime = {regime}, epsilon_star = {star}")
+    print(f"regime = {rp.regime}, epsilon_star = {star}")
     return 0
 
 
@@ -271,7 +315,7 @@ def cmd_simulate(args, parser):
                       workers=p["threads"], antithetic=p["antithetic"],
                       trace_path=out / "trace.csv" if p["trace"] else None,
                       trace_cap=p["trace_cap"])
-    _write(out / "sim_report.json", report.to_json())
+    _write_json(out / "sim_report.json", asdict(report))
     # the report is the same for every thread count, and the trace has its own file
     _manifest(out, "simulate", {k: v for k, v in written.items()
                                 if k not in ("threads", "trace", "trace_cap")}, started)
@@ -306,32 +350,40 @@ def _write_estimates(table, out):
             schedule = bribe_schedule(table, MEV_TYPES[c])
         except ThinSampleError:
             continue
-        _write(out / f"fig2_{MEV_TYPES[c].value}.csv", schedule.to_csv())
+        _write_csv(out / f"fig2_{MEV_TYPES[c].value}.csv",
+                   "bin,value_lo,value_hi,mean_bribe_share,std_bribe_share,count",
+                   ((i, *astuple(b)) for i, b in enumerate(schedule.bins)))
         estimates[MEV_TYPES[c]] = estimate_gamma(schedule)
     return estimates
 
 
+def _estimates_doc(estimates):
+    return {t.value: {"mev_type": t.value, "gamma_hat": e.gamma_hat,
+                      "plateau_bin_count": len(e.plateau_bins),
+                      "dispersion": e.dispersion, "flagged": e.flagged}
+            for t, e in estimates.items()}
+
+
 def cmd_estimate(args, parser):
     started = time.time()
-    p, _ = _params(args, parser)
+    p, written = _params(args, parser)
     out = _out_dir(args)
     estimates = _write_estimates(BundleTable.read(p["input"]), out)
-    _write(out / "gamma_estimates.json", json.dumps(
-        {t.value: e.to_dict() for t, e in estimates.items()}, indent=1, sort_keys=True))
-    _manifest(out, "estimate", p, started)
+    _write_json(out / "gamma_estimates.json", _estimates_doc(estimates), sort_keys=True)
+    _manifest(out, "estimate", written, started)
     print(f"estimated gamma for {len(estimates)} types")
     return 0
 
 
 def cmd_report(args, parser):
     started = time.time()
-    params, _ = _params(args, parser)
-    rule, window = params["bergemann_rule"], params["window"]
+    params, written = _params(args, parser)
+    rule = _bergemann_rule(params["bergemann_rule"])  # a bad rule leaves no out dir
     out = _out_dir(args)
     ingest_report = IngestReport()
     table = BundleTable.read(params["input"], ingest_report)
     # before any output is written, so a bad window leaves no partial report
-    counted = effective_bidder_counts(table, window=window)
+    counted = effective_bidder_counts(table, window=params["window"])
 
     # summary statistics and data quality
     positive = ~(table.value <= 0)
@@ -340,23 +392,14 @@ def cmd_report(args, parser):
     values = table.value[positive]
     type_tips = np.bincount(codes, weights=table.tip[positive], minlength=len(MEV_TYPES))
     summarized = _types_present(codes)
-
-    lines = ["mev_type,count,total_extracted,mean,median,std,mean_bribe_share\n"]
-    all_vals, all_tips = [], 0.0
-    for c in summarized:
-        vals = values[codes == c]
-        all_vals.append(vals)
-        all_tips += type_tips[c]
-        lines.append(
-            f"{MEV_TYPES[c].value},{vals.size},{vals.sum():.12g},{vals.mean():.12g},"
-            f"{np.median(vals):.12g},{vals.std():.12g},"
-            f"{type_tips[c] / vals.sum():.12g}\n")
-    if all_vals:
-        vals = np.concatenate(all_vals)
-        lines.append(f"all,{vals.size},{vals.sum():.12g},{vals.mean():.12g},"
-                     f"{np.median(vals):.12g},{vals.std():.12g},"
-                     f"{all_tips / vals.sum():.12g}\n")
-    _write(out / "tab1_summary.csv", "".join(lines))
+    summary = [(MEV_TYPES[c], values[codes == c], type_tips[c]) for c in summarized]
+    if summary:
+        summary.append(("all", np.concatenate([v for _, v, _ in summary]),
+                        sum(tips for *_, tips in summary)))
+    _write_csv(out / "tab1_summary.csv",
+               "mev_type,count,total_extracted,mean,median,std,mean_bribe_share",
+               ((label, v.size, v.sum(), v.mean(), np.median(v), v.std(), tips / v.sum())
+                for label, v, tips in summary))
 
     # schedules, estimates, decomposition
     estimates = _write_estimates(table, out)
@@ -366,41 +409,40 @@ def cmd_report(args, parser):
     if estimates:
         estimated = np.isin(table.mev_type, [MEV_TYPES.index(t) for t in estimates])
         decomposition = decompose(table.select(estimated), estimates)
-        _write(out / "fig3_decomposition.csv", decomposition.to_csv())
+        rows = [(t.mev_type, t.observed_tips, t.foregone_surplus, t.ratio, t.records)
+                for t in decomposition.per_type]
+        rows.append(("all", decomposition.total_tips, decomposition.total_foregone,
+                     decomposition.total_ratio, sum(t.records for t in decomposition.per_type)))
+        _write_csv(out / "fig3_decomposition.csv",
+                   "mev_type,observed_tips,foregone_surplus,ratio,records", rows)
 
     # diagnostics
     pairs = affiliation_pairs(table)
-    _write(out / "figA1_pairs.csv",
-           "mev_type,log_value_top,log_value_second\n" + "".join(
-               f"{t.value},{x:.12g},{y:.12g}\n" for t, x, y in pairs))
+    _write_csv(out / "figA1_pairs.csv", "mev_type,log_value_top,log_value_second", pairs)
     affiliation = affiliation_diagnostic(pairs)
     conc = concentration(table, by="searcher")
-    lorenz_lines = ["mev_type,population_share,value_share\n"]
-    for mev_type, stat in sorted(conc.items(), key=lambda kv: kv[0].value):
-        for p, v in zip(stat.lorenz_population, stat.lorenz_value):
-            lorenz_lines.append(f"{mev_type.value},{p:.12g},{v:.12g}\n")
-    _write(out / "figA2_lorenz.csv", "".join(lorenz_lines))
-    _write(out / "tabA1_builders.csv", builder_table_csv(builder_table(table)))
-    board = board_diagnostic(counted)
-    _write(out / "figA3_board.csv",
-           "mev_type,count_lo,count_hi,records,mean_revenue,mean_bribe_share\n"
-           + "".join(f"{r.mev_type.value},{r.count_lo},{r.count_hi},{r.records},"
-                     f"{r.mean_revenue:.12g},{r.mean_bribe_share:.12g}\n"
-                     for r in board))
+    _write_csv(out / "figA2_lorenz.csv", "mev_type,population_share,value_share",
+               ((t, p, v) for t, stat in sorted(conc.items(), key=lambda kv: kv[0].value)
+                for p, v in zip(stat.lorenz_population.tolist(), stat.lorenz_value.tolist())))
+    # one row per BuilderRow and per BoardBin, in field order
+    _write_csv(out / "tabA1_builders.csv",
+               "builder,count,total_extracted,mean_bribe_share,bribe_share_std,searchers",
+               map(astuple, builder_table(table)))
+    _write_csv(out / "figA3_board.csv",
+               "mev_type,count_lo,count_hi,records,mean_revenue,mean_bribe_share",
+               map(astuple, board_diagnostic(counted)))
 
     # disclosure benchmark per type from the median bidder-count proxy
     proxy_types = counted.table.mev_type[counted.order]
-    berg_lines = ["mev_type,n_effective,threshold\n"]
     berg = {}
     for c in _types_present(proxy_types):
-        mev_type = MEV_TYPES[c]
         n_eff = max(2, int(round(float(np.median(counted.proxy[proxy_types == c])))))
-        thr = bergemann_threshold(n_eff, rule=rule)
-        berg[mev_type.value] = {"n_effective": n_eff, "threshold": thr}
-        berg_lines.append(f"{mev_type.value},{n_eff},{thr:.12g}\n")
-    _write(out / "fig4_bergemann.csv", "".join(berg_lines))
+        berg[MEV_TYPES[c].value] = {"n_effective": n_eff,
+                                    "threshold": bergemann_threshold(n_eff, rule=rule)}
+    _write_csv(out / "fig4_bergemann.csv", "mev_type,n_effective,threshold",
+               ((t, b["n_effective"], b["threshold"]) for t, b in berg.items()))
 
-    _write(out / "report.json", json.dumps({
+    _write_json(out / "report.json", {
         "data_quality": {
             "rows_read": ingest_report.rows_read,
             "records": ingest_report.records,
@@ -408,7 +450,7 @@ def cmd_report(args, parser):
             "nonpositive_extracted_value": nonpositive,
             "types_too_thin_to_estimate": skipped_thin,
         },
-        "gamma_estimates": {t.value: e.to_dict() for t, e in estimates.items()},
+        "gamma_estimates": _estimates_doc(estimates),
         "decomposition": None if decomposition is None else {
             "total_tips": decomposition.total_tips,
             "total_foregone": decomposition.total_foregone,
@@ -421,12 +463,12 @@ def cmd_report(args, parser):
         "concentration": {t.value: {"groups": c.groups, "gini": c.gini,
                                     "top_k_shares": c.top_k_shares}
                           for t, c in conc.items()},
-        "bergemann": {"rule": rule, "proxy_window_blocks": window,
+        "bergemann": {"rule": params["bergemann_rule"], "proxy_window_blocks": params["window"],
                       "per_type": berg},
         "bin_weighting": "record-weighted within bins; bin-uniform dispersion "
                          "reported by estimate_gamma",
-    }, indent=1, sort_keys=True, allow_nan=False))
-    _manifest(out, "report", params, started)
+    }, sort_keys=True)
+    _manifest(out, "report", written, started)
     print(f"report written to {out} ({ingest_report.records} records)")
     return 0
 

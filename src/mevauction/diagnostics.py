@@ -10,12 +10,12 @@ Every diagnostic takes a ``BundleTable`` (or an iterable of records), except
 ``board_diagnostic``, which takes the ``BidderCounts`` that
 ``effective_bidder_counts`` returns.  Each groups the columns with numpy
 sorts and ``bincount``, keeping record order within each group so the sums
-match a record-by-record loop bit for bit.
+match a record-by-record loop bit for bit.  The results hold numbers;
+``cli.py`` writes their files.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -211,15 +211,6 @@ def builder_table(records):
         ))
     rows.sort(key=lambda r: (-r.total_extracted, r.builder))
     return rows
-
-
-def builder_table_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write("builder,count,total_extracted,mean_bribe_share,bribe_share_std,searchers\n")
-    for r in rows:
-        buf.write(f"{r.builder},{r.count},{r.total_extracted:.12g},"
-                  f"{r.mean_bribe_share:.12g},{r.bribe_share_std:.12g},{r.searchers}\n")
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,9 @@ in the order the types first appear; and means and standard deviations are
 taken with ``np.mean``/``np.std`` over each group's values in record order.
 The outputs therefore match a record-by-record computation bit for bit.
 
+Schedules, estimates and the decomposition hold numbers; ``cli.py`` writes
+their files.
+
 Bribe schedules use equal-count quantile bins of extracted value (50 by
 default, fewer for thin types), and the replicable share of a type is the
 count-weighted mean bribe share over the top fifth of bins, with the
@@ -41,7 +44,6 @@ dispersion of those bin means reported alongside so a non-plateau is visible.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 import warnings
@@ -385,14 +387,6 @@ class BribeSchedule:
     excluded_nonpositive: int
     shares_above_one: int
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("bin,value_lo,value_hi,mean_bribe_share,std_bribe_share,count\n")
-        for i, b in enumerate(self.bins):
-            buf.write(f"{i},{b.value_lo:.12g},{b.value_hi:.12g},"
-                      f"{b.mean_bribe_share:.12g},{b.std_bribe_share:.12g},{b.count}\n")
-        return buf.getvalue()
-
 
 def bribe_schedule(records, mev_type: MevType, bins: int = FULL_BINS) -> BribeSchedule:
     """Quantile-binned bribe shares for one MEV type.
@@ -456,11 +450,6 @@ class GammaEstimate:
     dispersion: float
     flagged: bool
 
-    def to_dict(self):
-        return {"mev_type": self.mev_type.value, "gamma_hat": self.gamma_hat,
-                "plateau_bin_count": len(self.plateau_bins),
-                "dispersion": self.dispersion, "flagged": self.flagged}
-
 
 def estimate_gamma(schedule: BribeSchedule) -> GammaEstimate:
     """Replicable share from the right-tail plateau: count-weighted mean
@@ -513,17 +502,6 @@ class DecompositionReport:
     @property
     def total_ratio(self):
         return self.total_foregone / self.total_tips if self.total_tips > 0 else math.inf
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("mev_type,observed_tips,foregone_surplus,ratio,records\n")
-        for t in self.per_type:
-            buf.write(f"{t.mev_type.value},{t.observed_tips:.12g},"
-                      f"{t.foregone_surplus:.12g},{t.ratio:.12g},{t.records}\n")
-        buf.write(f"all,{self.total_tips:.12g},{self.total_foregone:.12g},"
-                  f"{self.total_ratio:.12g},"
-                  f"{sum(t.records for t in self.per_type)}\n")
-        return buf.getvalue()
 
 
 def decompose(records, gammas) -> DecompositionReport:
@@ -599,6 +577,12 @@ def bergemann_threshold(n_effective: int, rule=None) -> float:
     """
     if n_effective < 2:
         raise DomainError("n_effective must be >= 2")
+    return float(_bergemann_rule(rule)(int(n_effective)))
+
+
+def _bergemann_rule(rule=None):
+    """The disclosure rule ``rule`` names (the default for None), or the
+    callable ``rule`` itself, checked against the rule contract."""
     if rule is None:
         rule = BERGEMANN_RULES[DEFAULT_BERGEMANN_RULE]
     elif isinstance(rule, str):
@@ -607,4 +591,4 @@ def bergemann_threshold(n_effective: int, rule=None) -> float:
         except KeyError:
             raise ConfigurationError(f"unknown disclosure rule {rule!r}") from None
     validate_bergemann_rule(rule)
-    return float(rule(int(n_effective)))
+    return rule

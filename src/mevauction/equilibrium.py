@@ -20,12 +20,11 @@ and above it.  For log-normal values, proportional shading (v - b(v)) / v
 *rises* with v on any realistic grid, so ebar is strictly increasing; the
 cutoff solver checks strict monotonicity of ebar wherever the threat binds
 (either direction) and refuses to pick among multiple roots.
+The curve and the strategy hold numbers; ``cli.py`` writes their files.
 """
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -139,35 +138,6 @@ class BidCurve:
                      self._interp(np.clip(v, self.grid[0], self.grid[-1]))),
         )
         return float(out[0]) if scalar else out
-
-    # -- serialization ------------------------------------------------------
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("v,beta\n")
-        for v, b in zip(self.grid, self.bids):
-            buf.write(f"{v:.12g},{b:.12g}\n")
-        return buf.getvalue()
-
-    def _json_dict(self) -> dict:
-        return {
-            "v_min": f"{self.v_min:.12g}",
-            "v_max": f"{self.v_max:.12g}",
-            "nodes": int(self.grid.size),
-            "interpolation": "pchip",
-            "grid": [f"{v:.12g}" for v in self.grid],
-            "bids": [f"{b:.12g}" for b in self.bids],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self._json_dict(), indent=1)
-
-    @classmethod
-    def from_csv(cls, text: str) -> "BidCurve":
-        rows = [line.split(",") for line in text.strip().splitlines()[1:]]
-        arr = np.array([[float(a), float(b)] for a, b in rows])
-        return cls(grid=arr[:, 0], bids=arr[:, 1])
-
 
 # ---------------------------------------------------------------------------
 # independent-values closed form (left boundary anchor and test oracle)
@@ -420,17 +390,6 @@ class PiecewiseStrategy:
         risky = ~(v_arr >= self.cutoff)
         out[risky] = self.curve.bid(v_arr[risky])
         return float(out[0]) if scalar else out
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "gamma": self.gamma,
-                "epsilon": self.epsilon,
-                "cutoff": "inf" if math.isinf(self.cutoff) else f"{self.cutoff:.12g}",
-                "curve": self.curve._json_dict(),
-            },
-            indent=1,
-        )
 
 
 def solve_strategy(profile: TypeProfile, epsilon: float,

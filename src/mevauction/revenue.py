@@ -27,12 +27,11 @@ analytically with the bid frozen there, a sub-1e-7 relative approximation.
 The same nodes must reproduce E[v_(1) 1{v_(1) <= cap}], known in closed form,
 to 1e-9 relative, or the table raises ``SolverError``; the check costs no
 density evaluations of its own.
+``RevenueProfile`` holds numbers; ``cli.py`` writes its files.
 """
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -284,28 +283,6 @@ class RevenueProfile:
                 raise ParameterError(
                     "low-extractability profile must have vanishing derivatives"
                 )
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("epsilon,revenue,derivative,cutoff\n")
-        for e, r, d, c in zip(self.epsilons, self.revenues,
-                              self.derivatives, self.cutoffs):
-            cut = "inf" if math.isinf(c) else f"{c:.12g}"
-            buf.write(f"{e:.12g},{r:.12g},{d:.12g},{cut}\n")
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "regime": self.regime,
-                "epsilons": [float(e) for e in self.epsilons],
-                "revenues": [float(r) for r in self.revenues],
-                "derivatives": [float(d) for d in self.derivatives],
-                "cutoffs": ["inf" if math.isinf(c) else float(c) for c in self.cutoffs],
-            },
-            indent=1,
-        )
-
 
 @dataclass(frozen=True)
 class OptimalEpsilon:

@@ -31,11 +31,10 @@ comparisons are paired.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,9 +60,6 @@ class SimReport:
     def __post_init__(self):
         if self.frontrun_rate > self.defection_rate_realized + 1e-12:
             raise ParameterError("frontrun rate cannot exceed realized defection rate")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=1)
 
 
 def _chunk_sizes(blocks: int, chunk: int = CHUNK):
@@ -207,11 +203,9 @@ def run_many(strategy: PiecewiseStrategy, profile: TypeProfile, blocks: int,
             n_front += int(np.sum(f))
             if trace_file and traced < trace_cap:
                 take = min(trace_cap - traced, w.size)
-                for j in range(take):
-                    trace_file.write(
-                        f"{offset + j},{w[j]},{b[j]:.12g},{v[j]:.12g},"
-                        f"{int(d[j])},{int(f[j])},{rev[j]:.12g},{sur[j]:.12g}\n"
-                    )
+                columns = (a[:take].tolist() for a in (w, b, v, d, f, rev, sur))
+                trace_file.write("".join(map("%d,%d,%.12g,%.12g,%d,%d,%.12g,%.12g\n".__mod__,
+                                             zip(range(offset, offset + take), *columns))))
                 traced += take
             offset += w.size
 

@@ -1,24 +1,44 @@
 import argparse
+import csv
 import json
 import random
+import re
 from itertools import groupby
 
+import numpy as np
 import pytest
 
 import mevauction.empirics
 from mevauction.cli import build_parser, main
 from mevauction.diagnostics import affiliation_pairs, effective_bidder_counts
 from mevauction.empirics import CSV_COLUMNS, BundleTable
+from mevauction.equilibrium import BidCurve, solve_bid_ode
+from mevauction.profiles import MevType, TypeProfile
 
 from conftest import counted_pairs
 
 SOLVE_FLAGS = ["--type", "naked_arb", "--n", "4", "--rho", "0.2",
                "--gamma", "0.74", "--mu", "1.102", "--sigma", "1.5"]
+SOLVE_PROFILE = TypeProfile(MevType.NAKED_ARB, n=4, rho=0.2, gamma=0.74, mu=1.102, sigma=1.5)
+# a profile whose threat never binds: every cutoff is infinite
+NEVER_BINDING_FLAGS = ["--type", "liquidation", "--n", "10", "--rho", "0.4",
+                       "--gamma", "0.05", "--mu", "1.102", "--sigma", "0.5"]
 
 
 def run(argv, capsys=None):
     code = main(argv)
     return code
+
+
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def solve_curve_rows(out):
+    """The rows of ``solve``'s curve.csv on SOLVE_FLAGS, header first."""
+    assert run(["solve", *SOLVE_FLAGS, "--epsilon", "0.2", "--out-dir", str(out)]) == 0
+    return read_csv(out / "curve.csv")
 
 
 class TestSolve:
@@ -67,6 +87,23 @@ class TestSolve:
         for name in ("curve.csv", "strategy.json", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_curve_csv_round_trip(self, tmp_path):
+        header, *rows = solve_curve_rows(tmp_path / "run")
+        assert header == ["v", "beta"]
+        again = BidCurve(grid=np.array([float(v) for v, _ in rows]),
+                         bids=np.array([float(b) for _, b in rows]))
+        curve = solve_bid_ode(SOLVE_PROFILE)
+        np.testing.assert_allclose(again.grid, curve.grid, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(again.bids, curve.bids, rtol=1e-11, atol=0.0)
+
+    def test_curve_csv_uses_12_significant_digits(self, tmp_path):
+        _, *rows = solve_curve_rows(tmp_path / "run")
+        curve = solve_bid_ode(SOLVE_PROFILE)
+        assert float(rows[0][0]) == pytest.approx(curve.grid[0], rel=1e-11)
+        assert float(rows[0][1]) == pytest.approx(curve.bids[0], rel=1e-11)
+        digits = {len(re.sub(r"e.*|\D", "", cell).lstrip("0")) for row in rows for cell in row}
+        assert max(digits) == 12
+
 
 class TestSweep:
     def test_low_extractability_flat_profile(self, tmp_path):
@@ -91,6 +128,20 @@ class TestSweep:
         assert code == 0
         lines = (out / "revenue_profile.csv").read_text().splitlines()
         assert len(lines) == 2
+
+    def test_files_spell_out_infinite_cutoffs(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert run(["sweep", *NEVER_BINDING_FLAGS, "--out-dir", str(out)]) == 0
+        text = (out / "revenue_profile.csv").read_text()
+        assert text.splitlines()[0] == "epsilon,revenue,derivative,cutoff"
+        assert ",inf" in text
+
+        def reject(constant):
+            raise ValueError(f"revenue_profile.json holds the bare constant {constant}")
+
+        payload = json.loads((out / "revenue_profile.json").read_text(), parse_constant=reject)
+        assert payload["profile"]["regime"] == "low_extractability"
+        assert payload["profile"]["cutoffs"][0] == "inf"
 
     def test_malformed_grid_rejected(self, tmp_path):
         code = run(["sweep", "--type", "liquidation", "--n", "10", "--rho", "0.4",
@@ -273,6 +324,36 @@ class TestGenerateEstimateReport:
         assert affiliation_pairs(BundleTable.read(path)) == []
         assert affiliation_pairs(BundleTable.from_records([])) == []
 
+    def test_text_cells_quoted_as_csv_writer_quotes_them(self, tmp_path):
+        label = 'Titan, "the" builder'
+        header, *rows = read_csv(self.make_bundles(tmp_path, blocks=1500))
+        col = header.index("builder")
+        renamed = rows[0][col]
+        for row in rows:
+            row[col] = label if row[col] == renamed else row[col]
+        quoted = tmp_path / "quoted.csv"
+        with open(quoted, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        for command in ("estimate", "report"):
+            out = tmp_path / command
+            assert run([command, "--input", str(quoted), "--out-dir", str(out)]) == 0
+            for path in sorted(out.glob("*.csv")):
+                table = read_csv(path)
+                assert {len(row) for row in table} == {len(table[0])}, path.name
+        assert label in [row[0] for row in read_csv(tmp_path / "report" / "tabA1_builders.csv")]
+
+    @pytest.mark.parametrize("header_only", [False, True], ids=["generated", "header-only"])
+    def test_unknown_rule_rejected_before_out_dir(self, tmp_path, capsys, header_only):
+        bundles = self.make_bundles(tmp_path, blocks=300)
+        if header_only:
+            bundles.write_text(",".join(CSV_COLUMNS) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "report"
+        assert run(["report", "--input", str(bundles), "--bergemann-rule", "bogus",
+                    "--out-dir", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigurationError"
+        assert not out.exists()
+
     def test_proxy_ignores_row_order_within_blocks(self, tmp_path):
         gen = tmp_path / "gen"
         assert run(["generate", *SOLVE_FLAGS, "--epsilon", "0.3", "--blocks", "600",
@@ -349,6 +430,11 @@ BAD_CONFIGS = {
                                           "[generate.type.sandwich]\n" + PROFILE_INI
                                           + "epsilon = 0.2\nseed = 2\n"),
     "no-section-header": ("solve", PROFILE_INI + "epsilon = 0.2\n"),
+    # type sections replace the profile keys of [generate]
+    "generate-profile-key-beside-type-section": ("generate", "[generate]\nblocks = 10\n"
+                                                 "seed = 1\nn = 9\n"
+                                                 "[generate.type.sandwich]\n" + PROFILE_INI
+                                                 + "epsilon = 0.2\n"),
 }
 
 
@@ -367,6 +453,29 @@ def test_malformed_config_is_usage_error(tmp_path, case):
         run([*argv, "--out-dir", str(out)])
     assert err.value.code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--n", "9"], ["--type", "nonsense", "--n", "1"]],
+                         ids=["n", "type-and-n"])
+def test_profile_flag_beside_type_sections_is_usage_error(tmp_path, flags):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[generate]\nblocks = 10\nseed = 1\n"
+                   "[generate.type.naked_arb]\n" + PROFILE_INI + "epsilon = 0.2\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        run(["generate", "--config", str(cfg), *flags, "--out-dir", str(out)])
+    assert err.value.code == 2
+    assert not out.exists()
+
+
+def test_config_values_recorded_as_written(tmp_path, sample_bundles):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[report]\ninput = {sample_bundles}\nwindow = 050\n")
+    out = tmp_path / "out"
+    assert run(["report", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["window"] == "050"
+    assert json.loads((out / "report.json").read_text())["bergemann"]["proxy_window_blocks"] == 50
 
 
 def parser_flags():

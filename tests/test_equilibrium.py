@@ -96,18 +96,6 @@ class TestSolveBidOde:
 
 
 class TestBidCurve:
-    def test_serialization_round_trip(self, flagship):
-        _, curve = flagship
-        again = BidCurve.from_csv(curve.to_csv())
-        np.testing.assert_allclose(again.bids, curve.bids, rtol=1e-11)
-
-    def test_csv_uses_12_significant_digits(self, flagship):
-        _, curve = flagship
-        line = curve.to_csv().splitlines()[1]
-        v_text, b_text = line.split(",")
-        assert float(v_text) == pytest.approx(curve.grid[0], rel=1e-11)
-        assert float(b_text) == pytest.approx(curve.bids[0], rel=1e-11)
-
     def test_extension_preserves_share(self, flagship):
         _, curve = flagship
         below = curve.v_min / 7.0

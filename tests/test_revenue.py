@@ -308,16 +308,6 @@ class TestReferenceSweep:
 
 
 class TestRevenueProfile:
-    def test_serialization(self, solved):
-        profile, curve = solved(n=10, rho=0.4, gamma=0.05, sigma=0.5)
-        result = optimal_epsilon(profile, curve=curve)
-        csv_text = result.profile.to_csv()
-        assert csv_text.splitlines()[0] == "epsilon,revenue,derivative,cutoff"
-        assert ",inf" in csv_text
-        payload = json.loads(result.profile.to_json())
-        assert payload["regime"] == "low_extractability"
-        assert payload["cutoffs"][0] == "inf"
-
     def test_invariants_enforced(self):
         with pytest.raises(ParameterError):
             RevenueProfile(
