@@ -367,8 +367,9 @@ def _estimates_doc(estimates):
 def cmd_estimate(args, parser):
     started = time.time()
     p, written = _params(args, parser)
+    table = BundleTable.read(p["input"])  # a missing input leaves no out dir
     out = _out_dir(args)
-    estimates = _write_estimates(BundleTable.read(p["input"]), out)
+    estimates = _write_estimates(table, out)
     _write_json(out / "gamma_estimates.json", _estimates_doc(estimates), sort_keys=True)
     _manifest(out, "estimate", written, started)
     print(f"estimated gamma for {len(estimates)} types")
@@ -378,12 +379,12 @@ def cmd_estimate(args, parser):
 def cmd_report(args, parser):
     started = time.time()
     params, written = _params(args, parser)
-    rule = _bergemann_rule(params["bergemann_rule"])  # a bad rule leaves no out dir
-    out = _out_dir(args)
+    # a bad rule, a missing input or a bad window leaves no out dir
+    rule = _bergemann_rule(params["bergemann_rule"])
     ingest_report = IngestReport()
     table = BundleTable.read(params["input"], ingest_report)
-    # before any output is written, so a bad window leaves no partial report
     counted = effective_bidder_counts(table, window=params["window"])
+    out = _out_dir(args)
 
     # summary statistics and data quality
     positive = ~(table.value <= 0)

@@ -6,12 +6,17 @@ exactly when the defecting builder's replicated value strictly exceeds the
 winning bid.  Revert protection means a frontrun block pays the builder
 gamma * v_top, zeroes the searcher, and collects no bid.
 
-Tie rule: the winner is the highest-value searcher, ties to the lowest
-index.  The strategy never decreases, so this is the highest bidder and
-only the winner's bid is evaluated.  It differs from "highest bid, ties to
-the lowest index" only where the strategy is flat (or dips at the cutoff
-within the tolerance ``PiecewiseStrategy`` allows): the top bid is the same,
-but the higher value wins.
+Tie rule: the highest idiosyncratic draw (equivalently, the highest
+signal) wins, ties to the lowest index.  The searchers of a block share its
+common factor, and a value rises with its draw (``sqrt(1 - rho) > 0`` and
+``sigma >= 0``), so the winner is the highest-value searcher; only its
+signal, value and bid are computed.  The strategy never decreases, so it is
+also the highest bidder.  It differs from "highest bid, ties to the lowest
+index" only where bids tie: where the strategy is flat (or dips at the
+cutoff within the tolerance ``PiecewiseStrategy`` allows) the top bid is
+the same but the higher value wins, and where values tie (``sigma = 0``, or
+``exp`` rounding two signals to one float) the top value and bid are the
+same but the higher draw wins.
 
 One private kernel, ``_play``, draws and plays a chunk of auctions; the
 game engine here and ``synthetic.generate_synthetic`` both call it, so the
@@ -116,10 +121,12 @@ def _play(strategy, profile, gamma, epsilon, key, shape, antithetic=False):
     ``shape`` is (blocks,) or (blocks, auctions per block); the auctions of a
     block share its common factor.  Stream ``key + (0,)`` draws the values,
     ``key + (1,)`` the defection coins, which is returned so a caller can
-    draw more from it.  The highest value wins (ties to the lowest index),
-    ``strategy.bid`` prices that one value per auction, and a defecting
-    builder frontruns when ``gamma * top_val > top_bid``.  Where the strategy
-    is flat, a higher value beats an equal bid at a lower index.
+    draw more from it.  The highest idiosyncratic draw (equivalently, the
+    highest signal) wins, ties to the lowest index: the argmax is taken on
+    the draws, and only the winner gets a signal, a value and a bid from
+    ``strategy.bid``.  A defecting builder frontruns when
+    ``gamma * top_val > top_bid``.  Where the strategy is flat, a higher
+    value beats an equal bid at a lower index.
     Returns (winner, top_bid, top_val, defect, frontrun, coin_stream).
     """
     rng_v = stream(*key, 0)
@@ -131,13 +138,12 @@ def _play(strategy, profile, gamma, epsilon, key, shape, antithetic=False):
         Z = np.concatenate([half, -half])
     else:
         Z = rng_v.standard_normal(rows)
-    u = rng_v.standard_normal(shape + (profile.n,))
-    z = affiliated_signal(Z.reshape(Z.shape + (1,) * len(shape)), u, profile.rho)
-    values = np.exp(profile.mu + profile.sigma * z).reshape(-1, profile.n)
-    winner = np.argmax(values, axis=1)
-    top_val = values[np.arange(winner.size), winner]
-    top_bid = strategy.bid(top_val).reshape(shape)
-    top_val = top_val.reshape(shape)
+    u = rng_v.standard_normal(shape + (profile.n,)).reshape(-1, profile.n)
+    winner = np.argmax(u, axis=1)
+    top_u = u[np.arange(winner.size), winner].reshape(shape)
+    z = affiliated_signal(Z.reshape(Z.shape + (1,) * (len(shape) - 1)), top_u, profile.rho)
+    top_val = np.exp(profile.mu + profile.sigma * z)
+    top_bid = strategy.bid(top_val.ravel()).reshape(shape)
     coin = stream(*key, 1)
     defect = coin.random(shape) < epsilon
     frontrun = defect & (gamma * top_val > top_bid)
@@ -227,14 +233,17 @@ def run_many(strategy: PiecewiseStrategy, profile: TypeProfile, blocks: int,
 # ---------------------------------------------------------------------------
 
 def _rival_chunk(v, strategy, profile, seed, chunk_index, size):
-    """Highest rival bid per block, rivals conditioned on the deviant's value."""
+    """Highest rival bid per block, rivals conditioned on the deviant's value.
+
+    As in ``_play``, the highest rival draw is the highest rival value, so
+    only that one rival per block gets a signal, a value and a bid.
+    """
     z0 = (math.log(v) - profile.mu) / profile.sigma
     rng = stream(seed, chunk_index, 0)
     z_post = affiliated_signal(z0, rng.standard_normal(size), profile.rho)
     u = rng.standard_normal((size, profile.n - 1))
-    z_riv = affiliated_signal(z_post[:, None], u, profile.rho)
-    rival_values = np.exp(profile.mu + profile.sigma * z_riv)
-    rival_top = strategy.bid(rival_values.max(axis=1))
+    z_riv = affiliated_signal(z_post, u.max(axis=1), profile.rho)
+    rival_top = strategy.bid(np.exp(profile.mu + profile.sigma * z_riv))
     defect = stream(seed, chunk_index, 1).random(size) < strategy.epsilon
     return rival_top, defect
 

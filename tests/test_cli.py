@@ -217,6 +217,23 @@ class TestGenerateEstimateReport:
         err = json.loads(capsys.readouterr().err)
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["estimate", "report"])
+    def test_missing_input_leaves_no_out_dir(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run([command, "--input", str(tmp_path / "nope.csv"),
+                    "--out-dir", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+        assert not out.exists()
+
+    def test_bad_window_leaves_no_out_dir(self, tmp_path, capsys):
+        bundles = self.make_bundles(tmp_path, blocks=300)
+        capsys.readouterr()
+        out = tmp_path / "report"
+        assert run(["report", "--input", str(bundles), "--window", "0",
+                    "--out-dir", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigurationError"
+        assert not out.exists()
+
     def test_report_emits_every_figure_file(self, tmp_path):
         bundles = self.make_bundles(tmp_path)
         out = tmp_path / "report"

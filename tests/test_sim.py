@@ -167,6 +167,19 @@ class TestRunMany:
 
         assert peak(12 * CHUNK) <= 1.1 * peak(2 * CHUNK)
 
+    def test_chunk_memory_near_its_draw_matrix(self, solved):
+        # only the winner gets a signal and a value, so one n=50 chunk peaks
+        # near its (CHUNK, 50) matrix of draws, not at several such matrices
+        profile, curve = solved(n=50)
+        strat = solve_strategy(profile, 0.2, curve=curve)
+        tracemalloc.start()
+        try:
+            _simulate_chunk(strat, profile, 1, 0, CHUNK, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * CHUNK * 50 * 8
+
     def test_rejects_zero_blocks(self, flagship):
         profile, curve = flagship
         strat = solve_strategy(profile, 0.2, curve=curve)
@@ -246,6 +259,26 @@ class TestKernelMatchesPricingEverySearcher:
         assert np.all(top_bid[tied] == 0.9)
         assert np.all(top_val[tied] > old_val[tied])
         assert np.all(old_winner[tied] < winner[tied])
+
+
+class TestTieRule:
+    @pytest.mark.parametrize("shape", [(5000,), (2500, 2)], ids=["plain", "two-per-block"])
+    def test_equal_values_go_to_the_highest_draw(self, shape):
+        # sigma = 0: every value is exp(mu), so every auction ties on value
+        # and bid; the highest idiosyncratic draw wins, ties to the lowest index
+        curve = BidCurve(grid=np.array([1.0, 2.0, 3.0, 4.0]),
+                         bids=np.array([0.5, 0.9, 0.9, 1.5]))
+        strat = PiecewiseStrategy(curve=curve, cutoff=math.inf, gamma=0.5, epsilon=0.5)
+        profile = make_profile(n=3, rho=0.3, gamma=0.5, mu=math.log(2.5), sigma=0.0)
+        key = (4, 1)
+        winner, top_bid, top_val, _, _, _ = _play(strat, profile, 0.5, 0.5, key, shape)
+        np.testing.assert_array_equal(top_val, np.exp(np.full(shape, profile.mu)))
+        np.testing.assert_array_equal(top_bid, strat.bid(top_val.ravel()).reshape(shape))
+        rng = stream(*key, 0)
+        rng.standard_normal(shape[0])  # the common factors
+        u = rng.standard_normal(shape + (profile.n,))
+        np.testing.assert_array_equal(winner, np.argmax(u, axis=-1))
+        assert np.count_nonzero(winner) > 0.6 * winner.size
 
 
 class TestDeviationPayoffs:
