@@ -32,8 +32,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
-from scipy.special import log_ndtr
-from scipy.stats import norm
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import (
     BoundaryError,
@@ -77,8 +76,8 @@ def default_grid(profile: TypeProfile, nodes: int = DEFAULT_NODES) -> GridSpec:
     """
     profile.require_dispersion()
     q_lo = max(DEFAULT_Q_LO, math.exp(-600.0 / (profile.n - 1)))
-    v_min = math.exp(profile.mu + profile.sigma * norm.ppf(q_lo))
-    v_max = math.exp(profile.mu + profile.sigma * norm.isf(DEFAULT_TOP_TAIL / profile.n))
+    v_min = math.exp(profile.mu + profile.sigma * ndtri(q_lo))
+    v_max = math.exp(profile.mu - profile.sigma * ndtri(DEFAULT_TOP_TAIL / profile.n))
     return GridSpec(v_min=v_min, v_max=v_max, nodes=nodes)
 
 
@@ -414,6 +413,6 @@ def truncation_mass(strategy: PiecewiseStrategy, profile: TypeProfile) -> dict:
         return {"marginal_mass_above_cutoff": 0.0, "top_mass_above_cutoff": 0.0}
     z = (math.log(strategy.cutoff) - profile.mu) / profile.sigma
     return {
-        "marginal_mass_above_cutoff": float(norm.sf(z)),
+        "marginal_mass_above_cutoff": float(ndtr(-z)),
         "top_mass_above_cutoff": float(top_value_sf(strategy.cutoff, profile)),
     }

@@ -13,6 +13,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+from scipy.special import ndtri
+
 from .errors import ParameterError
 
 
@@ -66,7 +68,5 @@ class TypeProfile:
 
     def marginal_quantile(self, q):
         """Quantile of the log-normal marginal value distribution."""
-        from scipy.stats import norm
-
-        return float(math.exp(self.mu) * math.exp(self.sigma * norm.ppf(q))) \
+        return float(math.exp(self.mu) * math.exp(self.sigma * ndtri(q))) \
             if self.sigma > 0 else float(math.exp(self.mu))

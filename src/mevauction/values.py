@@ -19,11 +19,15 @@ integral over Z, evaluated by Gauss-Hermite quadrature:
   * rival_max_cdf:   H(y|v) = E[ F_Z(y)^(n-1) | z_i ],  Z|z_i ~ N(sqrt(rho) z_i, 1-rho)
   * rival_max_hazard_ratio: h(v|v) / H(v|v), the diagonal conditional hazard
   * top_value_density: f1(v) = E[ n f_Z(v) F_Z(v)^(n-1) ] over the prior Z
+  * top_value_cdf, top_value_sf: E[ F_Z(v)^n ] and E[ 1 - F_Z(v)^n ]
 
-With sigma around 2.5 the value distribution spans ten orders of magnitude,
-so all tail arithmetic is done in log space (log_ndtr / logsumexp) and a
-conditional CDF that underflows 1e-300 raises TailUnderflowError instead of
-silently dividing by zero.
+One kernel serves all five: ``_factor_nodes`` builds the prior or posterior
+nodes of Z, and rho = 0 is the rule of one node, Z = 0, of weight one.  The
+value distribution spans ten orders of magnitude (sigma around 2.5), so the
+tails are summed in log space: log_ndtr per node, then one max-shifted numpy
+log-sum (``_log_sum``) that keeps every Gauss-Hermite weight.  A conditional
+CDF that underflows 1e-300 raises TailUnderflowError instead of silently
+dividing by zero.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import math
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import log_ndtr, logsumexp, ndtr
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import DomainError, TailUnderflowError
 from .profiles import TypeProfile
@@ -62,45 +66,72 @@ def affiliated_signal(common, idiosyncratic, rho: float):
 
 
 # ---------------------------------------------------------------------------
-# conditional distribution of the highest rival value
+# the factor kernel
 # ---------------------------------------------------------------------------
 
-def _check_positive(name, x):
+def _positive(name, x):
+    """(x as a 1-d float array, whether x was a scalar); DomainError unless
+    every entry is positive and finite."""
     x = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
+    if not np.all(np.isfinite(x) & (x > 0.0)):
         raise DomainError(f"{name} must be positive and finite")
-    return x
+    return np.atleast_1d(x), x.ndim == 0
 
 
-def _posterior_factor_nodes(z_i, rho):
-    """Gauss-Hermite nodes of Z | z_i ~ N(sqrt(rho) z_i, 1 - rho)."""
-    z_i = np.atleast_1d(z_i)
-    return math.sqrt(rho) * z_i[:, None] + math.sqrt(1.0 - rho) * _SQRT2 * _GH_X[None, :]
+def _factor_nodes(profile, given=None):
+    """Gauss-Hermite rule over the common factor Z: (shift, logw, s_perp).
 
-
-def _log_rival_max_cdf(y, v, profile):
-    """log H(y|v) for broadcastable positive arrays y, v."""
-    n, rho, mu, sigma = profile.n, profile.rho, profile.mu, profile.sigma
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    Given node j, a value is log-normal with log-mean mu + shift[k, j] and
+    log-sd s_perp = sigma sqrt(1 - rho); logw[j] is the node's log-weight.
+    Z follows its prior N(0, 1) (one row), or, for own values ``given``, the
+    posterior Z | z_i ~ N(sqrt(rho) z_i, 1 - rho) of each own signal z_i (one
+    row per own value).  rho = 0 is one node, Z = 0, of weight one.
+    """
+    rho, mu, sigma = profile.rho, profile.mu, profile.sigma
     if rho == 0.0:
-        a = (np.log(y) - mu) / sigma
-        return (n - 1) * log_ndtr(a) * np.ones_like(v)
-    z_i = (np.log(v) - mu) / sigma
-    s_perp = sigma * math.sqrt(1.0 - rho)
-    Zk = _posterior_factor_nodes(z_i, rho)
-    a = (np.log(y)[:, None] - mu - sigma * math.sqrt(rho) * Zk) / s_perp
-    return logsumexp(_GH_LOGW[None, :] + (n - 1) * log_ndtr(a), axis=1)
+        Z, logw = np.zeros((1, 1)), np.zeros(1)
+    elif given is None:
+        Z, logw = _SQRT2 * _GH_X[None, :], _GH_LOGW
+    else:
+        z_i = (np.log(given) - mu) / sigma
+        Z = math.sqrt(rho) * z_i[:, None] + math.sqrt(1.0 - rho) * _SQRT2 * _GH_X[None, :]
+        logw = _GH_LOGW
+    return sigma * math.sqrt(rho) * Z, logw, sigma * math.sqrt(1.0 - rho)
 
+
+def _standardized(y, profile, given=None):
+    """(a, logw, s_perp): a[k, j] is ln y_k standardised given node j."""
+    shift, logw, s_perp = _factor_nodes(profile, given)
+    return (np.log(y)[:, None] - profile.mu - shift) / s_perp, logw, s_perp
+
+
+def _log_sum(terms):
+    """log of each row's sum of exp(terms), shifted by the row's max.
+
+    A row of -inf sums to -inf.  Every node is kept: in the left tail at
+    large n the extreme nodes carry the integral.
+    """
+    top = terms.max(axis=1)
+    top = np.where(np.isfinite(top), top, 0.0)
+    e = terms - top[:, None]
+    np.exp(e, out=e)
+    with np.errstate(divide="ignore"):
+        return top + np.log(e.sum(axis=1))
+
+
+# ---------------------------------------------------------------------------
+# conditional distribution of the highest rival value
+# ---------------------------------------------------------------------------
 
 def rival_max_cdf(y, v, profile: TypeProfile):
     """H(y|v) = P(max of the n-1 rival values <= y | own value v)."""
     profile.require_dispersion()
-    y = _check_positive("y", y)
-    v = _check_positive("v", v)
-    scalar = y.ndim == 0 and np.asarray(v).ndim == 0
-    out = np.exp(_log_rival_max_cdf(y, v, profile))
-    return float(out[0]) if scalar else out
+    y, y_scalar = _positive("y", y)
+    v, v_scalar = _positive("v", v)
+    y, v = np.broadcast_arrays(y, v)
+    a, logw, _ = _standardized(y, profile, given=v)
+    out = np.exp(_log_sum(logw + (profile.n - 1) * log_ndtr(a)))
+    return float(out[0]) if y_scalar and v_scalar else out
 
 
 def rival_max_hazard_ratio(v, profile: TypeProfile):
@@ -110,37 +141,21 @@ def rival_max_hazard_ratio(v, profile: TypeProfile):
     for v absurdly deep in the left tail.
     """
     profile.require_dispersion()
-    v = _check_positive("v", v)
-    scalar = np.isscalar(v) or v.ndim == 0
-    v = np.atleast_1d(v)
-    n, rho, mu, sigma = profile.n, profile.rho, profile.mu, profile.sigma
-    if rho == 0.0:
-        a = (np.log(v) - mu) / sigma
-        logF = log_ndtr(a)
-        if np.any(logF * (n - 1) < _LOG_TINY):
-            raise TailUnderflowError(
-                "rival-max CDF underflows below 1e-300 at the requested v"
-            )
-        logf = _norm_logpdf(a) - np.log(v * sigma)
-        out = np.exp(math.log(n - 1) + logf - logF)
-        return float(out[0]) if scalar else out
-    z_i = (np.log(v) - mu) / sigma
-    s_perp = sigma * math.sqrt(1.0 - rho)
-    Zk = _posterior_factor_nodes(z_i, rho)
-    a = (np.log(v)[:, None] - mu - sigma * math.sqrt(rho) * Zk) / s_perp
+    v, scalar = _positive("v", v)
+    n = profile.n
+    a, logw, s_perp = _standardized(v, profile, given=v)
     logPhi = log_ndtr(a)
-    logH = logsumexp(_GH_LOGW[None, :] + (n - 1) * logPhi, axis=1)
+    logH = _log_sum(logw + (n - 1) * logPhi)
     if np.any(logH < _LOG_TINY):
         raise TailUnderflowError(
             "rival-max CDF underflows below 1e-300 at the requested v"
         )
-    logh = logsumexp(
-        _GH_LOGW[None, :]
+    logh = _log_sum(
+        logw
         + math.log(n - 1)
         + (n - 2) * logPhi
         + _norm_logpdf(a)
-        - np.log(v * s_perp)[:, None],
-        axis=1,
+        - np.log(v * s_perp)[:, None]
     )
     out = np.exp(logh - logH)
     return float(out[0]) if scalar else out
@@ -150,56 +165,38 @@ def rival_max_hazard_ratio(v, profile: TypeProfile):
 # highest order statistic of all n values
 # ---------------------------------------------------------------------------
 
-def _prior_conditional_terms(v, profile):
-    """Per-node (a, log-weight) for the unconditional factor integral."""
-    rho, mu, sigma = profile.rho, profile.mu, profile.sigma
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    s_perp = sigma * math.sqrt(1.0 - rho) if rho > 0 else sigma
-    Zk = _SQRT2 * _GH_X if rho > 0 else np.zeros(1)
-    logw = _GH_LOGW if rho > 0 else np.zeros(1)
-    a = (np.log(v)[:, None] - mu - sigma * math.sqrt(rho) * Zk[None, :]) / s_perp
-    return a, logw, s_perp
-
-
 def top_value_density(v, profile: TypeProfile):
     """Density f1(v) of max(v_1..v_n); integrates to one over (0, inf)."""
     profile.require_dispersion()
-    v = _check_positive("v", v)
-    scalar = np.isscalar(v) or v.ndim == 0
-    v = np.atleast_1d(v)
+    v, scalar = _positive("v", v)
     n = profile.n
-    a, logw, s_perp = _prior_conditional_terms(v, profile)
-    terms = (
-        logw[None, :]
+    a, logw, s_perp = _standardized(v, profile)
+    out = np.exp(_log_sum(
+        logw
         + math.log(n)
         + _norm_logpdf(a)
         - np.log(v * s_perp)[:, None]
         + (n - 1) * log_ndtr(a)
-    )
-    out = np.exp(logsumexp(terms, axis=1))
+    ))
     return float(out[0]) if scalar else out
 
 
 def top_value_cdf(v, profile: TypeProfile):
     """P(max of all n values <= v)."""
     profile.require_dispersion()
-    v = _check_positive("v", v)
-    scalar = np.isscalar(v) or v.ndim == 0
-    v = np.atleast_1d(v)
-    a, logw, _ = _prior_conditional_terms(v, profile)
-    out = np.exp(logsumexp(logw[None, :] + profile.n * log_ndtr(a), axis=1))
+    v, scalar = _positive("v", v)
+    a, logw, _ = _standardized(v, profile)
+    out = np.exp(_log_sum(logw + profile.n * log_ndtr(a)))
     return float(out[0]) if scalar else out
 
 
 def top_value_sf(v, profile: TypeProfile):
     """P(max > v), computed without cancellation for deep right tails."""
     profile.require_dispersion()
-    v = _check_positive("v", v)
-    scalar = np.isscalar(v) or v.ndim == 0
-    v = np.atleast_1d(v)
-    a, logw, _ = _prior_conditional_terms(v, profile)
+    v, scalar = _positive("v", v)
+    a, logw, _ = _standardized(v, profile)
     sf_terms = -np.expm1(profile.n * log_ndtr(a))  # 1 - Phi^n, stable
-    out = np.sum(np.exp(logw)[None, :] * sf_terms, axis=1)
+    out = np.sum(np.exp(logw) * sf_terms, axis=1)
     return float(out[0]) if scalar else out
 
 
@@ -208,11 +205,9 @@ def top_value_quantile(q: float, profile: TypeProfile) -> float:
     profile.require_dispersion()
     if not (0.0 < q < 1.0):
         raise DomainError("q must be in (0, 1)")
-    from scipy.stats import norm
-
     # the max lies between the marginal q-quantile and the q^(1/n) union bound
-    lo = profile.mu + profile.sigma * norm.ppf(q) - 1.0
-    hi = profile.mu + profile.sigma * norm.ppf(1.0 - (1.0 - q) / profile.n) + 1.0
+    lo = profile.mu + profile.sigma * ndtri(q) - 1.0
+    hi = profile.mu + profile.sigma * ndtri(1.0 - (1.0 - q) / profile.n) + 1.0
     f = lambda lv: top_value_cdf(math.exp(lv), profile) - q
     return math.exp(brentq(f, lo, hi, xtol=1e-12, rtol=1e-14))
 
@@ -225,13 +220,12 @@ def top_value_tail_mean(limit: float, profile: TypeProfile) -> float:
     log-normal tail mean itself is analytic.
     """
     profile.require_dispersion()
-    if limit < 0:
-        raise DomainError("limit must be >= 0")
-    n, rho, mu, sigma = profile.n, profile.rho, profile.mu, profile.sigma
-    s_perp = sigma * math.sqrt(1.0 - rho) if rho > 0 else sigma
-    Zk = _SQRT2 * _GH_X if rho > 0 else np.zeros(1)
-    w = np.exp(_GH_LOGW) if rho > 0 else np.ones(1)
-    mu_z = mu + sigma * math.sqrt(rho) * Zk
+    if not (0.0 <= limit < math.inf):
+        raise DomainError("limit must be >= 0 and finite")
+    n = profile.n
+    shift, logw, s_perp = _factor_nodes(profile)
+    w = np.exp(logw)
+    mu_z = profile.mu + shift[0]
     if limit == 0.0:
         c = np.full_like(mu_z, -np.inf)
     else:

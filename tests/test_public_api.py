@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import mevauction
 
@@ -37,3 +41,13 @@ def test_all_lists_the_public_names_and_no_submodule():
     for name in mevauction.__all__:
         assert not isinstance(getattr(mevauction, name), types.ModuleType), name
 
+
+
+def test_the_cli_imports_no_scipy_stats():
+    # scipy.stats is slow to import; the package needs only scipy.special's
+    # normal primitives, so a fresh interpreter must not load it
+    src = str(Path(mevauction.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, mevauction.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import log_ndtr, logsumexp
 from scipy.stats import norm
 
 from mevauction import (
+    default_grid,
     rival_max_cdf,
     rival_max_hazard_ratio,
     top_value_cdf,
@@ -17,7 +20,7 @@ from mevauction import (
 )
 from mevauction.errors import DomainError, ParameterError, TailUnderflowError
 from mevauction.rng import stream
-from mevauction.values import affiliated_signal
+from mevauction.values import _log_sum, affiliated_signal
 
 from conftest import MU, SIGMA, make_profile
 
@@ -111,10 +114,6 @@ class TestRivalMaxCdf:
         h_v = rival_max_cdf(np.full_like(vs, 10.0), vs, profile)
         # affiliation: a higher own value shifts rivals up, H falls
         assert np.all(np.diff(h_v) <= 1e-12)
-        # array in, array out, whatever the size; scalars give floats
-        one = rival_max_cdf(np.array([1.0]), 2.0, profile)
-        assert isinstance(one, np.ndarray) and one.shape == (1,)
-        assert isinstance(rival_max_cdf(1.0, 2.0, profile), float)
 
     def test_domain_errors(self):
         profile = make_profile()
@@ -222,3 +221,139 @@ class TestTopValue:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             top_value_density(-2.0, make_profile())
+
+    @pytest.mark.parametrize("limit", [math.nan, math.inf, -1.0])
+    def test_tail_mean_rejects_a_limit_outside_zero_to_inf(self, limit):
+        with pytest.raises(DomainError):
+            top_value_tail_mean(limit, make_profile())
+
+
+# the five factor integrals, each as a function of one value array
+FACTOR_INTEGRALS = {
+    "rival_max_cdf": lambda v, profile: rival_max_cdf(v, v, profile),
+    "rival_max_hazard_ratio": rival_max_hazard_ratio,
+    "top_value_density": top_value_density,
+    "top_value_cdf": top_value_cdf,
+    "top_value_sf": top_value_sf,
+}
+
+
+def _factor_integral(log_term, loc=0.0, scale=1.0):
+    """E[exp(log_term(Z))] for Z ~ N(loc, scale^2), by adaptive quad.
+
+    The integrand is scaled by its peak, found on a fine grid, and the peak is
+    passed to quad as a break point: deep in the left tail at n = 50 the mass
+    sits far out in one tail of Z.
+    """
+    def log_integrand(z):
+        return log_term(z) - 0.5 * ((z - loc) / scale) ** 2
+
+    zs = loc + scale * np.linspace(-40.0, 40.0, 8001)
+    with np.errstate(divide="ignore"):
+        logs = log_integrand(zs)
+        top = float(logs.max())
+        val, _ = quad(lambda z: math.exp(log_integrand(z) - top), zs[0], zs[-1],
+                      points=[zs[np.argmax(logs)]], epsabs=0.0, epsrel=1e-13, limit=500)
+    return val * math.exp(top) / (scale * math.sqrt(2.0 * math.pi))
+
+
+def _quad_oracle(name, v, profile):
+    """The factor integral ``name`` at the value v, integrating over the
+    prior density of Z or the posterior density of Z given v's own signal."""
+    n, rho, mu, sigma = profile.n, profile.rho, profile.mu, profile.sigma
+    s_perp = sigma * math.sqrt(1.0 - rho)
+
+    def a(z):
+        return (math.log(v) - mu - sigma * math.sqrt(rho) * z) / s_perp
+
+    def log_pdf(z):
+        return -0.5 * a(z) ** 2 - 0.5 * math.log(2.0 * math.pi) - math.log(v * s_perp)
+
+    posterior = (math.sqrt(rho) * (math.log(v) - mu) / sigma, math.sqrt(1.0 - rho))
+    if name == "rival_max_cdf":
+        return _factor_integral(lambda z: (n - 1) * log_ndtr(a(z)), *posterior)
+    if name == "rival_max_hazard_ratio":
+        h = _factor_integral(
+            lambda z: math.log(n - 1) + (n - 2) * log_ndtr(a(z)) + log_pdf(z), *posterior)
+        return h / _factor_integral(lambda z: (n - 1) * log_ndtr(a(z)), *posterior)
+    if name == "top_value_density":
+        return _factor_integral(lambda z: math.log(n) + (n - 1) * log_ndtr(a(z)) + log_pdf(z))
+    if name == "top_value_cdf":
+        return _factor_integral(lambda z: n * log_ndtr(a(z)))
+    return _factor_integral(lambda z: np.log(-np.expm1(n * log_ndtr(a(z)))))
+
+
+class TestFactorIntegralsAgainstQuad:
+    """Deterministic oracle for the Gauss-Hermite factor integrals at rho > 0.
+
+    The rival functions are checked across the solver's grid (the 1e-4
+    marginal quantile to the 1 - 1e-9 quantile of the highest value), the
+    top-value functions from the 1e-4 to the 1 - 1e-9 quantile of the
+    highest value.
+    """
+
+    @pytest.mark.parametrize("name", FACTOR_INTEGRALS)
+    @pytest.mark.parametrize("n", [5, 50], ids=["flagship", "n50"])
+    def test_matches_quad_over_the_factor_density(self, name, n):
+        profile = make_profile(n=n)
+        if name.startswith("rival"):
+            grid = default_grid(profile)
+            values = np.geomspace(grid.v_min, grid.v_max, 9)
+        else:
+            qs = [1e-4, 1e-3, 0.01, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-9]
+            values = np.array([top_value_quantile(q, profile) for q in qs])
+        got = FACTOR_INTEGRALS[name](values, profile)
+        expected = [_quad_oracle(name, v, profile) for v in values]
+        np.testing.assert_allclose(got, expected, rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("name", FACTOR_INTEGRALS)
+    @pytest.mark.parametrize("n", [5, 50], ids=["flagship", "n50"])
+    def test_continuous_as_rho_goes_to_zero(self, name, n):
+        independent, nearly = make_profile(n=n, rho=0.0), make_profile(n=n, rho=1e-16)
+        grid = default_grid(independent)
+        values = np.geomspace(grid.v_min, grid.v_max, 25)
+        np.testing.assert_allclose(FACTOR_INTEGRALS[name](values, nearly),
+                                   FACTOR_INTEGRALS[name](values, independent),
+                                   rtol=1e-11, atol=0.0)
+
+
+class TestShapeContract:
+    """A scalar gives a float; an array gives an array of its size."""
+
+    @pytest.mark.parametrize("name", FACTOR_INTEGRALS)
+    @pytest.mark.parametrize("rho", [0.0, 0.3])
+    def test_scalar_in_float_out_and_array_in_array_out(self, name, rho):
+        profile = make_profile(rho=rho)
+        fn = FACTOR_INTEGRALS[name]
+        assert isinstance(fn(2.0, profile), float)
+        one = fn(np.array([2.0]), profile)
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        assert fn(np.array([1.0, 2.0, 3.0]), profile).shape == (3,)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3])
+    def test_rival_max_cdf_broadcasts_y_against_v(self, rho):
+        profile = make_profile(rho=rho)
+        assert isinstance(rival_max_cdf(1.0, 2.0, profile), float)
+        ys, vs = np.array([1.0, 2.0, 3.0]), np.array([0.5, 5.0])
+        assert rival_max_cdf(ys, 2.0, profile).shape == (3,)
+        assert rival_max_cdf(np.array([1.0]), 2.0, profile).shape == (1,)
+        assert rival_max_cdf(1.0, vs, profile).shape == (2,)
+        np.testing.assert_array_equal(rival_max_cdf(1.0, vs, profile),
+                                      rival_max_cdf(np.full(2, 1.0), vs, profile))
+
+
+class TestLogSum:
+    def test_matches_scipy_logsumexp(self):
+        rows = stream(17).normal(scale=10.0, size=(200, 96))
+        np.testing.assert_allclose(_log_sum(rows), logsumexp(rows, axis=1),
+                                   rtol=1e-15, atol=0.0)
+        rows[::3, ::5] = -np.inf
+        np.testing.assert_allclose(_log_sum(rows), logsumexp(rows, axis=1),
+                                   rtol=1e-15, atol=0.0)
+
+    def test_all_minus_inf_row_sums_to_minus_inf_without_warning(self):
+        rows = np.array([[-np.inf] * 96, [0.0] + [-np.inf] * 95])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _log_sum(rows)
+        assert out[0] == -np.inf and out[1] == 0.0
