@@ -16,10 +16,14 @@ frontrunning unprofitable.  The indifference defection rate at valuation v is
     ebar(v) = (gamma * v - b(v)) / (v - b(v)),
 
 and the piecewise strategy bids the curve below the cutoff and gamma * v at
-and above it.  For log-normal values, proportional shading (v - b(v)) / v
-*rises* with v on any realistic grid, so ebar is strictly increasing; the
-cutoff solver checks strict monotonicity of ebar wherever the threat binds
-(either direction) and refuses to pick among multiple roots.
+and above it.  The threat binds exactly where ebar > 0, and
+``IndifferenceLevel`` alone decides where: the cutoffs, the kinks where
+gamma * v crosses the bid, the slope of ebar and the regime (``revenue``
+reads them and only integrates).  For log-normal values, proportional
+shading (v - b(v)) / v *rises* with v on any realistic grid, so ebar is
+strictly increasing; before its first cutoff the level checks strict
+monotonicity of ebar wherever the threat binds (either direction), and it
+refuses to pick among multiple roots.
 The curve and the strategy hold numbers; ``cli.py`` writes their files.
 """
 
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -37,13 +42,12 @@ from scipy.special import log_ndtr, ndtr, ndtri
 from .errors import (
     BoundaryError,
     CutoffMonotonicityError,
-    DomainError,
     ParameterError,
     SolverError,
     TailUnderflowError,
 )
 from .profiles import TypeProfile
-from .values import rival_max_hazard_ratio
+from .values import _positive, rival_max_hazard_ratio
 
 DEFAULT_NODES = 2000
 DEFAULT_Q_LO = 1e-4
@@ -123,11 +127,7 @@ class BidCurve:
 
     def bid(self, v):
         """Risky bid at v (interpolated; share-preserving outside the grid)."""
-        v = np.asarray(v, dtype=float)
-        scalar = v.ndim == 0
-        v = np.atleast_1d(v)
-        if np.any(v <= 0):
-            raise DomainError("v must be positive")
+        v, scalar = _positive("v", v)
         lo_share = self.bids[0] / self.grid[0]
         hi_share = self.bids[-1] / self.grid[-1]
         out = np.where(
@@ -150,9 +150,7 @@ def ipv_bid(v, n: int, mu: float, sigma: float):
     """
     if sigma <= 0:
         raise ParameterError("sigma must be > 0")
-    vs = np.atleast_1d(np.asarray(v, dtype=float))
-    if np.any(vs <= 0):
-        raise DomainError("v must be positive")
+    vs, scalar = _positive("v", v)
     out = np.empty_like(vs)
     for i, vi in enumerate(vs):
         log_gv = (n - 1) * log_ndtr((math.log(vi) - mu) / sigma)
@@ -164,7 +162,7 @@ def ipv_bid(v, n: int, mu: float, sigma: float):
 
         shade, _ = quad(shading, 0.0, vi, limit=200)
         out[i] = vi - shade
-    return float(out[0]) if np.isscalar(v) or np.asarray(v).ndim == 0 else out
+    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +248,12 @@ def indifference_epsilon(v, curve: BidCurve, gamma: float):
     """
     if not (0.0 <= gamma <= 1.0):
         raise ParameterError("gamma must be in [0, 1]")
-    v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-    b = np.atleast_1d(curve.bid(v_arr))
+    v_arr, scalar = _positive("v", v)
+    b = curve.bid(v_arr)
     if np.any(b >= v_arr):
         raise SolverError("corrupt curve: bid >= v inside indifference_epsilon")
     out = (gamma * v_arr - b) / (v_arr - b)
-    return float(out[0]) if np.isscalar(v) or np.asarray(v).ndim == 0 else out
+    return float(out[0]) if scalar else out
 
 
 def solve_cutoff(curve: BidCurve, gamma: float, epsilon: float) -> float:
@@ -276,77 +274,106 @@ def solve_cutoff(curve: BidCurve, gamma: float, epsilon: float) -> float:
     """
     if not (0.0 <= epsilon < 1.0):
         raise ParameterError("epsilon must be in [0, 1)")
-    if not (0.0 <= gamma <= 1.0):
-        raise ParameterError("gamma must be in [0, 1]")
-    ebar = indifference_epsilon(curve.grid, curve, gamma)
-    _check_monotone(curve.grid, ebar)
-    return _cutoff_on_levels(curve, gamma, epsilon, ebar)
+    return IndifferenceLevel(curve, gamma).cutoff(epsilon)
 
 
-def _check_monotone(grid, ebar):
-    """Raise CutoffMonotonicityError unless the indifference levels ``ebar``
-    on ``grid`` are strictly monotone over the binding region (free of eps)."""
-    binding = ebar > 0.0
-    if np.any(binding):
-        idx = np.flatnonzero(binding)
-        steps = np.diff(ebar[idx[0]: idx[-1] + 1])
-        rising, falling = np.any(steps > 0.0), np.any(steps < 0.0)
-        if rising and falling:
-            j = idx[0] + int(np.argmax(steps) if steps[0] < 0 else np.argmin(steps))
-            hi = min(j + 1, grid.size - 1)
+def _crossings(x):
+    """Indices i where x changes sign strictly between nodes i and i + 1."""
+    return np.flatnonzero(np.sign(x[:-1]) * np.sign(x[1:]) < 0)
+
+
+class IndifferenceLevel:
+    """Where the frontrunning threat binds, for one curve and one gamma.
+
+    ``levels`` is ebar on the curve's grid, evaluated once; every answer
+    below reads it, and ``_root`` finds every root between two nodes (a
+    cutoff at ebar = eps, a kink at ebar = 0).  Strict monotonicity is
+    checked once, before the first cutoff; the regime and kinks need none.
+    """
+
+    def __init__(self, curve: BidCurve, gamma: float):
+        self.curve, self.gamma = curve, gamma
+        self.levels = indifference_epsilon(curve.grid, curve, gamma)
+
+    @property
+    def binds(self) -> bool:
+        """Whether the threat binds at some grid node."""
+        return bool(np.any(self.levels > 0.0))
+
+    def binds_below(self, v_star: float) -> bool:
+        """Whether the threat binds at every grid node below ``v_star``."""
+        return bool(np.all(self.levels[self.curve.grid < v_star] > 0.0))
+
+    @property
+    def regime(self) -> str:
+        """Sign pattern of ebar (that is, of gamma*v - bid) over the grid."""
+        if np.all(self.levels > 0.0):
+            return "high_extractability"
+        if np.all(self.levels < 0.0):
+            return "low_extractability"
+        return "mixed"
+
+    def kinks(self) -> list:
+        """Every v between grid nodes where gamma*v crosses the risky bid."""
+        return [self._root(int(i), 0.0) for i in _crossings(self.levels)]
+
+    @cached_property
+    def slope(self):
+        """Derivative of the PCHIP through the levels on the grid."""
+        return PchipInterpolator(self.curve.grid, self.levels).derivative()
+
+    @cached_property
+    def _monotone_levels(self):
+        """The levels, once checked strictly monotone over the binding region."""
+        grid, ebar = self.curve.grid, self.levels
+        idx = np.flatnonzero(ebar > 0.0)
+        if idx.size:
+            steps = np.diff(ebar[idx[0]: idx[-1] + 1])
+            if np.any(steps > 0.0) and np.any(steps < 0.0):
+                j = idx[0] + int(np.argmax(steps) if steps[0] < 0 else np.argmin(steps))
+                hi = min(j + 1, grid.size - 1)
+                raise CutoffMonotonicityError(
+                    "indifference level is not monotone on the binding region "
+                    f"near v in [{grid[j]:.6g}, {grid[hi]:.6g}]",
+                    interval=(float(grid[j]), float(grid[hi])),
+                )
+        return ebar
+
+    def cutoff(self, epsilon: float) -> float:
+        """``solve_cutoff`` at ``epsilon``."""
+        grid = self.curve.grid
+        diff = self._monotone_levels - epsilon
+        sign_change = _crossings(diff)
+        exact = np.flatnonzero(diff == 0.0)
+
+        if sign_change.size + exact.size > 1:
+            nodes = np.concatenate([sign_change, sign_change + 1, exact])
             raise CutoffMonotonicityError(
-                "indifference level is not monotone on the binding region "
-                f"near v in [{grid[j]:.6g}, {grid[hi]:.6g}]",
-                interval=(float(grid[j]), float(grid[hi])),
+                "multiple crossings of the indifference level",
+                interval=(float(grid[nodes.min()]), float(grid[nodes.max()])),
             )
 
+        if exact.size:
+            return float(grid[exact[0]])
+        if sign_change.size:
+            return self._root(int(sign_change[0]), epsilon)
+        if np.all(diff > 0.0):
+            # deterrence premium exceeds the defection risk at every valuation
+            return math.inf
+        # epsilon >= ebar everywhere: deterrence wherever the threat binds
+        if not self.binds:
+            return math.inf
+        first = int(np.argmax(self.levels > 0.0))
+        return float(grid[0]) if first == 0 else self._root(first - 1, 0.0)
 
-def _cutoff_on_levels(curve: BidCurve, gamma: float, epsilon: float, ebar) -> float:
-    """``solve_cutoff`` given the checked indifference levels on the curve's
-    grid, so that a sweep computes them once for all its rates."""
-    grid = curve.grid
-    diff = ebar - epsilon
-    sign_change = np.flatnonzero(np.sign(diff[:-1]) * np.sign(diff[1:]) < 0)
-    exact = np.flatnonzero(diff == 0.0)
-
-    if sign_change.size + exact.size > 1:
-        lo = int(min(sign_change.min() if sign_change.size else grid.size,
-                     exact.min() if exact.size else grid.size))
-        hi = int(max(sign_change.max() + 1 if sign_change.size else 0,
-                     exact.max() if exact.size else 0))
-        raise CutoffMonotonicityError(
-            "multiple crossings of the indifference level",
-            interval=(float(grid[lo]), float(grid[hi])),
-        )
-
-    if exact.size:
-        return float(grid[exact[0]])
-    if sign_change.size:
-        i = int(sign_change[0])
-        root = brentq(
-            lambda x: indifference_epsilon(x, curve, gamma) - epsilon,
-            grid[i], grid[i + 1], xtol=1e-13 * grid[i], rtol=8.9e-16,
-        )
-        if abs(indifference_epsilon(root, curve, gamma) - epsilon) >= 1e-9:
+    def _root(self, i: int, level: float) -> float:
+        """The v between grid nodes i and i + 1 where ebar(v) = level."""
+        grid, curve, gamma = self.curve.grid, self.curve, self.gamma
+        root = brentq(lambda x: indifference_epsilon(x, curve, gamma) - level,
+                      grid[i], grid[i + 1], xtol=1e-13 * grid[i], rtol=8.9e-16)
+        if abs(indifference_epsilon(root, curve, gamma) - level) >= 1e-9:
             raise SolverError("cutoff refinement failed to reach 1e-9")
         return float(root)
-
-    if np.all(diff > 0.0):
-        # deterrence premium exceeds the defection risk at every valuation
-        return math.inf
-    # epsilon >= ebar everywhere: deterrence wherever the threat binds
-    binding = np.flatnonzero(ebar > 0.0)
-    if not binding.size:
-        return math.inf
-    first = int(binding[0])
-    if first == 0:
-        return float(grid[0])
-    return float(
-        brentq(
-            lambda x: indifference_epsilon(x, curve, gamma),
-            grid[first - 1], grid[first], xtol=1e-13 * grid[first - 1], rtol=8.9e-16,
-        )
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +406,12 @@ class PiecewiseStrategy:
     def bid(self, v):
         """gamma*v at and above the cutoff, the curve below it.
 
-        Only values below the cutoff reach the curve; NaN and v <= 0 take
-        that path too, so the curve's DomainError still fires.
+        Only values below the cutoff reach the curve; a value that is not
+        positive and finite raises DomainError.
         """
-        v_arr = np.asarray(v, dtype=float)
-        scalar = v_arr.ndim == 0
-        v_arr = np.atleast_1d(v_arr)
+        v_arr, scalar = _positive("v", v)
         out = self.gamma * v_arr
-        risky = ~(v_arr >= self.cutoff)
+        risky = v_arr < self.cutoff
         out[risky] = self.curve.bid(v_arr[risky])
         return float(out[0]) if scalar else out
 

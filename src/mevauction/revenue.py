@@ -13,13 +13,16 @@ honest first-price revenue is ``bid``.  The Monte Carlo engine in
 ``simulate`` implements the game mechanics independently, and the acceptance
 suite requires the two to agree.
 
+Where the threat binds is decided in ``equilibrium.IndifferenceLevel``: the
+cutoffs, the crossings of gamma*v and the bid, the slope of the indifference
+level and the regime all come from it, and this module only integrates.
 Neither integrand depends on eps or on the cutoff, so both are tabulated
 once per (curve, profile) in a panel table over s = ln v: a 4-node
 Gauss-Legendre rule on every panel of the curve's own grid and on 60 panels
 over the 12 ln-units below it, with panels split at every crossing of
 gamma*v and the bid and at the cap (below).  The table stores cumulative
 panel sums, so a cutoff costs one ``searchsorted`` and one partial panel.  A
-sweep builds one table for all its rates.
+sweep builds one indifference level and one table for all its rates.
 
 Without a finite cutoff the integrals run to the 1 - 1e-8 quantile of the
 max-value distribution (the cap) and both tails beyond it are added
@@ -34,11 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import (
     AssumptionViolationError,
@@ -47,7 +47,7 @@ from .errors import (
     ParameterError,
     SolverError,
 )
-from .equilibrium import BidCurve, PiecewiseStrategy, _check_monotone, _cutoff_on_levels, \
+from .equilibrium import BidCurve, IndifferenceLevel, PiecewiseStrategy, \
     indifference_epsilon, solve_bid_ode
 from .profiles import TypeProfile
 from .values import (
@@ -78,14 +78,6 @@ def _check_consistent(epsilon, strategy, profile):
         raise ConsistencyError(
             f"strategy gamma={strategy.gamma} does not match profile gamma={profile.gamma}"
         )
-
-
-def _binding_kinks(curve: BidCurve, gamma: float) -> list:
-    """Every v between grid nodes where gamma*v crosses the risky bid."""
-    diff = gamma * curve.grid - curve.bids
-    crossings = np.flatnonzero(np.sign(diff[:-1]) * np.sign(diff[1:]) < 0)
-    return [brentq(lambda v: gamma * v - curve.bid(v), curve.grid[i], curve.grid[i + 1])
-            for i in crossings]
 
 
 def _panel_sums(curve: BidCurve, profile: TypeProfile, lo, hi):
@@ -119,18 +111,19 @@ def _frozen_tail(gamma, b_cap, cap, profile):
 class _PanelTable:
     """Cumulative panel sums of the bid and gap integrands for one curve.
 
-    Everything here is free of eps and of the cutoff; ``parts`` adds the
-    cutoff-dependent pieces.
+    The panels split at the level's kinks.  Everything here is free of eps
+    and of the cutoff; ``parts`` adds the cutoff-dependent pieces.
     """
 
-    def __init__(self, curve: BidCurve, profile: TypeProfile):
-        self.curve, self.profile = curve, profile
+    def __init__(self, level: IndifferenceLevel, profile: TypeProfile):
+        self.curve = curve = level.curve
+        self.profile = profile
         self.cap = cap = top_value_quantile(_TAIL_Q, profile)
         s_min, s_max, s_cap = math.log(curve.v_min), math.log(curve.v_max), math.log(cap)
         pieces = [np.log(curve.grid),
                   np.linspace(s_min - _LEFT_SPAN, s_min,
                               int(_LEFT_SPAN * _EDGE_PANELS_PER_UNIT) + 1),
-                  np.log(_binding_kinks(curve, profile.gamma)), [s_cap]]
+                  np.log(level.kinks()), [s_cap]]
         if s_cap > s_max:
             pieces.append(np.linspace(s_max, s_cap, 2 + int(
                 (s_cap - s_max) * _EDGE_PANELS_PER_UNIT)))
@@ -149,16 +142,6 @@ class _PanelTable:
                 f"closed form {exact:.12g} (relative error above {_CHECK_RTOL:g})"
             )
         self.tail = _frozen_tail(profile.gamma, curve.bid(cap), cap, profile)
-
-    @cached_property
-    def ebar(self):
-        """The indifference level on the curve's grid."""
-        return indifference_epsilon(self.curve.grid, self.curve, self.profile.gamma)
-
-    @cached_property
-    def ebar_slope(self):
-        """Derivative of the PCHIP through the indifference level on the grid."""
-        return PchipInterpolator(self.curve.grid, self.ebar).derivative()
 
     def parts(self, v_star: float):
         """(bid, gap, safe) for the strategy with cutoff ``v_star``.
@@ -185,16 +168,14 @@ class _PanelTable:
         return bid + tail_bid, gap + tail_gap, 0.0
 
 
-def _derivative(epsilon, strategy: PiecewiseStrategy, table: _PanelTable, gap):
+def _derivative(epsilon, strategy: PiecewiseStrategy, level, profile, gap):
     """``gap`` plus the boundary term when the cutoff tracks epsilon."""
-    v_star = strategy.cutoff
+    v_star, gamma = strategy.cutoff, level.gamma
     if not math.isfinite(v_star):
         return float(gap)
-    curve, profile = strategy.curve, table.profile
-    gamma = profile.gamma
-    ebar_star = indifference_epsilon(v_star, curve, gamma)
+    ebar_star = indifference_epsilon(v_star, level.curve, gamma)
     if epsilon > 0.0 and abs(ebar_star - epsilon) < 1e-9:
-        slope = float(table.ebar_slope(v_star))
+        slope = float(level.slope(v_star))
         if abs(slope) < 1e-12:
             raise DegenerateCutoffError(
                 f"indifference level is flat at the cutoff (|slope|={abs(slope):.2e})"
@@ -209,14 +190,15 @@ def expected_revenue(epsilon: float, strategy: PiecewiseStrategy,
     """Ex-ante builder revenue for the piecewise strategy at ``epsilon``."""
     _check_consistent(epsilon, strategy, profile)
     profile.require_dispersion()
-    bid, gap, safe = _PanelTable(strategy.curve, profile).parts(strategy.cutoff)
+    level = IndifferenceLevel(strategy.curve, profile.gamma)
+    bid, gap, safe = _PanelTable(level, profile).parts(strategy.cutoff)
     return float(bid + epsilon * gap + safe)
 
 
 def first_price_revenue(curve: BidCurve, profile: TypeProfile) -> float:
     """Honest first-price revenue: the risky bid against the top density."""
     profile.require_dispersion()
-    bid, _, _ = _PanelTable(curve, profile).parts(math.inf)
+    bid, _, _ = _PanelTable(IndifferenceLevel(curve, profile.gamma), profile).parts(math.inf)
     return float(bid)
 
 
@@ -235,23 +217,18 @@ def revenue_derivative(epsilon: float, strategy: PiecewiseStrategy,
     """
     _check_consistent(epsilon, strategy, profile)
     profile.require_dispersion()
-    curve = strategy.curve
-
-    gap = profile.gamma * curve.grid - curve.bids
-    if np.all(gap <= 0.0):
+    level = IndifferenceLevel(strategy.curve, profile.gamma)
+    if not level.binds:
         return 0.0
-
-    below = curve.grid < strategy.cutoff
-    if require_binding and np.any(gap[below] <= 0.0):
+    if require_binding and not level.binds_below(strategy.cutoff):
         raise AssumptionViolationError(
             "frontrunning threat does not bind on all of [v_min, v*); "
             "the closed-form derivative assumption fails (pass "
             "require_binding=False for the positive-part derivative)"
         )
 
-    table = _PanelTable(curve, profile)
-    _, gap_integral, _ = table.parts(strategy.cutoff)
-    return _derivative(epsilon, strategy, table, gap_integral)
+    _, gap, _ = _PanelTable(level, profile).parts(strategy.cutoff)
+    return _derivative(epsilon, strategy, level, profile, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +270,14 @@ class OptimalEpsilon:
 
 def classify_regime(curve: BidCurve, gamma: float) -> str:
     """Sign pattern of gamma*v - bid over the working support."""
-    gap = gamma * curve.grid - curve.bids
-    if np.all(gap > 0.0):
-        return "high_extractability"
-    if np.all(gap < 0.0):
-        return "low_extractability"
-    return "mixed"
+    return IndifferenceLevel(curve, gamma).regime
 
 
 def revenue_sweep(profile: TypeProfile, grid, curve: BidCurve | None = None) -> RevenueProfile:
     """Revenue, derivative, and cutoff at each grid rate (any grid size >= 1).
 
     The bid curve is shared across the sweep (it never depends on epsilon);
-    only the cutoff is re-solved per grid point, on indifference levels
+    only the cutoff is re-solved per grid point, on one indifference level
     computed and checked once.  One panel table serves every rate, and each
     distinct cutoff is evaluated on it once.
     Derivatives are the positive-part form (``require_binding=False``).
@@ -313,25 +285,25 @@ def revenue_sweep(profile: TypeProfile, grid, curve: BidCurve | None = None) -> 
     eps_grid = np.asarray(grid, dtype=float)
     if eps_grid.ndim != 1 or eps_grid.size < 1:
         raise ParameterError("epsilon grid must be a nonempty 1-d sequence")
-    if np.any((eps_grid < 0.0) | (eps_grid >= 1.0)) or np.any(np.diff(eps_grid) <= 0):
+    if np.any(~((eps_grid >= 0.0) & (eps_grid < 1.0))) or np.any(np.diff(eps_grid) <= 0):
         raise ParameterError("epsilon grid must be increasing within [0, 1)")
 
     curve = curve if curve is not None else solve_bid_ode(profile)
     profile.require_dispersion()
-    binds = np.any(profile.gamma * curve.grid - curve.bids > 0.0)
-    table = _PanelTable(curve, profile)
-    _check_monotone(curve.grid, table.ebar)
+    level = IndifferenceLevel(curve, profile.gamma)
+    table = _PanelTable(level, profile)
     parts = {}  # cutoff -> (bid, gap, safe)
     revenues, derivatives, cutoffs = [], [], []
     for eps in map(float, eps_grid):
-        cut = _cutoff_on_levels(curve, profile.gamma, eps, table.ebar)
+        cut = level.cutoff(eps)
         strat = PiecewiseStrategy(curve=curve, cutoff=cut,
                                   gamma=profile.gamma, epsilon=eps)
         if cut not in parts:
             parts[cut] = table.parts(cut)
         bid, gap, safe = parts[cut]
         revenues.append(bid + eps * gap + safe)
-        derivatives.append(_derivative(eps, strat, table, gap) if binds else 0.0)
+        derivatives.append(_derivative(eps, strat, level, profile, gap) if level.binds
+                           else 0.0)
         cutoffs.append(cut)
 
     return RevenueProfile(
@@ -339,7 +311,7 @@ def revenue_sweep(profile: TypeProfile, grid, curve: BidCurve | None = None) -> 
         revenues=np.array(revenues),
         derivatives=np.array(derivatives),
         cutoffs=np.array(cutoffs),
-        regime=classify_regime(curve, profile.gamma),
+        regime=level.regime,
     )
 
 

@@ -424,6 +424,16 @@ def test_zero_flag_is_not_treated_as_missing(tmp_path, capsys, flag):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("epsilons", ["0.1,nan", "nan", "-0.1,0.2", "0.2,1"])
+def test_rate_outside_the_grid_rule_leaves_no_out_dir(tmp_path, capsys, epsilons):
+    # a NaN rate fails the sweep grid's own [0, 1) rule, not a per-rate check
+    out = tmp_path / "out"
+    assert run(["sweep", *SOLVE_FLAGS, f"--epsilons={epsilons}", "--out-dir", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ParameterError", "message": "epsilon grid must be increasing within [0, 1)"}
+    assert not out.exists()
+
+
 PROFILE_INI = "type = naked_arb\nn = 4\nrho = 0.2\ngamma = 0.74\nmu = 1.102\nsigma = 1.5\n"
 BAD_CONFIGS = {
     "solve-n": ("solve", "[solve]\n" + PROFILE_INI.replace("n = 4", "n = five")

@@ -17,6 +17,7 @@ from mevauction import (
     solve_strategy,
     truncation_mass,
 )
+from mevauction.equilibrium import IndifferenceLevel
 from mevauction.errors import (
     BoundaryError,
     CutoffMonotonicityError,
@@ -196,6 +197,41 @@ class TestSolveCutoff:
         _, curve = flagship
         with pytest.raises(ParameterError):
             solve_cutoff(curve, 0.74, 1.0)
+
+
+class TestIndifferenceLevel:
+    @pytest.mark.parametrize("params", [{}, {"gamma": 0.32}, {"n": 50}],
+                             ids=["flagship", "gamma0.32", "n50"])
+    def test_kinks_sit_where_ebar_changes_sign(self, solved, params):
+        # each kink lies between the two grid nodes where ebar changes sign,
+        # and ebar vanishes there
+        profile, curve = solved(**params)
+        ebar = indifference_epsilon(curve.grid, curve, profile.gamma)
+        changes = np.flatnonzero(np.sign(ebar[:-1]) != np.sign(ebar[1:]))
+        kinks = IndifferenceLevel(curve, profile.gamma).kinks()
+        assert len(kinks) == changes.size >= 1
+        for kink, i in zip(kinks, changes):
+            assert curve.grid[i] < kink < curve.grid[i + 1]
+            assert abs(indifference_epsilon(kink, curve, profile.gamma)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("wrap", [float, lambda x: np.array([1.0, x])],
+                         ids=["scalar", "array"])
+@pytest.mark.parametrize("name", ["BidCurve.bid", "PiecewiseStrategy.bid",
+                                  "indifference_epsilon", "ipv_bid"])
+def test_value_must_be_positive_and_finite(flagship, name, bad, wrap):
+    profile, curve = flagship
+    strategy = solve_strategy(profile, 0.2, curve=curve)
+    call = {
+        "BidCurve.bid": curve.bid,
+        "PiecewiseStrategy.bid": strategy.bid,
+        "indifference_epsilon": lambda v: indifference_epsilon(v, curve, profile.gamma),
+        "ipv_bid": lambda v: ipv_bid(v, profile.n, profile.mu, profile.sigma),
+    }[name]
+    with pytest.raises(DomainError, match="v must be positive"):
+        call(wrap(bad))
 
 
 class TestPiecewiseStrategy:

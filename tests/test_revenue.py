@@ -19,14 +19,17 @@ from mevauction import (
     revenue_derivative,
     revenue_sweep,
     run_many,
+    solve_cutoff,
     solve_strategy,
     top_value_density,
     top_value_mean,
     top_value_quantile,
 )
+from mevauction.equilibrium import BidCurve
 from mevauction.errors import (
     AssumptionViolationError,
     ConsistencyError,
+    CutoffMonotonicityError,
     ParameterError,
     SolverError,
 )
@@ -285,6 +288,23 @@ class TestOptimalEpsilon:
         _, curve = solved(n=3, rho=0.2)
         assert classify_regime(curve, 0.998) == "high_extractability"
         assert classify_regime(curve, 0.74) == "mixed"
+
+    def test_classify_regime_needs_no_monotone_level(self):
+        # the curve of test_non_monotone_raises_with_interval
+        curve = BidCurve(grid=np.array([1.0, 2.0, 3.0, 4.0]),
+                         bids=np.array([0.5, 1.4, 1.8, 2.6]))
+        assert classify_regime(curve, 0.75) == "high_extractability"
+        with pytest.raises(CutoffMonotonicityError):
+            solve_cutoff(curve, 0.75, 0.2)
+
+    @pytest.mark.parametrize("label", [*THEORY_PROFILES, "gamma0.32"])
+    def test_sweep_cutoffs_are_solve_cutoff(self, label):
+        # the sweep's cutoffs and solve_cutoff's, bit for bit, at every rate
+        profile = make_profile(**THEORY_PROFILES.get(label, {"gamma": 0.32}))
+        curve = curve_for(profile)
+        rp = revenue_sweep(profile, DEFAULT_EPSILON_GRID, curve=curve)
+        assert rp.cutoffs.tolist() == [solve_cutoff(curve, profile.gamma, eps)
+                                       for eps in DEFAULT_EPSILON_GRID]
 
 
 class TestReferenceSweep:
