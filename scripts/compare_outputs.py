@@ -21,7 +21,9 @@ builder label holding a comma and a quote, and a config-driven report; and
 solve (eps 0.2 and 0), sweep, ``sweep --epsilons 0,0.2,0.5`` and
 ``sweep --epsilons 0,0.2,0.5,0.97`` on six profiles: the four theory
 profiles, rho = 0, and gamma = 0.32, where gamma*v crosses the bid in the
-bulk of the grid.
+bulk of the grid; and ``sweep --epsilons`` with the default grid's 21 rates
+spelled out on a near-flat profile (gamma = 0.05, sigma = 0.5), whose
+revenues vary by less than 1e-6 relative.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ CRITERION_FLAGS = ["--type", "naked_arb", "--n", "4", "--rho", "0.2", "--gamma",
 PROFILES = {label: profile for label, (profile, _) in workloads.THEORY_PROFILES.items()}
 PROFILES.update(rho0=dict(workloads.FLAGSHIP, rho=0.0),
                 gamma032=dict(workloads.FLAGSHIP, gamma=0.32))
+# revenues within 1e-6 relative whose raw argmax is the last rate
+NEAR_FLAT = dict(workloads.FLAGSHIP, gamma=0.05, sigma=0.5)
+DEFAULT_RATES = ",".join(f"{0.05 * k:.2f}" for k in range(20)) + ",0.99"
 COMMA_LABEL = 'Titan, "the" builder'
 
 
@@ -149,6 +154,8 @@ def steps(run: Path) -> list:
                 ["sweep", *flags, "--out-dir", str(base / "sweep")]]
         out += [["sweep", *flags, "--epsilons", grid, "--out-dir", str(base / name)]
                 for name, grid in (("sweep_eps3", "0,0.2,0.5"), ("sweep_eps4", "0,0.2,0.5,0.97"))]
+    out.append(["sweep", *_flags(NEAR_FLAT), "--epsilons", DEFAULT_RATES,
+                "--out-dir", str(run / "near_flat" / "sweep_spelled")])
     return out
 
 

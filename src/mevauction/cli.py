@@ -1,12 +1,19 @@
 """Command-line surface.
 
-Commands: solve, sweep, simulate, generate, estimate, report.  Every run
-resolves its parameters from an optional INI config file plus flags (flags
-win), writes the outputs plus a deterministic ``manifest.json`` capturing
+Commands: solve, sweep, simulate, generate, estimate, report.  ``main``
+runs every command's lifecycle: it starts the clock, resolves the parameters
+from an optional INI config file plus flags (flags win), picks the out dir
+(``--out-dir``, else MEVAUCTION_OUT, else ``.``) and calls the command, which
+only computes and writes its files and returns its manifest config and a
+message.  ``main`` then writes a deterministic ``manifest.json`` capturing
 the resolved configuration, seed, and package version, and a separate
 ``timing.json`` with the wall clock so the data files stay byte-identical
-across reruns.  Exit codes: 0 success, 1 domain error (JSON on stderr),
-2 usage error.
+across reruns, and prints the message.  Exit codes: 0 success, 1 domain
+error (JSON on stderr), 2 usage error.
+
+The out dir is made when the first file is written into it, and every
+command checks its inputs and computes before it writes.  So a run that
+fails a check writes nothing, not even its out dir.
 
 Each parameter is declared once, as a row (config key, type, default or
 REQUIRED, help) of its command in ``PARAMS``.  The row gives the flag, the
@@ -33,14 +40,17 @@ parameter or a file that is not INI is a usage error::
 ``generate`` additionally accepts one section per type, named
 ``[generate.type.<label>]``, with the profile keys plus ``epsilon`` (``type``
 defaults to the label); these replace the profile flags and keys of
-``[generate]``, and giving any of those beside them is a usage error.  The
-only environment variable honored is MEVAUCTION_OUT (default output
-directory).
+``[generate]``, and giving any of those beside them is a usage error.
+``generate``'s manifest records the profile and rate of each type as
+written.  The only environment variable honored is MEVAUCTION_OUT (default
+output directory).
 
 This module alone formats output files, from result objects that hold
 numbers: tables through ``_write_csv``, documents (strict JSON) through
-``_write_json``.  Only the bundle CSV (``write_bundles``) and the simulation
-trace (``run_many``) are written elsewhere, as they stream.
+``_write_json``, each making its parent dir.  Only the bundle CSV
+(``write_bundles``) and the simulation trace (``run_many``) are written
+elsewhere, as they stream, so ``generate`` and ``simulate --trace`` make the
+out dir themselves, after every check and the strategy solve.
 """
 
 from __future__ import annotations
@@ -85,7 +95,7 @@ from .diagnostics import (
 from .equilibrium import DEFAULT_NODES, default_grid, solve_bid_ode, solve_strategy
 from .errors import MevAuctionError, ParameterError, ThinSampleError
 from .profiles import MevType, TypeProfile
-from .revenue import optimal_epsilon, revenue_sweep
+from .revenue import DEFAULT_EPSILON_GRID, revenue_sweep
 from .simulate import _check_run_args, run_many
 from .synthetic import SyntheticSpec, generate_chunks
 
@@ -182,22 +192,15 @@ def _params(args, parser):
     rows = [row for row in PARAMS[args.command] if not sections or row not in SPEC]
     values, written = _lookup(rows, vars(args), section, parser, args.command)
     if sections:
-        values["types"] = [
-            _lookup(SPEC, {}, {"type": name.split(".", 2)[2], **body}, parser, name)[0]
-            for name, body in sections.items()]
+        values["types"], written["types"] = zip(*(
+            _lookup(SPEC, {}, {"type": name.split(".", 2)[2], **body}, parser, name)
+            for name, body in sections.items()))
     return values, written
 
 
 def _profile_from(values) -> TypeProfile:
     return TypeProfile(MevType.parse(values["type"]),
                        **{key: values[key] for key, *_ in PROFILE[1:]})
-
-
-def _out_dir(args) -> Path:
-    out = args.out_dir or os.environ.get("MEVAUCTION_OUT") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _write_csv(path: Path, header, rows):
@@ -219,13 +222,15 @@ def _write_csv(path: Path, header, rows):
                 columns[i] = map(fields.__getitem__, columns[i])
             rows = zip(*columns)
         lines += map(line.__mod__, rows)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("".join(lines), encoding="utf-8")
 
 
 def _write_json(path: Path, doc, sort_keys=False):
     """Write ``doc`` as strict JSON (a bare inf or NaN is an error)."""
-    path.write_text(json.dumps(doc, indent=1, sort_keys=sort_keys, allow_nan=False),
-                    encoding="utf-8")
+    text = json.dumps(doc, indent=1, sort_keys=sort_keys, allow_nan=False)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
 
 
 def _finite_or_none(x):
@@ -248,12 +253,8 @@ def _manifest(out: Path, command: str, resolved: dict, started: float):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_solve(args, parser):
-    started = time.time()
-    p, written = _params(args, parser)
+def cmd_solve(p, written, out):
     profile = _profile_from(p)
-    out = _out_dir(args)
-
     grid = replace(default_grid(profile, nodes=p["nodes"]),
                    **{k: p[k] for k in ("v_min", "v_max") if p[k] is not None})
     curve = solve_bid_ode(profile, grid)
@@ -267,30 +268,22 @@ def cmd_solve(args, parser):
                   "nodes": curve.grid.size, "interpolation": "pchip",
                   "grid": ["%.12g" % v for v in curve.grid.tolist()],
                   "bids": ["%.12g" % b for b in curve.bids.tolist()]}})
-    _manifest(out, "solve", {**written, "nodes": grid.nodes,
-                             "v_min": grid.v_min, "v_max": grid.v_max}, started)
-    print(f"solved curve ({curve.grid.size} nodes), cutoff = {strategy.cutoff:.6g}")
-    return 0
+    return ({**written, "nodes": grid.nodes, "v_min": grid.v_min, "v_max": grid.v_max},
+            f"solved curve ({curve.grid.size} nodes), cutoff = {strategy.cutoff:.6g}")
 
 
-def cmd_sweep(args, parser):
-    started = time.time()
-    p, written = _params(args, parser)
+def cmd_sweep(p, written, out):
     profile = _profile_from(p)
     eps_text = p["epsilons"]
-    if eps_text is not None:
-        # explicit grids of any size are honored; argmax is over that grid
+    grid = DEFAULT_EPSILON_GRID
+    if eps_text is not None:  # explicit grids of any size are honored
         try:
             grid = [float(x) for x in eps_text.split(",")]
         except ValueError:
             raise ParameterError(
                 f"epsilons must be comma-separated numbers, got {eps_text!r}") from None
-        rp = revenue_sweep(profile, grid)
-        star = float(rp.epsilons[int(np.argmax(rp.revenues))])
-    else:
-        result = optimal_epsilon(profile)
-        rp, star = result.profile, result.epsilon_star
-    out = _out_dir(args)
+    rp = revenue_sweep(profile, grid)
+    star = rp.epsilon_star
     eps, rev, der, cut = (a.tolist() for a in (rp.epsilons, rp.revenues, rp.derivatives,
                                                rp.cutoffs))
     _write_csv(out / "revenue_profile.csv", "epsilon,revenue,derivative,cutoff",
@@ -299,46 +292,36 @@ def cmd_sweep(args, parser):
         "epsilon_star": star, "regime": rp.regime,
         "profile": {"regime": rp.regime, "epsilons": eps, "revenues": rev, "derivatives": der,
                     "cutoffs": ["inf" if math.isinf(c) else c for c in cut]}})
-    _manifest(out, "sweep", {**written, "epsilons": eps_text or "default"}, started)
-    print(f"regime = {rp.regime}, epsilon_star = {star}")
-    return 0
+    return ({**written, "epsilons": eps_text or "default"},
+            f"regime = {rp.regime}, epsilon_star = {star}")
 
 
-def cmd_simulate(args, parser):
-    started = time.time()
-    p, written = _params(args, parser)
+def cmd_simulate(p, written, out):
     profile = _profile_from(p)
-    _check_run_args(p["blocks"], p["threads"], p["antithetic"], p["trace_cap"])
-    out = _out_dir(args)
+    _check_run_args(p["blocks"], p["seed"], p["threads"], p["antithetic"], p["trace_cap"])
     strategy = solve_strategy(profile, p["epsilon"])
+    if p["trace"]:  # the trace streams into the out dir
+        out.mkdir(parents=True, exist_ok=True)
     report = run_many(strategy, profile, p["blocks"], p["seed"],
                       workers=p["threads"], antithetic=p["antithetic"],
                       trace_path=out / "trace.csv" if p["trace"] else None,
                       trace_cap=p["trace_cap"])
     _write_json(out / "sim_report.json", asdict(report))
     # the report is the same for every thread count, and the trace has its own file
-    _manifest(out, "simulate", {k: v for k, v in written.items()
-                                if k not in ("threads", "trace", "trace_cap")}, started)
-    print(f"blocks={report.blocks} revenue={report.mean_builder_revenue:.6g}"
-          f" +-{report.stderr_builder_revenue:.2g}")
-    return 0
+    return ({k: v for k, v in written.items() if k not in ("threads", "trace", "trace_cap")},
+            f"blocks={report.blocks} revenue={report.mean_builder_revenue:.6g}"
+            f" +-{report.stderr_builder_revenue:.2g}")
 
 
-def cmd_generate(args, parser):
-    started = time.time()
-    p, _ = _params(args, parser)
+def cmd_generate(p, written, out):
     specs = [SyntheticSpec(profile=_profile_from(t), epsilon=t["epsilon"])
              for t in p.get("types", [p])]
+    # checks the arguments and solves every strategy before the first draw
     chunks = generate_chunks(specs, p["blocks"], p["seed"],
                              opportunities_per_block=p["opportunities_per_block"])
-    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)  # the bundles stream into the out dir
     count = write_bundles(out / "bundles.csv", chunks)
-    _manifest(out, "generate", {
-        "blocks": p["blocks"], "seed": p["seed"],
-        "opportunities_per_block": p["opportunities_per_block"],
-        "types": [s.profile.tau.value for s in specs]}, started)
-    print(f"wrote {count} records to {out / 'bundles.csv'}")
-    return 0
+    return written, f"wrote {count} records to {out / 'bundles.csv'}"
 
 
 def _write_estimates(table, out):
@@ -364,27 +347,19 @@ def _estimates_doc(estimates):
             for t, e in estimates.items()}
 
 
-def cmd_estimate(args, parser):
-    started = time.time()
-    p, written = _params(args, parser)
-    table = BundleTable.read(p["input"])  # a missing input leaves no out dir
-    out = _out_dir(args)
+def cmd_estimate(p, written, out):
+    table = BundleTable.read(p["input"])
     estimates = _write_estimates(table, out)
     _write_json(out / "gamma_estimates.json", _estimates_doc(estimates), sort_keys=True)
-    _manifest(out, "estimate", written, started)
-    print(f"estimated gamma for {len(estimates)} types")
-    return 0
+    return written, f"estimated gamma for {len(estimates)} types"
 
 
-def cmd_report(args, parser):
-    started = time.time()
-    params, written = _params(args, parser)
-    # a bad rule, a missing input or a bad window leaves no out dir
+def cmd_report(params, written, out):
+    # the rule, the input and the window are checked before the first write
     rule = _bergemann_rule(params["bergemann_rule"])
     ingest_report = IngestReport()
     table = BundleTable.read(params["input"], ingest_report)
     counted = effective_bidder_counts(table, window=params["window"])
-    out = _out_dir(args)
 
     # summary statistics and data quality
     positive = ~(table.value <= 0)
@@ -469,9 +444,7 @@ def cmd_report(args, parser):
         "bin_weighting": "record-weighted within bins; bin-uniform dispersion "
                          "reported by estimate_gamma",
     }, sort_keys=True)
-    _manifest(out, "report", written, started)
-    print(f"report written to {out} ({ingest_report.records} records)")
-    return 0
+    return written, f"report written to {out} ({ingest_report.records} records)"
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +479,18 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.time()
+    out = Path(args.out_dir or os.environ.get("MEVAUCTION_OUT") or ".")
     try:
-        return args.func(args, parser)
+        params, written = _params(args, parser)
+        config, message = args.func(params, written, out)
+        _manifest(out, args.command, config, started)
     except (MevAuctionError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1
+    print(message)
+    return 0
 
 
 if __name__ == "__main__":

@@ -22,14 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirics import (
-    _BY_LABEL,
-    _LABEL_RANK,
-    MEV_TYPES,
-    BundleTable,
-    _as_table,
-    _first_seen,
-)
+from .empirics import MEV_TYPES, BundleTable, _as_table, _first_seen
 from .errors import ConfigurationError
 from .profiles import MevType
 
@@ -58,7 +51,7 @@ def affiliation_pairs(records):
     codes = table.mev_type[positive]
     value = table.value[positive]
     # within each (block, type) group the values ascend, so the top two close it
-    order = np.lexsort((value, _LABEL_RANK[codes], block))
+    order = np.lexsort((value, codes, block))
     block, codes, value = block[order], codes[order], value[order]
     starts, ends = _runs(block, codes)
     ends = ends[ends - starts >= 2]
@@ -249,7 +242,7 @@ def effective_bidder_counts(records, window: int = DEFAULT_PROXY_WINDOW) -> Bidd
     if window < 1:
         raise ConfigurationError("proxy window must be >= 1")
     table = _as_table(records)
-    order = np.lexsort((table.block, _LABEL_RANK[table.mev_type]))
+    order = np.lexsort((table.block, table.mev_type))
     codes = table.mev_type[order]
     proxy = np.empty(order.size, dtype=np.int64)
     for start, end in zip(*_runs(codes)):
@@ -274,8 +267,7 @@ def _window_counts(block, searcher, window):
     window = min(window, int(block[-1]) - int(block[0]) + 1)
     by_searcher = np.lexsort((block, searcher))
     sb, ss = block[by_searcher], searcher[by_searcher]
-    first = np.ones(sb.size, dtype=bool)
-    first[1:] = (ss[1:] != ss[:-1]) | (sb[1:] != sb[:-1])
+    first, _ = _runs(ss, sb)
     active_block, active_searcher = sb[first], ss[first]
     run = np.ones(active_block.size, dtype=bool)
     run[1:] = ((active_searcher[1:] != active_searcher[:-1])
@@ -303,15 +295,15 @@ def board_diagnostic(counted: BidderCounts, bin_edges=DEFAULT_COUNT_BINS):
     tip = table.tip[rows][keep]
     share = tip / value[keep]
     bins = np.maximum(0, np.searchsorted(edges, counted.proxy[keep], side="right") - 1)
-    cell = _LABEL_RANK[table.mev_type[rows][keep]] * len(edges) + bins
+    cell = table.mev_type[rows][keep] * len(edges) + bins
     by_cell = np.argsort(cell, kind="stable")
     cell, tip, share = cell[by_cell], tip[by_cell], share[by_cell]
     out = []
     for start, end in zip(*_runs(cell)):
-        rank, i = divmod(int(cell[start]), len(edges))
+        code, i = divmod(int(cell[start]), len(edges))
         hi = edges[i + 1] - 1 if i + 1 < len(edges) else np.iinfo(np.int32).max
         out.append(BoardBin(
-            mev_type=MEV_TYPES[_BY_LABEL[rank]], count_lo=edges[i], count_hi=int(hi),
+            mev_type=MEV_TYPES[code], count_lo=edges[i], count_hi=int(hi),
             records=int(end - start),
             mean_revenue=float(tip[start:end].mean()),
             mean_bribe_share=float(share[start:end].mean()),

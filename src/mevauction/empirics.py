@@ -70,13 +70,11 @@ FULL_BINS = 50
 THIN_THRESHOLD = 500
 GAMMA_FLAG_CEILING = 1.5
 
-# type code -> MevType; codes of a table index this tuple
-MEV_TYPES = tuple(MevType)
+# type code -> MevType; codes of a table index this tuple.  Codes are numbered
+# in label order, the order outputs list types in, so sorting codes sorts labels
+MEV_TYPES = tuple(sorted(MevType, key=lambda t: t.value))
+# a MevType is a str, so this maps a label to its code too
 _TYPE_CODE = {t: i for i, t in enumerate(MEV_TYPES)}
-_LABEL_CODE = {t.value: i for i, t in enumerate(MEV_TYPES)}
-# outputs list types by label; _LABEL_RANK[code] is the type's place in that order
-_BY_LABEL = tuple(sorted(range(len(MEV_TYPES)), key=lambda c: MEV_TYPES[c].value))
-_LABEL_RANK = np.argsort(_BY_LABEL)
 _BLOCK_MIN, _BLOCK_MAX = -(1 << 63), (1 << 63) - 1
 
 
@@ -104,7 +102,7 @@ def _parse_row(row):
     block = int(row[1])
     if not _BLOCK_MIN <= block <= _BLOCK_MAX:
         raise ValueError(f"block number {block} outside the signed 64-bit range")
-    code = _LABEL_CODE.get(row[2])
+    code = _TYPE_CODE.get(row[2])
     if code is None:
         code = _TYPE_CODE[MevType.parse(row[2])]
     return row[0], block, code, row[3], row[4], tip, profit
@@ -325,8 +323,7 @@ def _as_table(records) -> BundleTable:
 
 def _types_present(codes) -> list:
     """The type codes occurring in ``codes``, in label order."""
-    present = np.bincount(codes, minlength=len(MEV_TYPES)) > 0
-    return [c for c in _BY_LABEL if present[c]]
+    return np.flatnonzero(np.bincount(codes, minlength=len(MEV_TYPES))).tolist()
 
 
 def _first_seen(codes) -> list:
@@ -534,7 +531,7 @@ def decompose(records, gammas) -> DecompositionReport:
     per_type = tuple(
         TypeDecomposition(mev_type=MEV_TYPES[c], observed_tips=float(tip_sum[c]),
                           foregone_surplus=float(foregone[c]), records=int(counts[c]))
-        for c in _BY_LABEL if c in seen
+        for c in sorted(seen)
     )
     # type totals summed in first-seen order, as the per-record loop did
     return DecompositionReport(

@@ -261,6 +261,17 @@ class RevenueProfile:
                     "low-extractability profile must have vanishing derivatives"
                 )
 
+    @property
+    def epsilon_star(self) -> float:
+        """The rate of the highest revenue on the grid.  A flat profile
+        (revenues within 1e-6 relative) reports the lowest rate, since the
+        whole grid is then argmax."""
+        revenues = np.asarray(self.revenues, dtype=float)
+        level = max(abs(float(revenues.max())), 1e-12)
+        flat = revenues.max() - revenues.min() <= 1e-6 * level
+        return float(np.asarray(self.epsilons)[0 if flat else int(np.argmax(revenues))])
+
+
 @dataclass(frozen=True)
 class OptimalEpsilon:
     epsilon_star: float
@@ -317,19 +328,10 @@ def revenue_sweep(profile: TypeProfile, grid, curve: BidCurve | None = None) -> 
 
 def optimal_epsilon(profile: TypeProfile, grid=None,
                     curve: BidCurve | None = None) -> OptimalEpsilon:
-    """Grid argmax of expected revenue with regime classification.
-
-    A flat profile reports the lowest grid point as the maximizer, since the
-    whole grid is then argmax.
-    """
+    """Grid argmax of expected revenue (``RevenueProfile.epsilon_star``)
+    with regime classification, on at least 21 rates."""
     eps_grid = np.asarray(DEFAULT_EPSILON_GRID if grid is None else grid, dtype=float)
     if eps_grid.size < 21:
         raise ParameterError("epsilon grid needs at least 21 points")
     rp = revenue_sweep(profile, eps_grid, curve=curve)
-    revenues = rp.revenues
-    level = max(abs(float(revenues.max())), 1e-12)
-    if revenues.max() - revenues.min() <= 1e-6 * level:
-        star = float(eps_grid[0])
-    else:
-        star = float(eps_grid[int(np.argmax(revenues))])
-    return OptimalEpsilon(epsilon_star=star, regime=rp.regime, profile=rp)
+    return OptimalEpsilon(epsilon_star=rp.epsilon_star, regime=rp.regime, profile=rp)

@@ -159,10 +159,12 @@ def _simulate_chunk(strategy, profile, seed, chunk_index, size, antithetic):
     return winner, top_bid, top_val, defect, frontrun, revenue, surplus
 
 
-def _check_run_args(blocks, workers, antithetic, trace_cap):
+def _check_run_args(blocks, seed, workers, antithetic, trace_cap):
     """Reject ``run_many`` arguments up front (the CLI calls this first too)."""
     if blocks < 1:
         raise ParameterError("blocks must be >= 1")
+    if seed < 0:
+        raise ParameterError("seed must be >= 0")
     if antithetic and blocks % 2:
         raise ParameterError("antithetic sampling needs an even number of blocks")
     if workers < 1:
@@ -181,7 +183,7 @@ def run_many(strategy: PiecewiseStrategy, profile: TypeProfile, blocks: int,
     result is identical for any value because chunk streams are keyed by
     index and chunk moments are combined in index order.
     """
-    _check_run_args(blocks, workers, antithetic, trace_cap)
+    _check_run_args(blocks, seed, workers, antithetic, trace_cap)
     sizes = _chunk_sizes(blocks)
 
     def work(i):
@@ -282,6 +284,8 @@ def deviation_payoff_grid(v: float, bids, strategy: PiecewiseStrategy,
         raise ParameterError(f"reference_index must be in [0, {bids.size})")
     if blocks < 1:
         raise ParameterError("blocks must be >= 1")
+    if seed < 0:
+        raise ParameterError("seed must be >= 0")
     sizes = _chunk_sizes(blocks)
 
     k = bids.size

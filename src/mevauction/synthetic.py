@@ -85,6 +85,8 @@ def generate_chunks(specs, blocks: int, seed: int, *,
     checks)."""
     if blocks < 0:
         raise ParameterError("blocks must be >= 0")
+    if seed < 0:
+        raise ParameterError("seed must be >= 0")
     if opportunities_per_block < 1:
         raise ParameterError("opportunities_per_block must be >= 1")
     if isinstance(specs, dict):

@@ -14,6 +14,7 @@ from mevauction.diagnostics import affiliation_pairs, effective_bidder_counts
 from mevauction.empirics import CSV_COLUMNS, BundleTable
 from mevauction.equilibrium import BidCurve, solve_bid_ode
 from mevauction.profiles import MevType, TypeProfile
+from mevauction.revenue import DEFAULT_EPSILON_GRID
 
 from conftest import counted_pairs
 
@@ -143,6 +144,19 @@ class TestSweep:
         assert payload["profile"]["regime"] == "low_extractability"
         assert payload["profile"]["cutoffs"][0] == "inf"
 
+    def test_explicit_grid_reports_the_default_grid_maximizer(self, tmp_path):
+        # a near-flat profile whose raw argmax is the last rate: the default
+        # grid and the same 21 rates spelled out report the same epsilon_star
+        flags = ["--type", "naked_arb", "--n", "5", "--rho", "0.3", "--gamma", "0.05",
+                 "--mu", "1.102", "--sigma", "0.5"]
+        spelled = ",".join(str(e) for e in DEFAULT_EPSILON_GRID)
+        outs = tmp_path / "default", tmp_path / "explicit"
+        assert run(["sweep", *flags, "--out-dir", str(outs[0])]) == 0
+        assert run(["sweep", *flags, "--epsilons", spelled, "--out-dir", str(outs[1])]) == 0
+        for name in ("revenue_profile.csv", "revenue_profile.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        assert json.loads((outs[1] / "revenue_profile.json").read_text())["epsilon_star"] == 0.0
+
     def test_malformed_grid_rejected(self, tmp_path):
         code = run(["sweep", "--type", "liquidation", "--n", "10", "--rho", "0.4",
                     "--gamma", "0.05", "--mu", "1.102", "--sigma", "0.5",
@@ -168,17 +182,6 @@ class TestSimulate:
         assert code == 0
         assert len((out / "trace.csv").read_text().splitlines()) == 101
 
-    @pytest.mark.parametrize("flags", [["--threads", "-2"],
-                                       ["--trace", "--trace-cap", "-5"]],
-                             ids=["threads", "trace-cap"])
-    def test_bad_flag_rejected_before_out_dir(self, tmp_path, capsys, flags):
-        out = tmp_path / "sim"
-        code = run(["simulate", *SOLVE_FLAGS, "--epsilon", "0.2",
-                    "--blocks", "2000", "--seed", "3", *flags, "--out-dir", str(out)])
-        assert code == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
-        assert not out.exists()
-
 
 class TestGenerateEstimateReport:
     def make_bundles(self, tmp_path, blocks=4000):
@@ -198,6 +201,37 @@ class TestGenerateEstimateReport:
         assert abs(est["naked_arb"]["gamma_hat"] - 0.74) < 0.02
         assert (out / "fig2_naked_arb.csv").exists()
 
+    def test_generate_manifest_records_the_planted_profile(self, tmp_path):
+        manifests = []
+        for gamma in ("0.5", "0.9"):
+            out = tmp_path / gamma
+            assert run(["generate", *SOLVE_FLAGS, "--gamma", gamma, "--epsilon", "0.3",
+                        "--blocks", "200", "--seed", "17", "--out-dir", str(out)]) == 0
+            manifests.append((out / "manifest.json").read_bytes())
+            config = json.loads(manifests[-1])["config"]
+            assert config["gamma"] == float(gamma)
+            assert {k: config[k] for k in ("type", "n", "rho", "mu", "sigma", "epsilon")} \
+                == {"type": "naked_arb", "n": 4, "rho": 0.2, "mu": 1.102, "sigma": 1.5,
+                    "epsilon": 0.3}
+        assert manifests[0] != manifests[1]
+
+    def test_generate_manifest_records_type_sections_as_written(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[generate]\nblocks = 200\nseed = 17\n"
+                       "[generate.type.naked_arb]\nn = 4\nrho = 0.2\ngamma = 0.740\n"
+                       "mu = 1.102\nsigma = 1.5\nepsilon = 0.3\n"
+                       "[generate.type.backrun]\n" + PROFILE_INI.replace("naked_arb", "backrun")
+                       + "epsilon = 0.1\n")
+        out = tmp_path / "gen"
+        assert run(["generate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["types"] == [
+            {"type": "naked_arb", "n": "4", "rho": "0.2", "gamma": "0.740", "mu": "1.102",
+             "sigma": "1.5", "epsilon": "0.3"},
+            {"type": "backrun", "n": "4", "rho": "0.2", "gamma": "0.74", "mu": "1.102",
+             "sigma": "1.5", "epsilon": "0.1"}]
+        assert {"blocks", "seed"} <= set(config) and "gamma" not in config
+
     def test_generate_deterministic(self, tmp_path):
         a = self.make_bundles(tmp_path / "a", blocks=500)
         b = self.make_bundles(tmp_path / "b", blocks=500)
@@ -216,23 +250,6 @@ class TestGenerateEstimateReport:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert "error" in err
-
-    @pytest.mark.parametrize("command", ["estimate", "report"])
-    def test_missing_input_leaves_no_out_dir(self, tmp_path, capsys, command):
-        out = tmp_path / "out"
-        assert run([command, "--input", str(tmp_path / "nope.csv"),
-                    "--out-dir", str(out)]) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
-        assert not out.exists()
-
-    def test_bad_window_leaves_no_out_dir(self, tmp_path, capsys):
-        bundles = self.make_bundles(tmp_path, blocks=300)
-        capsys.readouterr()
-        out = tmp_path / "report"
-        assert run(["report", "--input", str(bundles), "--window", "0",
-                    "--out-dir", str(out)]) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "ConfigurationError"
-        assert not out.exists()
 
     def test_report_emits_every_figure_file(self, tmp_path):
         bundles = self.make_bundles(tmp_path)
@@ -359,18 +376,6 @@ class TestGenerateEstimateReport:
                 assert {len(row) for row in table} == {len(table[0])}, path.name
         assert label in [row[0] for row in read_csv(tmp_path / "report" / "tabA1_builders.csv")]
 
-    @pytest.mark.parametrize("header_only", [False, True], ids=["generated", "header-only"])
-    def test_unknown_rule_rejected_before_out_dir(self, tmp_path, capsys, header_only):
-        bundles = self.make_bundles(tmp_path, blocks=300)
-        if header_only:
-            bundles.write_text(",".join(CSV_COLUMNS) + "\n")
-        capsys.readouterr()
-        out = tmp_path / "report"
-        assert run(["report", "--input", str(bundles), "--bergemann-rule", "bogus",
-                    "--out-dir", str(out)]) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "ConfigurationError"
-        assert not out.exists()
-
     def test_proxy_ignores_row_order_within_blocks(self, tmp_path):
         gen = tmp_path / "gen"
         assert run(["generate", *SOLVE_FLAGS, "--epsilon", "0.3", "--blocks", "600",
@@ -421,7 +426,7 @@ def test_zero_flag_is_not_treated_as_missing(tmp_path, capsys, flag):
     assert run([*argv, "--out-dir", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] in ("ParameterError", "ConfigurationError")
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("epsilons", ["0.1,nan", "nan", "-0.1,0.2", "0.2,1"])
@@ -431,6 +436,60 @@ def test_rate_outside_the_grid_rule_leaves_no_out_dir(tmp_path, capsys, epsilons
     assert run(["sweep", *SOLVE_FLAGS, f"--epsilons={epsilons}", "--out-dir", str(out)]) == 1
     assert json.loads(capsys.readouterr().err) == {
         "error": "ParameterError", "message": "epsilon grid must be increasing within [0, 1)"}
+    assert not out.exists()
+
+
+# one row per way a run can fail a check: (argv, error); "{input}" is a
+# generated bundle CSV, "{header_only}" one without rows and "{missing}" no
+# file.  Every such run exits 1 and writes nothing.
+FAILED_RUNS = {
+    "solve-nodes": (["solve", *SOLVE_FLAGS, "--epsilon", "0.2", "--nodes", "10"],
+                    "ParameterError"),
+    "solve-v-range": (["solve", *SOLVE_FLAGS, "--epsilon", "0.2", "--v-min", "100",
+                       "--v-max", "1"], "ParameterError"),
+    "solve-epsilon": (["solve", *SOLVE_FLAGS, "--epsilon", "1.5"], "ParameterError"),
+    "solve-sigma": (["solve", *SOLVE_FLAGS, "--epsilon", "0.2", "--sigma", "0"],
+                    "ParameterError"),
+    "sweep-nan-rate": (["sweep", *SOLVE_FLAGS, "--epsilons", "0.1,nan"], "ParameterError"),
+    "simulate-epsilon": (["simulate", *SOLVE_FLAGS, "--epsilon", "1.5", "--blocks", "2000",
+                          "--seed", "3"], "ParameterError"),
+    "simulate-epsilon-trace": (["simulate", *SOLVE_FLAGS, "--epsilon", "1.5", "--blocks",
+                                "2000", "--seed", "3", "--trace"], "ParameterError"),
+    "simulate-threads": (["simulate", *SOLVE_FLAGS, "--epsilon", "0.2", "--blocks", "2000",
+                          "--seed", "3", "--threads", "-2"], "ParameterError"),
+    "simulate-trace-cap": (["simulate", *SOLVE_FLAGS, "--epsilon", "0.2", "--blocks", "2000",
+                            "--seed", "3", "--trace", "--trace-cap", "-5"], "ParameterError"),
+    "simulate-seed": (["simulate", *SOLVE_FLAGS, "--epsilon", "0.2", "--blocks", "2000",
+                       "--seed", "-1"], "ParameterError"),
+    "generate-blocks": (["generate", *SOLVE_FLAGS, "--epsilon", "0.2", "--blocks", "-1",
+                         "--seed", "1"], "ParameterError"),
+    "generate-opportunities": (["generate", *SOLVE_FLAGS, "--epsilon", "0.2", "--blocks",
+                                "10", "--seed", "1", "--opportunities", "0"],
+                               "ParameterError"),
+    "generate-seed": (["generate", *SOLVE_FLAGS, "--epsilon", "0.2", "--blocks", "10",
+                       "--seed", "-1"], "ParameterError"),
+    "estimate-missing-input": (["estimate", "--input", "{missing}"], "FileNotFoundError"),
+    "report-missing-input": (["report", "--input", "{missing}"], "FileNotFoundError"),
+    "report-window": (["report", "--input", "{input}", "--window", "0"],
+                      "ConfigurationError"),
+    "report-rule": (["report", "--input", "{input}", "--bergemann-rule", "bogus"],
+                    "ConfigurationError"),
+    "report-rule-header-only": (["report", "--input", "{header_only}", "--bergemann-rule",
+                                 "bogus"], "ConfigurationError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILED_RUNS))
+def test_failed_run_writes_nothing(tmp_path, capsys, sample_bundles, case):
+    argv, error = FAILED_RUNS[case]
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text(",".join(CSV_COLUMNS) + "\n")
+    paths = {"{input}": str(sample_bundles), "{header_only}": str(header_only),
+             "{missing}": str(tmp_path / "nope.csv")}
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([paths.get(arg, arg) for arg in argv] + ["--out-dir", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == error
     assert not out.exists()
 
 

@@ -228,6 +228,16 @@ class TestOptimalEpsilon:
         assert result.epsilon_star == 0.0
         assert np.all(result.profile.derivatives == 0.0)
 
+    def test_near_flat_profile_reports_the_lowest_rate_on_any_grid(self, solved):
+        # revenues within 1e-15 relative whose raw argmax is the last rate: the
+        # default grid and the same rates passed in report one maximizer
+        profile, curve = solved(n=5, rho=0.3, gamma=0.05, sigma=0.5)
+        rp = revenue_sweep(profile, list(DEFAULT_EPSILON_GRID), curve=curve)
+        assert int(np.argmax(rp.revenues)) == len(DEFAULT_EPSILON_GRID) - 1
+        assert rp.epsilon_star == 0.0
+        assert optimal_epsilon(profile, curve=curve).epsilon_star == 0.0
+        assert revenue_sweep(profile, [0.5], curve=curve).epsilon_star == 0.5
+
     def test_mixed_regime_reported(self, flagship):
         profile, curve = flagship
         result = optimal_epsilon(profile, curve=curve)

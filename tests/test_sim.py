@@ -14,6 +14,7 @@ from mevauction.equilibrium import BidCurve, PiecewiseStrategy
 from mevauction.errors import ParameterError
 from mevauction.rng import stream
 from mevauction.simulate import CHUNK, _play, _rival_chunk, _simulate_chunk
+from mevauction.synthetic import SyntheticSpec, generate_chunks
 from mevauction.values import affiliated_signal
 
 from conftest import curve_for, make_profile, marginal_quantile
@@ -199,6 +200,25 @@ class TestRunMany:
         with pytest.raises(ParameterError):
             run_many(strat, profile, 1000, seed=1, trace_path=trace, trace_cap=-5)
         assert not trace.exists()
+
+
+@pytest.mark.parametrize("entry", ["run_many", "run_many-trace", "deviation_payoff_grid",
+                                   "generate_chunks"])
+def test_negative_seed_rejected_before_any_draw(flagship, tmp_path, entry):
+    profile, curve = flagship
+    strat = solve_strategy(profile, 0.2, curve=curve)
+    trace = tmp_path / "trace.csv"
+    calls = {
+        "run_many": lambda: run_many(strat, profile, 1000, seed=-1),
+        "run_many-trace": lambda: run_many(strat, profile, 1000, seed=-1, trace_path=trace),
+        "deviation_payoff_grid": lambda: deviation_payoff_grid(
+            marginal_quantile(0.5), [1.0, 2.0], strat, profile, blocks=1000, seed=-1),
+        "generate_chunks": lambda: generate_chunks(
+            [SyntheticSpec(profile=profile, epsilon=0.2, strategy=strat)], 10, seed=-1),
+    }
+    with pytest.raises(ParameterError, match=r"^seed must be >= 0$"):
+        calls[entry]()
+    assert not trace.exists()
 
 
 class TestKernelMatchesPricingEverySearcher:
