@@ -14,9 +14,9 @@ fails.  Floating-point output depends on the numpy and scipy build, so no
 digests are stored: the two trees are always run on one machine.
 
 The command list: the benchmark's three workloads at seed 1; acceptance
-criteria 8 and 9; ``simulate --trace`` with ``--threads 2`` and with
-``--antithetic``; ``generate --opportunities 3``; README's ``ini`` example
-and its generate, estimate and report sequence; estimate and report on a
+criteria 8 and 9; ``simulate --trace`` with ``--threads 2``, with
+``--antithetic`` and with the default threads tracing every block; ``generate --opportunities 3``; README's ``ini`` example
+and its generate, estimate and report sequence, each in its own out dir; estimate and report on a
 builder label holding a comma and a quote, and a config-driven report; and
 solve (eps 0.2 and 0), sweep, ``sweep --epsilons 0,0.2,0.5`` and
 ``sweep --epsilons 0,0.2,0.5,0.97`` on six profiles: the four theory
@@ -115,7 +115,9 @@ def steps(run: Path) -> list:
         out += [["simulate", *flags, "--threads", "2",
                  "--out-dir", str(run / "trace" / label / "threads2")],
                 ["simulate", *flags, "--antithetic",
-                 "--out-dir", str(run / "trace" / label / "antithetic")]]
+                 "--out-dir", str(run / "trace" / label / "antithetic")],
+                ["simulate", *flags, "--trace-cap", "300000",
+                 "--out-dir", str(run / "trace" / label / "default_threads")]]
 
     # several auctions per block, then estimate and report on them
     opp = run / "opportunities3"
@@ -124,15 +126,17 @@ def steps(run: Path) -> list:
     out += [[cmd, "--input", str(opp / "gen" / "bundles.csv"), "--out-dir", str(opp / cmd)]
             for cmd in ("estimate", "report")]
 
-    # README's config example and its command sequence, in one out dir
+    # README's config example and its command sequence, each command in its
+    # own out dir as README runs them, so every manifest is compared
     readme = run / "readme"
     readme.mkdir()
     ini = re.search(r"^```ini\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"),
                     re.S | re.M).group(1)
     (readme / "run.ini").write_text(ini, encoding="utf-8")
     out += [["generate", "--config", str(readme / "run.ini"), "--blocks", "20000",
-             "--out-dir", str(readme / "out")]]
-    out += [[cmd, "--input", str(readme / "out" / "bundles.csv"), "--out-dir", str(readme / "out")]
+             "--out-dir", str(readme / "generate")]]
+    out += [[cmd, "--input", str(readme / "generate" / "bundles.csv"),
+             "--out-dir", str(readme / cmd)]
             for cmd in ("estimate", "report")]
 
     # a builder label holding a comma and a quote; a config-driven report

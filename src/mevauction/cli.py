@@ -120,7 +120,10 @@ PARAMS = {
                      ("nodes", int, DEFAULT_NODES, "RK4 nodes before stability refinement")),
     "sweep": PROFILE + (
         ("epsilons", str, None, "comma-separated grid (default 0,0.05,...,0.99)"),),
-    "simulate": SPEC + RUN + (("threads", int, 1, "worker threads"),
+    "simulate": SPEC + RUN + (("threads", int, None,
+                               "worker threads (default: the usable CPUs); each chunk is "
+                               "reduced in its worker without building its draw matrix, "
+                               "so memory is O(threads x chunk)"),
                               ("antithetic", bool, False, "antithetic signal pairs"),
                               ("trace", bool, False, "write a capped per-block trace"),
                               ("trace_cap", int, 10_000, "most blocks in the trace")),

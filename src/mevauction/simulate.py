@@ -20,13 +20,20 @@ same but the higher draw wins.
 
 One private kernel, ``_play``, draws and plays a chunk of auctions; the
 game engine here and ``synthetic.generate_synthetic`` both call it, so the
-rule is written once.  Blocks are generated in fixed-size chunks, each on
-its own split random stream keyed (seed, chunk, purpose): the chunk sizes
-are part of that stream schedule, so changing ``CHUNK`` changes the draws.
-``run_many`` reduces each chunk as it is drawn and keeps no chunk arrays,
-so its memory is O(chunk) however many blocks it plays.  Chunk moments are
-combined in index order, so the report is bit-identical for any worker
-count.
+rule is written once.  It draws the idiosyncratic normals in blocks of
+``_DRAW_ROWS`` auctions and keeps only each auction's top draw and its
+index, so the (chunk, n) matrix of draws is never built; the blocks come
+from the same stream in order, so the draws are those of one matrix.
+Blocks are generated in fixed-size chunks, each on its own split random
+stream keyed (seed, chunk, purpose): the chunk sizes are part of that
+stream schedule, so changing ``CHUNK`` changes the draws.
+
+``run_many`` plays its chunks on a pool of worker threads, by default one
+per CPU this process may use.  Each worker reduces its chunk to moments
+(and keeps per-block arrays only for the blocks the trace still needs), and
+at most two chunks per worker are submitted and not yet merged, so memory
+is O(workers x chunk) however many blocks it plays.  Chunk moments are
+merged in index order, so the report is bit-identical for any worker count.
 
 The deviation harness conditions on the deviant's valuation: her signal is
 pinned and rivals draw the common factor from its posterior, then their own
@@ -37,9 +44,12 @@ comparisons are paired.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +60,9 @@ from .rng import stream
 from .values import affiliated_signal
 
 CHUNK = 1 << 16
+# auctions whose idiosyncratic draws are held at once; not part of the
+# stream schedule, since the blocks are drawn in order from one stream
+_DRAW_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -75,6 +88,12 @@ def _chunk_sizes(blocks: int, chunk: int = CHUNK):
     return sizes
 
 
+def _moments(sample: np.ndarray):
+    """(count, mean, scatter) of ``sample`` along its last axis."""
+    mean = sample.mean(axis=-1)
+    return sample.shape[-1], mean, np.sum((sample - np.expand_dims(mean, -1)) ** 2, axis=-1)
+
+
 class _MomentAccumulator:
     """Combine per-chunk means and scatters without cancellation.
 
@@ -89,11 +108,12 @@ class _MomentAccumulator:
         self._m2 = np.zeros(shape)
 
     def add(self, sample: np.ndarray):
-        n = sample.shape[-1]
+        self.merge(*_moments(sample))
+
+    def merge(self, n: int, mean, m2):
+        """Combine the (count, mean, scatter) of one more chunk."""
         if n == 0:
             return
-        mean = sample.mean(axis=-1)
-        m2 = np.sum((sample - np.expand_dims(mean, -1)) ** 2, axis=-1)
         if self.count == 0:
             self.count, self._mean, self._m2 = n, np.asarray(mean, dtype=float), m2
             return
@@ -113,6 +133,23 @@ class _MomentAccumulator:
             return np.zeros_like(self._m2) if self._m2.ndim else 0.0
         se = np.sqrt(self._m2 / (self.count - 1) / self.count)
         return se if se.ndim else float(se)
+
+
+def _top_draws(rng, rows: int, n: int):
+    """(argmax, max) of each row of ``rng.standard_normal((rows, n))``.
+
+    The rows are drawn ``_DRAW_ROWS`` at a time; PCG64 fills consecutive
+    blocks exactly as it fills the whole matrix, so the result is that of
+    one draw, ties to the lowest index, while only one block is held.
+    """
+    winner = np.empty(rows, dtype=np.intp)
+    top = np.empty(rows)
+    for lo in range(0, rows, _DRAW_ROWS):
+        u = rng.standard_normal((min(_DRAW_ROWS, rows - lo), n))
+        w = winner[lo:lo + len(u)]
+        np.argmax(u, axis=1, out=w)
+        top[lo:lo + len(u)] = u[np.arange(len(u)), w]
+    return winner, top
 
 
 def _play(strategy, profile, gamma, epsilon, key, shape, antithetic=False):
@@ -138,10 +175,9 @@ def _play(strategy, profile, gamma, epsilon, key, shape, antithetic=False):
         Z = np.concatenate([half, -half])
     else:
         Z = rng_v.standard_normal(rows)
-    u = rng_v.standard_normal(shape + (profile.n,)).reshape(-1, profile.n)
-    winner = np.argmax(u, axis=1)
-    top_u = u[np.arange(winner.size), winner].reshape(shape)
-    z = affiliated_signal(Z.reshape(Z.shape + (1,) * (len(shape) - 1)), top_u, profile.rho)
+    winner, top_u = _top_draws(rng_v, math.prod(shape), profile.n)
+    z = affiliated_signal(Z.reshape(Z.shape + (1,) * (len(shape) - 1)),
+                          top_u.reshape(shape), profile.rho)
     top_val = np.exp(profile.mu + profile.sigma * z)
     top_bid = strategy.bid(top_val.ravel()).reshape(shape)
     coin = stream(*key, 1)
@@ -150,13 +186,31 @@ def _play(strategy, profile, gamma, epsilon, key, shape, antithetic=False):
     return winner.reshape(shape), top_bid, top_val, defect, frontrun, coin
 
 
-def _simulate_chunk(strategy, profile, seed, chunk_index, size, antithetic):
+class _ChunkResult(NamedTuple):
+    """One chunk of ``run_many``, reduced where it was played."""
+
+    revenue: tuple          # (count, mean, scatter) of builder revenue
+    surplus: tuple          # (count, mean, scatter) of searcher surplus
+    defections: int
+    frontruns: int
+    blocks: tuple | None    # (winner, bid, value, defect, frontrun, revenue,
+                            # surplus) of the first blocks, for the trace
+
+
+def _simulate_chunk(strategy, profile, seed, chunk_index, size, antithetic, keep=0):
+    """Play chunk ``chunk_index`` and reduce it; keep the per-block arrays
+    of its first ``keep`` blocks (none when ``keep`` is 0)."""
     winner, top_bid, top_val, defect, frontrun, _ = _play(
         strategy, profile, strategy.gamma, strategy.epsilon, (seed, chunk_index),
         (size,), antithetic)
     revenue = np.where(frontrun, strategy.gamma * top_val, top_bid)
     surplus = np.where(frontrun, 0.0, top_val - top_bid)
-    return winner, top_bid, top_val, defect, frontrun, revenue, surplus
+    blocks = None
+    if keep:
+        blocks = tuple(a[:keep] for a in (winner, top_bid, top_val, defect, frontrun,
+                                          revenue, surplus))
+    return _ChunkResult(_moments(revenue), _moments(surplus), int(np.count_nonzero(defect)),
+                        int(np.count_nonzero(frontrun)), blocks)
 
 
 def _check_run_args(blocks, seed, workers, antithetic, trace_cap):
@@ -167,55 +221,81 @@ def _check_run_args(blocks, seed, workers, antithetic, trace_cap):
         raise ParameterError("seed must be >= 0")
     if antithetic and blocks % 2:
         raise ParameterError("antithetic sampling needs an even number of blocks")
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise ParameterError("workers must be >= 1")
     if trace_cap < 0:
         raise ParameterError("trace_cap must be >= 0")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where that is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _in_order(pool, work, count, window):
+    """``work(i)`` for i < ``count`` in index order; call i is submitted to
+    ``pool`` once fewer than ``window(i)`` submitted calls are not yet
+    consumed."""
+    pending = deque()
+    for i in range(count):
+        while len(pending) >= window(i):
+            yield pending.popleft().result()
+        pending.append(pool.submit(work, i))
+    while pending:
+        yield pending.popleft().result()
+
+
 def run_many(strategy: PiecewiseStrategy, profile: TypeProfile, blocks: int,
-             seed: int, *, workers: int = 1, antithetic: bool = False,
+             seed: int, *, workers: int | None = None, antithetic: bool = False,
              trace_path=None, trace_cap: int = 10_000) -> SimReport:
     """Aggregate ``blocks`` independent blocks into a SimReport.
 
-    Each chunk is reduced (and traced) as it arrives, in index order, so
-    memory is O(chunk).  ``workers`` only parallelizes chunk evaluation; the
-    result is identical for any value because chunk streams are keyed by
-    index and chunk moments are combined in index order.
+    ``workers`` threads (default: one per usable CPU, at most one per chunk)
+    play and reduce the chunks, at most two chunks per worker ahead of the
+    merge (one while the trace still needs them), so memory is
+    O(workers x chunk).  The result is identical for any worker count,
+    because chunk streams are keyed by index and chunk moments are merged
+    (and traced) in index order.
     """
     _check_run_args(blocks, seed, workers, antithetic, trace_cap)
     sizes = _chunk_sizes(blocks)
+    workers = min(_usable_cpus() if workers is None else workers, len(sizes))
+    trace_blocks = trace_cap if trace_path else 0
 
     def work(i):
-        return _simulate_chunk(strategy, profile, seed, i, sizes[i], antithetic)
+        return _simulate_chunk(strategy, profile, seed, i, sizes[i], antithetic,
+                               keep=min(sizes[i], max(0, trace_blocks - i * CHUNK)))
 
     rev_acc, sur_acc = _MomentAccumulator(), _MomentAccumulator()
     n_defect, n_front = 0, 0
-    traced = 0
-    offset = 0
     with ExitStack() as stack:
         if workers > 1:
             pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
-            chunks = pool.map(work, range(len(sizes)))
+            # a chunk the trace needs holds its per-block arrays until they
+            # are written, which is slower than playing it: run those at most
+            # one per worker ahead, and the moment-only chunks two per worker
+            chunks = _in_order(pool, work, len(sizes),
+                               lambda i: workers if i * CHUNK < trace_blocks else 2 * workers)
         else:
             chunks = map(work, range(len(sizes)))
-        trace_file = None
         if trace_path:
             trace_file = stack.enter_context(open(trace_path, "w", encoding="utf-8"))
             trace_file.write("block,winner_index,winning_bid,winner_value,"
                              "defected,frontran,builder_revenue,searcher_surplus\n")
-        for w, b, v, d, f, rev, sur in chunks:
-            rev_acc.add(rev)
-            sur_acc.add(sur)
-            n_defect += int(np.sum(d))
-            n_front += int(np.sum(f))
-            if trace_file and traced < trace_cap:
-                take = min(trace_cap - traced, w.size)
-                columns = (a[:take].tolist() for a in (w, b, v, d, f, rev, sur))
+        for i, chunk in enumerate(chunks):
+            rev_acc.merge(*chunk.revenue)
+            sur_acc.merge(*chunk.surplus)
+            n_defect += chunk.defections
+            n_front += chunk.frontruns
+            if chunk.blocks is not None:
+                start = i * CHUNK
+                rows = range(start, start + chunk.blocks[0].size)
+                columns = (a.tolist() for a in chunk.blocks)
                 trace_file.write("".join(map("%d,%d,%.12g,%.12g,%d,%d,%.12g,%.12g\n".__mod__,
-                                             zip(range(offset, offset + take), *columns))))
-                traced += take
-            offset += w.size
+                                             zip(rows, *columns))))
 
     rev_mean, rev_se = rev_acc.mean, rev_acc.stderr
     sur_mean, sur_se = sur_acc.mean, sur_acc.stderr
@@ -243,8 +323,8 @@ def _rival_chunk(v, strategy, profile, seed, chunk_index, size):
     z0 = (math.log(v) - profile.mu) / profile.sigma
     rng = stream(seed, chunk_index, 0)
     z_post = affiliated_signal(z0, rng.standard_normal(size), profile.rho)
-    u = rng.standard_normal((size, profile.n - 1))
-    z_riv = affiliated_signal(z_post, u.max(axis=1), profile.rho)
+    _, top_u = _top_draws(rng, size, profile.n - 1)
+    z_riv = affiliated_signal(z_post, top_u, profile.rho)
     rival_top = strategy.bid(np.exp(profile.mu + profile.sigma * z_riv))
     defect = stream(seed, chunk_index, 1).random(size) < strategy.epsilon
     return rival_top, defect

@@ -182,6 +182,20 @@ class TestSimulate:
         assert code == 0
         assert len((out / "trace.csv").read_text().splitlines()) == 101
 
+    def test_threads_do_not_change_outputs(self, tmp_path):
+        # three chunks, every block traced: one thread, two and the default
+        # (the usable CPUs) write the same bytes
+        flags = ["simulate", *SOLVE_FLAGS, "--epsilon", "0.2", "--blocks", "140000",
+                 "--seed", "3", "--trace", "--trace-cap", "140000"]
+        outs = {}
+        for label, threads in (("one", ["--threads", "1"]), ("two", ["--threads", "2"]),
+                               ("default", [])):
+            outs[label] = tmp_path / label
+            assert run([*flags, *threads, "--out-dir", str(outs[label])]) == 0
+        for name in ("sim_report.json", "trace.csv", "manifest.json"):
+            assert ((outs["one"] / name).read_bytes() == (outs["two"] / name).read_bytes()
+                    == (outs["default"] / name).read_bytes())
+
 
 class TestGenerateEstimateReport:
     def make_bundles(self, tmp_path, blocks=4000):

@@ -1,5 +1,7 @@
 import math
+import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,12 +10,15 @@ from mevauction import (
     deviation_payoff_grid,
     payoff_of_deviation,
     run_many,
+    simulate,
     solve_strategy,
 )
 from mevauction.equilibrium import BidCurve, PiecewiseStrategy
 from mevauction.errors import ParameterError
 from mevauction.rng import stream
-from mevauction.simulate import CHUNK, _play, _rival_chunk, _simulate_chunk
+from mevauction.simulate import (CHUNK, _DRAW_ROWS, _play, _rival_chunk, _simulate_chunk,
+                                 _usable_cpus)
+from mevauction.synthetic import _CHUNK as GENERATE_CHUNK
 from mevauction.synthetic import SyntheticSpec, generate_chunks
 from mevauction.values import affiliated_signal
 
@@ -58,9 +63,10 @@ def _reference_play(strategy, profile, gamma, epsilon, key, shape, antithetic=Fa
 
 
 def _blocks(strategy, profile, seed, size):
-    """The per-block arrays of one kernel chunk, checked for frontrun => defect."""
+    """The per-block arrays of one kernel chunk (its traced form, which keeps
+    them all), checked for frontrun => defect."""
     _, bid, value, defect, frontrun, revenue, surplus = _simulate_chunk(
-        strategy, profile, seed, 0, size, False)
+        strategy, profile, seed, 0, size, False, keep=size).blocks
     assert not np.any(frontrun & ~defect)
     return bid, value, defect, frontrun, revenue, surplus
 
@@ -141,7 +147,35 @@ class TestRunMany:
         strat = solve_strategy(profile, 0.3, curve=curve)
         serial = run_many(strat, profile, 150_000, seed=31, workers=1)
         threaded = run_many(strat, profile, 150_000, seed=31, workers=4)
-        assert serial == threaded
+        default = run_many(strat, profile, 150_000, seed=31)
+        assert serial == threaded == default
+
+    @pytest.mark.parametrize("cpus,blocks,pool", [(1, 3 * CHUNK, None), (2, 3 * CHUNK, 2),
+                                                  (4, 3 * CHUNK, 3), (4, CHUNK, None)],
+                             ids=["one-cpu", "two-cpus", "capped-at-chunks", "one-chunk"])
+    def test_default_workers_are_the_usable_cpus(self, flagship, monkeypatch, cpus, blocks,
+                                                 pool):
+        # one worker per usable CPU, at most one per chunk; no pool for one
+        profile, curve = flagship
+        strat = solve_strategy(profile, 0.3, curve=curve)
+        started = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recording)
+        report = run_many(strat, profile, blocks, seed=31)
+        assert started == ([] if pool is None else [pool])
+        assert report == run_many(strat, profile, blocks, seed=31, workers=1)
+
+    def test_usable_cpus(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert _usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        assert _usable_cpus() == (os.cpu_count() or 1)
 
     def test_antithetic_agrees(self, flagship):
         profile, curve = flagship
@@ -153,33 +187,56 @@ class TestRunMany:
         )
         assert abs(z) < 4.0
 
+    @staticmethod
+    def _peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_memory_flat_in_blocks(self, flagship):
         # each chunk is reduced as it is drawn, so the peak is O(chunk)
         profile, curve = flagship
         strat = solve_strategy(profile, 0.2, curve=curve)
 
         def peak(blocks):
-            tracemalloc.start()
-            try:
-                run_many(strat, profile, blocks, seed=3)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return self._peak(lambda: run_many(strat, profile, blocks, seed=3, workers=1))
+
+        assert peak(12 * CHUNK) <= 1.1 * peak(2 * CHUNK)
+
+    def test_memory_bounded_per_worker(self, flagship):
+        # each worker plays one chunk at a time and hands back its moments,
+        # so two workers on 12 chunks hold about two chunks' working memory
+        profile, curve = flagship
+        strat = solve_strategy(profile, 0.2, curve=curve)
+        one = self._peak(lambda: run_many(strat, profile, 2 * CHUNK, seed=3, workers=1))
+        two = self._peak(lambda: run_many(strat, profile, 12 * CHUNK, seed=3, workers=2))
+        assert two <= 2 * 1.1 * one
+
+    def test_traced_memory_flat_in_blocks_with_two_workers(self, flagship, tmp_path):
+        # a traced chunk holds its per-block arrays until they are written,
+        # so the chunks ahead of the trace writer are bounded, not all chunks
+        profile, curve = flagship
+        strat = solve_strategy(profile, 0.2, curve=curve)
+        trace = tmp_path / "trace.csv"
+
+        def peak(blocks):
+            return self._peak(lambda: run_many(strat, profile, blocks, seed=3, workers=2,
+                                               trace_path=trace, trace_cap=12 * CHUNK))
 
         assert peak(12 * CHUNK) <= 1.1 * peak(2 * CHUNK)
 
     def test_chunk_memory_near_its_draw_matrix(self, solved):
         # only the winner gets a signal and a value, so one n=50 chunk peaks
-        # near its (CHUNK, 50) matrix of draws, not at several such matrices
+        # near its (CHUNK, 50) matrix of draws, not at several such matrices;
+        # the draws come in row blocks, so it stays below half that matrix
         profile, curve = solved(n=50)
         strat = solve_strategy(profile, 0.2, curve=curve)
-        tracemalloc.start()
-        try:
-            _simulate_chunk(strat, profile, 1, 0, CHUNK, False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = self._peak(lambda: _simulate_chunk(strat, profile, 1, 0, CHUNK, False))
         assert peak <= 1.5 * CHUNK * 50 * 8
+        assert peak < 0.5 * CHUNK * 50 * 8
 
     def test_rejects_zero_blocks(self, flagship):
         profile, curve = flagship
@@ -279,6 +336,52 @@ class TestKernelMatchesPricingEverySearcher:
         assert np.all(top_bid[tied] == 0.9)
         assert np.all(top_val[tied] > old_val[tied])
         assert np.all(old_winner[tied] < winner[tied])
+
+
+class TestRowBlockDraw:
+    """The kernels draw the idiosyncratic normals in blocks of ``_DRAW_ROWS``
+    rows; each row's argmax and top draw must be those of one matrix drawn
+    from the same stream, bit for bit."""
+
+    @pytest.mark.parametrize("n", [5, 50])
+    @pytest.mark.parametrize("shape,antithetic", [
+        ((CHUNK,), False),
+        ((3 * _DRAW_ROWS + 123,), False),
+        ((3 * _DRAW_ROWS + 122,), True),
+        ((GENERATE_CHUNK + 5, 3), False),
+    ], ids=["chunk", "uneven", "antithetic", "generate"])
+    def test_play(self, n, shape, antithetic):
+        profile = make_profile(n=n)
+        strat = solve_strategy(profile, 0.2, curve=curve_for(profile))
+        key = (21, n)
+        winner, _, top_val, _, _, _ = _play(strat, profile, profile.gamma, 0.2, key, shape,
+                                            antithetic)
+        rng = stream(*key, 0)
+        Z = rng.standard_normal(shape[0] // 2 if antithetic else shape[0])
+        if antithetic:
+            Z = np.concatenate([Z, -Z])
+        u = rng.standard_normal(shape + (n,))
+        want = np.argmax(u, axis=-1)
+        top_u = np.take_along_axis(u, want[..., None], axis=-1)[..., 0]
+        z = affiliated_signal(Z.reshape(Z.shape + (1,) * (len(shape) - 1)), top_u,
+                              profile.rho)
+        np.testing.assert_array_equal(winner, want)
+        np.testing.assert_array_equal(top_val, np.exp(profile.mu + profile.sigma * z))
+
+    @pytest.mark.parametrize("n", [5, 50])
+    @pytest.mark.parametrize("size", [CHUNK, 3 * _DRAW_ROWS + 123], ids=["chunk", "uneven"])
+    def test_rival_chunk(self, n, size):
+        profile = make_profile(n=n)
+        strat = solve_strategy(profile, 0.2, curve=curve_for(profile))
+        v = marginal_quantile(0.7)
+        rival_top, _ = _rival_chunk(v, strat, profile, 9, 1, size)
+        rng = stream(9, 1, 0)
+        z0 = (math.log(v) - profile.mu) / profile.sigma
+        z_post = affiliated_signal(z0, rng.standard_normal(size), profile.rho)
+        u = rng.standard_normal((size, n - 1))
+        z_riv = affiliated_signal(z_post, u.max(axis=1), profile.rho)
+        np.testing.assert_array_equal(
+            rival_top, strat.bid(np.exp(profile.mu + profile.sigma * z_riv)))
 
 
 class TestTieRule:
