@@ -29,16 +29,18 @@ stream keyed (seed, chunk, purpose): the chunk sizes are part of that
 stream schedule, so changing ``CHUNK`` changes the draws.
 
 ``run_many`` plays its chunks on a pool of worker threads, by default one
-per CPU this process may use.  Each worker reduces its chunk to moments
-(and keeps per-block arrays only for the blocks the trace still needs), and
-at most two chunks per worker are submitted and not yet merged, so memory
-is O(workers x chunk) however many blocks it plays.  Chunk moments are
-merged in index order, so the report is bit-identical for any worker count.
+per CPU this process may use.  Each worker reduces its chunk to moments and
+keeps per-block arrays only for the blocks the trace still needs; traced
+chunks are played one at a time and written in row slices, the others at
+most two per worker ahead of the merge, so memory is O(workers x chunk)
+however many blocks it plays.  Chunk moments are merged in index order, so
+the report is bit-identical for any worker count.
 
 The deviation harness conditions on the deviant's valuation: her signal is
 pinned and rivals draw the common factor from its posterior, then their own
 signals.  All bids in a deviation scan share the same draws, so grid
-comparisons are paired.
+comparisons are paired; the scan counts each bid's paid blocks on them, so
+its memory is O(chunk + bids), with no (bids x blocks) payoff matrix.
 """
 
 from __future__ import annotations
@@ -89,50 +91,33 @@ def _chunk_sizes(blocks: int, chunk: int = CHUNK):
 
 
 def _moments(sample: np.ndarray):
-    """(count, mean, scatter) of ``sample`` along its last axis."""
-    mean = sample.mean(axis=-1)
-    return sample.shape[-1], mean, np.sum((sample - np.expand_dims(mean, -1)) ** 2, axis=-1)
+    """(count, mean, scatter) of a 1-d ``sample``."""
+    mean = sample.mean()
+    return sample.size, mean, np.sum((sample - mean) ** 2)
 
 
 class _MomentAccumulator:
     """Combine per-chunk means and scatters without cancellation.
 
-    Welford-style pairwise combination along the last axis; merging in chunk
-    order keeps the result independent of who computed which chunk.
+    Welford-style pairwise combination; merging in chunk order keeps the
+    result independent of who computed which chunk.
     """
 
-    def __init__(self, width: int | None = None):
-        shape = () if width is None else (width,)
-        self.count = 0
-        self._mean = np.zeros(shape)
-        self._m2 = np.zeros(shape)
-
-    def add(self, sample: np.ndarray):
-        self.merge(*_moments(sample))
+    def __init__(self):
+        self.count, self.mean, self._m2 = 0, 0.0, 0.0
 
     def merge(self, n: int, mean, m2):
-        """Combine the (count, mean, scatter) of one more chunk."""
-        if n == 0:
-            return
-        if self.count == 0:
-            self.count, self._mean, self._m2 = n, np.asarray(mean, dtype=float), m2
-            return
-        delta = mean - self._mean
+        """Combine the (count, mean, scatter) of one more nonempty chunk; the
+        first is taken exactly, as ``n / total`` is 1 and the cross term 0."""
+        delta = mean - self.mean
         total = self.count + n
-        self._mean = self._mean + delta * (n / total)
+        self.mean = float(self.mean + delta * (n / total))
         self._m2 = self._m2 + m2 + delta**2 * (self.count * n / total)
         self.count = total
 
     @property
-    def mean(self):
-        return self._mean if self._mean.ndim else float(self._mean)
-
-    @property
-    def stderr(self):
-        if self.count < 2:
-            return np.zeros_like(self._m2) if self._m2.ndim else 0.0
-        se = np.sqrt(self._m2 / (self.count - 1) / self.count)
-        return se if se.ndim else float(se)
+    def stderr(self):  # one block has scatter 0, so its stderr is 0
+        return float(np.sqrt(self._m2 / max(self.count - 1, 1) / self.count))
 
 
 def _top_draws(rng, rows: int, n: int):
@@ -248,6 +233,15 @@ def _in_order(pool, work, count, window):
         yield pending.popleft().result()
 
 
+def _write_trace(file, start, blocks):
+    """Write the traced blocks of one chunk, numbered from ``start``, in
+    slices of ``_DRAW_ROWS`` rows, so only one slice is formatted at a time."""
+    for lo in range(0, blocks[0].size, _DRAW_ROWS):
+        columns = (a[lo:lo + _DRAW_ROWS].tolist() for a in blocks)
+        file.write("".join(map("%d,%d,%.12g,%.12g,%d,%d,%.12g,%.12g\n".__mod__,
+                               zip(range(start + lo, start + lo + _DRAW_ROWS), *columns))))
+
+
 def run_many(strategy: PiecewiseStrategy, profile: TypeProfile, blocks: int,
              seed: int, *, workers: int | None = None, antithetic: bool = False,
              trace_path=None, trace_cap: int = 10_000) -> SimReport:
@@ -255,8 +249,8 @@ def run_many(strategy: PiecewiseStrategy, profile: TypeProfile, blocks: int,
 
     ``workers`` threads (default: one per usable CPU, at most one per chunk)
     play and reduce the chunks, at most two chunks per worker ahead of the
-    merge (one while the trace still needs them), so memory is
-    O(workers x chunk).  The result is identical for any worker count,
+    merge (one chunk at a time while the trace still needs them), so memory
+    is O(workers x chunk).  The result is identical for any worker count,
     because chunk streams are keyed by index and chunk moments are merged
     (and traced) in index order.
     """
@@ -275,36 +269,33 @@ def run_many(strategy: PiecewiseStrategy, profile: TypeProfile, blocks: int,
         if workers > 1:
             pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
             # a chunk the trace needs holds its per-block arrays until they
-            # are written, which is slower than playing it: run those at most
-            # one per worker ahead, and the moment-only chunks two per worker
+            # are written: play those one at a time, so none waits beside the
+            # one being written, and the moment-only chunks two per worker
             chunks = _in_order(pool, work, len(sizes),
-                               lambda i: workers if i * CHUNK < trace_blocks else 2 * workers)
+                               lambda i: 1 if i * CHUNK < trace_blocks else 2 * workers)
         else:
             chunks = map(work, range(len(sizes)))
         if trace_path:
             trace_file = stack.enter_context(open(trace_path, "w", encoding="utf-8"))
             trace_file.write("block,winner_index,winning_bid,winner_value,"
                              "defected,frontran,builder_revenue,searcher_surplus\n")
-        for i, chunk in enumerate(chunks):
+        start = 0
+        for chunk in chunks:
             rev_acc.merge(*chunk.revenue)
             sur_acc.merge(*chunk.surplus)
             n_defect += chunk.defections
             n_front += chunk.frontruns
             if chunk.blocks is not None:
-                start = i * CHUNK
-                rows = range(start, start + chunk.blocks[0].size)
-                columns = (a.tolist() for a in chunk.blocks)
-                trace_file.write("".join(map("%d,%d,%.12g,%.12g,%d,%d,%.12g,%.12g\n".__mod__,
-                                             zip(rows, *columns))))
+                _write_trace(trace_file, start, chunk.blocks)
+            start += CHUNK
+            del chunk  # drop a written chunk before the next one is requested
 
-    rev_mean, rev_se = rev_acc.mean, rev_acc.stderr
-    sur_mean, sur_se = sur_acc.mean, sur_acc.stderr
     return SimReport(
         blocks=blocks,
-        mean_builder_revenue=rev_mean,
-        stderr_builder_revenue=rev_se,
-        mean_searcher_surplus=sur_mean,
-        stderr_searcher_surplus=sur_se,
+        mean_builder_revenue=rev_acc.mean,
+        stderr_builder_revenue=rev_acc.stderr,
+        mean_searcher_surplus=sur_acc.mean,
+        stderr_searcher_surplus=sur_acc.stderr,
         frontrun_rate=n_front / blocks,
         defection_rate_realized=n_defect / blocks,
     )
@@ -343,6 +334,15 @@ class DeviationScan:
     reference_index: int
 
 
+def _atom_moments(blocks, atoms):
+    """(mean, stderr) over ``blocks`` draws of a payoff that is zero except on
+    ``atoms``, (value, count) pairs of arrays over the bids."""
+    mean = sum(value * (count / blocks) for value, count in atoms)
+    m2 = (blocks - sum(count for _, count in atoms)) * mean**2 + sum(
+        count * (value - mean) ** 2 for value, count in atoms)
+    return mean, np.sqrt(m2 / max(blocks - 1, 1) / blocks)
+
+
 def deviation_payoff_grid(v: float, bids, strategy: PiecewiseStrategy,
                           profile: TypeProfile, blocks: int, seed: int,
                           reference_index: int | None = None) -> DeviationScan:
@@ -352,37 +352,37 @@ def deviation_payoff_grid(v: float, bids, strategy: PiecewiseStrategy,
     the strategy.  With defection, a bid below gamma*v is frontrun and pays
     zero.  Paired differences against the reference bid isolate the strategy
     effect from sampling noise.
+
+    A bid is paid v - bid or nothing, so the scan counts each bid's paid
+    blocks: the rival tops it matches or beats, among the blocks whose builder
+    honours an exposed bid.  Exposed bids are the lower ones, so two bids are
+    both paid in the smaller of their counts.  Memory is O(chunk + bids).
     """
-    if v <= 0:
-        raise DomainError("v must be positive")
+    if not (v > 0 and math.isfinite(v)):
+        raise DomainError("v must be positive and finite")
     profile.require_dispersion()
     bids = np.asarray(bids, dtype=float)
-    if bids.ndim != 1 or bids.size == 0 or np.any(bids < 0):
-        raise ParameterError("bids must be a 1-d array of nonnegative bids")
+    if bids.ndim != 1 or bids.size == 0 or not np.all(np.isfinite(bids) & (bids >= 0)):
+        raise ParameterError("bids must be a 1-d array of finite nonnegative bids")
     ref = bids.size // 2 if reference_index is None else int(reference_index)
     if not 0 <= ref < bids.size:
         raise ParameterError(f"reference_index must be in [0, {bids.size})")
-    if blocks < 1:
-        raise ParameterError("blocks must be >= 1")
-    if seed < 0:
-        raise ParameterError("seed must be >= 0")
-    sizes = _chunk_sizes(blocks)
+    _check_run_args(blocks, seed, workers=None, antithetic=False, trace_cap=0)
 
-    k = bids.size
-    pay_acc = _MomentAccumulator(width=k)
-    diff_acc = _MomentAccumulator(width=k)
     exposed = strategy.gamma * v > bids  # frontrunnable bids
-    for i, size in enumerate(sizes):
+    wins = np.zeros(bids.size, dtype=np.int64)
+    for i, size in enumerate(_chunk_sizes(blocks)):
         rival_top, defect = _rival_chunk(v, strategy, profile, seed, i, size)
-        wins = bids[:, None] >= rival_top[None, :]
-        zeroed = exposed[:, None] & defect[None, :]
-        pay = np.where(wins & ~zeroed, v - bids[:, None], 0.0)
-        pay_acc.add(pay)
-        diff_acc.add(pay - pay[ref])
+        wins += np.where(exposed, np.searchsorted(np.sort(rival_top[~defect]), bids, "right"),
+                         np.searchsorted(np.sort(rival_top), bids, "right"))
 
-    return DeviationScan(valuation=float(v), bids=bids,
-                         means=pay_acc.mean, stderrs=pay_acc.stderr,
-                         diff_means=diff_acc.mean, diff_stderrs=diff_acc.stderr,
+    pay = v - bids
+    both = np.minimum(wins, wins[ref])
+    means, stderrs = _atom_moments(blocks, [(pay, wins)])
+    diff_means, diff_stderrs = _atom_moments(
+        blocks, [(pay - pay[ref], both), (pay, wins - both), (-pay[ref], wins[ref] - both)])
+    return DeviationScan(valuation=float(v), bids=bids, means=means, stderrs=stderrs,
+                         diff_means=diff_means, diff_stderrs=diff_stderrs,
                          reference_index=ref)
 
 

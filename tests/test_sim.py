@@ -14,16 +14,16 @@ from mevauction import (
     solve_strategy,
 )
 from mevauction.equilibrium import BidCurve, PiecewiseStrategy
-from mevauction.errors import ParameterError
+from mevauction.errors import DomainError, ParameterError
 from mevauction.rng import stream
-from mevauction.simulate import (CHUNK, _DRAW_ROWS, _play, _rival_chunk, _simulate_chunk,
-                                 _usable_cpus)
+from mevauction.simulate import (CHUNK, _DRAW_ROWS, _chunk_sizes, _play, _rival_chunk,
+                                 _simulate_chunk, _usable_cpus)
 from mevauction.synthetic import _CHUNK as GENERATE_CHUNK
 from mevauction.synthetic import SyntheticSpec, generate_chunks
-from mevauction.values import affiliated_signal
+from mevauction.values import affiliated_signal, rival_max_cdf
 
 from conftest import curve_for, make_profile, marginal_quantile
-from test_acceptance import SIM_MATRIX
+from test_acceptance import BEST_RESPONSE_PROFILES, SIM_MATRIX
 
 # the acceptance simulation matrix plus the benchmark's two simulate profiles
 KERNEL_PROFILES = SIM_MATRIX + [(make_profile(n=50), 0.2)]
@@ -227,6 +227,17 @@ class TestRunMany:
                                                trace_path=trace, trace_cap=12 * CHUNK))
 
         assert peak(12 * CHUNK) <= 1.1 * peak(2 * CHUNK)
+
+    def test_traced_memory_near_untraced(self, flagship, tmp_path):
+        # the trace is formatted in row slices, so tracing every block of a
+        # run costs little memory beyond the untraced run
+        profile, curve = flagship
+        strat = solve_strategy(profile, 0.2, curve=curve)
+        trace = tmp_path / "trace.csv"
+        untraced = self._peak(lambda: run_many(strat, profile, 2 * CHUNK, seed=3, workers=1))
+        traced = self._peak(lambda: run_many(strat, profile, 2 * CHUNK, seed=3, workers=1,
+                                             trace_path=trace, trace_cap=2 * CHUNK))
+        assert traced <= 2.5 * untraced
 
     def test_chunk_memory_near_its_draw_matrix(self, solved):
         # only the winner gets a signal and a value, so one n=50 chunk peaks
@@ -460,3 +471,172 @@ class TestDeviationPayoffs:
         with pytest.raises(ParameterError):
             deviation_payoff_grid(marginal_quantile(0.5), [1.0, 2.0, 3.0], strat, profile,
                                   blocks=0, seed=3)
+
+    @pytest.mark.parametrize("v,bids,error,message", [
+        (3.0, [1.0, math.nan], ParameterError, "bids must be"),
+        (3.0, [1.0, math.inf], ParameterError, "bids must be"),
+        (math.inf, [1.0, 2.0], DomainError, "v must be positive and finite"),
+        (math.nan, [1.0, 2.0], DomainError, "v must be positive and finite"),
+    ], ids=["nan-bid", "inf-bid", "inf-v", "nan-v"])
+    def test_rejects_non_finite_inputs_before_any_draw(self, flagship, monkeypatch, v, bids,
+                                                        error, message):
+        # a NaN bid would sort above every rival top and count as always paid
+        profile, curve = flagship
+        strat = solve_strategy(profile, 0.3, curve=curve)
+
+        def no_draw(*args):
+            raise AssertionError("drew rivals for an invalid input")
+
+        monkeypatch.setattr(simulate, "_rival_chunk", no_draw)
+        with pytest.raises(error, match=message):
+            deviation_payoff_grid(v, bids, strat, profile, blocks=1000, seed=3)
+
+    def test_memory_is_not_a_payoff_matrix(self, flagship):
+        # the scan counts each bid's paid blocks, so a 41-bid scan stays
+        # below half of one (41 x CHUNK) matrix of payoffs
+        profile, curve = flagship
+        strat = solve_strategy(profile, 0.3, curve=curve)
+        v = marginal_quantile(0.9)
+        bids = float(strat.bid(v)) * np.linspace(0.8, 1.2, 41)
+        peak = TestRunMany._peak(lambda: deviation_payoff_grid(v, bids, strat, profile,
+                                                               blocks=4 * CHUNK, seed=5))
+        assert peak < 0.5 * 41 * CHUNK * 8
+
+
+def _merged(moments, sample):
+    """``moments`` (count, mean and scatter of each row) with the columns of
+    ``sample`` merged in by the pairwise (Welford) rule."""
+    n = sample.shape[1]
+    mean = sample.mean(axis=1)
+    m2 = np.sum((sample - mean[:, None]) ** 2, axis=1)
+    if moments is None:
+        return n, mean, m2
+    count, old_mean, old_m2 = moments
+    delta = mean - old_mean
+    total = count + n
+    return total, old_mean + delta * (n / total), old_m2 + m2 + delta**2 * (count * n / total)
+
+
+def _matrix_scan(v, bids, strategy, profile, blocks, seed, ref):
+    """The scan built on one (bids x blocks) payoff matrix per chunk:
+    (means, stderrs, diff_means, diff_stderrs)."""
+    bids = np.asarray(bids, dtype=float)
+    exposed = strategy.gamma * v > bids
+    pay_moments = diff_moments = None
+    for i, size in enumerate(_chunk_sizes(blocks)):
+        rival_top, defect = _rival_chunk(v, strategy, profile, seed, i, size)
+        wins = bids[:, None] >= rival_top[None, :]
+        zeroed = exposed[:, None] & defect[None, :]
+        pay = np.where(wins & ~zeroed, v - bids[:, None], 0.0)
+        pay_moments = _merged(pay_moments, pay)
+        diff_moments = _merged(diff_moments, pay - pay[ref])
+    out = []
+    for count, mean, m2 in (pay_moments, diff_moments):
+        out += [mean, np.sqrt(m2 / (count - 1) / count) if count > 1 else np.zeros_like(m2)]
+    return out
+
+
+def _assert_matches_matrix_scan(v, bids, strategy, profile, blocks, seed, ref):
+    scan = deviation_payoff_grid(v, bids, strategy, profile, blocks, seed, reference_index=ref)
+    want = _matrix_scan(v, bids, strategy, profile, blocks, seed, ref)
+    for name, got, expected in zip(("means", "stderrs", "diff_means", "diff_stderrs"),
+                                   (scan.means, scan.stderrs, scan.diff_means,
+                                    scan.diff_stderrs), want):
+        np.testing.assert_allclose(got, expected, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(expected)), err_msg=name)
+
+
+class TestDeviationScanMatchesPayoffMatrix:
+    """The scan counts each bid's paid blocks; every moment must agree with
+    the (bids x blocks) payoff matrix it replaces, to rounding."""
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3])
+    def test_criterion_2_profiles(self, epsilon):
+        for profile in BEST_RESPONSE_PROFILES:
+            strat = solve_strategy(profile, epsilon, curve=curve_for(profile))
+            for qi, q in enumerate((0.2, 0.6, 0.95, 0.999)):
+                v = marginal_quantile(q)
+                bids = float(strat.bid(v)) * np.linspace(0.8, 1.2, 41)
+                for ref in (0, bids.size - 1):
+                    _assert_matches_matrix_scan(v, bids, strat, profile, 10_000, 40 + qi, ref)
+
+    @pytest.mark.parametrize("case", ["descending", "shuffled", "all-exposed", "none-exposed",
+                                      "uneven-chunks", "one-block", "ties"])
+    def test_grids_and_block_counts(self, flagship, case):
+        profile, curve = flagship
+        strat = solve_strategy(profile, 0.3, curve=curve)
+        v = marginal_quantile(0.6)
+        safe = strat.gamma * v  # the lowest bid that is not exposed
+        blocks, seed = 10_000, 7
+        bids = float(strat.bid(v)) * np.linspace(0.8, 1.2, 41)
+        if case == "descending":
+            bids = bids[::-1]
+        elif case == "shuffled":
+            bids = np.random.default_rng(1).permutation(bids)
+        elif case == "all-exposed":
+            bids = safe * np.linspace(0.5, 0.999, 41)
+            assert np.all(strat.gamma * v > bids)
+        elif case == "none-exposed":
+            bids = safe * np.linspace(1.0, 1.3, 41)
+            assert not np.any(strat.gamma * v > bids)
+        elif case == "uneven-chunks":
+            blocks = CHUNK + 4321
+        elif case == "one-block":
+            blocks = 1
+        else:
+            # bids equal to drawn rival tops, in honoured and in defected
+            # blocks: the deviant wins every tie
+            rival_top, defect = _rival_chunk(v, strat, profile, seed, 0, blocks)
+            bids = np.concatenate([rival_top[~defect][:20], rival_top[defect][:20], [safe]])
+        _assert_matches_matrix_scan(v, bids, strat, profile, blocks, seed, 20)
+
+
+def _curve_inverse(curve, bids):
+    """The value at which the risky curve bids each of ``bids``: bisection
+    between grid nodes; outside the grid the curve is linear through 0."""
+    j = np.clip(np.searchsorted(curve.bids, bids), 1, curve.grid.size - 1)
+    lo, hi = curve.grid[j - 1], curve.grid[j]
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = curve.bid(mid) < bids
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    x = 0.5 * (lo + hi)
+    x = np.where(bids < curve.bids[0], bids * curve.grid[0] / curve.bids[0], x)
+    return np.where(bids > curve.bids[-1], bids * curve.grid[-1] / curve.bids[-1], x)
+
+
+def _exact_win_probability(v, bids, strategy, profile):
+    """P(paid) = H(beta^-1(b) | v) (1 - eps 1{gamma v > b}), where beta^-1
+    inverts the piecewise strategy: the curve below the cutoff, the cutoff
+    for bids in its jump (b(v*), gamma v*), and b / gamma above it."""
+    x = np.full(bids.shape, strategy.cutoff)
+    risky = bids < (strategy.curve.bid(strategy.cutoff) if math.isfinite(strategy.cutoff)
+                    else math.inf)
+    x[risky] = _curve_inverse(strategy.curve, bids[risky])
+    safe = bids >= strategy.gamma * strategy.cutoff
+    x[safe] = bids[safe] / strategy.gamma
+    honoured = np.where(strategy.gamma * v > bids, 1.0 - strategy.epsilon, 1.0)
+    return rival_max_cdf(x, v, profile) * honoured
+
+
+class TestDeviationScanOracle:
+    """The scan's payoff level against the exact expected payoff, to 5 exact
+    Bernoulli standard errors (criterion 2 only compares bids)."""
+
+    @pytest.mark.parametrize("profile", [make_profile(n=4, rho=0.3, gamma=0.95),
+                                         make_profile(n=4, rho=0.6, gamma=0.015),
+                                         make_profile(), make_profile(n=50)],
+                             ids=["binding", "non-binding", "flagship", "n50"])
+    def test_means_match_exact_payoffs(self, profile):
+        blocks = 100_000
+        for epsilon in (0.0, 0.3):
+            strat = solve_strategy(profile, epsilon, curve=curve_for(profile))
+            for qi, q in enumerate((0.2, 0.6, 0.95, 0.999)):
+                v = marginal_quantile(q)
+                bids = float(strat.bid(v)) * np.linspace(0.8, 1.2, 41)
+                scan = deviation_payoff_grid(v, bids, strat, profile, blocks, seed=60 + qi)
+                p = _exact_win_probability(v, bids, strat, profile)
+                exact_se = np.abs(v - bids) * np.sqrt(p * (1 - p) / blocks)
+                gap = np.abs(scan.means - (v - bids) * p)
+                assert np.all(gap <= 5 * exact_se), (
+                    f"eps={epsilon} q={q}: worst {np.max(gap / exact_se):.2f} exact SE")
