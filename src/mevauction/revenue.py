@@ -176,9 +176,11 @@ def _derivative(epsilon, strategy: PiecewiseStrategy, level, profile, gap):
     ebar_star = indifference_epsilon(v_star, level.curve, gamma)
     if epsilon > 0.0 and abs(ebar_star - epsilon) < 1e-9:
         slope = float(level.slope(v_star))
-        if abs(slope) < 1e-12:
+        # the slope is per unit of money; its elasticity v* slope has no unit
+        if abs(slope * v_star) < 1e-12:
             raise DegenerateCutoffError(
-                f"indifference level is flat at the cutoff (|slope|={abs(slope):.2e})"
+                f"indifference level is flat at the cutoff "
+                f"(|v* slope|={abs(slope * v_star):.2e})"
             )
         dvstar = 1.0 / slope
         gap -= dvstar * v_star * epsilon * (1.0 - gamma) * top_value_density(v_star, profile)

@@ -6,24 +6,20 @@ exactly when the defecting builder's replicated value strictly exceeds the
 winning bid.  Revert protection means a frontrun block pays the builder
 gamma * v_top, zeroes the searcher, and collects no bid.
 
-Tie rule: the highest idiosyncratic draw (equivalently, the highest
-signal) wins, ties to the lowest index.  The searchers of a block share its
-common factor, and a value rises with its draw (``sqrt(1 - rho) > 0`` and
-``sigma >= 0``), so the winner is the highest-value searcher; only its
-signal, value and bid are computed.  The strategy never decreases, so it is
-also the highest bidder.  It differs from "highest bid, ties to the lowest
-index" only where bids tie: where the strategy is flat (or dips at the
-cutoff within the tolerance ``PiecewiseStrategy`` allows) the top bid is
-the same but the higher value wins, and where values tie (``sigma = 0``, or
-``exp`` rounding two signals to one float) the top value and bid are the
-same but the higher draw wins.
+Winner rule: the highest idiosyncratic draw (equivalently, the highest
+signal) wins.  The searchers of a block share its common factor, and a value
+rises with its draw (``sqrt(1 - rho) > 0`` and ``sigma >= 0``), so the winner
+is the highest-value searcher; only its signal, value and bid are computed.
+The strategy never decreases, so it is also the highest bidder.  The top draw
+is sampled as one order statistic, the maximum of n iid N(0, 1) draws, whose
+CDF is Phi^n; by exchangeability the winner's index is uniform on [0, n) and
+drawn apart from its top draw.  The other n - 1 draws are never made, so the
+cost of an auction does not grow with n.
 
 One private kernel, ``_play``, draws and plays a chunk of auctions; the
 game engine here and ``synthetic.generate_synthetic`` both call it, so the
-rule is written once.  It draws the idiosyncratic normals in blocks of
-``_DRAW_ROWS`` auctions and keeps only each auction's top draw and its
-index, so the (chunk, n) matrix of draws is never built; the blocks come
-from the same stream in order, so the draws are those of one matrix.
+rule is written once, and ``_top_draws`` is the one place that samples the
+top draws, for ``_play`` and for the deviation harness.
 Blocks are generated in fixed-size chunks, each on its own split random
 stream keyed (seed, chunk, purpose): the chunk sizes are part of that
 stream schedule, so changing ``CHUNK`` changes the draws.
@@ -54,6 +50,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import ndtri
 
 from .equilibrium import PiecewiseStrategy
 from .errors import DomainError, ParameterError
@@ -62,9 +59,8 @@ from .rng import stream
 from .values import affiliated_signal
 
 CHUNK = 1 << 16
-# auctions whose idiosyncratic draws are held at once; not part of the
-# stream schedule, since the blocks are drawn in order from one stream
-_DRAW_ROWS = 1 << 12
+# trace rows formatted at once
+_TRACE_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -121,20 +117,17 @@ class _MomentAccumulator:
 
 
 def _top_draws(rng, rows: int, n: int):
-    """(argmax, max) of each row of ``rng.standard_normal((rows, n))``.
+    """(argmax, max) of n iid N(0, 1) draws, for each of ``rows`` auctions.
 
-    The rows are drawn ``_DRAW_ROWS`` at a time; PCG64 fills consecutive
-    blocks exactly as it fills the whole matrix, so the result is that of
-    one draw, ties to the lowest index, while only one block is held.
+    The max has CDF Phi^n, so it is Phi^-1(V^(1/n)) for V uniform; with
+    V = 1 - U, its upper tail 1 - V^(1/n) is computed from U without
+    cancellation.  By exchangeability the argmax is uniform and independent
+    of the max.  ``rng.random()`` is 0 with probability 2^-53, which would
+    give an infinite max, so that draw takes the midpoint of its grid cell.
     """
-    winner = np.empty(rows, dtype=np.intp)
-    top = np.empty(rows)
-    for lo in range(0, rows, _DRAW_ROWS):
-        u = rng.standard_normal((min(_DRAW_ROWS, rows - lo), n))
-        w = winner[lo:lo + len(u)]
-        np.argmax(u, axis=1, out=w)
-        top[lo:lo + len(u)] = u[np.arange(len(u)), w]
-    return winner, top
+    u = np.maximum(rng.random(rows), 2.0**-54)
+    top = -ndtri(-np.expm1(np.log1p(-u) / n))
+    return rng.integers(n, size=rows), top
 
 
 def _play(strategy, profile, gamma, epsilon, key, shape, antithetic=False):
@@ -144,11 +137,10 @@ def _play(strategy, profile, gamma, epsilon, key, shape, antithetic=False):
     block share its common factor.  Stream ``key + (0,)`` draws the values,
     ``key + (1,)`` the defection coins, which is returned so a caller can
     draw more from it.  The highest idiosyncratic draw (equivalently, the
-    highest signal) wins, ties to the lowest index: the argmax is taken on
-    the draws, and only the winner gets a signal, a value and a bid from
-    ``strategy.bid``.  A defecting builder frontruns when
-    ``gamma * top_val > top_bid``.  Where the strategy is flat, a higher
-    value beats an equal bid at a lower index.
+    highest signal) wins: ``_top_draws`` samples it and the winner's index,
+    uniform and apart from it, after the common factors, and only the winner
+    gets a signal, a value and a bid from ``strategy.bid``.  A defecting
+    builder frontruns when ``gamma * top_val > top_bid``.
     Returns (winner, top_bid, top_val, defect, frontrun, coin_stream).
     """
     rng_v = stream(*key, 0)
@@ -235,11 +227,11 @@ def _in_order(pool, work, count, window):
 
 def _write_trace(file, start, blocks):
     """Write the traced blocks of one chunk, numbered from ``start``, in
-    slices of ``_DRAW_ROWS`` rows, so only one slice is formatted at a time."""
-    for lo in range(0, blocks[0].size, _DRAW_ROWS):
-        columns = (a[lo:lo + _DRAW_ROWS].tolist() for a in blocks)
+    slices of ``_TRACE_ROWS`` rows, so only one slice is formatted at a time."""
+    for lo in range(0, blocks[0].size, _TRACE_ROWS):
+        columns = (a[lo:lo + _TRACE_ROWS].tolist() for a in blocks)
         file.write("".join(map("%d,%d,%.12g,%.12g,%d,%d,%.12g,%.12g\n".__mod__,
-                               zip(range(start + lo, start + lo + _DRAW_ROWS), *columns))))
+                               zip(range(start + lo, start + lo + _TRACE_ROWS), *columns))))
 
 
 def run_many(strategy: PiecewiseStrategy, profile: TypeProfile, blocks: int,
@@ -309,7 +301,8 @@ def _rival_chunk(v, strategy, profile, seed, chunk_index, size):
     """Highest rival bid per block, rivals conditioned on the deviant's value.
 
     As in ``_play``, the highest rival draw is the highest rival value, so
-    only that one rival per block gets a signal, a value and a bid.
+    only that one rival per block gets a signal, a value and a bid, from the
+    top of n - 1 draws sampled by ``_top_draws``.
     """
     z0 = (math.log(v) - profile.mu) / profile.sigma
     rng = stream(seed, chunk_index, 0)

@@ -8,6 +8,7 @@ import pytest
 
 from mevauction import (
     deviation_payoff_grid,
+    expected_revenue,
     payoff_of_deviation,
     run_many,
     simulate,
@@ -16,14 +17,15 @@ from mevauction import (
 from mevauction.equilibrium import BidCurve, PiecewiseStrategy
 from mevauction.errors import DomainError, ParameterError
 from mevauction.rng import stream
-from mevauction.simulate import (CHUNK, _DRAW_ROWS, _chunk_sizes, _play, _rival_chunk,
-                                 _simulate_chunk, _usable_cpus)
-from mevauction.synthetic import _CHUNK as GENERATE_CHUNK
+from mevauction.simulate import (CHUNK, _chunk_sizes, _play, _rival_chunk, _simulate_chunk,
+                                 _top_draws, _usable_cpus)
 from mevauction.synthetic import SyntheticSpec, generate_chunks
-from mevauction.values import affiliated_signal, rival_max_cdf
+from mevauction.values import affiliated_signal, rival_max_cdf, top_value_cdf, top_value_mean
+from scipy.special import ndtr
+from scipy.stats import chi2_contingency, chisquare, kstest
 
 from conftest import curve_for, make_profile, marginal_quantile
-from test_acceptance import BEST_RESPONSE_PROFILES, SIM_MATRIX
+from test_acceptance import BEST_RESPONSE_PROFILES, FLAGSHIP, SIM_MATRIX
 
 # the acceptance simulation matrix plus the benchmark's two simulate profiles
 KERNEL_PROFILES = SIM_MATRIX + [(make_profile(n=50), 0.2)]
@@ -35,31 +37,19 @@ def _priced_everywhere(strategy, values):
                     strategy.curve.bid(values))
 
 
-def _draw_values(profile, key, shape, antithetic):
-    """The values ``_play`` draws on ``stream(*key, 0)``, one row per auction."""
+def _draw_top(profile, key, shape, antithetic):
+    """The (winner, top value) ``_play`` draws on ``stream(*key, 0)``: the
+    common factors first (the antithetic half flips only them), then the
+    top draws and winners of ``_top_draws``."""
     rng = stream(*key, 0)
     rows = shape[0]
+    Z = rng.standard_normal(rows // 2 if antithetic else rows)
     if antithetic:
-        half = rng.standard_normal(rows // 2)
-        Z = np.concatenate([half, -half])
-    else:
-        Z = rng.standard_normal(rows)
-    u = rng.standard_normal(shape + (profile.n,))
-    z = affiliated_signal(Z.reshape(Z.shape + (1,) * len(shape)), u, profile.rho)
-    return np.exp(profile.mu + profile.sigma * z).reshape(-1, profile.n)
-
-
-def _reference_play(strategy, profile, gamma, epsilon, key, shape, antithetic=False):
-    """Price every searcher; the highest bid wins, ties to the lowest index."""
-    values = _draw_values(profile, key, shape, antithetic)
-    bids = _priced_everywhere(strategy, values)
-    winner = np.argmax(bids, axis=1)
-    auctions = np.arange(winner.size)
-    top_bid = bids[auctions, winner].reshape(shape)
-    top_val = values[auctions, winner].reshape(shape)
-    defect = stream(*key, 1).random(shape) < epsilon
-    frontrun = defect & (gamma * top_val > top_bid)
-    return winner.reshape(shape), top_bid, top_val, defect, frontrun
+        Z = np.concatenate([Z, -Z])
+    winner, top_u = _top_draws(rng, math.prod(shape), profile.n)
+    z = affiliated_signal(Z.reshape(Z.shape + (1,) * (len(shape) - 1)), top_u.reshape(shape),
+                          profile.rho)
+    return winner.reshape(shape), np.exp(profile.mu + profile.sigma * z)
 
 
 def _blocks(strategy, profile, seed, size):
@@ -242,12 +232,17 @@ class TestRunMany:
     def test_chunk_memory_near_its_draw_matrix(self, solved):
         # only the winner gets a signal and a value, so one n=50 chunk peaks
         # near its (CHUNK, 50) matrix of draws, not at several such matrices;
-        # the draws come in row blocks, so it stays below half that matrix
-        profile, curve = solved(n=50)
-        strat = solve_strategy(profile, 0.2, curve=curve)
-        peak = self._peak(lambda: _simulate_chunk(strat, profile, 1, 0, CHUNK, False))
-        assert peak <= 1.5 * CHUNK * 50 * 8
-        assert peak < 0.5 * CHUNK * 50 * 8
+        # only the top draws are sampled, so it stays below half that matrix
+        # and no higher than an n=5 chunk
+        def peak(n):
+            profile, curve = solved(n=n)
+            strat = solve_strategy(profile, 0.2, curve=curve)
+            return self._peak(lambda: _simulate_chunk(strat, profile, 1, 0, CHUNK, False))
+
+        peak50 = peak(50)
+        assert peak50 <= 1.5 * CHUNK * 50 * 8
+        assert peak50 < 0.5 * CHUNK * 50 * 8
+        assert peak50 <= 1.1 * peak(5)
 
     def test_rejects_zero_blocks(self, flagship):
         profile, curve = flagship
@@ -270,6 +265,53 @@ class TestRunMany:
         assert not trace.exists()
 
 
+def _control_variate_mean(strategy, profile, blocks, seed):
+    """(adjusted mean, stderr) of the per-block builder revenue R of a run,
+    regressed on the control C = gamma * v_(1), whose mean is known exactly.
+
+    R = C on every deterrence and every frontrun block, so the regression is
+    done on D = R - C, which is zero there: the adjusted mean is
+    E[C] + mean(D) - (beta - 1)(mean(C) - E[C]) with beta - 1 = cov(D, C) / var(C).
+    """
+    gamma = strategy.gamma
+    revenue, control = [], []
+    for i, size in enumerate(_chunk_sizes(blocks)):
+        _, _, value, _, _, rev, _ = _simulate_chunk(strategy, profile, seed, i, size, False,
+                                                    keep=size).blocks
+        revenue.append(rev)
+        control.append(gamma * value)
+    control = np.concatenate(control)
+    d = np.concatenate(revenue) - control
+    c_dev, d_dev = control - control.mean(), d - d.mean()
+    slope = np.dot(d_dev, c_dev) / np.dot(c_dev, c_dev)  # beta - 1
+    expected_control = gamma * top_value_mean(profile)
+    adjusted = expected_control + d.mean() - slope * (control.mean() - expected_control)
+    residual = d_dev - slope * c_dev
+    return adjusted, math.sqrt(np.dot(residual, residual) / (blocks - 2) / blocks)
+
+
+class TestControlVariate:
+    """Criterion 6 at control-variate precision.  Builder revenue is exactly
+    gamma * v_(1) on the deterrence branch and on frontrun blocks, and
+    E[gamma * v_(1)] is closed form, so regressing on that control cuts the
+    standard error to about 3e-11 (flagship) and 2e-7 (n=50) of the mean.
+    At that precision the quadrature's own error shows, so the bound adds
+    the revenue panels' closed-form tolerance, 1e-9 relative."""
+
+    @pytest.mark.parametrize("profile,epsilon,blocks", [(FLAGSHIP, 0.2, 1_000_000),
+                                                        (make_profile(n=50), 0.2, 250_000)],
+                             ids=["flagship", "n50"])
+    def test_adjusted_mean_matches_quadrature(self, profile, epsilon, blocks):
+        strat = solve_strategy(profile, epsilon, curve=curve_for(profile))
+        quadrature = expected_revenue(epsilon, strat, profile)
+        adjusted, se = _control_variate_mean(strat, profile, blocks, seed=271828)
+        assert 0 < se < 1e-6 * quadrature
+        gap = abs(adjusted - quadrature)
+        assert gap <= 6 * se + 1e-9 * abs(quadrature), (
+            f"adjusted mean {adjusted!r} is {gap / se:.1f} SE from the quadrature "
+            f"{quadrature!r} (SE {se / quadrature:.2e} relative)")
+
+
 @pytest.mark.parametrize("entry", ["run_many", "run_many-trace", "deviation_payoff_grid",
                                    "generate_chunks"])
 def test_negative_seed_rejected_before_any_draw(flagship, tmp_path, entry):
@@ -289,130 +331,118 @@ def test_negative_seed_rejected_before_any_draw(flagship, tmp_path, entry):
     assert not trace.exists()
 
 
-class TestKernelMatchesPricingEverySearcher:
-    """The kernel prices only the winner; pricing every searcher must agree."""
+PLAY_SHAPES = pytest.mark.parametrize("shape,antithetic", [((CHUNK,), False),
+                                                         ((CHUNK // 2, 2), False),
+                                                         ((CHUNK,), True)],
+                                      ids=["plain", "two-per-block", "antithetic"])
+KS_P_MIN = 1e-3  # every KS and chi-square test below runs on fixed seeds
 
-    @pytest.mark.parametrize("shape,antithetic", [((CHUNK,), False),
-                                                  ((CHUNK // 2, 2), False),
-                                                  ((CHUNK,), True)],
-                             ids=["plain", "two-per-block", "antithetic"])
-    def test_play(self, shape, antithetic):
-        for profile, epsilon in KERNEL_PROFILES:
-            curve = curve_for(profile)
-            assert np.all(np.diff(curve.bids) > 0)
-            strat = solve_strategy(profile, epsilon, curve=curve)
-            key = (11, profile.n, 3)
-            got = _play(strat, profile, profile.gamma, epsilon, key, shape, antithetic)
-            want = _reference_play(strat, profile, profile.gamma, epsilon, key, shape,
-                                   antithetic)
-            for name, a, b in zip(("winner", "top_bid", "top_val", "defect", "frontrun"),
-                                  got[:5], want):
-                np.testing.assert_array_equal(a, b, err_msg=f"{name} n={profile.n}")
 
-    def test_rival_chunk(self):
+def _iid_samples(values, shape, antithetic):
+    """Independent samples of one auction's value out of a ``_play`` chunk:
+    each auction of a block (they share its common factor), and each half
+    of an antithetic chunk (they share their common factors, negated)."""
+    if antithetic:
+        return np.split(values, 2)
+    return list(values.reshape(shape[0], -1).T)
+
+
+class TestTopDraws:
+    """``_top_draws`` samples the max of n iid N(0, 1) draws as one order
+    statistic, and its index apart from it; both against their exact laws."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 50])
+    def test_max_has_cdf_phi_to_the_n(self, n):
+        _, top = _top_draws(stream(41, n), 1_000_000, n)
+        assert np.all(np.isfinite(top))
+        assert kstest(top, lambda x: ndtr(x) ** n).pvalue > KS_P_MIN
+
+    @pytest.mark.parametrize("n", [2, 5, 50])
+    def test_winner_uniform_and_independent_of_the_max(self, n):
+        winner, top = _top_draws(stream(43, n), 1_000_000, n)
+        assert winner.min() >= 0 and winner.max() < n
+        counts = np.bincount(winner, minlength=n)
+        assert chisquare(counts).pvalue > KS_P_MIN
+        # winners against the deciles of the max, under its exact law
+        decile = np.minimum((10 * ndtr(top) ** n).astype(int), 9)
+        table = np.zeros((n, 10))
+        np.add.at(table, (winner, decile), 1)
+        assert chi2_contingency(table).pvalue > KS_P_MIN
+
+    def test_zero_uniform_gives_a_finite_max(self):
+        # rng.random() returns 0 with probability 2^-53
+        class ZeroFirst:
+            def random(self, rows):
+                out = np.full(rows, 0.5)
+                out[0] = 0.0
+                return out
+
+            def integers(self, n, size):
+                return np.zeros(size, dtype=np.int64)
+
+        _, top = _top_draws(ZeroFirst(), 3, 5)
+        assert np.all(np.isfinite(top)) and top[0] > top[1]
+
+
+class TestPlay:
+    """``_play`` prices only the winner: the top value has the law of the
+    highest of n values, and the pricing and frontrun rules hold bit for bit."""
+
+    @PLAY_SHAPES
+    def test_pricing_and_frontrun_rules(self, shape, antithetic):
         for profile, epsilon in KERNEL_PROFILES:
             strat = solve_strategy(profile, epsilon, curve=curve_for(profile))
-            v = marginal_quantile(0.9)
-            rival_top, defect = _rival_chunk(v, strat, profile, 5, 2, 20_000)
-            # redraw the rivals exactly as _rival_chunk does, then bid them all
-            z0 = (math.log(v) - profile.mu) / profile.sigma
-            rng = stream(5, 2, 0)
-            z_post = affiliated_signal(z0, rng.standard_normal(20_000), profile.rho)
-            u = rng.standard_normal((20_000, profile.n - 1))
-            rivals = np.exp(profile.mu + profile.sigma
-                            * affiliated_signal(z_post[:, None], u, profile.rho))
-            np.testing.assert_array_equal(
-                rival_top, np.max(_priced_everywhere(strat, rivals), axis=1))
-            np.testing.assert_array_equal(
-                defect, stream(5, 2, 1).random(20_000) < strat.epsilon)
+            key = (11, profile.n, 3)
+            winner, top_bid, top_val, defect, frontrun, _ = _play(
+                strat, profile, profile.gamma, epsilon, key, shape, antithetic)
+            want_winner, want_val = _draw_top(profile, key, shape, antithetic)
+            np.testing.assert_array_equal(winner, want_winner)
+            np.testing.assert_array_equal(top_val, want_val)
+            np.testing.assert_array_equal(top_bid, _priced_everywhere(strat, top_val))
+            np.testing.assert_array_equal(defect, stream(*key, 1).random(shape) < epsilon)
+            np.testing.assert_array_equal(frontrun,
+                                          defect & (profile.gamma * top_val > top_bid))
 
-    def test_flat_stretch_goes_to_the_higher_value(self):
-        # bids tie on [2, 3]; values cluster there, so most auctions tie on bid
-        curve = BidCurve(grid=np.array([1.0, 2.0, 3.0, 4.0]),
-                         bids=np.array([0.5, 0.9, 0.9, 1.5]))
-        strat = PiecewiseStrategy(curve=curve, cutoff=math.inf, gamma=0.5, epsilon=0.5)
-        profile = make_profile(n=3, rho=0.3, gamma=0.5, mu=math.log(2.5), sigma=0.05)
-        key, shape = (1, 0), (5000,)
-        winner, top_bid, top_val, defect, frontrun, _ = _play(
-            strat, profile, 0.5, 0.5, key, shape)
-        values = _draw_values(profile, key, shape, False)
-        np.testing.assert_array_equal(winner, np.argmax(values, axis=1))
-        np.testing.assert_array_equal(top_val, values.max(axis=1))
-        old_winner, old_bid, old_val, _, _ = _reference_play(
-            strat, profile, 0.5, 0.5, key, shape)
-        # same top bid; where bids tie the higher value wins, not the lower index
-        np.testing.assert_array_equal(top_bid, old_bid)
-        tied = winner != old_winner
-        assert tied.sum() > 1000
-        assert np.all(top_bid[tied] == 0.9)
-        assert np.all(top_val[tied] > old_val[tied])
-        assert np.all(old_winner[tied] < winner[tied])
-
-
-class TestRowBlockDraw:
-    """The kernels draw the idiosyncratic normals in blocks of ``_DRAW_ROWS``
-    rows; each row's argmax and top draw must be those of one matrix drawn
-    from the same stream, bit for bit."""
-
-    @pytest.mark.parametrize("n", [5, 50])
-    @pytest.mark.parametrize("shape,antithetic", [
-        ((CHUNK,), False),
-        ((3 * _DRAW_ROWS + 123,), False),
-        ((3 * _DRAW_ROWS + 122,), True),
-        ((GENERATE_CHUNK + 5, 3), False),
-    ], ids=["chunk", "uneven", "antithetic", "generate"])
-    def test_play(self, n, shape, antithetic):
-        profile = make_profile(n=n)
+    @PLAY_SHAPES
+    @pytest.mark.parametrize("profile", [BEST_RESPONSE_PROFILES[0], FLAGSHIP,
+                                         make_profile(n=50)], ids=["rho0", "flagship", "n50"])
+    def test_top_value_has_the_law_of_the_highest_value(self, profile, shape, antithetic):
         strat = solve_strategy(profile, 0.2, curve=curve_for(profile))
-        key = (21, n)
-        winner, _, top_val, _, _, _ = _play(strat, profile, profile.gamma, 0.2, key, shape,
-                                            antithetic)
-        rng = stream(*key, 0)
-        Z = rng.standard_normal(shape[0] // 2 if antithetic else shape[0])
-        if antithetic:
-            Z = np.concatenate([Z, -Z])
-        u = rng.standard_normal(shape + (n,))
-        want = np.argmax(u, axis=-1)
-        top_u = np.take_along_axis(u, want[..., None], axis=-1)[..., 0]
-        z = affiliated_signal(Z.reshape(Z.shape + (1,) * (len(shape) - 1)), top_u,
-                              profile.rho)
-        np.testing.assert_array_equal(winner, want)
-        np.testing.assert_array_equal(top_val, np.exp(profile.mu + profile.sigma * z))
-
-    @pytest.mark.parametrize("n", [5, 50])
-    @pytest.mark.parametrize("size", [CHUNK, 3 * _DRAW_ROWS + 123], ids=["chunk", "uneven"])
-    def test_rival_chunk(self, n, size):
-        profile = make_profile(n=n)
-        strat = solve_strategy(profile, 0.2, curve=curve_for(profile))
-        v = marginal_quantile(0.7)
-        rival_top, _ = _rival_chunk(v, strat, profile, 9, 1, size)
-        rng = stream(9, 1, 0)
-        z0 = (math.log(v) - profile.mu) / profile.sigma
-        z_post = affiliated_signal(z0, rng.standard_normal(size), profile.rho)
-        u = rng.standard_normal((size, n - 1))
-        z_riv = affiliated_signal(z_post, u.max(axis=1), profile.rho)
-        np.testing.assert_array_equal(
-            rival_top, strat.bid(np.exp(profile.mu + profile.sigma * z_riv)))
+        _, _, top_val, _, _, _ = _play(strat, profile, profile.gamma, 0.2, (12, profile.n),
+                                       shape, antithetic)
+        for sample in _iid_samples(top_val, shape, antithetic):
+            assert kstest(sample, lambda v: top_value_cdf(v, profile)).pvalue > KS_P_MIN
 
 
-class TestTieRule:
-    @pytest.mark.parametrize("shape", [(5000,), (2500, 2)], ids=["plain", "two-per-block"])
-    def test_equal_values_go_to_the_highest_draw(self, shape):
+    @pytest.mark.parametrize("shape", [(CHUNK,), (CHUNK // 2, 2)],
+                             ids=["plain", "two-per-block"])
+    def test_equal_values_go_to_a_uniform_winner(self, shape):
         # sigma = 0: every value is exp(mu), so every auction ties on value
-        # and bid; the highest idiosyncratic draw wins, ties to the lowest index
+        # and bid, and the winner's index is uniform over the searchers
         curve = BidCurve(grid=np.array([1.0, 2.0, 3.0, 4.0]),
                          bids=np.array([0.5, 0.9, 0.9, 1.5]))
         strat = PiecewiseStrategy(curve=curve, cutoff=math.inf, gamma=0.5, epsilon=0.5)
         profile = make_profile(n=3, rho=0.3, gamma=0.5, mu=math.log(2.5), sigma=0.0)
-        key = (4, 1)
-        winner, top_bid, top_val, _, _, _ = _play(strat, profile, 0.5, 0.5, key, shape)
+        winner, top_bid, top_val, _, _, _ = _play(strat, profile, 0.5, 0.5, (4, 1), shape)
         np.testing.assert_array_equal(top_val, np.exp(np.full(shape, profile.mu)))
         np.testing.assert_array_equal(top_bid, strat.bid(top_val.ravel()).reshape(shape))
-        rng = stream(*key, 0)
-        rng.standard_normal(shape[0])  # the common factors
-        u = rng.standard_normal(shape + (profile.n,))
-        np.testing.assert_array_equal(winner, np.argmax(u, axis=-1))
-        assert np.count_nonzero(winner) > 0.6 * winner.size
+        assert chisquare(np.bincount(winner.ravel(), minlength=3)).pvalue > KS_P_MIN
+
+
+class TestRivalChunk:
+    """The highest rival bid given the deviant's value: its law is
+    H(beta^-1(b) | v), and the defection coins are the chunk's."""
+
+    @pytest.mark.parametrize("profile", [BEST_RESPONSE_PROFILES[2], FLAGSHIP,
+                                         make_profile(n=50)], ids=["rho0.3", "flagship", "n50"])
+    @pytest.mark.parametrize("q", [0.2, 0.9])
+    def test_rival_top_has_the_law_of_the_highest_rival(self, profile, q):
+        strat = solve_strategy(profile, 0.2, curve=curve_for(profile))
+        v = marginal_quantile(q)
+        rival_top, defect = _rival_chunk(v, strat, profile, 5, 2, CHUNK)
+        assert kstest(rival_top, lambda b: _rival_bid_cdf(v, b, strat, profile)).pvalue \
+            > KS_P_MIN
+        np.testing.assert_array_equal(defect, stream(5, 2, 1).random(CHUNK) < strat.epsilon)
 
 
 class TestDeviationPayoffs:
@@ -444,18 +474,31 @@ class TestDeviationPayoffs:
         assert scan.means[best] - scan.means[20] <= 2.0 * scan.stderrs[best]
 
     def test_exposure_scaling_with_commitment(self, solved):
-        # payoffs of exposed bids scale by (1 - eps); the grid argmax is shared
+        # payoffs of exposed bids scale by (1 - eps), so the grid argmax is
+        # shared; the payoff is flat to about 1e-4 near its top, so the argmax
+        # is read off the exact payoff, and each scan's best bid must not
+        # beat it by more than 2 paired standard errors
         profile, curve = solved(n=4, rho=0.3, gamma=0.95)
         v = marginal_quantile(0.8)
         strat_lo = solve_strategy(profile, 0.2, curve=curve)
         strat_hi = solve_strategy(profile, 0.5, curve=curve)
         b_eq = float(curve.bid(v))
         bids = b_eq * np.linspace(0.9, 1.1, 21)
-        lo = deviation_payoff_grid(v, bids, strat_lo, profile, blocks=400_000, seed=29)
-        hi = deviation_payoff_grid(v, bids, strat_hi, profile, blocks=400_000, seed=29)
+        assert np.all(profile.gamma * v > bids)  # every bid is exposed
+        exact_lo, exact_hi = ((v - bids) * _exact_win_probability(v, bids, strat, profile)
+                              for strat in (strat_lo, strat_hi))
+        np.testing.assert_allclose(exact_lo / exact_hi, (1 - 0.2) / (1 - 0.5), rtol=1e-12)
+        best = int(np.argmax(exact_lo))
+        assert int(np.argmax(exact_hi)) == best
+        lo = deviation_payoff_grid(v, bids, strat_lo, profile, blocks=400_000, seed=29,
+                                   reference_index=best)
+        hi = deviation_payoff_grid(v, bids, strat_hi, profile, blocks=400_000, seed=29,
+                                   reference_index=best)
         ratio = lo.means / hi.means
         np.testing.assert_allclose(ratio, (1 - 0.2) / (1 - 0.5), rtol=0.02)
-        assert abs(int(np.argmax(lo.means)) - int(np.argmax(hi.means))) <= 2
+        for scan in (lo, hi):
+            k = int(np.argmax(scan.means))
+            assert scan.diff_means[k] <= 2.0 * scan.diff_stderrs[k]
 
     @pytest.mark.parametrize("ref", [-1, 3])
     def test_rejects_reference_outside_grid(self, flagship, ref):
@@ -605,8 +648,8 @@ def _curve_inverse(curve, bids):
     return np.where(bids > curve.bids[-1], bids * curve.grid[-1] / curve.bids[-1], x)
 
 
-def _exact_win_probability(v, bids, strategy, profile):
-    """P(paid) = H(beta^-1(b) | v) (1 - eps 1{gamma v > b}), where beta^-1
+def _rival_bid_cdf(v, bids, strategy, profile):
+    """P(highest rival bid <= b | v) = H(beta^-1(b) | v), where beta^-1
     inverts the piecewise strategy: the curve below the cutoff, the cutoff
     for bids in its jump (b(v*), gamma v*), and b / gamma above it."""
     x = np.full(bids.shape, strategy.cutoff)
@@ -615,8 +658,13 @@ def _exact_win_probability(v, bids, strategy, profile):
     x[risky] = _curve_inverse(strategy.curve, bids[risky])
     safe = bids >= strategy.gamma * strategy.cutoff
     x[safe] = bids[safe] / strategy.gamma
+    return rival_max_cdf(x, v, profile)
+
+
+def _exact_win_probability(v, bids, strategy, profile):
+    """P(paid) = H(beta^-1(b) | v) (1 - eps 1{gamma v > b})."""
     honoured = np.where(strategy.gamma * v > bids, 1.0 - strategy.epsilon, 1.0)
-    return rival_max_cdf(x, v, profile) * honoured
+    return _rival_bid_cdf(v, bids, strategy, profile) * honoured
 
 
 class TestDeviationScanOracle:
