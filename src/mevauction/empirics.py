@@ -14,12 +14,13 @@ number outside the signed 64-bit range makes a row malformed.
 
 Records are held as one columnar :class:`BundleTable`: float64 ``tip``,
 ``profit`` and ``value`` (tip + profit, summed once), int64 ``block``, small
-integer codes for type, builder and searcher with their label tuples, and
-the tx hashes as a list.  ``BundleTable.read`` builds it in a single
-``csv.reader`` pass that applies the malformed-row rules row by row;
-``iter_bundles`` and ``ingest`` are record views over that table, and every
-schedule, estimate and diagnostic groups the columns with numpy instead of
-looping over records.  Each of them also accepts an iterable of
+integer codes for type, builder and searcher with their label tuples (each
+label listed once), and the tx hashes as a list.  ``BundleTable.read``
+builds it in a single ``csv.reader`` pass that applies the malformed-row
+rules row by row (a malformed row is reported by the file line it starts
+on); ``iter_bundles`` and ``ingest`` are record views over that table, and
+every schedule, estimate and diagnostic groups the columns with numpy
+instead of looping over records.  Each of them also accepts an iterable of
 :class:`BundleRecord` and collects it into a table first.  ``write_bundles``
 writes one table or a stream of tables (``BundleTable.from_records`` wraps
 records) with one format per row, quoting fields exactly as
@@ -135,9 +136,9 @@ class BundleTable:
     """Bundle records as columns, in record order.
 
     ``mev_type`` holds codes into ``MEV_TYPES``, ``builder`` and ``searcher``
-    codes into the ``builders`` and ``searchers`` label tuples.  A label given
-    twice is merged into one code, so each builder or searcher is one group.
-    ``value`` is tip + profit, computed once.
+    codes into the ``builders`` and ``searchers`` label tuples.  Each label is
+    listed once, so each builder or searcher is one code; a repeated label
+    is a ParameterError.  ``value`` is tip + profit, computed once.
     """
 
     tx_hash: list
@@ -152,10 +153,10 @@ class BundleTable:
     value: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for codes, labels in (("builder", "builders"), ("searcher", "searchers")):
-            merged = _merge_labels(getattr(self, codes), getattr(self, labels))
-            object.__setattr__(self, codes, merged[0])
-            object.__setattr__(self, labels, merged[1])
+        for name in ("builders", "searchers"):
+            labels = getattr(self, name)
+            if len(set(labels)) != len(labels):
+                raise ParameterError(f"{name} lists a label twice: {labels!r}")
         object.__setattr__(self, "value", self.tip + self.profit)
 
     def __len__(self) -> int:
@@ -214,14 +215,18 @@ class BundleTable:
                     f"{path}: header mismatch; missing={sorted(missing)} "
                     f"unexpected={sorted(extra)}"
                 )
-            lineno = 1
-            for lineno, row in enumerate(reader, start=2):
+            rows = 0
+            for rows, row in enumerate(reader, start=1):
                 try:
                     t, b, c, bu, se, tp, pr = parse(row)
                 except (ValueError, KeyError) as exc:
                     malformed += 1
                     if len(samples) < 10:
-                        samples.append({"line": lineno, "error": str(exc)})
+                        # the file line the row starts on: a quoted line
+                        # break inside a field spans more than one line
+                        breaks = sum(len(_LINE_BREAK.findall(f)) for f in row)
+                        samples.append({"line": reader.line_num - breaks,
+                                        "error": str(exc)})
                     continue
                 add_tx(t)
                 add_block(b)
@@ -230,7 +235,7 @@ class BundleTable:
                 add_searcher(searcher_code(se, len(searcher_codes)))
                 add_tip(tp)
                 add_profit(pr)
-        report.rows_read += lineno - 1
+        report.rows_read += rows
         report.malformed += malformed
         report.records += len(tx)
         if report.rows_read and report.malformed > MALFORMED_LIMIT * report.rows_read:
@@ -292,17 +297,7 @@ class BundleTable:
 
 
 _CSV_SPECIAL = re.compile('[,"\r\n]')
-
-
-def _merge_labels(codes, labels):
-    """(codes, labels) with every label listed once, codes mapped to match."""
-    labels = tuple(labels)
-    if len(set(labels)) == len(labels):
-        return codes, labels
-    first = {}
-    remap = np.array([first.setdefault(label, len(first)) for label in labels],
-                     dtype=np.intp)
-    return remap[codes], tuple(first)
+_LINE_BREAK = re.compile("\r\n|\r|\n")
 
 
 def _csv_field(text: str) -> str:

@@ -13,8 +13,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from scipy.special import ndtri
-
 from .errors import ParameterError
 
 
@@ -65,8 +63,3 @@ class TypeProfile:
     def require_dispersion(self):
         if self.sigma <= 0.0:
             raise ParameterError("this operation requires sigma > 0")
-
-    def marginal_quantile(self, q):
-        """Quantile of the log-normal marginal value distribution."""
-        return float(math.exp(self.mu) * math.exp(self.sigma * ndtri(q))) \
-            if self.sigma > 0 else float(math.exp(self.mu))

@@ -9,7 +9,10 @@ no record, matching revert protection.  Records are drawn one chunk of
 ``_CHUNK`` blocks at a time and emitted as one ``BundleTable`` per chunk
 (``generate_chunks``), so memory is O(chunk); ``generate_synthetic``
 expands the same chunks into records.  The chunk size is part of the stream
-schedule (keyed (seed, type, chunk, purpose)).
+schedule (keyed (seed, type, chunk, purpose)).  Blocks are numbered from 1
+for every type, each winning bundle's builder is drawn uniformly from
+``BUILDER_POOL``, and the searcher labels of type tau are
+``<tau>_searcher_00`` to ``<tau>_searcher_<n-1>``, one per entrant.
 
 This is the verification harness for the estimators: plant a profile and a
 defection rate (or a hand-built strategy with a known cutoff), generate,
@@ -29,7 +32,7 @@ from .errors import ParameterError
 from .profiles import TypeProfile
 from .simulate import _chunk_sizes, _play
 
-DEFAULT_BUILDER_POOL = ("builder_alpha", "builder_beta", "builder_gamma", "builder_delta")
+BUILDER_POOL = ("builder_alpha", "builder_beta", "builder_gamma", "builder_delta")
 _CHUNK = 1 << 14
 
 
@@ -40,46 +43,31 @@ class SyntheticSpec:
     profile: TypeProfile
     epsilon: float
     strategy: PiecewiseStrategy | None = None
-    searcher_pool: tuple | None = None
 
     def resolved_strategy(self) -> PiecewiseStrategy:
         if self.strategy is not None:
             return self.strategy
         return solve_strategy(self.profile, self.epsilon)
 
-    def resolved_searchers(self) -> tuple:
-        if self.searcher_pool is not None:
-            if len(self.searcher_pool) != self.profile.n:
-                raise ParameterError("searcher pool must have one label per entrant")
-            return tuple(self.searcher_pool)
-        return tuple(f"{self.profile.tau.value}_searcher_{i:02d}"
-                     for i in range(self.profile.n))
-
 
 def generate_synthetic(specs, blocks: int, seed: int, *,
-                       opportunities_per_block: int = 1,
-                       builder_pool=DEFAULT_BUILDER_POOL,
-                       base_block_number: int = 1):
+                       opportunities_per_block: int = 1):
     """Return an iterator of bundle records for ``blocks`` blocks of each spec.
 
-    ``specs`` is an iterable of SyntheticSpec (or a mapping whose values are
-    specs).  With ``opportunities_per_block`` > 1 the auctions of one block
-    share the block's common factor, so within-block values are affiliated
-    exactly as the signals are.  The arguments are checked and every
-    strategy is resolved here, before the first record is drawn, so a bad
-    argument raises before a caller opens its output.
+    ``specs`` is an iterable of SyntheticSpec.  With
+    ``opportunities_per_block`` > 1 the auctions of one block share the
+    block's common factor, so within-block values are affiliated exactly as
+    the signals are.  The arguments are checked and every strategy is
+    resolved here, before the first record is drawn, so a bad argument
+    raises before a caller opens its output.
     """
     chunks = generate_chunks(specs, blocks, seed,
-                             opportunities_per_block=opportunities_per_block,
-                             builder_pool=builder_pool,
-                             base_block_number=base_block_number)
+                             opportunities_per_block=opportunities_per_block)
     return (rec for table in chunks for rec in table.records())
 
 
 def generate_chunks(specs, blocks: int, seed: int, *,
-                    opportunities_per_block: int = 1,
-                    builder_pool=DEFAULT_BUILDER_POOL,
-                    base_block_number: int = 1):
+                    opportunities_per_block: int = 1):
     """The records of ``generate_synthetic`` as an iterator of BundleTable
     chunks, one per drawn chunk of blocks and type (same arguments and
     checks)."""
@@ -89,30 +77,22 @@ def generate_chunks(specs, blocks: int, seed: int, *,
         raise ParameterError("seed must be >= 0")
     if opportunities_per_block < 1:
         raise ParameterError("opportunities_per_block must be >= 1")
-    if isinstance(specs, dict):
-        specs = list(specs.values())
-    else:
-        specs = list(specs)
-    builder_pool = tuple(builder_pool)
-    if not builder_pool:
-        raise ParameterError("builder pool must be nonempty")
-    resolved = [(spec, spec.resolved_strategy(), spec.resolved_searchers())
-                for spec in specs]
-    return _chunks(resolved, blocks, seed, opportunities_per_block, builder_pool,
-                   base_block_number)
+    resolved = [(spec, spec.resolved_strategy()) for spec in specs]
+    return _chunks(resolved, blocks, seed, opportunities_per_block)
 
 
-def _chunks(resolved, blocks, seed, k, builder_pool, base_block_number):
-    for t_idx, (spec, strategy, searchers) in enumerate(resolved):
+def _chunks(resolved, blocks, seed, k):
+    for t_idx, (spec, strategy) in enumerate(resolved):
         profile = spec.profile
         type_code = MEV_TYPES.index(profile.tau)
+        searchers = tuple(f"{profile.tau.value}_searcher_{i:02d}" for i in range(profile.n))
         tx_hash = f"0x{seed & 0xffffffff:08x}{t_idx:02x}%010x%02x".__mod__
-        first_block = base_block_number
+        first_block = 1
         for chunk, size in enumerate(_chunk_sizes(blocks, _CHUNK)):
             winner, top_bid, top_val, _, frontrun, coin = _play(
                 strategy, profile, profile.gamma, spec.epsilon, (seed, t_idx, chunk),
                 (size, k))
-            builder_ids = coin.integers(0, len(builder_pool), size=(size, k))
+            builder_ids = coin.integers(0, len(BUILDER_POOL), size=(size, k))
             # surviving auctions in block-major order; a frontrun one reverts
             # unpaid and leaves no record
             b, o = np.nonzero(~frontrun)
@@ -121,7 +101,7 @@ def _chunks(resolved, blocks, seed, k, builder_pool, base_block_number):
             yield BundleTable(
                 list(map(tx_hash, zip(block.tolist(), o.tolist()))),
                 block.astype(np.int64), np.full(b.size, type_code, dtype=np.intp),
-                builder_ids[b, o].astype(np.intp), builder_pool,
+                builder_ids[b, o].astype(np.intp), BUILDER_POOL,
                 winner[b, o].astype(np.intp), searchers,
                 tip, top_val[b, o] - tip)
             first_block += size

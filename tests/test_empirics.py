@@ -143,6 +143,29 @@ class TestIngest:
                                   for k, (_, msg) in enumerate(bad)]
         assert [r.tx_hash for r in records] == [f"0x{i:x}" for i in range(6000)]
 
+    def test_malformed_rows_keep_their_file_lines_after_quoted_line_breaks(self, tmp_path):
+        # a quoted line break in a label spans two file lines; a malformed row
+        # is reported by the line it starts on, even when it spans two itself
+        rows = [
+            '0xg0,1,naked_arb,"a\nb",s,1.0,0.5',
+            "0xb1,2,naked_arb,b,s,oops,0.5",
+            '0xb2,3,naked_arb,"c\r\nd",s,-1.0,0.5',
+            "0xb3,4,naked_arb,b,s,1.0",
+            '0xg1,5,naked_arb,b,"e\rf",1.0,0.5',
+            "0xb4,6,naked_arb,b,s,1.0,nan",
+        ] + [f"0xg{i},{i},naked_arb,b,s,1.0,0.5" for i in range(2, 4000)]
+        text = ",".join(CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n"
+        path = tmp_path / "breaks.csv"
+        path.write_bytes(text.encode())
+        records, report = ingest(path)
+        assert (report.rows_read, report.records, report.malformed) == (4004, 4000, 4)
+        assert records[0].builder == "a\nb" and records[1].searcher == "e\rf"
+        # the line numbers an editor shows: the file split at \r\n, \r and \n
+        starts = {line.split(",")[0]: number for number, line
+                  in enumerate(text.splitlines(), start=1)}
+        assert [s["line"] for s in report.samples] \
+            == [starts[tx] for tx in ("0xb1", "0xb2", "0xb3", "0xb4")] == [4, 5, 7, 10]
+
     def test_type_labels_are_normalised(self, tmp_path):
         labels = [" Naked_Arb ", "NAKED_ARB", "naked_arb", "Naked_arb"]
         path = tmp_path / "labels.csv"
@@ -181,15 +204,18 @@ class TestIngest:
             assert write_bundles(tmp_path / f"{name}.csv", tables) == 0
             assert (tmp_path / f"{name}.csv").read_text() == header
 
-    def test_repeated_labels_are_one_group(self):
-        table = BundleTable(["a", "b", "c"], np.array([1, 1, 2]),
-                            np.zeros(3, dtype=np.intp),
-                            np.array([0, 1, 2]), ("x", "y", "x"),
-                            np.array([1, 0, 1]), ("s", "s"),
-                            np.ones(3), np.ones(3))
-        assert table.builders == ("x", "y") and table.builder.tolist() == [0, 1, 0]
-        assert table.searchers == ("s",) and table.searcher.tolist() == [0, 0, 0]
-        assert [r.builder for r in table.records()] == ["x", "y", "x"]
+    @pytest.mark.parametrize("builders, searchers", [
+        (("x", "y", "x"), ("s", "t")),
+        (("x", "y", "z"), ("s", "s")),
+    ], ids=["builder", "searcher"])
+    def test_repeated_label_is_rejected(self, builders, searchers):
+        # each label is one code, so a label listed twice is an error, not a merge
+        with pytest.raises(ParameterError, match="lists a label twice"):
+            BundleTable(["a", "b", "c"], np.array([1, 1, 2]),
+                        np.zeros(3, dtype=np.intp),
+                        np.array([0, 1, 2]), builders,
+                        np.array([1, 0, 1]), searchers,
+                        np.ones(3), np.ones(3))
 
     @given(st.lists(st.tuples(st.text(max_size=6), st.text(max_size=6),
                               st.text(max_size=6)), max_size=8))

@@ -6,15 +6,10 @@ import numpy as np
 import pytest
 
 from mevauction import solve_strategy
-from mevauction.diagnostics import (
-    board_diagnostic,
-    builder_table,
-    concentration,
-    effective_bidder_counts,
-)
+from mevauction.diagnostics import board_diagnostic, effective_bidder_counts
 from mevauction.empirics import bribe_schedule, estimate_gamma
 from mevauction.profiles import MevType
-from mevauction.synthetic import SyntheticSpec, generate_chunks, generate_synthetic
+from mevauction.synthetic import SyntheticSpec, generate_synthetic
 
 from conftest import make_profile
 
@@ -84,33 +79,6 @@ class TestGenerateSynthetic:
             # the strategy's epsilon (0) or its gamma (0) would keep every block
             assert len(records) / blocks == pytest.approx(0.1, abs=0.02)
 
-    def test_searcher_labels_from_pool(self, flagship):
-        profile, curve = flagship
-        spec = SyntheticSpec(profile=profile, epsilon=0.0,
-                             strategy=solve_strategy(profile, 0.0, curve=curve),
-                             searcher_pool=tuple(f"whale_{i}" for i in range(profile.n)))
-        records = list(generate_synthetic([spec], 100, seed=6))
-        assert {r.searcher for r in records} <= {f"whale_{i}" for i in range(profile.n)}
-
-
-    def test_repeated_pool_labels_group_as_one(self, flagship):
-        # a label listed twice in a pool is one builder or searcher in every
-        # grouping of the chunk tables, as it is in the records
-        profile, curve = flagship
-        pool = ("whale", "whale") + tuple(f"s{i}" for i in range(profile.n - 2))
-        spec = SyntheticSpec(profile=profile, epsilon=0.0,
-                             strategy=solve_strategy(profile, 0.0, curve=curve),
-                             searcher_pool=pool)
-        args = ([spec], 300, 7)
-        kwargs = dict(builder_pool=("b", "c", "b"))
-        records = list(generate_synthetic(*args, **kwargs))
-        for table in generate_chunks(*args, **kwargs):
-            assert table.builders == ("b", "c")
-            assert len(set(table.searchers)) == len(table.searchers)
-        chunk, = generate_chunks(*args, **kwargs)
-        assert builder_table(chunk) == builder_table(records)
-        assert concentration(chunk)[profile.tau].groups \
-            == concentration(records)[profile.tau].groups
 
 class TestRoundTrips:
     def test_planted_gamma_recovered(self, solved):
@@ -156,8 +124,9 @@ class TestRoundTrips:
         specs = [SyntheticSpec(profile=thin, epsilon=0.0)]
         recs = list(generate_synthetic(specs, 4000, seed=11))
         specs2 = [SyntheticSpec(profile=thick, epsilon=0.0)]
-        recs2 = list(generate_synthetic(specs2, 4000, seed=12,
-                                        base_block_number=100_000))
+        # the second stream's blocks follow the first's
+        recs2 = [dataclasses.replace(r, block_number=r.block_number + 100_000)
+                 for r in generate_synthetic(specs2, 4000, seed=12)]
         rows = board_diagnostic(effective_bidder_counts(recs + recs2, window=25),
                                 bin_edges=(1, 6))
         assert len(rows) == 2
