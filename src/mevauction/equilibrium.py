@@ -25,6 +25,12 @@ strictly increasing; before its first cutoff the level checks strict
 monotonicity of ebar wherever the threat binds (either direction), and it
 refuses to pick among multiple roots.
 The curve and the strategy hold numbers; ``cli.py`` writes their files.
+
+Between grid nodes the curve and ebar's slope are the monotone cubic Hermite
+interpolant of Fritsch and Carlson (1980), written here in numpy so that it
+matches scipy's ``PchipInterpolator`` bit for bit; roots come from
+``values._brentq``, a port of scipy's ``brentq``.  The module needs only
+``scipy.special`` from scipy, which keeps ``import mevauction`` light.
 """
 
 from __future__ import annotations
@@ -34,9 +40,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import (
@@ -47,7 +50,7 @@ from .errors import (
     TailUnderflowError,
 )
 from .profiles import TypeProfile
-from .values import _positive, rival_max_hazard_ratio
+from .values import _brentq, _positive, rival_max_hazard_ratio
 
 DEFAULT_NODES = 2000
 DEFAULT_Q_LO = 1e-4
@@ -56,6 +59,22 @@ DEFAULT_TOP_TAIL = 1e-9
 
 # explicit RK4 needs h * v * r(v) comfortably inside its stability region
 _STABILITY_LIMIT = 2.0
+
+
+def _ipv_rule():
+    """ipv_bid's nodes and weights in t = ln v - ln y: 24 Gauss-Legendre
+    panels of 20 nodes, the first [0, 1e-4], the rest geometric up to t = 60
+    (the integrand is below e^-t, and e^-60 < 1e-26)."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    edges = np.concatenate([[0.0], np.geomspace(1e-4, 60.0, 24)])
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
+_IPV_T, _IPV_W = _ipv_rule()
+# own values per ipv_bid block: each (block, 480) temporary is 3.9 MB
+_IPV_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -86,6 +105,64 @@ def default_grid(profile: TypeProfile, nodes: int = DEFAULT_NODES) -> GridSpec:
 
 
 # ---------------------------------------------------------------------------
+# monotone cubic Hermite interpolation (PCHIP)
+# ---------------------------------------------------------------------------
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at an end, kept shape preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x, y):
+    """Coefficients, shape (4, len(x) - 1), of the PCHIP through (x, y).
+
+    Fritsch-Carlson slopes: zero where the data turn or are flat, else the
+    weighted harmonic mean of the two secant slopes, and Moler's one-sided
+    rule at the ends.  Row k multiplies (v - x[i])^(3 - k) on interval i.
+    Every operation is scipy's (``PchipInterpolator``, ``CubicHermiteSpline``),
+    in its order, so the coefficients agree bit for bit.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.empty_like(y)
+    if x.size == 2:
+        d[:] = m[0]
+    else:
+        sign = np.sign(m)
+        flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
+def _ppoly(x, coef, v):
+    """The piecewise polynomial ``coef`` on breakpoints ``x``, at ``v``.
+
+    The end pieces extend beyond the grid.  The sum runs from the constant
+    term up, with powers of s = v - x[i] by repeated products, as scipy's
+    ``PPoly`` evaluates; Horner's rule would move the last bits.
+    """
+    i = np.clip(np.searchsorted(x, v, "right") - 1, 0, x.size - 2)
+    s = v - x[i]
+    out, power = 0.0, 1.0
+    for row in coef[::-1]:
+        out = out + row[i] * power
+        power = power * s
+    return out
+
+
+# ---------------------------------------------------------------------------
 # bid curve
 # ---------------------------------------------------------------------------
 
@@ -100,7 +177,7 @@ class BidCurve:
 
     grid: np.ndarray
     bids: np.ndarray
-    _interp: PchipInterpolator = field(init=False, repr=False, compare=False)
+    _coef: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -115,7 +192,7 @@ class BidCurve:
             raise SolverError("bid curve must be nondecreasing")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "bids", bids)
-        object.__setattr__(self, "_interp", PchipInterpolator(grid, bids, extrapolate=False))
+        object.__setattr__(self, "_coef", _pchip(grid, bids))
 
     @property
     def v_min(self) -> float:
@@ -134,7 +211,7 @@ class BidCurve:
             v < self.grid[0],
             lo_share * v,
             np.where(v > self.grid[-1], hi_share * v,
-                     self._interp(np.clip(v, self.grid[0], self.grid[-1]))),
+                     _ppoly(self.grid, self._coef, np.clip(v, self.grid[0], self.grid[-1]))),
         )
         return float(out[0]) if scalar else out
 
@@ -145,23 +222,23 @@ class BidCurve:
 def ipv_bid(v, n: int, mu: float, sigma: float):
     """First-price bid for iid LogNormal(mu, sigma^2) values.
 
-    b(v) = v - int_0^v F(y)^(n-1) dy / F(v)^(n-1), integrated with the
-    exponent normalized at v so the deep left tail never underflows.
+    b(v) = v - int_0^v F(y)^(n-1) dy / F(v)^(n-1).  In t = ln v - ln y the
+    shading is v int_0^inf e^-t (F(v e^-t) / F(v))^(n-1) dt, with the ratio
+    taken in logs so the deep left tail never underflows.  A fixed rule of
+    24 Gauss-Legendre panels (``_ipv_rule``) integrates it for a block of
+    own values at a time, so memory stays bounded in the size of ``v``; a
+    40-digit mpmath oracle in the tests puts its relative error near 1e-14.
     """
     if sigma <= 0:
         raise ParameterError("sigma must be > 0")
     vs, scalar = _positive("v", v)
     out = np.empty_like(vs)
-    for i, vi in enumerate(vs):
-        log_gv = (n - 1) * log_ndtr((math.log(vi) - mu) / sigma)
-
-        def shading(y, _log_gv=log_gv):
-            if y <= 0:
-                return 0.0
-            return math.exp((n - 1) * log_ndtr((math.log(y) - mu) / sigma) - _log_gv)
-
-        shade, _ = quad(shading, 0.0, vi, limit=200)
-        out[i] = vi - shade
+    for lo in range(0, vs.size, _IPV_BLOCK):
+        vb = vs[lo: lo + _IPV_BLOCK]
+        z = (np.log(vb) - mu) / sigma
+        log_ratio = log_ndtr(z[:, None] - _IPV_T / sigma) - log_ndtr(z)[:, None]
+        shade = vb * np.sum(np.exp((n - 1) * log_ratio - _IPV_T) * _IPV_W, axis=1)
+        out[lo: lo + _IPV_BLOCK] = vb - shade
     return float(out[0]) if scalar else out
 
 
@@ -206,18 +283,21 @@ def solve_bid_ode(profile: TypeProfile, grid_spec: GridSpec | None = None,
     w_node, w_mid = w_all[:nodes], w_all[nodes:]
     h = span / (nodes - 1)
 
-    bids = np.empty(nodes)
-    bids[0] = (ipv_bid(spec.v_min, profile.n, profile.mu, profile.sigma)
-               if boundary_bid is None else float(boundary_bid))
+    # the loop runs on Python floats: the same IEEE arithmetic as numpy
+    # scalars, without their per-operation overhead
+    g, m, wn, wm = grid.tolist(), mids.tolist(), w_node.tolist(), w_mid.tolist()
+    b = (ipv_bid(spec.v_min, profile.n, profile.mu, profile.sigma)
+         if boundary_bid is None else float(boundary_bid))
+    bids = [b]
     for i in range(nodes - 1):
-        b = bids[i]
-        k1 = w_node[i] * (grid[i] - b)
-        k2 = w_mid[i] * (mids[i] - (b + 0.5 * h * k1))
-        k3 = w_mid[i] * (mids[i] - (b + 0.5 * h * k2))
-        k4 = w_node[i + 1] * (grid[i + 1] - (b + h * k3))
-        bids[i + 1] = b + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = wn[i] * (g[i] - b)
+        k2 = wm[i] * (m[i] - (b + 0.5 * h * k1))
+        k3 = wm[i] * (m[i] - (b + 0.5 * h * k2))
+        k4 = wn[i + 1] * (g[i + 1] - (b + h * k3))
+        b = b + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        bids.append(b)
 
-    return BidCurve(grid=grid, bids=bids)
+    return BidCurve(grid=grid, bids=np.array(bids))
 
 
 def ode_residual(curve: BidCurve, profile: TypeProfile) -> np.ndarray:
@@ -318,9 +398,12 @@ class IndifferenceLevel:
         return [self._root(int(i), 0.0) for i in _crossings(self.levels)]
 
     @cached_property
-    def slope(self):
-        """Derivative of the PCHIP through the levels on the grid."""
-        return PchipInterpolator(self.curve.grid, self.levels).derivative()
+    def _slope_coef(self):
+        return _pchip(self.curve.grid, self.levels)[:-1] * np.array([[3.0], [2.0], [1.0]])
+
+    def slope(self, v):
+        """Derivative of the PCHIP through the levels on the grid, at v."""
+        return _ppoly(self.curve.grid, self._slope_coef, v)
 
     @cached_property
     def _monotone_levels(self):
@@ -369,8 +452,8 @@ class IndifferenceLevel:
     def _root(self, i: int, level: float) -> float:
         """The v between grid nodes i and i + 1 where ebar(v) = level."""
         grid, curve, gamma = self.curve.grid, self.curve, self.gamma
-        root = brentq(lambda x: indifference_epsilon(x, curve, gamma) - level,
-                      grid[i], grid[i + 1], xtol=1e-13 * grid[i], rtol=8.9e-16)
+        root = _brentq(lambda x: indifference_epsilon(x, curve, gamma) - level,
+                       grid[i], grid[i + 1], xtol=1e-13 * grid[i], rtol=8.9e-16)
         if abs(indifference_epsilon(root, curve, gamma) - level) >= 1e-9:
             raise SolverError("cutoff refinement failed to reach 1e-9")
         return float(root)

@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import DomainError, TailUnderflowError
@@ -51,9 +50,87 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
 _LOG_TINY = math.log(1e-300)
 _SQRT2 = math.sqrt(2.0)
 
+# the smallest relative tolerance Brent's method is given (4 ulp at 1)
+_BRENT_RTOL = 4 * np.finfo(float).eps
+
 
 def _norm_logpdf(x):
     return -0.5 * x * x - 0.5 * math.log(2.0 * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# Brent's root finder
+# ---------------------------------------------------------------------------
+
+def _brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL, maxiter=100):
+    """A root of f in [a, b] by Brent's method (Brent 1973, chapter 4).
+
+    A line-for-line port of scipy's ``brentq`` (its C loop and its Python
+    checks), so every root, error and message is the same: ValueError for a
+    bad tolerance, a NaN value or f(a), f(b) of one sign, and RuntimeError
+    after ``maxiter`` iterations without convergence.  f(a) or f(b) exactly
+    zero returns that end.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    def negative(x):
+        return math.copysign(1.0, x) < 0.0
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +278,7 @@ def top_value_sf(v, profile: TypeProfile):
 
 
 def top_value_quantile(q: float, profile: TypeProfile) -> float:
-    """Quantile of the maximum-value distribution (bracketed bisection)."""
+    """Quantile of the maximum-value distribution, by Brent's method in ln v."""
     profile.require_dispersion()
     if not (0.0 < q < 1.0):
         raise DomainError("q must be in (0, 1)")
@@ -209,7 +286,7 @@ def top_value_quantile(q: float, profile: TypeProfile) -> float:
     lo = profile.mu + profile.sigma * ndtri(q) - 1.0
     hi = profile.mu + profile.sigma * ndtri(1.0 - (1.0 - q) / profile.n) + 1.0
     f = lambda lv: top_value_cdf(math.exp(lv), profile) - q
-    return math.exp(brentq(f, lo, hi, xtol=1e-12, rtol=1e-14))
+    return math.exp(_brentq(f, lo, hi, xtol=1e-12, rtol=1e-14))
 
 
 def top_value_tail_mean(limit: float, profile: TypeProfile) -> float:
