@@ -137,7 +137,9 @@ def _pchip(x, y):
         flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
         w1 = 2 * h[1:] + h[:-1]
         w2 = h[1:] + 2 * h[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero secant is flagged flat; one below about 1e-304 overflows
+        # w / m to inf, and 1 / inf = 0 is the harmonic mean's limit
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
             d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
         d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
@@ -151,14 +153,16 @@ def _ppoly(x, coef, v):
 
     The end pieces extend beyond the grid.  The sum runs from the constant
     term up, with powers of s = v - x[i] by repeated products, as scipy's
-    ``PPoly`` evaluates; Horner's rule would move the last bits.
+    ``PPoly`` evaluates; Horner's rule would move the last bits.  The binary
+    search dominates the cost, as it does in scipy's compiled loop.
     """
     i = np.clip(np.searchsorted(x, v, "right") - 1, 0, x.size - 2)
     s = v - x[i]
-    out, power = 0.0, 1.0
-    for row in coef[::-1]:
-        out = out + row[i] * power
-        power = power * s
+    out, power = 0.0 + coef[-1][i], s
+    for k in range(coef.shape[0] - 2, -1, -1):
+        out += coef[k][i] * power
+        if k:
+            power = power * s
     return out
 
 

@@ -14,7 +14,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
@@ -56,7 +56,8 @@ def probe_points(x, seed=0, inside=200_000):
 
 def assert_pchip_matches(x, y, points):
     coef = _pchip(x, y)
-    ref = PchipInterpolator(x, y)
+    with np.errstate(over="ignore"):  # scipy warns where a secant is near 1e-308
+        ref = PchipInterpolator(x, y)
     np.testing.assert_array_equal(_ppoly(x, coef, points), ref(points))
     np.testing.assert_array_equal(_ppoly(x, coef[:-1] * DERIVATIVE, points),
                                   ref.derivative()(points))
@@ -112,6 +113,7 @@ def test_pchip_matches_scipy_on_monotone_data(steps, points):
 
 @settings(max_examples=200, deadline=None)
 @given(steps=st.lists(st.tuples(_DX, st.floats(-10.0, 10.0)), min_size=1, max_size=30))
+@example(steps=[(1.0, -0.5), (5.0, 1.5805172403500387e-307)])  # w / m overflows
 def test_pchip_matches_scipy_where_the_data_turn(steps):
     x, y = _data(steps)
     assert_pchip_matches(x, y, probe_points(x, inside=50))
@@ -175,22 +177,31 @@ def _outcome(solver, f, a, b, **kw):
         return type(exc), str(exc)
 
 
+# scipy's default tolerances; its rtol is also the smallest it accepts
+SCIPY_TOL = {"xtol": 2e-12, "rtol": 4 * np.finfo(float).eps}
+
+
 @pytest.mark.parametrize("f, a, b, kw", [
-    (lambda x: x - 1.0, 0.0, 1.0, {}),                    # exact zero at b
-    (lambda x: x, 0.0, 1.0, {}),                          # exact zero at a
-    (lambda x: -0.0 if x < 0 else 1.0, -1.0, 1.0, {}),    # a negative zero is a zero
-    (lambda x: x * x + 1.0, -1.0, 1.0, {}),               # one sign
-    (lambda x: x * x - 1.0, -2.0, 2.0, {}),               # one sign, two roots inside
-    (lambda x: math.nan, 0.0, 1.0, {}),                   # NaN at a
-    (lambda x: x - 0.3 if abs(x - 0.3) >= 0.1 else math.nan, 0.0, 1.0, {}),  # NaN inside
-    (lambda x: x ** 3 - 0.3, 0.0, 1.0, {"maxiter": 3}),   # no convergence
-    (lambda x: x ** 3 - 0.3, 0.0, 1.0, {"maxiter": 0}),
-    (lambda x: x, -1.0, 1.0, {"xtol": 0.0}),
-    (lambda x: x, -1.0, 1.0, {"rtol": 1e-16}),
-    (lambda x: math.tanh(50.0 * (x - 0.3)), -7.0, 3.0, {"xtol": 1e-15}),
+    (lambda x: x - 1.0, 0.0, 1.0, SCIPY_TOL),                    # exact zero at b
+    (lambda x: x, 0.0, 1.0, SCIPY_TOL),                          # exact zero at a
+    (lambda x: -0.0 if x < 0 else 1.0, -1.0, 1.0, SCIPY_TOL),    # a negative zero is a zero
+    (lambda x: x * x + 1.0, -1.0, 1.0, SCIPY_TOL),               # one sign
+    (lambda x: x * x - 1.0, -2.0, 2.0, SCIPY_TOL),               # one sign, two roots inside
+    (lambda x: math.nan, 0.0, 1.0, SCIPY_TOL),                   # NaN at a
+    (lambda x: x - 0.3 if abs(x - 0.3) >= 0.1 else math.nan, 0.0, 1.0, SCIPY_TOL),  # NaN inside
+    (lambda x: math.tanh(50.0 * (x - 0.3)), -7.0, 3.0, dict(SCIPY_TOL, xtol=1e-15)),
 ])
 def test_brentq_ends_and_errors_are_scipys(f, a, b, kw):
     assert _outcome(_brentq, f, a, b, **kw) == _outcome(brentq, f, a, b, **kw)
+
+
+@pytest.mark.parametrize("maxiter", [3, 0])
+def test_brentq_gives_up_as_scipy_does(maxiter, monkeypatch):
+    monkeypatch.setattr(values, "_BRENT_MAXITER", maxiter)
+    f = lambda x: x ** 3 - 0.3
+    assert (_outcome(_brentq, f, 0.0, 1.0, **SCIPY_TOL)
+            == _outcome(brentq, f, 0.0, 1.0, maxiter=maxiter, **SCIPY_TOL)
+            == (RuntimeError, f"Failed to converge after {maxiter} iterations."))
 
 
 def test_brentq_matches_scipy_on_random_functions():
@@ -208,7 +219,7 @@ def test_brentq_matches_scipy_on_random_functions():
         if k % 3 == 0:
             a, b = b, a
         kw = {"xtol": 10.0 ** rng.uniform(-14, -3),
-              "rtol": max(10.0 ** rng.uniform(-15, -8), 4 * np.finfo(float).eps)}
+              "rtol": max(10.0 ** rng.uniform(-15, -8), SCIPY_TOL["rtol"])}
         assert _outcome(_brentq, f, a, b, **kw) == _outcome(brentq, f, a, b, **kw), k
 
 
