@@ -85,6 +85,7 @@ from .empirics import (
     DEFAULT_BERGEMANN_RULE,
 )
 from .diagnostics import (
+    DEFAULT_PROXY_WINDOW,
     affiliation_diagnostic,
     affiliation_pairs,
     board_diagnostic,
@@ -96,7 +97,7 @@ from .equilibrium import DEFAULT_NODES, default_grid, solve_bid_ode, solve_strat
 from .errors import MevAuctionError, ParameterError, ThinSampleError
 from .profiles import MevType, TypeProfile
 from .revenue import DEFAULT_EPSILON_GRID, revenue_sweep
-from .simulate import _check_run_args, run_many
+from .simulate import DEFAULT_TRACE_CAP, _check_run_args, run_many
 from .synthetic import SyntheticSpec, generate_chunks
 
 REQUIRED = object()  # the default of a parameter that has none
@@ -124,14 +125,15 @@ PARAMS = {
                                "worker threads (default: the usable CPUs); each chunk is "
                                "reduced in its worker, drawing only each auction's top "
                                "signal, so memory is O(threads x chunk)"),
-                              ("antithetic", bool, False, "antithetic signal pairs"),
+                              ("antithetic", bool, False, "antithetic signal pairs; standard "
+                               "errors are those of the pair means"),
                               ("trace", bool, False, "write a capped per-block trace"),
-                              ("trace_cap", int, 10_000, "most blocks in the trace")),
+                              ("trace_cap", int, DEFAULT_TRACE_CAP, "most blocks in the trace")),
     "generate": SPEC + RUN + (
         ("opportunities_per_block", int, 1, "auctions per block and type"),),
     "estimate": (INPUT,),
     "report": (INPUT, ("bergemann_rule", str, DEFAULT_BERGEMANN_RULE, "named disclosure rule"),
-               ("window", int, 50, "bidder-count proxy window (blocks)")),
+               ("window", int, DEFAULT_PROXY_WINDOW, "bidder-count proxy window (blocks)")),
 }
 
 

@@ -278,17 +278,15 @@ def _window_counts(block, searcher, window):
             - np.searchsorted(lasts, block - window, side="right"))
 
 
-def board_diagnostic(counted: BidderCounts, bin_edges=DEFAULT_COUNT_BINS):
+def board_diagnostic(counted: BidderCounts):
     """Mean auction revenue (tip) and bribe share by bidder-count bin.
 
     ``counted`` is the ``BidderCounts`` from ``effective_bidder_counts``.
-    ``bin_edges`` are left edges of the count bins; the last bin is open.  No
-    monotonicity is enforced; thin and thick markets may behave differently
-    and the point is to show it.
+    ``DEFAULT_COUNT_BINS`` are the left edges of the count bins; the last bin
+    is open.  No monotonicity is enforced; thin and thick markets may behave
+    differently and the point is to show it.
     """
-    edges = tuple(bin_edges)
-    if len(edges) < 1 or any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ConfigurationError("bin edges must be strictly increasing")
+    edges = DEFAULT_COUNT_BINS
     table, rows = counted.table, counted.order
     value = table.value[rows]
     keep = ~(value <= 0)

@@ -36,8 +36,8 @@ The outputs therefore match a record-by-record computation bit for bit.
 Schedules, estimates and the decomposition hold numbers; ``cli.py`` writes
 their files.
 
-Bribe schedules use equal-count quantile bins of extracted value (50 by
-default, fewer for thin types), and the replicable share of a type is the
+Bribe schedules use equal-count quantile bins of extracted value (50, fewer
+for thin types), and the replicable share of a type is the
 count-weighted mean bribe share over the top fifth of bins, with the
 dispersion of those bin means reported alongside so a non-plateau is visible.
 """
@@ -380,17 +380,15 @@ class BribeSchedule:
     shares_above_one: int
 
 
-def bribe_schedule(records, mev_type: MevType, bins: int = FULL_BINS) -> BribeSchedule:
+def bribe_schedule(records, mev_type: MevType) -> BribeSchedule:
     """Quantile-binned bribe shares for one MEV type.
 
     ``records`` is a BundleTable or an iterable of records.  Bins partition
-    the records by extracted value with equal counts (+-1, up to ties).
-    Types with fewer than 500 valid records fall back to max(10, count // 20)
-    bins with a warning.  ``bins`` must be at least 1, and more bins than
-    valid records is a ThinSampleError.
+    the records by extracted value with equal counts (+-1, up to ties):
+    ``FULL_BINS`` of them, or max(10, count // 20) with a warning for a type
+    with fewer than ``THIN_THRESHOLD`` valid records.  Fewer than 10 valid
+    records is a ThinSampleError.
     """
-    if bins < 1:
-        raise ParameterError(f"bins must be >= 1, got {bins}")
     table = _as_table(records)
     of_type = table.mev_type == _TYPE_CODE[mev_type]
     values = table.value[of_type]
@@ -405,18 +403,14 @@ def bribe_schedule(records, mev_type: MevType, bins: int = FULL_BINS) -> BribeSc
         raise ThinSampleError(
             f"{mev_type.value}: only {count} valid records, cannot form 10 bins"
         )
+    bins = FULL_BINS
     if count < THIN_THRESHOLD:
-        fallback = max(10, count // 20)
-        if fallback < bins:
-            warnings.warn(
-                f"{mev_type.value}: {count} records is thin; "
-                f"using {fallback} bins instead of {bins}",
-                stacklevel=2,
-            )
-            bins = fallback
-    if count < bins:
-        raise ThinSampleError(f"{mev_type.value}: only {count} valid records, "
-                              f"cannot form {bins} bins")
+        bins = max(10, count // 20)
+        warnings.warn(
+            f"{mev_type.value}: {count} records is thin; "
+            f"using {bins} bins instead of {FULL_BINS}",
+            stacklevel=2,
+        )
 
     order = np.argsort(values, kind="stable")
     values, shares = values[order], shares[order]

@@ -50,7 +50,7 @@ from .errors import (
     TailUnderflowError,
 )
 from .profiles import TypeProfile
-from .values import _brentq, _positive, rival_max_hazard_ratio
+from .values import _brentq, _positive, rival_max_hazard_ratio, top_value_sf
 
 DEFAULT_NODES = 2000
 DEFAULT_Q_LO = 1e-4
@@ -250,17 +250,15 @@ def ipv_bid(v, n: int, mu: float, sigma: float):
 # ODE solver
 # ---------------------------------------------------------------------------
 
-def solve_bid_ode(profile: TypeProfile, grid_spec: GridSpec | None = None,
-                  boundary_bid: float | None = None) -> BidCurve:
+def solve_bid_ode(profile: TypeProfile, grid_spec: GridSpec | None = None) -> BidCurve:
     """Solve the risky-regime bid equation on a log grid.
 
     Classical RK4 in s = ln v; the node count is raised automatically when
     the left-boundary hazard would put the explicit step outside its
     stability region (large n).  The defection rate plays no role here.
 
-    The left boundary anchors at the independent-values closed form unless
-    ``boundary_bid`` overrides it (useful for verifying that boundary error
-    contracts away going right).
+    The left boundary anchors at the independent-values closed form,
+    ``ipv_bid(v_min)``; the equation contracts its error going right.
     """
     profile.require_dispersion()
     spec = grid_spec or default_grid(profile)
@@ -290,8 +288,7 @@ def solve_bid_ode(profile: TypeProfile, grid_spec: GridSpec | None = None,
     # the loop runs on Python floats: the same IEEE arithmetic as numpy
     # scalars, without their per-operation overhead
     g, m, wn, wm = grid.tolist(), mids.tolist(), w_node.tolist(), w_mid.tolist()
-    b = (ipv_bid(spec.v_min, profile.n, profile.mu, profile.sigma)
-         if boundary_bid is None else float(boundary_bid))
+    b = ipv_bid(spec.v_min, profile.n, profile.mu, profile.sigma)
     bids = [b]
     for i in range(nodes - 1):
         k1 = wn[i] * (g[i] - b)
@@ -519,8 +516,6 @@ def truncation_mass(strategy: PiecewiseStrategy, profile: TypeProfile) -> dict:
     this reports how much mass sits up there so users can judge the
     approximation.  Small mass means the distortion is second order.
     """
-    from .values import top_value_sf
-
     if math.isinf(strategy.cutoff):
         return {"marginal_mass_above_cutoff": 0.0, "top_mass_above_cutoff": 0.0}
     z = (math.log(strategy.cutoff) - profile.mu) / profile.sigma

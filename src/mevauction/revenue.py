@@ -205,28 +205,28 @@ def first_price_revenue(curve: BidCurve, profile: TypeProfile) -> float:
 
 
 def revenue_derivative(epsilon: float, strategy: PiecewiseStrategy,
-                       profile: TypeProfile, *, require_binding: bool = True) -> float:
+                       profile: TypeProfile) -> float:
     """d E[R] / d epsilon.
 
     The interior term integrates (gamma*v - bid) below the cutoff; the
     boundary term moves the cutoff by implicit differentiation of the
     indifference condition.  When the threat binds nowhere the derivative is
     exactly zero.  A partially binding region below the cutoff violates the
-    formula's maintained assumption: with ``require_binding`` (default) that
-    raises, otherwise the non-binding part simply contributes nothing (the
-    positive part is integrated, which is the exact Leibniz derivative of
-    ``expected_revenue``).
+    formula's maintained assumption and raises AssumptionViolationError;
+    ``revenue_sweep`` reports the positive-part derivative there (the
+    non-binding part contributes nothing, which is the exact Leibniz
+    derivative of ``expected_revenue``).
     """
     _check_consistent(epsilon, strategy, profile)
     profile.require_dispersion()
     level = IndifferenceLevel(strategy.curve, profile.gamma)
     if not level.binds:
         return 0.0
-    if require_binding and not level.binds_below(strategy.cutoff):
+    if not level.binds_below(strategy.cutoff):
         raise AssumptionViolationError(
             "frontrunning threat does not bind on all of [v_min, v*); "
-            "the closed-form derivative assumption fails (pass "
-            "require_binding=False for the positive-part derivative)"
+            "the closed-form derivative assumption fails (revenue_sweep "
+            "reports the positive-part derivative)"
         )
 
     _, gap, _ = _PanelTable(level, profile).parts(strategy.cutoff)
@@ -293,7 +293,8 @@ def revenue_sweep(profile: TypeProfile, grid, curve: BidCurve | None = None) -> 
     only the cutoff is re-solved per grid point, on one indifference level
     computed and checked once.  One panel table serves every rate, and each
     distinct cutoff is evaluated on it once.
-    Derivatives are the positive-part form (``require_binding=False``).
+    Derivatives are the positive-part form, also where the threat binds on
+    only part of [v_min, v*) and ``revenue_derivative`` raises.
     """
     eps_grid = np.asarray(grid, dtype=float)
     if eps_grid.ndim != 1 or eps_grid.size < 1:

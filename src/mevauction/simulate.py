@@ -25,7 +25,8 @@ stream keyed (seed, chunk, purpose): the chunk sizes are part of that
 stream schedule, so changing ``CHUNK`` changes the draws.
 
 ``run_many`` plays its chunks on a pool of worker threads, by default one
-per CPU this process may use.  Each worker reduces its chunk to moments and
+per CPU this process may use.  Each worker reduces its chunk to moments (of
+the pair means under antithetic sampling, whose halves are paired) and
 keeps per-block arrays only for the blocks the trace still needs; traced
 chunks are played one at a time and written in row slices, the others at
 most two per worker ahead of the merge, so memory is O(workers x chunk)
@@ -59,6 +60,7 @@ from .rng import stream
 from .values import affiliated_signal
 
 CHUNK = 1 << 16
+DEFAULT_TRACE_CAP = 10_000
 # trace rows formatted at once
 _TRACE_ROWS = 1 << 12
 
@@ -186,7 +188,10 @@ def _simulate_chunk(strategy, profile, seed, chunk_index, size, antithetic, keep
     if keep:
         blocks = tuple(a[:keep] for a in (winner, top_bid, top_val, defect, frontrun,
                                           revenue, surplus))
-    return _ChunkResult(_moments(revenue), _moments(surplus), int(np.count_nonzero(defect)),
+    samples = (revenue, surplus)
+    if antithetic:  # blocks j and j + size/2 share a common factor: one draw
+        samples = tuple(0.5 * (a[:size // 2] + a[size // 2:]) for a in samples)
+    return _ChunkResult(*map(_moments, samples), int(np.count_nonzero(defect)),
                         int(np.count_nonzero(frontrun)), blocks)
 
 
@@ -236,7 +241,7 @@ def _write_trace(file, start, blocks):
 
 def run_many(strategy: PiecewiseStrategy, profile: TypeProfile, blocks: int,
              seed: int, *, workers: int | None = None, antithetic: bool = False,
-             trace_path=None, trace_cap: int = 10_000) -> SimReport:
+             trace_path=None, trace_cap: int = DEFAULT_TRACE_CAP) -> SimReport:
     """Aggregate ``blocks`` independent blocks into a SimReport.
 
     ``workers`` threads (default: one per usable CPU, at most one per chunk)

@@ -141,16 +141,20 @@ class TestBuilderTable:
 
 
 class TestBoardDiagnostic:
-    def test_single_bin_equals_global_means(self):
+    def test_bins_weight_to_global_means(self):
         rng = stream(8)
         records = [record(tip=0.5 * v, profit=0.5 * v, searcher=f"s{i % 4}", block=i,
                           tx=f"0x{i:x}")
                    for i, v in enumerate(np.exp(rng.normal(0, 1, size=200)))]
-        rows = board_diagnostic(effective_bidder_counts(records), bin_edges=(1,))
-        assert len(rows) == 1
-        tips = [r.tip for r in records]
-        assert rows[0].mean_revenue == pytest.approx(np.mean(tips))
-        assert rows[0].mean_bribe_share == pytest.approx(0.5)
+        rows = board_diagnostic(effective_bidder_counts(records))
+        # four searchers: the proxy fills bins [1,1], [2,2] and [3,4]
+        assert [(r.count_lo, r.count_hi) for r in rows] == [(1, 1), (2, 2), (3, 4)]
+        weights = [r.records for r in rows]
+        assert sum(weights) == len(records)
+        mean_revenue = np.average([r.mean_revenue for r in rows], weights=weights)
+        mean_share = np.average([r.mean_bribe_share for r in rows], weights=weights)
+        assert mean_revenue == pytest.approx(np.mean([r.tip for r in records]))
+        assert mean_share == pytest.approx(0.5)
 
     def test_constant_bribe_is_flat(self):
         rng = stream(9)
@@ -174,7 +178,3 @@ class TestBoardDiagnostic:
 
     def test_empty_table_has_no_bins(self):
         assert board_diagnostic(effective_bidder_counts([])) == []
-
-    def test_bad_edges_rejected(self):
-        with pytest.raises(ConfigurationError):
-            board_diagnostic(effective_bidder_counts([]), bin_edges=(3, 2))

@@ -17,6 +17,7 @@ from mevauction import (
     solve_strategy,
     truncation_mass,
 )
+from mevauction import equilibrium
 from mevauction.equilibrium import IndifferenceLevel
 from mevauction.errors import (
     BoundaryError,
@@ -51,13 +52,19 @@ class TestSolveBidOde:
         b = solve_bid_ode(profile)
         np.testing.assert_array_equal(a.bids, b.bids)
 
-    def test_boundary_error_contracts(self):
+    def test_boundary_error_contracts(self, monkeypatch):
         # +-10% boundary perturbation must wash out by the median
         profile = make_profile(n=4, rho=0.3)
         spec = default_grid(profile)
-        base = ipv_bid(spec.v_min, 4, MU, SIGMA)
-        up = solve_bid_ode(profile, spec, boundary_bid=1.1 * base)
-        down = solve_bid_ode(profile, spec, boundary_bid=0.9 * base)
+
+        def solve_with_anchor_scaled(factor):
+            monkeypatch.setattr(equilibrium, "ipv_bid",
+                                lambda *args: factor * ipv_bid(*args))
+            return solve_bid_ode(profile, spec)
+
+        up = solve_with_anchor_scaled(1.1)
+        down = solve_with_anchor_scaled(0.9)
+        assert up.bids[0] == pytest.approx(1.1 / 0.9 * down.bids[0], rel=1e-12)
         median = marginal_quantile(0.5)
         sel = up.grid >= median
         rel = np.abs(up.bids[sel] - down.bids[sel]) / up.bids[sel]

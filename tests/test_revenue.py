@@ -196,12 +196,13 @@ class TestRevenueDerivative:
         fd = (rev(0.9 + 1e-4) - rev(0.9 - 1e-4)) / 2e-4
         assert analytic == pytest.approx(fd, rel=1e-3)
 
-    def test_partial_binding_raises_unless_asked(self, flagship):
+    def test_partial_binding_raises_where_sweep_does_not(self, flagship):
         profile, curve = flagship
         strat = strategy_for(profile, 0.2, curve)
-        with pytest.raises(AssumptionViolationError):
+        with pytest.raises(AssumptionViolationError, match="revenue_sweep"):
             revenue_derivative(0.2, strat, profile)
-        val = revenue_derivative(0.2, strat, profile, require_binding=False)
+        # the sweep's positive-part derivative is the exact Leibniz derivative
+        val = revenue_sweep(profile, [0.2], curve=curve).derivatives[0]
 
         def rev(e):
             return expected_revenue(e, strategy_for(profile, e, curve), profile)

@@ -177,6 +177,25 @@ class TestRunMany:
         )
         assert abs(z) < 4.0
 
+    def test_antithetic_stderr_is_that_of_the_pair_means(self, flagship, tmp_path):
+        # blocks j and j + size/2 of a chunk share one common factor, negated,
+        # so the independent draws are their pair means; two chunks, traced
+        profile, curve = flagship
+        strat = solve_strategy(profile, 0.2, curve=curve)
+        blocks, trace = CHUNK + 4096, tmp_path / "trace.csv"
+        report = run_many(strat, profile, blocks, seed=8, antithetic=True,
+                          trace_path=trace, trace_cap=blocks)
+        rows = np.loadtxt(trace, delimiter=",", skiprows=1)
+        assert rows.shape == (blocks, 8)
+        for column, mean, stderr in (
+                (6, report.mean_builder_revenue, report.stderr_builder_revenue),
+                (7, report.mean_searcher_surplus, report.stderr_searcher_surplus)):
+            pairs = np.concatenate([0.5 * (c[:c.size // 2] + c[c.size // 2:])
+                                    for c in np.split(rows[:, column], [CHUNK])])
+            assert mean == pytest.approx(pairs.mean(), rel=1e-10)
+            assert stderr == pytest.approx(pairs.std(ddof=1) / math.sqrt(pairs.size),
+                                           rel=1e-9)
+
     @staticmethod
     def _peak(run):
         tracemalloc.start()

@@ -53,7 +53,7 @@ from test_empirics import record
 # the per-record reference implementations
 # ---------------------------------------------------------------------------
 
-def oracle_bribe_schedule(records, mev_type, bins=50):
+def oracle_bribe_schedule(records, mev_type):
     values, shares = [], []
     excluded = 0
     above_one = 0
@@ -72,11 +72,10 @@ def oracle_bribe_schedule(records, mev_type, bins=50):
     count = len(values)
     if count < 10:
         raise ThinSampleError(f"{mev_type.value}: only {count} valid records")
+    bins = 50
     if count < 500:
-        fallback = max(10, count // 20)
-        if fallback < bins:
-            warnings.warn(f"{mev_type.value}: {count} records is thin")
-            bins = fallback
+        bins = max(10, count // 20)
+        warnings.warn(f"{mev_type.value}: {count} records is thin")
     values = np.asarray(values)
     shares = np.asarray(shares)
     order = np.argsort(values, kind="stable")
@@ -190,8 +189,8 @@ def oracle_effective_bidder_counts(records, window=50):
     return out
 
 
-def oracle_board_diagnostic(counted, bin_edges=(1, 2, 3, 5, 9, 17)):
-    edges = tuple(bin_edges)
+def oracle_board_diagnostic(counted):
+    edges = (1, 2, 3, 5, 9, 17)
     grouped = defaultdict(list)
     for rec, proxy in counted:
         if rec.extracted_value <= 0:
@@ -300,9 +299,8 @@ def test_columnar_matches_oracle(records):
         want = oracle_effective_bidder_counts(records, window)
         counted = effective_bidder_counts(table, window)
         assert_same(counted_pairs(counted), want, f"effective_bidder_counts(window={window})")
-        for edges in ((1, 2, 3, 5, 9, 17), (1,), (2, 4)):
-            assert_same(board_diagnostic(counted, edges),
-                        oracle_board_diagnostic(want, edges), "board_diagnostic")
+        assert_same(board_diagnostic(counted), oracle_board_diagnostic(want),
+                    "board_diagnostic")
 
 
 def test_full_bins_and_thin_type_match_oracle():
