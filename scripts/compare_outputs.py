@@ -23,7 +23,8 @@ solve (eps 0.2 and 0), sweep, ``sweep --epsilons 0,0.2,0.5`` and
 profiles, rho = 0, and gamma = 0.32, where gamma*v crosses the bid in the
 bulk of the grid; and ``sweep --epsilons`` with the default grid's 21 rates
 spelled out on a near-flat profile (gamma = 0.05, sigma = 0.5), whose
-revenues vary by less than 1e-6 relative.
+revenues vary by less than 1e-6 relative; and ``solve --nodes 257`` on the
+flagship profile, whose 513 hazard points end in a one-row block.
 """
 
 from __future__ import annotations
@@ -160,6 +161,9 @@ def steps(run: Path) -> list:
                 for name, grid in (("sweep_eps3", "0,0.2,0.5"), ("sweep_eps4", "0,0.2,0.5,0.97"))]
     out.append(["sweep", *_flags(NEAR_FLAT), "--epsilons", DEFAULT_RATES,
                 "--out-dir", str(run / "near_flat" / "sweep_spelled")])
+    # 257 nodes and 256 midpoints: hazard blocks of 256, 256 and 1 rows
+    out.append(["solve", *_flags(PROFILES["flagship"]), "--epsilon", "0.2", "--nodes", "257",
+                "--out-dir", str(run / "nodes257" / "solve")])
     return out
 
 

@@ -35,7 +35,6 @@ from .revenue import (
     DEFAULT_EPSILON_GRID,
     OptimalEpsilon,
     RevenueProfile,
-    classify_regime,
     expected_revenue,
     first_price_revenue,
     optimal_epsilon,

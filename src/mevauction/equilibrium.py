@@ -50,7 +50,7 @@ from .errors import (
     TailUnderflowError,
 )
 from .profiles import TypeProfile
-from .values import _brentq, _positive, rival_max_hazard_ratio, top_value_sf
+from .values import _brentq, _in_blocks, _positive, rival_max_hazard_ratio, top_value_sf
 
 DEFAULT_NODES = 2000
 DEFAULT_Q_LO = 1e-4
@@ -73,8 +73,6 @@ def _ipv_rule():
 
 
 _IPV_T, _IPV_W = _ipv_rule()
-# own values per ipv_bid block: each (block, 480) temporary is 3.9 MB
-_IPV_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -230,20 +228,28 @@ def ipv_bid(v, n: int, mu: float, sigma: float):
     shading is v int_0^inf e^-t (F(v e^-t) / F(v))^(n-1) dt, with the ratio
     taken in logs so the deep left tail never underflows.  A fixed rule of
     24 Gauss-Legendre panels (``_ipv_rule``) integrates it for a block of
-    own values at a time, so memory stays bounded in the size of ``v``; a
-    40-digit mpmath oracle in the tests puts its relative error near 1e-14.
+    own values at a time (``values._in_blocks``), so memory stays bounded in
+    the size of ``v``; a 40-digit mpmath oracle in the tests puts its
+    relative error near 1e-14.
     """
     if sigma <= 0:
         raise ParameterError("sigma must be > 0")
     vs, scalar = _positive("v", v)
-    out = np.empty_like(vs)
-    for lo in range(0, vs.size, _IPV_BLOCK):
-        vb = vs[lo: lo + _IPV_BLOCK]
-        z = (np.log(vb) - mu) / sigma
-        log_ratio = log_ndtr(z[:, None] - _IPV_T / sigma) - log_ndtr(z)[:, None]
-        shade = vb * np.sum(np.exp((n - 1) * log_ratio - _IPV_T) * _IPV_W, axis=1)
-        out[lo: lo + _IPV_BLOCK] = vb - shade
+    out = _in_blocks(lambda vb: _ipv_rows(vb, n, mu, sigma), vs)
     return float(out[0]) if scalar else out
+
+
+def _ipv_rows(v, n, mu, sigma):
+    # one (rows, 480) array, updated in place: a 256-row block holds 1 MB
+    z = (np.log(v) - mu) / sigma
+    terms = z[:, None] - _IPV_T / sigma
+    log_ndtr(terms, out=terms)
+    terms -= log_ndtr(z)[:, None]
+    terms *= n - 1
+    terms -= _IPV_T
+    np.exp(terms, out=terms)
+    terms *= _IPV_W
+    return v - v * terms.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

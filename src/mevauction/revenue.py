@@ -64,8 +64,6 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
 # panels per ln-unit below the grid (and above it, should the cap lie beyond)
 _EDGE_PANELS_PER_UNIT = 5.0
 _LEFT_SPAN = 12.0
-# panels per vectorized density call: bounds the (nodes x 96) temporaries
-_CHUNK_PANELS = 256
 _CHECK_RTOL = 1e-9
 
 
@@ -84,7 +82,8 @@ def _panel_sums(curve: BidCurve, profile: TypeProfile, lo, hi):
     """Gauss-Legendre sums over the s = ln v panels (lo, hi), shape (3, panels).
 
     The rows integrate b, (gamma*v - b)^+ and v against f1 (times v, the
-    Jacobian of s); one vectorized density call covers every node.
+    Jacobian of s); one density call covers every node, and bounds its own
+    memory by evaluating them in blocks.
     """
     half = 0.5 * (hi - lo)
     s = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_X
@@ -128,10 +127,7 @@ class _PanelTable:
             pieces.append(np.linspace(s_max, s_cap, 2 + int(
                 (s_cap - s_max) * _EDGE_PANELS_PER_UNIT)))
         self.edges = edges = np.unique(np.concatenate(pieces))
-        lo, hi = edges[:-1], edges[1:]
-        sums = np.concatenate([
-            _panel_sums(curve, profile, lo[i:i + _CHUNK_PANELS], hi[i:i + _CHUNK_PANELS])
-            for i in range(0, lo.size, _CHUNK_PANELS)], axis=1)
+        sums = _panel_sums(curve, profile, edges[:-1], edges[1:])
         self.cumulative = np.concatenate([np.zeros((3, 1)), np.cumsum(sums, axis=1)], axis=1)
 
         mass = self.cumulative[2, np.searchsorted(edges, s_cap)]
@@ -279,11 +275,6 @@ class OptimalEpsilon:
     epsilon_star: float
     regime: str
     profile: RevenueProfile
-
-
-def classify_regime(curve: BidCurve, gamma: float) -> str:
-    """Sign pattern of gamma*v - bid over the working support."""
-    return IndifferenceLevel(curve, gamma).regime
 
 
 def revenue_sweep(profile: TypeProfile, grid, curve: BidCurve | None = None) -> RevenueProfile:

@@ -28,6 +28,12 @@ tails are summed in log space: log_ndtr per node, then one max-shifted numpy
 log-sum (``_log_sum``) that keeps every Gauss-Hermite weight.  A conditional
 CDF that underflows 1e-300 raises TailUnderflowError instead of silently
 dividing by zero.
+
+Every array-valued integral is evaluated ``_BLOCK`` own values at a time
+(``_in_blocks``), so its (values x nodes) temporaries stay near 200 kB, inside
+L2, at any input size.  Each output row depends only on its own input row, so
+the blocks change no bits.  The blocks run one after another on the calling
+thread, so the bound is one block's temporaries at any CPU count.
 """
 
 from __future__ import annotations
@@ -52,6 +58,9 @@ _SQRT2 = math.sqrt(2.0)
 
 # iterations before Brent's method gives up (scipy's default)
 _BRENT_MAXITER = 100
+
+# own values per block of a factor integral: a (256, 96) temporary is 192 kB
+_BLOCK = 256
 
 
 def _norm_logpdf(x):
@@ -177,6 +186,15 @@ def _standardized(y, profile, given=None):
     return (np.log(y)[:, None] - profile.mu - shift) / s_perp, logw, s_perp
 
 
+def _in_blocks(rows, *columns):
+    """``rows`` mapped over blocks of ``_BLOCK`` entries of the equal-length
+    1-d ``columns``, each block's floats written into one output array."""
+    out = np.empty(columns[0].size)
+    for lo in range(0, out.size, _BLOCK):
+        out[lo:lo + _BLOCK] = rows(*(c[lo:lo + _BLOCK] for c in columns))
+    return out
+
+
 def _log_sum(terms):
     """log of each row's sum of exp(terms), shifted by the row's max.
 
@@ -201,9 +219,13 @@ def rival_max_cdf(y, v, profile: TypeProfile):
     y, y_scalar = _positive("y", y)
     v, v_scalar = _positive("v", v)
     y, v = np.broadcast_arrays(y, v)
-    a, logw, _ = _standardized(y, profile, given=v)
-    out = np.exp(_log_sum(logw + (profile.n - 1) * log_ndtr(a)))
+    out = _in_blocks(lambda yb, vb: _rival_cdf_rows(yb, vb, profile), y, v)
     return float(out[0]) if y_scalar and v_scalar else out
+
+
+def _rival_cdf_rows(y, v, profile):
+    a, logw, _ = _standardized(y, profile, given=v)
+    return np.exp(_log_sum(logw + (profile.n - 1) * log_ndtr(a)))
 
 
 def rival_max_hazard_ratio(v, profile: TypeProfile):
@@ -214,6 +236,11 @@ def rival_max_hazard_ratio(v, profile: TypeProfile):
     """
     profile.require_dispersion()
     v, scalar = _positive("v", v)
+    out = _in_blocks(lambda vb: _hazard_rows(vb, profile), v)
+    return float(out[0]) if scalar else out
+
+
+def _hazard_rows(v, profile):
     n = profile.n
     a, logw, s_perp = _standardized(v, profile, given=v)
     logPhi = log_ndtr(a)
@@ -229,8 +256,7 @@ def rival_max_hazard_ratio(v, profile: TypeProfile):
         + _norm_logpdf(a)
         - np.log(v * s_perp)[:, None]
     )
-    out = np.exp(logh - logH)
-    return float(out[0]) if scalar else out
+    return np.exp(logh - logH)
 
 
 # ---------------------------------------------------------------------------
@@ -241,35 +267,47 @@ def top_value_density(v, profile: TypeProfile):
     """Density f1(v) of max(v_1..v_n); integrates to one over (0, inf)."""
     profile.require_dispersion()
     v, scalar = _positive("v", v)
+    out = _in_blocks(lambda vb: _density_rows(vb, profile), v)
+    return float(out[0]) if scalar else out
+
+
+def _density_rows(v, profile):
     n = profile.n
     a, logw, s_perp = _standardized(v, profile)
-    out = np.exp(_log_sum(
+    return np.exp(_log_sum(
         logw
         + math.log(n)
         + _norm_logpdf(a)
         - np.log(v * s_perp)[:, None]
         + (n - 1) * log_ndtr(a)
     ))
-    return float(out[0]) if scalar else out
 
 
 def top_value_cdf(v, profile: TypeProfile):
     """P(max of all n values <= v)."""
     profile.require_dispersion()
     v, scalar = _positive("v", v)
-    a, logw, _ = _standardized(v, profile)
-    out = np.exp(_log_sum(logw + profile.n * log_ndtr(a)))
+    out = _in_blocks(lambda vb: _cdf_rows(vb, profile), v)
     return float(out[0]) if scalar else out
+
+
+def _cdf_rows(v, profile):
+    a, logw, _ = _standardized(v, profile)
+    return np.exp(_log_sum(logw + profile.n * log_ndtr(a)))
 
 
 def top_value_sf(v, profile: TypeProfile):
     """P(max > v), computed without cancellation for deep right tails."""
     profile.require_dispersion()
     v, scalar = _positive("v", v)
+    out = _in_blocks(lambda vb: _sf_rows(vb, profile), v)
+    return float(out[0]) if scalar else out
+
+
+def _sf_rows(v, profile):
     a, logw, _ = _standardized(v, profile)
     sf_terms = -np.expm1(profile.n * log_ndtr(a))  # 1 - Phi^n, stable
-    out = np.sum(np.exp(logw) * sf_terms, axis=1)
-    return float(out[0]) if scalar else out
+    return np.sum(np.exp(logw) * sf_terms, axis=1)
 
 
 def top_value_quantile(q: float, profile: TypeProfile) -> float:

@@ -12,7 +12,6 @@ import mevauction.revenue as revenue_module
 from mevauction import (
     DEFAULT_EPSILON_GRID,
     RevenueProfile,
-    classify_regime,
     expected_revenue,
     first_price_revenue,
     optimal_epsilon,
@@ -25,7 +24,7 @@ from mevauction import (
     top_value_mean,
     top_value_quantile,
 )
-from mevauction.equilibrium import BidCurve
+from mevauction.equilibrium import BidCurve, IndifferenceLevel
 from mevauction.errors import (
     AssumptionViolationError,
     ConsistencyError,
@@ -295,16 +294,16 @@ class TestOptimalEpsilon:
         with pytest.raises(ParameterError):
             optimal_epsilon(profile, grid=np.linspace(0.0, 1.0, 21))
 
-    def test_classify_regime(self, solved):
+    def test_level_regime(self, solved):
         _, curve = solved(n=3, rho=0.2)
-        assert classify_regime(curve, 0.998) == "high_extractability"
-        assert classify_regime(curve, 0.74) == "mixed"
+        assert IndifferenceLevel(curve, 0.998).regime == "high_extractability"
+        assert IndifferenceLevel(curve, 0.74).regime == "mixed"
 
-    def test_classify_regime_needs_no_monotone_level(self):
+    def test_level_regime_needs_no_monotone_level(self):
         # the curve of test_non_monotone_raises_with_interval
         curve = BidCurve(grid=np.array([1.0, 2.0, 3.0, 4.0]),
                          bids=np.array([0.5, 1.4, 1.8, 2.6]))
-        assert classify_regime(curve, 0.75) == "high_extractability"
+        assert IndifferenceLevel(curve, 0.75).regime == "high_extractability"
         with pytest.raises(CutoffMonotonicityError):
             solve_cutoff(curve, 0.75, 0.2)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +10,10 @@ from scipy.stats import norm
 
 from mevauction import (
     default_grid,
+    ipv_bid,
     rival_max_cdf,
     rival_max_hazard_ratio,
+    solve_bid_ode,
     top_value_cdf,
     top_value_density,
     top_value_mean,
@@ -18,6 +21,7 @@ from mevauction import (
     top_value_sf,
     top_value_tail_mean,
 )
+from mevauction import equilibrium, values
 from mevauction.errors import DomainError, ParameterError, TailUnderflowError
 from mevauction.rng import stream
 from mevauction.values import _log_sum, affiliated_signal
@@ -357,3 +361,72 @@ class TestLogSum:
             warnings.simplefilter("error")
             out = _log_sum(rows)
         assert out[0] == -np.inf and out[1] == 0.0
+
+
+def _hazard_grid(profile):
+    """The solver's hazard points: the default grid's nodes and midpoints."""
+    spec = default_grid(profile)
+    grid = np.exp(np.linspace(math.log(spec.v_min), math.log(spec.v_max), spec.nodes))
+    return np.concatenate([grid, np.sqrt(grid[:-1] * grid[1:])])
+
+
+# each blocked integral: (public call, its row kernel), both of (v, profile)
+BLOCKED = {
+    "rival_max_cdf": (lambda v, p: rival_max_cdf(0.5 * v, v, p),
+                      lambda v, p: values._rival_cdf_rows(0.5 * v, v, p)),
+    "rival_max_hazard_ratio": (rival_max_hazard_ratio, values._hazard_rows),
+    "top_value_density": (top_value_density, values._density_rows),
+    "top_value_cdf": (top_value_cdf, values._cdf_rows),
+    "top_value_sf": (top_value_sf, values._sf_rows),
+    "ipv_bid": (lambda v, p: ipv_bid(v, p.n, p.mu, p.sigma),
+                lambda v, p: equilibrium._ipv_rows(v, p.n, p.mu, p.sigma)),
+}
+
+
+class TestBlocks:
+    """Every factor integral runs over blocks of ``values._BLOCK`` own values."""
+
+    @staticmethod
+    def _peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("name", BLOCKED)
+    @pytest.mark.parametrize("profile", [make_profile(), make_profile(n=50),
+                                         make_profile(rho=0.0)], ids=["flagship", "n50", "rho0"])
+    def test_blocks_change_no_bits(self, name, profile):
+        public, rows = BLOCKED[name]
+        spec = default_grid(profile)
+        inputs = [np.geomspace(spec.v_min, spec.v_max, size) for size in (1, 255, 256, 257, 513)]
+        inputs.append(_hazard_grid(make_profile()))
+        assert inputs[-1].size == 3999
+        for v in inputs:
+            out = public(v, profile)
+            assert np.array_equal(out, rows(v, profile))
+            ends = {i for lo in range(0, v.size, values._BLOCK)
+                    for i in (lo, min(lo + values._BLOCK, v.size) - 1)}
+            assert all(out[i] == public(float(v[i]), profile) for i in ends)
+
+    def test_underflow_in_the_last_block_raises(self):
+        profile = make_profile(n=40, rho=0.0)
+        v = np.append(np.full(values._BLOCK, math.exp(MU)), math.exp(MU - 30.0 * SIGMA))
+        assert np.all(np.isfinite(rival_max_hazard_ratio(v[:-1], profile)))
+        with pytest.raises(TailUnderflowError):
+            rival_max_hazard_ratio(v, profile)
+
+    @pytest.mark.parametrize("n", [5, 50])
+    def test_solve_memory_bounded(self, n):
+        # the 3999-point hazard table holds one (256, 96) block at a time
+        profile = make_profile(n=n)
+        solve_bid_ode(profile)
+        assert self._peak(lambda: solve_bid_ode(profile)) <= 2e6
+
+    def test_ipv_memory_bounded(self):
+        # 0.8 MB of output plus one (256, 480) block of 1 MB
+        v = np.geomspace(1e-2, 1e4, 100_000)
+        ipv_bid(v[:10], 5, MU, SIGMA)
+        assert self._peak(lambda: ipv_bid(v, 5, MU, SIGMA)) <= 2e6
