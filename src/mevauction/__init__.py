@@ -36,7 +36,6 @@ from .revenue import (
     OptimalEpsilon,
     RevenueProfile,
     expected_revenue,
-    first_price_revenue,
     optimal_epsilon,
     revenue_derivative,
     revenue_sweep,

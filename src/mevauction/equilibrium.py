@@ -228,9 +228,11 @@ def ipv_bid(v, n: int, mu: float, sigma: float):
     shading is v int_0^inf e^-t (F(v e^-t) / F(v))^(n-1) dt, with the ratio
     taken in logs so the deep left tail never underflows.  A fixed rule of
     24 Gauss-Legendre panels (``_ipv_rule``) integrates it for a block of
-    own values at a time (``values._in_blocks``), so memory stays bounded in
-    the size of ``v``; a 40-digit mpmath oracle in the tests puts its
-    relative error near 1e-14.
+    own values at a time, split over the usable CPUs (``values._in_blocks``),
+    so memory stays bounded in the size of ``v``; each thread applies the
+    row and node terms one row at a time, so it takes no numpy broadcast
+    buffer.  A 40-digit mpmath oracle in the tests puts its relative error
+    near 1e-14.
     """
     if sigma <= 0:
         raise ParameterError("sigma must be > 0")
@@ -240,15 +242,23 @@ def ipv_bid(v, n: int, mu: float, sigma: float):
 
 
 def _ipv_rows(v, n, mu, sigma):
-    # one (rows, 480) array, updated in place: a 256-row block holds 1 MB
+    # one (rows, 480) array, updated in place: a 256-row block holds 1 MB.
+    # The terms of a row (z) or of a node (_IPV_T, _IPV_W) are applied one
+    # row at a time, as scalar and same-shape ufuncs: a broadcasting ufunc
+    # over rows of 480 takes a 64 kB buffer per thread (numpy 2.4)
     z = (np.log(v) - mu) / sigma
-    terms = z[:, None] - _IPV_T / sigma
+    t = _IPV_T / sigma
+    terms = np.empty((v.size, t.size))
+    for row, zk in zip(terms, z):
+        np.subtract(zk, t, out=row)
     log_ndtr(terms, out=terms)
-    terms -= log_ndtr(z)[:, None]
-    terms *= n - 1
-    terms -= _IPV_T
+    for row, ck in zip(terms, log_ndtr(z)):
+        row -= ck
+        row *= n - 1
+        row -= _IPV_T
     np.exp(terms, out=terms)
-    terms *= _IPV_W
+    for row in terms:
+        row *= _IPV_W
     return v - v * terms.sum(axis=1)
 
 

@@ -9,9 +9,9 @@ with bid and gap the integrals of b and (gamma*v - b)^+ over (0, v*).  At and
 above the cutoff the deterrence bid gamma*v leaves nothing to frontrun, so
 that branch is gamma * E[v_(1) 1{v_(1) > v*}], in closed form.  The
 derivative in eps is ``gap`` plus the boundary term of a moving cutoff, and
-honest first-price revenue is ``bid``.  The Monte Carlo engine in
-``simulate`` implements the game mechanics independently, and the acceptance
-suite requires the two to agree.
+honest first-price revenue (no cutoff, eps = 0) is ``bid``.  The Monte Carlo
+engine in ``simulate`` implements the game mechanics independently, and the
+acceptance suite requires the two to agree.
 
 Where the threat binds is decided in ``equilibrium.IndifferenceLevel``: the
 cutoffs, the crossings of gamma*v and the bid, the slope of the indifference
@@ -191,13 +191,6 @@ def expected_revenue(epsilon: float, strategy: PiecewiseStrategy,
     level = IndifferenceLevel(strategy.curve, profile.gamma)
     bid, gap, safe = _PanelTable(level, profile).parts(strategy.cutoff)
     return float(bid + epsilon * gap + safe)
-
-
-def first_price_revenue(curve: BidCurve, profile: TypeProfile) -> float:
-    """Honest first-price revenue: the risky bid against the top density."""
-    profile.require_dispersion()
-    bid, _, _ = _PanelTable(IndifferenceLevel(curve, profile.gamma), profile).parts(math.inf)
-    return float(bid)
 
 
 def revenue_derivative(epsilon: float, strategy: PiecewiseStrategy,

@@ -25,12 +25,13 @@ stream keyed (seed, chunk, purpose): the chunk sizes are part of that
 stream schedule, so changing ``CHUNK`` changes the draws.
 
 ``run_many`` plays its chunks on a pool of worker threads, by default one
-per CPU this process may use.  Each worker reduces its chunk to moments (of
-the pair means under antithetic sampling, whose halves are paired) and
-keeps per-block arrays only for the blocks the trace still needs; traced
-chunks are played one at a time and written in row slices, the others at
-most two per worker ahead of the merge, so memory is O(workers x chunk)
-however many blocks it plays.  Chunk moments are merged in index order, so
+per CPU this process may use (``values._usable_cpus``, the count that also
+splits the factor integrals' blocks).  Each worker reduces its chunk to
+moments (of the pair means under antithetic sampling, whose halves are
+paired) and keeps per-block arrays only for the blocks the trace still
+needs; traced chunks are played one at a time and written in row slices,
+the others at most two per worker ahead of the merge, so memory is
+O(workers x chunk) however many blocks it plays.  Chunk moments are merged in index order, so
 the report is bit-identical for any worker count.
 
 The deviation harness conditions on the deviant's valuation: her signal is
@@ -43,7 +44,6 @@ its memory is O(chunk + bids), with no (bids x blocks) payoff matrix.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
@@ -57,7 +57,7 @@ from .equilibrium import PiecewiseStrategy
 from .errors import DomainError, ParameterError
 from .profiles import TypeProfile
 from .rng import stream
-from .values import affiliated_signal
+from .values import _usable_cpus, affiliated_signal
 
 CHUNK = 1 << 16
 DEFAULT_TRACE_CAP = 10_000
@@ -207,14 +207,6 @@ def _check_run_args(blocks, seed, workers, antithetic, trace_cap):
         raise ParameterError("workers must be >= 1")
     if trace_cap < 0:
         raise ParameterError("trace_cap must be >= 0")
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (all of them where that is unknown)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        return os.cpu_count() or 1
 
 
 def _in_order(pool, work, count, window):

@@ -31,14 +31,20 @@ dividing by zero.
 
 Every array-valued integral is evaluated ``_BLOCK`` own values at a time
 (``_in_blocks``), so its (values x nodes) temporaries stay near 200 kB, inside
-L2, at any input size.  Each output row depends only on its own input row, so
-the blocks change no bits.  The blocks run one after another on the calling
-thread, so the bound is one block's temporaries at any CPU count.
+L2, at any input size.  The block is split over the c usable CPUs
+(``_usable_cpus``, which also sizes ``simulate.run_many``'s pool) into
+sub-blocks of ``_BLOCK // c`` rows: at most c threads each run their share
+of the sub-blocks one at a time, the calling thread one share and a pool
+opened for the call the others, so at most ``_BLOCK`` rows are in flight at
+any CPU count and no thread outlives the call.  Each output row depends only
+on its own input row, so neither the blocks nor the threads change any bits.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
@@ -59,7 +65,8 @@ _SQRT2 = math.sqrt(2.0)
 # iterations before Brent's method gives up (scipy's default)
 _BRENT_MAXITER = 100
 
-# own values per block of a factor integral: a (256, 96) temporary is 192 kB
+# own values in flight in a factor integral, over all its threads: a
+# (256, 96) temporary is 192 kB
 _BLOCK = 256
 
 
@@ -186,12 +193,43 @@ def _standardized(y, profile, given=None):
     return (np.log(y)[:, None] - profile.mu - shift) / s_perp, logw, s_perp
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where that is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
 def _in_blocks(rows, *columns):
-    """``rows`` mapped over blocks of ``_BLOCK`` entries of the equal-length
-    1-d ``columns``, each block's floats written into one output array."""
+    """``rows`` mapped over the equal-length 1-d ``columns`` in sub-blocks of
+    ``_BLOCK // cpus`` entries (``cpus`` usable, at most ``_BLOCK``), each
+    sub-block's floats written into one output array.
+
+    With w workers (one per usable CPU, at most one per sub-block), worker k
+    runs sub-blocks k, k + w, k + 2w, ... one at a time: worker 0 is the
+    calling thread, the others a pool opened for this call, so at most
+    ``_BLOCK`` rows are in flight and no thread outlives the call.  An
+    exception in any share is raised here once every share has stopped.
+    """
     out = np.empty(columns[0].size)
-    for lo in range(0, out.size, _BLOCK):
-        out[lo:lo + _BLOCK] = rows(*(c[lo:lo + _BLOCK] for c in columns))
+    cpus = min(_usable_cpus(), _BLOCK)
+    step = _BLOCK // cpus
+    starts = range(0, out.size, step)
+    workers = min(cpus, len(starts))
+
+    def share(k):
+        for lo in starts[k::workers]:
+            out[lo:lo + step] = rows(*(c[lo:lo + step] for c in columns))
+
+    if workers == 1:
+        share(0)
+    else:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            others = [pool.submit(share, k) for k in range(1, workers)]
+            share(0)
+            for other in others:
+                other.result()
     return out
 
 
@@ -317,7 +355,10 @@ def top_value_quantile(q: float, profile: TypeProfile) -> float:
         raise DomainError("q must be in (0, 1)")
     # the max lies between the marginal q-quantile and the q^(1/n) union bound
     lo = profile.mu + profile.sigma * ndtri(q) - 1.0
-    hi = profile.mu + profile.sigma * ndtri(1.0 - (1.0 - q) / profile.n) + 1.0
+    top = ndtri(1.0 - (1.0 - q) / profile.n)
+    if not math.isfinite(top):  # 1 - (1 - q)/n rounded to 1
+        top = -ndtri((1.0 - q) / profile.n)
+    hi = profile.mu + profile.sigma * top + 1.0
     f = lambda lv: top_value_cdf(math.exp(lv), profile) - q
     return math.exp(_brentq(f, lo, hi, xtol=1e-12, rtol=1e-14))
 

@@ -17,7 +17,7 @@ PUBLIC = {
     "ipv_bid", "ode_residual", "solve_bid_ode", "solve_cutoff", "solve_strategy",
     "truncation_mass",
     # revenue
-    "DEFAULT_EPSILON_GRID", "OptimalEpsilon", "RevenueProfile", "expected_revenue", "first_price_revenue", "optimal_epsilon", "revenue_derivative",
+    "DEFAULT_EPSILON_GRID", "OptimalEpsilon", "RevenueProfile", "expected_revenue", "optimal_epsilon", "revenue_derivative",
     "revenue_sweep",
     # game engine
     "DeviationScan", "SimReport", "deviation_payoff_grid", "payoff_of_deviation",

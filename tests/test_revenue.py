@@ -11,9 +11,9 @@ import mevauction.equilibrium as equilibrium_module
 import mevauction.revenue as revenue_module
 from mevauction import (
     DEFAULT_EPSILON_GRID,
+    PiecewiseStrategy,
     RevenueProfile,
     expected_revenue,
-    first_price_revenue,
     optimal_epsilon,
     revenue_derivative,
     revenue_sweep,
@@ -50,6 +50,12 @@ THEORY_PROFILES = {
 
 def strategy_for(profile, epsilon, curve):
     return solve_strategy(profile, epsilon, curve=curve)
+
+
+def honest_revenue(curve, profile):
+    """Honest first-price revenue: the curve's bid at every value, no cutoff."""
+    honest = PiecewiseStrategy(curve, math.inf, profile.gamma, 0.0)
+    return expected_revenue(0.0, honest, profile)
 
 
 def direct_revenue(epsilon, strategy, profile):
@@ -93,14 +99,14 @@ class TestExpectedRevenue:
         strat = strategy_for(profile, 0.0, curve)
         assert strat.cutoff == math.inf
         r = expected_revenue(0.0, strat, profile)
-        assert r == pytest.approx(first_price_revenue(curve, profile), rel=1e-9)
+        assert r == pytest.approx(honest_revenue(curve, profile), rel=1e-9)
 
     def test_full_replicability_mixes_bid_and_value(self, solved):
         # with gamma=1 nobody deters; defection hands the builder the full value
         profile, curve = solved(n=3, rho=0.2, gamma=1.0)
         strat = strategy_for(profile, 0.5, curve)
         assert strat.cutoff == math.inf
-        expected = 0.5 * first_price_revenue(curve, profile) + 0.5 * top_value_mean(profile)
+        expected = 0.5 * honest_revenue(curve, profile) + 0.5 * top_value_mean(profile)
         assert expected_revenue(0.5, strat, profile) == pytest.approx(expected, rel=1e-6)
 
     def test_matches_simulation(self, flagship):
@@ -142,7 +148,7 @@ class TestExpectedRevenue:
         with pytest.raises(SolverError):
             expected_revenue(0.2, strat, profile)
         with pytest.raises(SolverError):
-            first_price_revenue(curve, profile)
+            honest_revenue(curve, profile)
 
     def test_mismatched_epsilon_rejected(self, flagship):
         profile, curve = flagship
@@ -152,7 +158,7 @@ class TestExpectedRevenue:
 
     def test_bounds_when_threat_binds(self, solved):
         profile, curve = solved(n=4, rho=0.3, gamma=0.95)
-        fpa = first_price_revenue(curve, profile)
+        fpa = honest_revenue(curve, profile)
         top = top_value_mean(profile)
         for eps in (0.0, 0.3, 0.7):
             strat = strategy_for(profile, eps, curve)

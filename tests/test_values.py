@@ -1,11 +1,15 @@
 import math
+import os
+import signal
+import sys
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import log_ndtr, logsumexp
+from scipy.special import log_ndtr, logsumexp, ndtri
 from scipy.stats import norm
 
 from mevauction import (
@@ -187,6 +191,16 @@ class TestTopValue:
         for q in (0.1, 0.5, 0.999, 1.0 - 1e-8):
             v = top_value_quantile(q, profile)
             assert abs(top_value_cdf(v, profile) - q) < 1e-9
+
+    def test_quantile_near_one_at_large_n(self):
+        # 1 - (1 - q)/n rounds to 1 here, so the bracket's top comes from
+        # the tail side of ndtri
+        profile = make_profile(n=100)
+        q = 1.0 - 1e-15
+        assert not math.isfinite(ndtri(1.0 - (1.0 - q) / profile.n))
+        v = top_value_quantile(q, profile)
+        assert abs(top_value_cdf(v, profile) - q) <= 2.3e-16
+        assert top_value_sf(v, profile) == pytest.approx(1e-15, rel=0.25)
 
     def test_sf_complements_cdf(self):
         profile = make_profile(n=4, rho=0.3)
@@ -398,7 +412,10 @@ class TestBlocks:
     @pytest.mark.parametrize("name", BLOCKED)
     @pytest.mark.parametrize("profile", [make_profile(), make_profile(n=50),
                                          make_profile(rho=0.0)], ids=["flagship", "n50", "rho0"])
-    def test_blocks_change_no_bits(self, name, profile):
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_blocks_change_no_bits(self, name, profile, cpus, monkeypatch):
+        monkeypatch.setattr(values, "_usable_cpus", lambda: cpus)
+        step = values._BLOCK // cpus  # the rows of a sub-block
         public, rows = BLOCKED[name]
         spec = default_grid(profile)
         inputs = [np.geomspace(spec.v_min, spec.v_max, size) for size in (1, 255, 256, 257, 513)]
@@ -407,9 +424,42 @@ class TestBlocks:
         for v in inputs:
             out = public(v, profile)
             assert np.array_equal(out, rows(v, profile))
-            ends = {i for lo in range(0, v.size, values._BLOCK)
-                    for i in (lo, min(lo + values._BLOCK, v.size) - 1)}
+            ends = {i for lo in range(0, v.size, step)
+                    for i in (lo, min(lo + step, v.size) - 1)}
             assert all(out[i] == public(float(v[i]), profile) for i in ends)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_at_most_a_block_in_flight(self, cpus, monkeypatch):
+        # at most one thread per CPU, each on _BLOCK // cpus rows at a time
+        monkeypatch.setattr(values, "_usable_cpus", lambda: cpus)
+        calls = []
+        density_rows = values._density_rows
+
+        def rows(vb, p):
+            calls.append((threading.get_ident(), vb.size))
+            return density_rows(vb, p)
+
+        monkeypatch.setattr(values, "_density_rows", rows)
+        profile = make_profile()
+        top_value_density(_hazard_grid(profile), profile)
+        threads, sizes = zip(*calls)
+        assert len(set(threads)) == cpus
+        assert max(sizes) * cpus <= values._BLOCK and sum(sizes) == 3999
+
+    def test_more_threads_than_cpus_change_no_bits(self, monkeypatch):
+        # eight workers switching every microsecond write disjoint rows of
+        # one output array
+        monkeypatch.setattr(values, "_usable_cpus", lambda: 8)
+        profile = make_profile()
+        v = _hazard_grid(profile)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outs = [rival_max_hazard_ratio(v, profile) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        expected = values._hazard_rows(v, profile)
+        assert all(np.array_equal(out, expected) for out in outs)
 
     def test_underflow_in_the_last_block_raises(self):
         profile = make_profile(n=40, rho=0.0)
@@ -417,6 +467,60 @@ class TestBlocks:
         assert np.all(np.isfinite(rival_max_hazard_ratio(v[:-1], profile)))
         with pytest.raises(TailUnderflowError):
             rival_max_hazard_ratio(v, profile)
+
+    def test_underflow_in_a_pool_share_raises(self, monkeypatch):
+        # two workers: the caller runs sub-blocks 0 and 2, the pool sub-block
+        # 1, whose last row underflows
+        monkeypatch.setattr(values, "_usable_cpus", lambda: 2)
+        step = values._BLOCK // 2
+        profile = make_profile(n=40, rho=0.0)
+        v = np.full(3 * step, math.exp(MU))
+        v[2 * step - 1] = math.exp(MU - 30.0 * SIGMA)
+        raised_on = []
+        hazard_rows = values._hazard_rows
+
+        def rows(vb, p):
+            try:
+                return hazard_rows(vb, p)
+            except TailUnderflowError:
+                raised_on.append(threading.current_thread())
+                raise
+
+        monkeypatch.setattr(values, "_hazard_rows", rows)
+        with pytest.raises(TailUnderflowError):
+            rival_max_hazard_ratio(v, profile)
+        assert len(raised_on) == 1 and raised_on[0] is not threading.current_thread()
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        monkeypatch.setattr(values, "_usable_cpus", lambda: 3)
+        profile = make_profile(n=40, rho=0.0)
+        v = np.full(values._BLOCK + 1, math.exp(MU))
+        before = threading.active_count()
+        rival_max_hazard_ratio(v, profile)
+        assert threading.active_count() == before
+        v[-1] = math.exp(MU - 30.0 * SIGMA)
+        with pytest.raises(TailUnderflowError):
+            rival_max_hazard_ratio(v, profile)
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_computes(self, monkeypatch):
+        # no pool survives a call, so a child forked after one does not wait
+        # on a worker thread that the fork left behind
+        monkeypatch.setattr(values, "_usable_cpus", lambda: 2)
+        profile = make_profile()
+        v = _hazard_grid(profile)
+        expected = rival_max_hazard_ratio(v, profile)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(10)
+                code = 0 if np.array_equal(rival_max_hazard_ratio(v, profile), expected) else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
     @pytest.mark.parametrize("n", [5, 50])
     def test_solve_memory_bounded(self, n):
