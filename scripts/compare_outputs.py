@@ -15,9 +15,13 @@ digests are stored: the two trees are always run on one machine.
 
 The command list: the benchmark's three workloads at seed 1; acceptance
 criteria 8 and 9; ``simulate --trace`` with ``--threads 2``, with
-``--antithetic`` and with the default threads tracing every block; ``generate --opportunities 3``; README's ``ini`` example
-and its generate, estimate and report sequence, each in its own out dir; estimate and report on a
-builder label holding a comma and a quote, and a config-driven report; and
+``--antithetic`` and with the default threads tracing every block;
+``generate --opportunities 3``; README's ``ini`` example and its generate,
+estimate and report sequence, each in its own out dir; estimate and report
+on a copy of README's bundles with LF line endings, malformed rows at data
+rows 511-513 and 1023-1025 (the ends of the reader's 512-row blocks), a
+quoted line break in a searcher label and a blank line; estimate and report
+on a builder label holding a comma and a quote, and a config-driven report;
 solve (eps 0.2 and 0), sweep, ``sweep --epsilons 0,0.2,0.5`` and
 ``sweep --epsilons 0,0.2,0.5,0.97`` on six profiles: the four theory
 profiles, rho = 0, and gamma = 0.32, where gamma*v crosses the bid in the
@@ -54,6 +58,11 @@ PROFILES.update(rho0=dict(workloads.FLAGSHIP, rho=0.0),
 NEAR_FLAT = dict(workloads.FLAGSHIP, gamma=0.05, sigma=0.5)
 DEFAULT_RATES = ",".join(f"{0.05 * k:.2f}" for k in range(20)) + ",0.99"
 COMMA_LABEL = 'Titan, "the" builder'
+BREAK_LABEL = "searcher\nwith a line break"
+# data rows (1-based) at the ends of the reader's 512-row blocks, each made
+# malformed in its own way
+EDGE_ROWS = {511: "short", 512: "tip", 513: "type", 1023: "block", 1024: "profit",
+             1025: "long"}
 
 
 def _flags(profile: dict) -> list:
@@ -75,6 +84,33 @@ def _relabel_builder(src: Path, dst: Path):
             row[col] = COMMA_LABEL
     with open(dst, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([header, *rows])
+
+
+def _block_edge_copy(src: Path, dst: Path):
+    """Copy a bundle CSV with LF line endings, the rows of EDGE_ROWS made
+    malformed, the first row's searcher renamed to BREAK_LABEL and a blank
+    line after data row 1500."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    col = header.index("searcher")
+    old = rows[0][col]
+    for row in rows:
+        if row[col] == old:
+            row[col] = BREAK_LABEL
+    for number, kind in EDGE_ROWS.items():
+        row = rows[number - 1]
+        if kind == "short":
+            row.pop()
+        elif kind == "long":
+            row.append("extra")
+        else:
+            column, text = {"tip": ("tip_usdc", "abc"), "type": ("mev_type", "flashloan"),
+                            "block": ("block_number", str(1 << 63)),
+                            "profit": ("profit_usdc", "inf")}[kind]
+            row[header.index(column)] = text
+    rows.insert(1500, [])
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def steps(run: Path) -> list:
@@ -138,6 +174,15 @@ def steps(run: Path) -> list:
              "--out-dir", str(readme / "generate")]]
     out += [[cmd, "--input", str(readme / "generate" / "bundles.csv"),
              "--out-dir", str(readme / cmd)]
+            for cmd in ("estimate", "report")]
+
+    # the reader's block edges: README's bundles with malformed rows at the
+    # ends of the 512-row blocks, a line break in a searcher label, a blank
+    # line and LF line endings
+    edges = run / "block_edges"
+    out.append(lambda: (edges.mkdir(), _block_edge_copy(readme / "generate" / "bundles.csv",
+                                                        edges / "bundles.csv")))
+    out += [[cmd, "--input", str(edges / "bundles.csv"), "--out-dir", str(edges / cmd)]
             for cmd in ("estimate", "report")]
 
     # a builder label holding a comma and a quote; a config-driven report

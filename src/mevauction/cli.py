@@ -46,8 +46,9 @@ written.  The only environment variable honored is MEVAUCTION_OUT (default
 output directory).
 
 This module alone formats output files, from result objects that hold
-numbers: tables through ``_write_csv``, documents (strict JSON) through
-``_write_json``, each making its parent dir.  Only the bundle CSV
+numbers: tables through ``_write_csv`` (rows) or ``_write_columns``
+(columns, as the affiliation pairs are held), documents (strict JSON)
+through ``_write_json``, each making its parent dir.  Only the bundle CSV
 (``write_bundles``) and the simulation trace (``run_many``) are written
 elsewhere, as they stream, so ``generate`` and ``simulate --trace`` make the
 out dir themselves, after every check and the strategy solve.
@@ -63,7 +64,6 @@ import os
 import sys
 import time
 from dataclasses import asdict, astuple, replace
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -209,24 +209,27 @@ def _profile_from(values) -> TypeProfile:
 
 
 def _write_csv(path: Path, header, rows):
-    """Write ``rows`` under the header line ``header``: floats to 12
-    significant digits (inf and nan spelled out), integers in full, MEV types
-    by label and text quoted as ``csv.writer`` quotes it.  The first row fixes
-    each column's kind, and every row is formatted by one ``%``-format."""
-    rows = list(rows)
+    """Write ``rows`` under the header line ``header`` (see ``_write_columns``)."""
+    _write_columns(path, header, list(zip(*rows)))
+
+
+def _write_columns(path: Path, header, columns):
+    """Write the rows of ``columns``, equal-length sequences, under the header
+    line ``header``: floats to 12 significant digits (inf and nan spelled out),
+    integers in full, MEV types by label and text quoted as ``csv.writer``
+    quotes it.  The first cell of each column fixes its kind, and every row is
+    formatted by one ``%``-format."""
     lines = [header + "\n"]
-    if rows:
-        text = [i for i, cell in enumerate(rows[0]) if isinstance(cell, str)]
-        line = ",".join("%s" if i in text else "%.12g" if isinstance(cell, float) else "%d"
-                        for i, cell in enumerate(rows[0])) + "\n"
-        if text:  # each distinct text cell is labelled and quoted once
-            columns = [map(itemgetter(i), rows) for i in range(len(rows[0]))]
-            for i in text:
-                fields = {cell: _csv_field(getattr(cell, "value", cell))
-                          for cell in set(map(itemgetter(i), rows))}
-                columns[i] = map(fields.__getitem__, columns[i])
-            rows = zip(*columns)
-        lines += map(line.__mod__, rows)
+    if columns and len(columns[0]):
+        kinds = [type(column[0]) for column in columns]
+        line = ",".join("%s" if issubclass(kind, str) else "%.12g" if issubclass(kind, float)
+                        else "%d" for kind in kinds) + "\n"
+        # each distinct text cell is labelled and quoted once
+        columns = [map({cell: _csv_field(getattr(cell, "value", cell))
+                        for cell in set(column)}.__getitem__, column)
+                   if issubclass(kind, str) else column
+                   for kind, column in zip(kinds, columns)]
+        lines += map(line.__mod__, zip(*columns))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("".join(lines), encoding="utf-8")
 
@@ -389,7 +392,9 @@ def cmd_report(params, written, out):
     decomposition = None
     if estimates:
         estimated = np.isin(table.mev_type, [MEV_TYPES.index(t) for t in estimates])
-        decomposition = decompose(table.select(estimated), estimates)
+        # a type without an estimate is left out; when none is, no copy is made
+        decomposition = decompose(table if estimated.all() else table.select(estimated),
+                                  estimates)
         rows = [(t.mev_type, t.observed_tips, t.foregone_surplus, t.ratio, t.records)
                 for t in decomposition.per_type]
         rows.append(("all", decomposition.total_tips, decomposition.total_foregone,
@@ -399,7 +404,10 @@ def cmd_report(params, written, out):
 
     # diagnostics
     pairs = affiliation_pairs(table)
-    _write_csv(out / "figA1_pairs.csv", "mev_type,log_value_top,log_value_second", pairs)
+    labels = [t.value for t in MEV_TYPES]
+    _write_columns(out / "figA1_pairs.csv", "mev_type,log_value_top,log_value_second",
+                   (list(map(labels.__getitem__, pairs.mev_type.tolist())),
+                    pairs.log_top.tolist(), pairs.log_second.tolist()))
     affiliation = affiliation_diagnostic(pairs)
     conc = concentration(table, by="searcher")
     _write_csv(out / "figA2_lorenz.csv", "mev_type,population_share,value_share",

@@ -7,17 +7,19 @@ by effective-bidder-count bins.  Nothing here enforces a sign or a slope;
 the numbers are reported as found.
 
 Every diagnostic takes a ``BundleTable`` (or an iterable of records), except
-``board_diagnostic``, which takes the ``BidderCounts`` that
-``effective_bidder_counts`` returns.  Each groups the columns with numpy
-sorts and ``bincount``, keeping record order within each group so the sums
-match a record-by-record loop bit for bit.  The results hold numbers;
-``cli.py`` writes their files.
+``affiliation_diagnostic``, which takes the ``AffiliationPairs`` that
+``affiliation_pairs`` returns, and ``board_diagnostic``, which takes the
+``BidderCounts`` that ``effective_bidder_counts`` returns.  Each groups the
+columns with numpy sorts and ``bincount``, keeping record order within each
+group so the sums match a record-by-record loop bit for bit.  The pairs stay
+columns too: their type codes and the two logs, taken with ``math.log`` so
+each bit matches a per-pair loop, with no tuple per pair.  The results hold
+numbers; ``cli.py`` writes their files.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +44,26 @@ class AffiliationStat:
     correlation: float | None
 
 
-def affiliation_pairs(records):
-    """(mev_type, log v_top, log v_second) for each block with two or more
-    positive-value records of the same type, by block then type label."""
+@dataclass(frozen=True, eq=False)
+class AffiliationPairs:
+    """The within-block pairs as columns, by block then type label.
+
+    ``mev_type`` holds each pair's type code into ``MEV_TYPES``; ``log_top``
+    and ``log_second`` the logs of the largest and second-largest value of
+    that type in the block.
+    """
+
+    mev_type: np.ndarray
+    log_top: np.ndarray
+    log_second: np.ndarray
+
+    def __len__(self) -> int:
+        return self.mev_type.size
+
+
+def affiliation_pairs(records) -> AffiliationPairs:
+    """The pair of largest and second-largest log value of each block with two
+    or more positive-value records of the same type."""
     table = _as_table(records)
     positive = table.value > 0
     block = table.block[positive]
@@ -55,9 +74,12 @@ def affiliation_pairs(records):
     block, codes, value = block[order], codes[order], value[order]
     starts, ends = _runs(block, codes)
     ends = ends[ends - starts >= 2]
-    return [(MEV_TYPES[c], math.log(top), math.log(second))
-            for c, top, second in zip(codes[ends - 1].tolist(), value[ends - 1].tolist(),
-                                      value[ends - 2].tolist())]
+    # math.log, not np.log, whose results can differ from it in the last bit
+    return AffiliationPairs(codes[ends - 1], _logs(value[ends - 1]), _logs(value[ends - 2]))
+
+
+def _logs(values):
+    return np.fromiter(map(math.log, values.tolist()), float, values.size)
 
 
 def _runs(*keys):
@@ -75,27 +97,25 @@ def _runs(*keys):
     return starts, ends
 
 
-def affiliation_diagnostic(pairs):
+def affiliation_diagnostic(pairs: AffiliationPairs):
     """Per-type least-squares slope and correlation of the within-block pairs
-    that ``affiliation_pairs`` returns.
+    that ``affiliation_pairs`` returns, keyed in the order types first appear.
 
     Types with fewer than two pairs, or a constant top-value series, report
     slope and correlation as None; a constant second-value series keeps its
     slope and reports the correlation as None.
     """
-    grouped = defaultdict(list)
-    for mev_type, x, y in pairs:
-        grouped[mev_type].append((x, y))
     stats = {}
-    for mev_type, xy in grouped.items():
-        arr = np.asarray(xy)
-        if arr.shape[0] < 2 or np.ptp(arr[:, 0]) == 0:
-            stats[mev_type] = AffiliationStat(mev_type, arr.shape[0], None, None)
+    for c in _first_seen(pairs.mev_type):
+        mev_type = MEV_TYPES[c]
+        of_type = pairs.mev_type == c
+        x, y = pairs.log_top[of_type], pairs.log_second[of_type]
+        if x.size < 2 or np.ptp(x) == 0:
+            stats[mev_type] = AffiliationStat(mev_type, x.size, None, None)
             continue
-        x, y = arr[:, 0], arr[:, 1]
         slope = float(np.polyfit(x, y, 1)[0])
         corr = float(np.corrcoef(x, y)[0, 1]) if np.ptp(y) > 0 else None
-        stats[mev_type] = AffiliationStat(mev_type, arr.shape[0], slope, corr)
+        stats[mev_type] = AffiliationStat(mev_type, x.size, slope, corr)
     return stats
 
 

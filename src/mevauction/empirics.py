@@ -16,9 +16,13 @@ Records are held as one columnar :class:`BundleTable`: float64 ``tip``,
 ``profit`` and ``value`` (tip + profit, summed once), int64 ``block``, small
 integer codes for type, builder and searcher with their label tuples (each
 label listed once), and the tx hashes as a list.  ``BundleTable.read``
-builds it in a single ``csv.reader`` pass that applies the malformed-row
-rules row by row (a malformed row is reported by the file line it starts
-on); ``iter_bundles`` and ``ingest`` are record views over that table, and
+builds it in a single ``csv.reader`` pass, converting the rows 512 at a time
+by column: ``float`` and ``int`` over each numeric column, a dict lookup
+over the types, and numpy masks for the sign, finiteness and 64-bit range
+checks.  Only a row that a check flags goes through ``_parse_row``, which
+holds the malformed-row rules and rejects the row or accepts it in place (a
+malformed row is reported by the file line it starts on).  ``iter_bundles``
+and ``ingest`` are record views over that table, and
 every schedule, estimate and diagnostic groups the columns with numpy
 instead of looping over records.  Each of them also accepts an iterable of
 :class:`BundleRecord` and collects it into a table first.  ``write_bundles``
@@ -50,6 +54,7 @@ import re
 import warnings
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -182,24 +187,21 @@ class BundleTable:
     def read(cls, path, report: IngestReport | None = None) -> "BundleTable":
         """Read a bundle CSV in one pass.
 
+        One ``csv.reader`` tokenizes the file; its rows are converted
+        ``_READ_BLOCK`` at a time, one column at a time (``_block_columns``),
+        and only a row that a column check flags goes through ``_parse_row``.
         Malformed rows are counted in ``report`` (not fatal); if they exceed
         0.1% of rows, IngestError is raised with samples.  A header not
         matching the schema is a hard SchemaError up front.
         """
         report = report if report is not None else IngestReport()
-        parse = _parse_row
-        samples = report.samples
-        malformed = 0
+        rows_read = malformed = 0
         # typed arrays hold each parsed field in 8 bytes (types in 1), with no
         # per-row Python object kept but the tx hash
         tx, builder_codes, searcher_codes = [], {}, {}
         block, types = array("q"), array("B")
         builder, searcher = array("q"), array("q")
         tip, profit = array("d"), array("d")
-        add_tx, add_block, add_type = tx.append, block.append, types.append
-        add_builder, add_searcher = builder.append, searcher.append
-        add_tip, add_profit = tip.append, profit.append
-        builder_code, searcher_code = builder_codes.setdefault, searcher_codes.setdefault
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
@@ -215,27 +217,23 @@ class BundleTable:
                     f"{path}: header mismatch; missing={sorted(missing)} "
                     f"unexpected={sorted(extra)}"
                 )
-            rows = 0
-            for rows, row in enumerate(reader, start=1):
-                try:
-                    t, b, c, bu, se, tp, pr = parse(row)
-                except (ValueError, KeyError) as exc:
-                    malformed += 1
-                    if len(samples) < 10:
-                        # the file line the row starts on: a quoted line
-                        # break inside a field spans more than one line
-                        breaks = sum(len(_LINE_BREAK.findall(f)) for f in row)
-                        samples.append({"line": reader.line_num - breaks,
-                                        "error": str(exc)})
-                    continue
-                add_tx(t)
-                add_block(b)
-                add_type(c)
-                add_builder(builder_code(bu, len(builder_codes)))
-                add_searcher(searcher_code(se, len(searcher_codes)))
-                add_tip(tp)
-                add_profit(pr)
-        report.rows_read += rows
+            while True:
+                first_line = reader.line_num + 1
+                rows = list(islice(reader, _READ_BLOCK))
+                if not rows:
+                    break
+                rows_read += len(rows)
+                (t, b, c, bu, se, tp, pr), rejected = _block_columns(
+                    rows, first_line, report.samples)
+                malformed += rejected
+                tx += t
+                block.frombytes(b.tobytes())
+                types.frombytes(c.tobytes())
+                builder.frombytes(_label_codes(bu, builder_codes).tobytes())
+                searcher.frombytes(_label_codes(se, searcher_codes).tobytes())
+                tip.frombytes(tp.tobytes())
+                profit.frombytes(pr.tobytes())
+        report.rows_read += rows_read
         report.malformed += malformed
         report.records += len(tx)
         if report.rows_read and report.malformed > MALFORMED_LIMIT * report.rows_read:
@@ -298,6 +296,114 @@ class BundleTable:
 
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 _LINE_BREAK = re.compile("\r\n|\r|\n")
+
+# data rows BundleTable.read converts at a time: 4096-row blocks read the
+# benchmark input slower than a per-row loop, 512-row blocks faster
+_READ_BLOCK = 512
+# stands in for a row without seven fields, so that its block still splits
+# into columns; its tip is NaN, so the finiteness check flags it
+_NOT_A_ROW = ("", "0", "", "", "", "nan", "nan")
+
+
+def _block_columns(rows, first_line, samples):
+    """The accepted rows of ``rows``, data rows the first of which starts on
+    file line ``first_line``, as columns, and the number of rows rejected.
+
+    The columns are the tx hashes, builders and searchers as tuples or lists,
+    and the block numbers, type codes, tips and profits as arrays.  Each
+    column converts in one pass, and masks flag each row that lacks seven
+    fields or whose tip, profit, block number or type label a check rejects.
+    Only a flagged row goes through ``_parse_row``, the one statement of the
+    malformed-row rules: it either rejects the row (sampled into ``samples``
+    while they hold fewer than 10, with the line the row starts on) or
+    accepts it in place, as it does a type label in another case.
+    """
+    flagged = np.fromiter(map(len, rows), np.intp, len(rows)) != len(CSV_COLUMNS)
+    cells = rows
+    if flagged.any():
+        cells = [_NOT_A_ROW if bad else row for row, bad in zip(rows, flagged.tolist())]
+    tx, block, kind, builder, searcher, tip, profit = zip(*cells)
+    tip, profit = _floats(tip), _floats(profit)
+    flagged |= ~((tip >= 0.0) & (tip < math.inf) & (profit > -math.inf) & (profit < math.inf))
+    block, wide = _int64s(block)
+    flagged |= wide
+    try:
+        codes = bytearray(map(_TYPE_CODE.get, kind))
+    except TypeError:  # a label that is not a type's, as written
+        codes = [_TYPE_CODE.get(k) for k in kind]
+        flagged |= np.array([c is None for c in codes])
+        codes = bytearray(0 if c is None else c for c in codes)
+    codes = np.frombuffer(codes, dtype=np.uint8)
+
+    rejected = []
+    for i in np.flatnonzero(flagged).tolist():
+        try:
+            _, block[i], codes[i], _, _, tip[i], profit[i] = _parse_row(rows[i])
+        except (ValueError, KeyError) as exc:
+            rejected.append(i)
+            if len(samples) < 10:
+                # a quoted line break inside a field spans one more line; the
+                # commas keep a break that ends one field from joining one
+                # that starts the next
+                breaks = len(_LINE_BREAK.findall(",".join(chain.from_iterable(rows[:i]))))
+                samples.append({"line": first_line + i + breaks, "error": str(exc)})
+    if rejected:
+        keep = np.ones(len(rows), dtype=bool)
+        keep[rejected] = False
+        kept = keep.tolist()
+        tx, builder, searcher = (list(compress(c, kept)) for c in (tx, builder, searcher))
+        block, codes, tip, profit = block[keep], codes[keep], tip[keep], profit[keep]
+    return (tx, block, codes, builder, searcher, tip, profit), len(rejected)
+
+
+def _floats(cells):
+    """``float`` of each of ``cells`` as an array, NaN where a cell does not
+    convert."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return np.array([_float_or_nan(c) for c in cells])
+
+
+def _float_or_nan(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _int64s(cells):
+    """``int`` of each of ``cells`` as an int64 array, and a mask of the cells
+    that do not convert or fall outside int64 (held as 0), or False if none.
+
+    The range is checked on the Python ints, before any becomes an int64."""
+    try:
+        ints = list(map(int, cells))
+        if _BLOCK_MIN <= min(ints) and max(ints) <= _BLOCK_MAX:
+            return np.array(ints, dtype=np.int64), False
+    except ValueError:
+        ints = list(map(_int_or_none, cells))
+    bad = [i is None or not _BLOCK_MIN <= i <= _BLOCK_MAX for i in ints]
+    return np.array([0 if b else i for i, b in zip(ints, bad)], dtype=np.int64), np.array(bad)
+
+
+def _int_or_none(cell):
+    try:
+        return int(cell)
+    except ValueError:
+        return None
+
+
+def _label_codes(labels, codes):
+    """The codes of ``labels`` in ``codes`` (a dict from label to code) as an
+    int64 array; ``codes`` first takes each new label, numbered in first-seen
+    order."""
+    try:
+        return np.fromiter(map(codes.__getitem__, labels), np.int64, len(labels))
+    except KeyError:
+        for label in dict.fromkeys(labels):
+            codes.setdefault(label, len(codes))
+        return np.fromiter(map(codes.__getitem__, labels), np.int64, len(labels))
 
 
 def _csv_field(text: str) -> str:

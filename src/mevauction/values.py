@@ -210,9 +210,13 @@ def _in_blocks(rows, *columns):
     runs sub-blocks k, k + w, k + 2w, ... one at a time: worker 0 is the
     calling thread, the others a pool opened for this call, so at most
     ``_BLOCK`` rows are in flight and no thread outlives the call.  An
-    exception in any share is raised here once every share has stopped.
+    exception in any share is raised here once every share has stopped.  A
+    one-value call runs ``rows`` directly, with no CPU count taken.
     """
     out = np.empty(columns[0].size)
+    if out.size == 1:
+        out[:] = rows(*columns)
+        return out
     cpus = min(_usable_cpus(), _BLOCK)
     step = _BLOCK // cpus
     starts = range(0, out.size, step)

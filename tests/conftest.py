@@ -48,3 +48,11 @@ def marginal_quantile(q, mu=MU, sigma=SIGMA):
 def counted_pairs(counted):
     """The ``(record, proxy)`` pairs of a ``BidderCounts``, in its order."""
     return list(zip(counted.table.select(counted.order).records(), counted.proxy.tolist()))
+
+
+def pair_rows(pairs):
+    """The ``(MevType, log top, log second)`` rows of an ``AffiliationPairs``."""
+    from mevauction.empirics import MEV_TYPES
+
+    return list(zip(map(MEV_TYPES.__getitem__, pairs.mev_type.tolist()),
+                    pairs.log_top.tolist(), pairs.log_second.tolist()))

@@ -18,6 +18,7 @@ from mevauction.errors import ConfigurationError
 from mevauction.profiles import MevType
 from mevauction.rng import stream
 
+from conftest import pair_rows
 from test_empirics import record
 
 
@@ -57,7 +58,7 @@ class TestAffiliation:
         # brute-force null built by permuting the second coordinates
         records = top_two_blocks(rho=0.0, blocks=3000, seed=4)
         stats = affiliation_diagnostic(affiliation_pairs(records))[MevType.NAKED_ARB]
-        pairs = np.array([(x, y) for _, x, y in affiliation_pairs(records)])
+        pairs = np.array([(x, y) for _, x, y in pair_rows(affiliation_pairs(records))])
         rng = stream(5)
         null = []
         for _ in range(200):
@@ -74,7 +75,7 @@ class TestAffiliation:
             record(tip=5.0, profit=0.0, block=7, tx="c"),
         ]
         pairs = affiliation_pairs(records)
-        assert pairs == [(MevType.NAKED_ARB, math.log(10.0), math.log(5.0))]
+        assert pair_rows(pairs) == [(MevType.NAKED_ARB, math.log(10.0), math.log(5.0))]
 
 
 class TestConcentration:

@@ -21,9 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mevauction.diagnostics import (
+    AffiliationStat,
     BoardBin,
     BuilderRow,
     ConcentrationStat,
+    affiliation_diagnostic,
     affiliation_pairs,
     board_diagnostic,
     builder_table,
@@ -45,7 +47,7 @@ from mevauction.empirics import (
 from mevauction.errors import ConfigurationError, ThinSampleError
 from mevauction.profiles import MevType
 
-from conftest import counted_pairs
+from conftest import counted_pairs, pair_rows
 from test_empirics import record
 
 
@@ -127,6 +129,30 @@ def oracle_affiliation_pairs(records):
             top2 = sorted(vals, reverse=True)[:2]
             out.append((mev_type, math.log(top2[0]), math.log(top2[1])))
     return out
+
+
+def affiliation_pair_rows(source):
+    """``affiliation_pairs`` as the oracle's list of rows."""
+    return pair_rows(affiliation_pairs(source))
+
+
+def oracle_affiliation_diagnostic(pairs):
+    """The per-type fit of a list of ``(MevType, x, y)`` pair rows, grouped
+    row by row."""
+    grouped = defaultdict(list)
+    for mev_type, x, y in pairs:
+        grouped[mev_type].append((x, y))
+    stats = {}
+    for mev_type, xy in grouped.items():
+        arr = np.asarray(xy)
+        if arr.shape[0] < 2 or np.ptp(arr[:, 0]) == 0:
+            stats[mev_type] = AffiliationStat(mev_type, arr.shape[0], None, None)
+            continue
+        x, y = arr[:, 0], arr[:, 1]
+        slope = float(np.polyfit(x, y, 1)[0])
+        corr = float(np.corrcoef(x, y)[0, 1]) if np.ptp(y) > 0 else None
+        stats[mev_type] = AffiliationStat(mev_type, arr.shape[0], slope, corr)
+    return stats
 
 
 def oracle_concentration(records, by="searcher"):
@@ -291,7 +317,9 @@ def test_columnar_matches_oracle(records):
     both(decompose, oracle_decompose, table, records, gammas)
     both(decompose, oracle_decompose, table, records,
          {**gammas, MevType.LIQUIDATION: 0.88})
-    both(affiliation_pairs, oracle_affiliation_pairs, table, records)
+    pairs = both(affiliation_pair_rows, oracle_affiliation_pairs, table, records)
+    assert_same(affiliation_diagnostic(affiliation_pairs(table)),
+                oracle_affiliation_diagnostic(pairs), "affiliation_diagnostic")
     for by in ("searcher", "builder"):
         both(concentration, oracle_concentration, table, records, by)
     both(builder_table, oracle_builder_table, table, records)
@@ -323,7 +351,9 @@ def test_full_bins_and_thin_type_match_oracle():
     assert len(thin.bins) < 50
     gammas = {MevType.NAKED_ARB: 0.7, MevType.SANDWICH: 0.8}
     both(decompose, oracle_decompose, table, records, gammas)
-    both(affiliation_pairs, oracle_affiliation_pairs, table, records)
+    pairs = both(affiliation_pair_rows, oracle_affiliation_pairs, table, records)
+    assert_same(affiliation_diagnostic(affiliation_pairs(table)),
+                oracle_affiliation_diagnostic(pairs), "affiliation_diagnostic")
     both(concentration, oracle_concentration, table, records, "builder")
     rows = both(builder_table, oracle_builder_table, table, records)
     assert any(r.count == 1 for r in rows)

@@ -428,6 +428,26 @@ class TestBlocks:
                     for i in (lo, min(lo + step, v.size) - 1)}
             assert all(out[i] == public(float(v[i]), profile) for i in ends)
 
+    @pytest.mark.parametrize("name", BLOCKED)
+    def test_one_value_takes_no_cpu_count(self, name, monkeypatch):
+        # a one-value call, such as each step of top_value_quantile's Brent
+        # loop, runs its row kernel directly: no CPU count, the same bits as
+        # that value's row in a blocked call and in the kernel
+        public, rows = BLOCKED[name]
+        profile = make_profile()
+        v = np.array([3.0, 7.0])
+        blocked = public(v, profile)
+
+        def counted():
+            raise AssertionError("a one-value call took the CPU count")
+
+        monkeypatch.setattr(values, "_usable_cpus", counted)
+        for one in (float(v[0]), v[:1]):
+            out = np.atleast_1d(public(one, profile))
+            assert np.array_equal(out, blocked[:1]) and np.array_equal(out, rows(v[:1], profile))
+        with pytest.raises(AssertionError, match="CPU count"):
+            public(v, profile)
+
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_at_most_a_block_in_flight(self, cpus, monkeypatch):
         # at most one thread per CPU, each on _BLOCK // cpus rows at a time
