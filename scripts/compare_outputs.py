@@ -21,7 +21,12 @@ estimate and report sequence, each in its own out dir; estimate and report
 on a copy of README's bundles with LF line endings, malformed rows at data
 rows 511-513 and 1023-1025 (the ends of the reader's 512-row blocks), a
 quoted line break in a searcher label and a blank line; estimate and report
-on a builder label holding a comma and a quote, and a config-driven report;
+on a copy of README's bundles in which only three rows in the middle hold a
+quoted field (a comma; a line break on the last line of the reader's second
+512-line block, which runs into the third; a comma and a quote), with CRLF
+and LF line endings in turn, so quote-free blocks split at commas beside the
+blocks ``csv.reader`` reads; estimate and report on a builder label holding a
+comma and a quote, and a config-driven report;
 solve (eps 0.2 and 0), sweep, ``sweep --epsilons 0,0.2,0.5`` and
 ``sweep --epsilons 0,0.2,0.5,0.97`` on six profiles: the four theory
 profiles, rho = 0, and gamma = 0.32, where gamma*v crosses the bid in the
@@ -63,6 +68,10 @@ BREAK_LABEL = "searcher\nwith a line break"
 # malformed in its own way
 EDGE_ROWS = {511: "short", 512: "tip", 513: "type", 1023: "block", 1024: "profit",
              1025: "long"}
+# the only data rows (1-based) given a quoted field: row 1024 starts on file
+# line 1025, the last of the reader's second 512-line block
+QUOTED_ROWS = {600: ("searcher", "searcher, with a comma"), 1024: ("searcher", BREAK_LABEL),
+               1500: ("builder", COMMA_LABEL)}
 
 
 def _flags(profile: dict) -> list:
@@ -111,6 +120,19 @@ def _block_edge_copy(src: Path, dst: Path):
     rows.insert(1500, [])
     with open(dst, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+
+def _quoted_middle_copy(src: Path, dst: Path):
+    """Copy a bundle CSV with the fields of QUOTED_ROWS relabelled, so that
+    only those rows are quoted, and line endings CRLF and LF in turn."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    for number, (column, label) in QUOTED_ROWS.items():
+        rows[number - 1][header.index(column)] = label
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        writers = [csv.writer(fh, lineterminator=end) for end in ("\r\n", "\n")]
+        for i, row in enumerate([header, *rows]):
+            writers[i % 2].writerow(row)
 
 
 def steps(run: Path) -> list:
@@ -183,6 +205,14 @@ def steps(run: Path) -> list:
     out.append(lambda: (edges.mkdir(), _block_edge_copy(readme / "generate" / "bundles.csv",
                                                         edges / "bundles.csv")))
     out += [[cmd, "--input", str(edges / "bundles.csv"), "--out-dir", str(edges / cmd)]
+            for cmd in ("estimate", "report")]
+
+    # both of the reader's tokenizers in one file: quote-free blocks beside
+    # the blocks that hold README's three quoted rows
+    quoted = run / "quoted_middle"
+    out.append(lambda: (quoted.mkdir(), _quoted_middle_copy(readme / "generate" / "bundles.csv",
+                                                            quoted / "bundles.csv")))
+    out += [[cmd, "--input", str(quoted / "bundles.csv"), "--out-dir", str(quoted / cmd)]
             for cmd in ("estimate", "report")]
 
     # a builder label holding a comma and a quote; a config-driven report

@@ -16,8 +16,13 @@ Records are held as one columnar :class:`BundleTable`: float64 ``tip``,
 ``profit`` and ``value`` (tip + profit, summed once), int64 ``block``, small
 integer codes for type, builder and searcher with their label tuples (each
 label listed once), and the tx hashes as a list.  ``BundleTable.read``
-builds it in a single ``csv.reader`` pass, converting the rows 512 at a time
-by column: ``float`` and ``int`` over each numeric column, a dict lookup
+builds it in a single pass over the file, 512 lines at a time, and each
+block picks its tokenizer from its content: a block with no quote, no NUL
+and no more characters than ``csv.field_size_limit()`` splits at each comma,
+one row per line, and any other block goes through ``csv.reader``, which
+takes the rest of a quoted field opened on the block's last line from the
+file.  Each block's rows are converted by column: ``float`` and ``int``
+over each numeric column, a dict lookup
 over the types, and numpy masks for the sign, finiteness and 64-bit range
 checks.  Only a row that a check flags goes through ``_parse_row``, which
 holds the malformed-row rules and rejects the row or accepts it in place (a
@@ -187,9 +192,14 @@ class BundleTable:
     def read(cls, path, report: IngestReport | None = None) -> "BundleTable":
         """Read a bundle CSV in one pass.
 
-        One ``csv.reader`` tokenizes the file; its rows are converted
-        ``_READ_BLOCK`` at a time, one column at a time (``_block_columns``),
-        and only a row that a column check flags goes through ``_parse_row``.
+        ``csv.reader`` reads the header; the file is then taken
+        ``_READ_BLOCK`` physical lines at a time (``_block_rows``).  A block
+        with no quote, no NUL and no more characters than
+        ``csv.field_size_limit()`` splits at each comma, one row per line; any
+        other block goes through ``csv.reader``, which reads a quoted field
+        opened on the block's last line on into the file.  Each block's rows
+        are converted one column at a time (``_block_columns``), and only a
+        row that a column check flags goes through ``_parse_row``.
         Malformed rows are counted in ``report`` (not fatal); if they exceed
         0.1% of rows, IngestError is raised with samples.  A header not
         matching the schema is a hard SchemaError up front.
@@ -217,11 +227,15 @@ class BundleTable:
                     f"{path}: header mismatch; missing={sorted(missing)} "
                     f"unexpected={sorted(extra)}"
                 )
+            lines_read = reader.line_num
+            field_limit = csv.field_size_limit()
             while True:
-                first_line = reader.line_num + 1
-                rows = list(islice(reader, _READ_BLOCK))
-                if not rows:
+                lines = list(islice(fh, _READ_BLOCK))
+                if not lines:
                     break
+                first_line = lines_read + 1
+                rows, spanned = _block_rows(lines, fh, field_limit)
+                lines_read += spanned
                 rows_read += len(rows)
                 (t, b, c, bu, se, tp, pr), rejected = _block_columns(
                     rows, first_line, report.samples)
@@ -297,12 +311,37 @@ class BundleTable:
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 _LINE_BREAK = re.compile("\r\n|\r|\n")
 
-# data rows BundleTable.read converts at a time: 4096-row blocks read the
+# physical lines BundleTable.read takes at a time: 4096-row blocks read the
 # benchmark input slower than a per-row loop, 512-row blocks faster
 _READ_BLOCK = 512
 # stands in for a row without seven fields, so that its block still splits
 # into columns; its tip is NaN, so the finiteness check flags it
 _NOT_A_ROW = ("", "0", "", "", "", "nan", "nan")
+
+
+def _block_rows(lines, fh, field_limit):
+    """The rows that start on ``lines``, physical lines of the open bundle CSV
+    ``fh`` (terminators kept), and the number of lines they span.
+
+    A block with no quote, no NUL and no more characters than ``field_limit``
+    (``csv.field_size_limit()``) splits at each comma, one row per line; a
+    blank line is a row of no fields, as ``csv.reader`` reads it.  Any other
+    block goes through ``csv.reader``, which takes the lines of a quoted
+    field opened on the block's last line from ``fh``.
+    """
+    text = "".join(lines)
+    if '"' in text or "\0" in text or len(text) > field_limit:
+        reader = csv.reader(chain(lines, fh))
+        rows = []
+        for row in reader:
+            rows.append(row)
+            if reader.line_num >= len(lines):
+                break
+        return rows, reader.line_num
+    rows = [line.rstrip("\r\n").split(",") for line in lines]
+    if [""] in rows:
+        rows = [row if row != [""] else [] for row in rows]
+    return rows, len(lines)
 
 
 def _block_columns(rows, first_line, samples):

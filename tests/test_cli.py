@@ -4,7 +4,6 @@ import json
 import random
 import re
 from itertools import groupby
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -306,33 +305,39 @@ class TestGenerateEstimateReport:
 
     @pytest.mark.parametrize("command", ["estimate", "report"])
     def test_each_row_parsed_once(self, tmp_path, monkeypatch, command):
-        # one pass of the csv.reader in mevauction.empirics yields the header
-        # and each data row once; _parse_row sees only the rows a check flags
-        bundles = self.make_bundles(tmp_path, blocks=300)
-        rows = len(bundles.read_text().splitlines()) - 1
-        reader = csv.reader
-        yielded = []
+        # BundleTable.read takes each physical line of the input from the
+        # file it opens once, in one pass: the header and every data line,
+        # over two 512-line blocks
+        bundles = self.make_bundles(tmp_path, blocks=600)
+        with open(bundles, newline="", encoding="utf-8") as fh:
+            lines = sum(1 for _ in fh)
+        taken = []
 
-        class CountedReader:
-            def __init__(self, *args, **kwargs):
-                self._rows = reader(*args, **kwargs)
+        class CountedFile:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self._fh.__exit__(*exc)
 
             def __iter__(self):
                 return self
 
             def __next__(self):
-                row = next(self._rows)
-                yielded.append(row)
-                return row
+                line = next(self._fh)
+                taken.append(line)
+                return line
 
-            @property
-            def line_num(self):
-                return self._rows.line_num
+        def counted_open(*args, **kwargs):
+            return CountedFile(open(*args, **kwargs))
 
-        monkeypatch.setattr(mevauction.empirics, "csv", SimpleNamespace(reader=CountedReader))
+        monkeypatch.setattr(mevauction.empirics, "open", counted_open, raising=False)
         assert run([command, "--input", str(bundles),
                     "--out-dir", str(tmp_path / command)]) == 0
-        assert len(yielded) == rows + 1
+        assert lines > 512 and len(taken) == lines
 
     def test_pipeline_builds_no_records(self, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -5,12 +5,20 @@ the reference: one ``csv.reader`` pass, ``_parse_row`` on every data row, and
 each malformed row sampled with the file line it starts on.  The block
 reader must give the same table (every column bit for bit, the label tuples
 in the same order), the same ``IngestReport`` (counts, samples and their
-lines) and, above the malformed-row threshold, the same IngestError.
+lines) and, above the malformed-row threshold or past the csv field size
+limit, the same error.
+
+The block reader has two tokenizers: a block of lines with no quote, no NUL
+and no more characters than ``csv.field_size_limit()`` splits at commas, and
+any other block goes through ``csv.reader``.  The drawn texts put quoted,
+NUL-holding and long blocks beside quote-free ones, in 512-line blocks and in
+5-line ones, with the field size limit as it is and lowered.
 """
 
 import csv
 import re
 from array import array
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -85,12 +93,22 @@ def oracle_read(path, report=None):
 
 
 def outcome(read, path):
-    """(table or None, IngestReport, error message or None) of one read."""
+    """(table or None, IngestReport, error or None) of one read."""
     report = IngestReport()
     try:
         return read(path, report), report, None
-    except IngestError as exc:
-        return None, report, str(exc)
+    except (IngestError, csv.Error) as exc:
+        return None, report, f"{type(exc).__name__}: {exc}"
+
+
+@contextmanager
+def field_size_limit(limit):
+    """csv.field_size_limit set to ``limit`` for the block, then restored."""
+    old = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
 
 
 def assert_same_read(path, limit=MALFORMED_LIMIT):
@@ -169,6 +187,16 @@ KINDS = {
     # a builder label first seen on a malformed row takes no code there
     "builder_new": _with(3, "b9"),
     "builder_new_tip_text": lambda row: _with(5, "abc")(_with(3, "b9")(row)),
+    # lines that split at commas as they are: whitespace only, trailing commas
+    "spaces": lambda row: [" \t"],
+    "empty_fields": lambda row: [""] * 7,
+    "trailing_comma": lambda row: row + [""],
+    "profit_trailing_comma": _with(6, ""),
+    # NUL characters, which keep a block on csv.reader (3.10's rejects them)
+    "builder_nul": _with(3, "b\0x"),
+    "tip_nul": _with(5, "1.5\0"),
+    # longer than the lowered field size limits below
+    "builder_long": _with(3, "b" * 40),
 }
 ENDINGS = ("\r\n", "\n", "\r")
 
@@ -205,23 +233,70 @@ def bundle_texts(draw):
     return csv_text(size, special, endings, draw(st.booleans()))
 
 
-@given(bundle_texts())
+# below the longest drawn field (40 characters), and below and above the
+# length of a 5-line block (about 200 characters)
+FIELD_LIMITS = (30, 120, 400)
+
+
+@given(bundle_texts(), st.sampled_from(FIELD_LIMITS))
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_block_reader_matches_oracle(tmp_path_factory, text):
+def test_block_reader_matches_oracle(tmp_path_factory, text, field_limit):
     path = tmp_path_factory.getbasetemp() / "drawn.csv"
     path.write_bytes(text.encode("utf-8"))
     # with the threshold as it is (most drawn texts raise) and out of the way
     for limit in (MALFORMED_LIMIT, 1.0):
         assert_same_read(path, limit)
-    # and in blocks of 5 rows, so a file has many block edges
+    # and in blocks of 5 lines, so a file has many block edges and a quoted
+    # block sits beside quote-free ones, with the field size limit as it is
+    # and lowered
     with mock.patch.object(empirics, "_READ_BLOCK", 5):
         assert_same_read(path, 1.0)
+        with field_size_limit(field_limit):
+            assert_same_read(path, 1.0)
+
+
+def test_quoted_field_opened_on_a_block_last_line(tmp_path):
+    # data row 512 (1-based) starts on file line 513, the last of the first
+    # 512-line block, and its quoted searcher label breaks onto lines 514 and
+    # 515: the first block's csv.reader takes them from the file, and the
+    # next block starts on line 516.  The blocks after it hold no quote, so
+    # they split at commas, blank and whitespace-only lines included
+    special = {508: "short", 511: "searcher_two_breaks", 512: "tip_text",
+               600: "blank", 601: "spaces", 1100: "trailing_comma"}
+    path = tmp_path / "edge.csv"
+    path.write_text(csv_text(1200, special, "\r\n", True), encoding="utf-8", newline="")
+    with mock.patch.object(empirics.csv, "reader", side_effect=csv.reader) as reader:
+        report = assert_same_read(path, 1.0)
+    # the oracle's reader, the header's and the first block's
+    assert reader.call_count == 3
+    assert [s["line"] for s in report.samples] == [510, 516, 604, 605, 1104]
+    assert report.rows_read == 1200 and report.malformed == 5
+    for endings in ("\n", "\r", "mixed"):
+        path.write_text(csv_text(1200, special, endings, False), encoding="utf-8", newline="")
+        assert assert_same_read(path, 1.0) == report
+
+
+def test_a_field_over_the_size_limit_raises(tmp_path):
+    # a quote-free file whose 40-character builder label is over a lowered
+    # limit raises csv.reader's error, as the oracle does; the limit is
+    # restored afterwards
+    path = tmp_path / "long.csv"
+    path.write_text(csv_text(1100, {700: "builder_long"}, "\n", True), encoding="utf-8",
+                    newline="")
+    before = csv.field_size_limit()
+    with field_size_limit(39):
+        _, _, error = outcome(BundleTable.read, path)
+        assert error == "Error: field larger than field limit (39)"
+        assert_same_read(path, 1.0)
+    assert csv.field_size_limit() == before
+    with field_size_limit(40):
+        assert assert_same_read(path, 1.0).malformed == 0
 
 
 def test_quoted_breaks_across_a_block_edge(tmp_path):
     # data row 511 (1-based) holds two quoted line breaks, so it spans file
-    # lines 512-514; rows 512 (the last of the first block) and 513 (the first
-    # of the second) are malformed, and row 514 breaks a line and is malformed
+    # lines 512-514, past the end of the first 512-line block (line 513); rows
+    # 512 and 513 are malformed, and row 514 breaks a line and is malformed
     special = {510: "searcher_two_breaks", 511: "short", 512: "tip_text",
                513: "tx_break_tip_text", 1023: "type_unknown", 1024: "blank"}
     path = tmp_path / "edge.csv"

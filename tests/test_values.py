@@ -450,13 +450,20 @@ class TestBlocks:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_at_most_a_block_in_flight(self, cpus, monkeypatch):
-        # at most one thread per CPU, each on _BLOCK // cpus rows at a time
+        # at most one thread per CPU, each on _BLOCK // cpus rows at a time.
+        # Each thread's first sub-block waits until every thread holds one, so
+        # no pool thread is idle, free to take another share, when the next
+        # share is submitted; a barrier that times out fails the test
         monkeypatch.setattr(values, "_usable_cpus", lambda: cpus)
         calls = []
         density_rows = values._density_rows
+        started = threading.Barrier(cpus, timeout=30)
 
         def rows(vb, p):
+            first = threading.get_ident() not in {t for t, _ in calls}
             calls.append((threading.get_ident(), vb.size))
+            if first:
+                started.wait()
             return density_rows(vb, p)
 
         monkeypatch.setattr(values, "_density_rows", rows)
