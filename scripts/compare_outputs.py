@@ -16,11 +16,14 @@ digests are stored: the two trees are always run on one machine.
 The command list: the benchmark's three workloads at seed 1; acceptance
 criteria 8 and 9; ``simulate --trace`` with ``--threads 2``, with
 ``--antithetic`` and with the default threads tracing every block;
-``generate --opportunities 3``; README's ``ini`` example and its generate,
-estimate and report sequence, each in its own out dir; estimate and report
-on a copy of README's bundles with LF line endings, malformed rows at data
-rows 511-513 and 1023-1025 (the ends of the reader's 512-row blocks), a
-quoted line break in a searcher label and a blank line; estimate and report
+``generate --opportunities 3``, and ``generate --opportunities 300`` on 40
+blocks, whose auction indices from 256 on are too wide for the tx hash's two
+digits, each followed by estimate and report on its bundles; README's
+``ini`` example and its generate, estimate and report sequence, each in its
+own out dir; estimate and report on a copy of README's bundles with LF line
+endings, malformed rows at data rows 511-513 and 1023-1025 (the ends of the
+reader's 512-row blocks), a quoted line break in a searcher label and a
+blank line; estimate and report
 on a copy of README's bundles in which only three rows in the middle hold a
 quoted field (a comma; a line break on the last line of the reader's second
 512-line block, which runs into the third; a comma and a quote), with CRLF
@@ -183,6 +186,12 @@ def steps(run: Path) -> list:
     out += [["generate", *CRITERION_FLAGS, "--epsilon", "0.3", "--blocks", "100000",
              "--seed", str(SEED), "--opportunities", "3", "--out-dir", str(opp / "gen")]]
     out += [[cmd, "--input", str(opp / "gen" / "bundles.csv"), "--out-dir", str(opp / cmd)]
+            for cmd in ("estimate", "report")]
+    # auction indices 256-299 overflow the tx hash's two digits
+    wide = run / "opportunities300"
+    out += [["generate", *CRITERION_FLAGS, "--epsilon", "0.3", "--blocks", "40",
+             "--seed", str(SEED), "--opportunities", "300", "--out-dir", str(wide / "gen")]]
+    out += [[cmd, "--input", str(wide / "gen" / "bundles.csv"), "--out-dir", str(wide / cmd)]
             for cmd in ("estimate", "report")]
 
     # README's config example and its command sequence, each command in its

@@ -11,10 +11,12 @@ Every diagnostic takes a ``BundleTable`` (or an iterable of records), except
 ``affiliation_pairs`` returns, and ``board_diagnostic``, which takes the
 ``BidderCounts`` that ``effective_bidder_counts`` returns.  Each groups the
 columns with numpy sorts and ``bincount``, keeping record order within each
-group so the sums match a record-by-record loop bit for bit.  The pairs stay
-columns too: their type codes and the two logs, taken with ``math.log`` so
-each bit matches a per-pair loop, with no tuple per pair.  The results hold
-numbers; ``cli.py`` writes their files.
+group so the sums match a record-by-record loop bit for bit.  The pairs
+group the records by block and type with a sort on those integer keys alone
+and take each group's top two values with ``np.maximum.reduceat``, not a
+sort of the values.  They stay columns too: their type codes and the two
+logs, taken with ``math.log`` so each bit matches a per-pair loop, with no
+tuple per pair.  The results hold numbers; ``cli.py`` writes their files.
 """
 
 from __future__ import annotations
@@ -63,19 +65,31 @@ class AffiliationPairs:
 
 def affiliation_pairs(records) -> AffiliationPairs:
     """The pair of largest and second-largest log value of each block with two
-    or more positive-value records of the same type."""
+    or more positive-value records of the same type.
+
+    The records are grouped by a stable sort on the integer keys (block, then
+    type) alone.  Each group's top value is its ``np.maximum.reduceat``; the
+    second is the same reduction after the top's first occurrence is set to
+    -inf, so a tied top is also the second.
+    """
     table = _as_table(records)
     positive = table.value > 0
     block = table.block[positive]
     codes = table.mev_type[positive]
     value = table.value[positive]
-    # within each (block, type) group the values ascend, so the top two close it
-    order = np.lexsort((value, codes, block))
+    order = np.lexsort((codes, block))
     block, codes, value = block[order], codes[order], value[order]
     starts, ends = _runs(block, codes)
-    ends = ends[ends - starts >= 2]
+    sizes = ends - starts
+    top = np.maximum.reduceat(value, starts)
+    # every group holds its top, so the first top position at or after a
+    # group's start is the group's first top
+    tops = np.flatnonzero(value == np.repeat(top, sizes))
+    value[tops[np.searchsorted(tops, starts)]] = -np.inf  # value is a sorted copy
+    second = np.maximum.reduceat(value, starts)
+    pair = sizes >= 2
     # math.log, not np.log, whose results can differ from it in the last bit
-    return AffiliationPairs(codes[ends - 1], _logs(value[ends - 1]), _logs(value[ends - 2]))
+    return AffiliationPairs(codes[starts[pair]], _logs(top[pair]), _logs(second[pair]))
 
 
 def _logs(values):

@@ -26,14 +26,16 @@ over each numeric column, a dict lookup
 over the types, and numpy masks for the sign, finiteness and 64-bit range
 checks.  Only a row that a check flags goes through ``_parse_row``, which
 holds the malformed-row rules and rejects the row or accepts it in place (a
-malformed row is reported by the file line it starts on).  ``iter_bundles``
-and ``ingest`` are record views over that table, and
-every schedule, estimate and diagnostic groups the columns with numpy
-instead of looping over records.  Each of them also accepts an iterable of
-:class:`BundleRecord` and collects it into a table first.  ``write_bundles``
-writes one table or a stream of tables (``BundleTable.from_records`` wraps
-records) with one format per row, quoting fields exactly as
-``csv.writer``'s default dialect does.
+malformed row is reported by the file line it starts on).  A row that
+``csv.reader`` cannot tokenize stops the read with an ``IngestError`` naming
+the file and that line.  ``iter_bundles`` and ``ingest`` are record views
+over that table, and every schedule, estimate and diagnostic groups the
+columns with numpy instead of looping over records.  Each of them also
+accepts an iterable of :class:`BundleRecord` and collects it into a table
+first.  ``write_bundles`` writes one table or a stream of tables
+(``BundleTable.from_records`` wraps records) with one format per row, the
+label columns gathered by code, quoting fields exactly as ``csv.writer``'s
+default dialect does.
 
 Grouped sums keep the order of the records: a per-group total is
 ``np.bincount`` with weights, which adds in input order exactly as a
@@ -201,8 +203,11 @@ class BundleTable:
         are converted one column at a time (``_block_columns``), and only a
         row that a column check flags goes through ``_parse_row``.
         Malformed rows are counted in ``report`` (not fatal); if they exceed
-        0.1% of rows, IngestError is raised with samples.  A header not
-        matching the schema is a hard SchemaError up front.
+        0.1% of rows, IngestError is raised with samples.  A row that
+        ``csv.reader`` cannot tokenize (a field longer than
+        ``csv.field_size_limit()``, as an unterminated quote makes) is an
+        IngestError naming the file and the line the row starts on.  A header
+        not matching the schema is a hard SchemaError up front.
         """
         report = report if report is not None else IngestReport()
         rows_read = malformed = 0
@@ -219,6 +224,8 @@ class BundleTable:
             except StopIteration:
                 raise SchemaError(f"{path}: empty file, expected header "
                                   f"{','.join(CSV_COLUMNS)}") from None
+            except csv.Error as exc:
+                raise IngestError(f"{path}: line 1: {exc}") from None
             got = tuple(h.strip() for h in header)
             if got != CSV_COLUMNS:
                 missing = set(CSV_COLUMNS) - set(got)
@@ -234,7 +241,10 @@ class BundleTable:
                 if not lines:
                     break
                 first_line = lines_read + 1
-                rows, spanned = _block_rows(lines, fh, field_limit)
+                try:
+                    rows, spanned = _block_rows(lines, fh, field_limit, first_line)
+                except csv.Error as exc:
+                    raise IngestError(f"{path}: {exc}") from None
                 lines_read += spanned
                 rows_read += len(rows)
                 (t, b, c, bu, se, tp, pr), rejected = _block_columns(
@@ -294,17 +304,23 @@ class BundleTable:
 
         One ``%``-format per row instead of ``csv.writer.writerows``: on the
         pipeline benchmark workload writerows cut throughput by about 15%.
+        The tx hashes are quoted one by one only when their join holds a
+        comma, a quote or a line break, and the type, builder and searcher
+        columns are gathered from object arrays of their quoted labels,
+        indexed by code.
         """
         tx = self.tx_hash
-        if _CSV_SPECIAL.search("".join(tx)):
+        joined = "".join(tx)
+        if "," in joined or '"' in joined or "\r" in joined or "\n" in joined:
             tx = [_csv_field(t) for t in tx]
-        types = [t.value for t in MEV_TYPES]
-        builders = [_csv_field(b) for b in self.builders]
-        searchers = [_csv_field(s) for s in self.searchers]
+
+        def labels(texts, codes):
+            return np.array([_csv_field(t) for t in texts], dtype=object)[codes].tolist()
+
         return "".join(map("%s,%d,%s,%s,%s,%.12g,%.12g\r\n".__mod__, zip(
-            tx, self.block.tolist(), [types[t] for t in self.mev_type.tolist()],
-            [builders[b] for b in self.builder.tolist()],
-            [searchers[s] for s in self.searcher.tolist()],
+            tx, self.block.tolist(),
+            labels([t.value for t in MEV_TYPES], self.mev_type),
+            labels(self.builders, self.builder), labels(self.searchers, self.searcher),
             self.tip.tolist(), self.profit.tolist())))
 
 
@@ -319,25 +335,32 @@ _READ_BLOCK = 512
 _NOT_A_ROW = ("", "0", "", "", "", "nan", "nan")
 
 
-def _block_rows(lines, fh, field_limit):
+def _block_rows(lines, fh, field_limit, first_line):
     """The rows that start on ``lines``, physical lines of the open bundle CSV
-    ``fh`` (terminators kept), and the number of lines they span.
+    ``fh`` (terminators kept) from file line ``first_line`` on, and the
+    number of lines they span.
 
     A block with no quote, no NUL and no more characters than ``field_limit``
     (``csv.field_size_limit()``) splits at each comma, one row per line; a
     blank line is a row of no fields, as ``csv.reader`` reads it.  Any other
     block goes through ``csv.reader``, which takes the lines of a quoted
-    field opened on the block's last line from ``fh``.
+    field opened on the block's last line from ``fh``.  A ``csv.Error`` is
+    raised again with the file line of the row it stopped in.
     """
     text = "".join(lines)
     if '"' in text or "\0" in text or len(text) > field_limit:
         reader = csv.reader(chain(lines, fh))
-        rows = []
-        for row in reader:
-            rows.append(row)
-            if reader.line_num >= len(lines):
-                break
-        return rows, reader.line_num
+        rows, spanned = [], 0
+        try:
+            for row in reader:
+                rows.append(row)
+                spanned = reader.line_num
+                if spanned >= len(lines):
+                    break
+        except csv.Error as exc:
+            # the failing row starts on the line after the last row read
+            raise csv.Error(f"line {first_line + spanned}: {exc}") from None
+        return rows, spanned
     rows = [line.rstrip("\r\n").split(",") for line in lines]
     if [""] in rows:
         rows = [row if row != [""] else [] for row in rows]

@@ -12,7 +12,10 @@ expands the same chunks into records.  The chunk size is part of the stream
 schedule (keyed (seed, type, chunk, purpose)).  Blocks are numbered from 1
 for every type, each winning bundle's builder is drawn uniformly from
 ``BUILDER_POOL``, and the searcher labels of type tau are
-``<tau>_searcher_00`` to ``<tau>_searcher_<n-1>``, one per entrant.
+``<tau>_searcher_00`` to ``<tau>_searcher_<n-1>``, one per entrant.  A
+record's tx hash is ``0x``, the seed's low 32 bits and the type's index in
+hex, then ``%010x%02x`` of its block and its auction index within the block
+(``_tx_hashes`` builds a chunk's hashes in bulk).
 
 This is the verification harness for the estimators: plant a profile and a
 defection rate (or a hand-built strategy with a known cutoff), generate,
@@ -86,7 +89,7 @@ def _chunks(resolved, blocks, seed, k):
         profile = spec.profile
         type_code = MEV_TYPES.index(profile.tau)
         searchers = tuple(f"{profile.tau.value}_searcher_{i:02d}" for i in range(profile.n))
-        tx_hash = f"0x{seed & 0xffffffff:08x}{t_idx:02x}%010x%02x".__mod__
+        prefix = f"0x{seed & 0xffffffff:08x}{t_idx:02x}"
         first_block = 1
         for chunk, size in enumerate(_chunk_sizes(blocks, _CHUNK)):
             winner, top_bid, top_val, _, frontrun, coin = _play(
@@ -99,9 +102,35 @@ def _chunks(resolved, blocks, seed, k):
             block = first_block + b
             tip = top_bid[b, o]
             yield BundleTable(
-                list(map(tx_hash, zip(block.tolist(), o.tolist()))),
+                _tx_hashes(prefix, block, o),
                 block.astype(np.int64), np.full(b.size, type_code, dtype=np.intp),
                 builder_ids[b, o].astype(np.intp), BUILDER_POOL,
                 winner[b, o].astype(np.intp), searchers,
                 tip, top_val[b, o] - tip)
             first_block += size
+
+
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+
+
+def _tx_hashes(prefix, block, auction):
+    """``prefix + "%010x%02x" % (block, auction)`` for each pair of the
+    nonnegative integer arrays ``block`` and ``auction``, as a list.
+
+    The hashes are written as hex digits into one uint8 array, one line per
+    hash, and decoded and split once; a hash whose block or auction index
+    needs more than its 10 or 2 digits keeps the ``%`` format.
+    """
+    if block.size == 0:
+        return []
+    p = len(prefix)
+    buf = np.empty((block.size, p + 13), dtype=np.uint8)
+    buf[:, :p] = np.frombuffer(prefix.encode("ascii"), dtype=np.uint8)
+    digits = [(block, shift) for shift in range(36, -1, -4)] + [(auction, 4), (auction, 0)]
+    for column, (values, shift) in enumerate(digits, start=p):
+        buf[:, column] = _HEX_DIGITS[(values >> shift) & 15]
+    buf[:, -1] = ord("\n")
+    hashes = buf.tobytes()[:-1].decode("ascii").split("\n")
+    for i in np.flatnonzero((block >> 40) | (auction >> 8)).tolist():
+        hashes[i] = prefix + "%010x%02x" % (block[i], auction[i])
+    return hashes

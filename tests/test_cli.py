@@ -339,6 +339,29 @@ class TestGenerateEstimateReport:
                     "--out-dir", str(tmp_path / command)]) == 0
         assert lines > 512 and len(taken) == lines
 
+    @pytest.mark.parametrize("command", ["estimate", "report"])
+    def test_unterminated_quote_is_an_ingest_error(self, tmp_path, capsys, command):
+        # a quote before the builder label of data row 5 (file line 6) runs
+        # that field past csv.field_size_limit() in a file of 3000 blocks:
+        # one JSON error line naming the file and the row's line, exit 1
+        bundles = self.make_bundles(tmp_path, blocks=3000)
+        with open(bundles, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[5][CSV_COLUMNS.index("builder")] = '"' + rows[5][CSV_COLUMNS.index("builder")]
+        broken = tmp_path / "broken.csv"
+        broken.write_text("".join(",".join(row) + "\r\n" for row in rows), encoding="utf-8",
+                          newline="")
+        capsys.readouterr()
+        out = tmp_path / command
+        assert run([command, "--input", str(broken), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "IngestError",
+            "message": f"{broken}: line 6: field larger than field limit "
+                       f"({csv.field_size_limit()})"}
+        assert not out.exists()
+
     def test_pipeline_builds_no_records(self, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("a BundleRecord was built")

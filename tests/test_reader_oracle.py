@@ -2,7 +2,8 @@
 
 ``oracle_read`` is the loop that the block-by-column reader replaced, kept as
 the reference: one ``csv.reader`` pass, ``_parse_row`` on every data row, and
-each malformed row sampled with the file line it starts on.  The block
+each malformed row sampled with the file line it starts on, and a
+``csv.Error`` raised as an ``IngestError`` naming that line too.  The block
 reader must give the same table (every column bit for bit, the label tuples
 in the same order), the same ``IngestReport`` (counts, samples and their
 lines) and, above the malformed-row threshold or past the csv field size
@@ -54,6 +55,8 @@ def oracle_read(path, report=None):
         except StopIteration:
             raise SchemaError(f"{path}: empty file, expected header "
                               f"{','.join(CSV_COLUMNS)}") from None
+        except csv.Error as exc:
+            raise IngestError(f"{path}: line 1: {exc}") from None
         got = tuple(h.strip() for h in header)
         if got != CSV_COLUMNS:
             missing = set(CSV_COLUMNS) - set(got)
@@ -61,7 +64,7 @@ def oracle_read(path, report=None):
             raise SchemaError(f"{path}: header mismatch; missing={sorted(missing)} "
                               f"unexpected={sorted(extra)}")
         rows = 0
-        for rows, row in enumerate(reader, start=1):
+        for rows, row in enumerate(data_rows(path, reader), start=1):
             try:
                 t, b, c, bu, se, tp, pr = _parse_row(row)
             except (ValueError, KeyError) as exc:
@@ -92,12 +95,26 @@ def oracle_read(path, report=None):
                        np.array(tip), np.array(profit))
 
 
+def data_rows(path, reader):
+    """The rows of ``reader``; a csv.Error is an IngestError naming the line
+    the row starts on."""
+    while True:
+        line = reader.line_num + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise IngestError(f"{path}: line {line}: {exc}") from None
+        yield row
+
+
 def outcome(read, path):
     """(table or None, IngestReport, error or None) of one read."""
     report = IngestReport()
     try:
         return read(path, report), report, None
-    except (IngestError, csv.Error) as exc:
+    except IngestError as exc:
         return None, report, f"{type(exc).__name__}: {exc}"
 
 
@@ -278,16 +295,25 @@ def test_quoted_field_opened_on_a_block_last_line(tmp_path):
 
 def test_a_field_over_the_size_limit_raises(tmp_path):
     # a quote-free file whose 40-character builder label is over a lowered
-    # limit raises csv.reader's error, as the oracle does; the limit is
-    # restored afterwards
+    # limit raises csv.reader's error as an IngestError naming the file and
+    # the row's line (data row 701, file line 702), as the oracle does; the
+    # limit is restored afterwards
     path = tmp_path / "long.csv"
     path.write_text(csv_text(1100, {700: "builder_long"}, "\n", True), encoding="utf-8",
                     newline="")
     before = csv.field_size_limit()
     with field_size_limit(39):
         _, _, error = outcome(BundleTable.read, path)
-        assert error == "Error: field larger than field limit (39)"
+        assert error == f"IngestError: {path}: line 702: field larger than field limit (39)"
         assert_same_read(path, 1.0)
+        # two quoted line breaks in a row before it, in the same block, move
+        # the row to line 704
+        spanned = tmp_path / "spanned.csv"
+        spanned.write_text(csv_text(1100, {696: "searcher_two_breaks", 700: "builder_long"},
+                                    "\n", True), encoding="utf-8", newline="")
+        _, _, error = outcome(BundleTable.read, spanned)
+        assert error == f"IngestError: {spanned}: line 704: field larger than field limit (39)"
+        assert_same_read(spanned, 1.0)
     assert csv.field_size_limit() == before
     with field_size_limit(40):
         assert assert_same_read(path, 1.0).malformed == 0

@@ -9,7 +9,7 @@ from mevauction import solve_strategy
 from mevauction.diagnostics import board_diagnostic, effective_bidder_counts
 from mevauction.empirics import bribe_schedule, estimate_gamma
 from mevauction.profiles import MevType
-from mevauction.synthetic import SyntheticSpec, generate_synthetic
+from mevauction.synthetic import SyntheticSpec, _tx_hashes, generate_chunks, generate_synthetic
 
 from conftest import make_profile
 
@@ -78,6 +78,38 @@ class TestGenerateSynthetic:
             records = list(generate_synthetic([spec], blocks, seed=13))
             # the strategy's epsilon (0) or its gamma (0) would keep every block
             assert len(records) / blocks == pytest.approx(0.1, abs=0.02)
+
+
+class TestTxHashes:
+    PREFIX = "0x0000000701"
+
+    def expected(self, block, auction):
+        return [self.PREFIX + "%010x%02x" % pair for pair in zip(block, auction)]
+
+    @pytest.mark.parametrize("block,auction", [
+        ([1, 1, 1, 2, 2**40 - 1, 2**40 - 1], [0, 255, 256, 7, 0, 255]),
+        ([2**40, 2**40 + 5, 3, 2**40 - 1], [0, 256, 1000, 256]),
+        ([], []),
+    ])
+    def test_bulk_hashes_equal_the_format(self, block, auction):
+        got = _tx_hashes(self.PREFIX, np.array(block, dtype=np.int64),
+                         np.array(auction, dtype=np.intp))
+        assert got == self.expected(block, auction)
+
+    def test_three_hundred_auctions_per_block(self, flagship):
+        # auction indices 256-299 need three hex digits; with no defection
+        # every auction leaves a record, in block-major order
+        profile, curve = flagship
+        spec = SyntheticSpec(profile=profile, epsilon=0.0,
+                             strategy=solve_strategy(profile, 0.0, curve=curve))
+        blocks, k, seed = 4, 300, 7
+        tables = list(generate_chunks([spec, spec], blocks, seed, opportunities_per_block=k))
+        block = [b for b in range(1, blocks + 1) for _ in range(k)]
+        auction = list(range(k)) * blocks
+        for t_idx, table in enumerate(tables):
+            prefix = f"0x{seed:08x}{t_idx:02x}"
+            assert table.tx_hash == [prefix + "%010x%02x" % pair
+                                     for pair in zip(block, auction)]
 
 
 class TestRoundTrips:

@@ -7,6 +7,10 @@ every record of a block, as its docstring always said; the loop it replaced
 counted only the records up to the current one in file order.  Every columnar function must give
 the same output as its oracle, compared with ``==`` on every field: floats
 bit for bit, scalars of the same Python type.
+``oracle_lexsort_affiliation_pairs`` is the columnar sort that
+``affiliation_pairs`` replaced (values sorted within each block and type, the
+top two closing each group), kept to pin the reduction that took its place
+column by column.
 """
 
 import dataclasses
@@ -17,16 +21,19 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mevauction.diagnostics import (
+    AffiliationPairs,
     AffiliationStat,
     BoardBin,
     BuilderRow,
     ConcentrationStat,
     affiliation_diagnostic,
     affiliation_pairs,
+    _logs,
+    _runs,
     board_diagnostic,
     builder_table,
     concentration,
@@ -34,6 +41,7 @@ from mevauction.diagnostics import (
     gini_coefficient,
 )
 from mevauction.empirics import (
+    MEV_TYPES,
     BribeSchedule,
     BundleRecord,
     BundleTable,
@@ -129,6 +137,20 @@ def oracle_affiliation_pairs(records):
             top2 = sorted(vals, reverse=True)[:2]
             out.append((mev_type, math.log(top2[0]), math.log(top2[1])))
     return out
+
+
+def oracle_lexsort_affiliation_pairs(table):
+    """``affiliation_pairs`` as a lexsort with the values as the last key: the
+    values ascend within each (block, type) group, so the top two close it."""
+    positive = table.value > 0
+    block = table.block[positive]
+    codes = table.mev_type[positive]
+    value = table.value[positive]
+    order = np.lexsort((value, codes, block))
+    block, codes, value = block[order], codes[order], value[order]
+    starts, ends = _runs(block, codes)
+    ends = ends[ends - starts >= 2]
+    return AffiliationPairs(codes[ends - 1], _logs(value[ends - 1]), _logs(value[ends - 2]))
 
 
 def affiliation_pair_rows(source):
@@ -329,6 +351,44 @@ def test_columnar_matches_oracle(records):
         assert_same(counted_pairs(counted), want, f"effective_bidder_counts(window={window})")
         assert_same(board_diagnostic(counted), oracle_board_diagnostic(want),
                     "board_diagnostic")
+
+
+# a few values, so that a group's top and second tie, and +inf; zero, a
+# negative value and NaN are not positive and make no pair
+PAIR_VALUES = st.sampled_from([0.5, 1.0, 1.0 + 2.0 ** -52, 3.0, math.inf, 0.0, -2.0, math.nan])
+
+
+@st.composite
+def pair_tables(draw):
+    """A BundleTable of groups of 1-6 rows sharing a block and a type, the
+    rows shuffled; groups drawn on the same key merge."""
+    groups = draw(st.lists(st.tuples(st.integers(-2, 6), st.integers(0, len(MEV_TYPES) - 1),
+                                     st.lists(PAIR_VALUES, min_size=1, max_size=6)),
+                           max_size=14))
+    rows = [(block, code, value) for block, code, values in groups for value in values]
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    return pair_table(rows)
+
+
+def pair_table(rows):
+    """A BundleTable of ``(block, type code, value)`` rows; tip is the value."""
+    block, code, value = (list(c) for c in zip(*rows)) if rows else ([], [], [])
+    n = len(rows)
+    zeros = np.zeros(n, dtype=np.intp)
+    return BundleTable([f"0x{i:x}" for i in range(n)], np.array(block, dtype=np.int64),
+                       np.array(code, dtype=np.intp), zeros, ("b",), zeros, ("s",),
+                       np.array(value, dtype=float), np.zeros(n))
+
+
+@given(pair_tables())
+@example(pair_table([]))
+@example(pair_table([(1, 0, 2.0), (2, 0, 2.0), (1, 1, 3.0), (1, 2, -1.0), (1, 2, 1.0)]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_affiliation_pairs_match_lexsort_oracle(table):
+    got, want = affiliation_pairs(table), oracle_lexsort_affiliation_pairs(table)
+    for name in ("mev_type", "log_top", "log_second"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
 
 
 def test_full_bins_and_thin_type_match_oracle():
