@@ -15,7 +15,6 @@ from scipy.stats import norm
 from mevauction import (
     deviation_payoff_grid,
     expected_revenue,
-    payoff_of_deviation,
     run_many,
     solve_bid_ode,
     solve_strategy,
@@ -92,7 +91,9 @@ v = float(np.exp(MU + SIGMA * norm.ppf(0.30)))
 bid = 0.8 * float(bind_strategy.curve.bid(v))
 for eps in (0.1, 0.4, 0.7):
     strat_eps = solve_strategy(binding, eps, curve=bind_strategy.curve)
-    mean, se = payoff_of_deviation(v, bid, strat_eps, binding, blocks=200_000, seed=13)
+    scan = deviation_payoff_grid(v, [bid], strat_eps, binding, blocks=200_000, seed=13,
+                                 reference_index=0)
+    mean, se = scan.means[0], scan.stderrs[0]
     print(f"eps={eps}: payoff {mean:8.5f} +- {se:.5f}   payoff/(1-eps) "
           f"{mean / (1 - eps):8.5f}")
 print("the rescaled column is constant: exposure enters only through 1-eps")

@@ -6,7 +6,8 @@
 # replicable share off the right-tail plateau, and prices the surplus a
 # defecting builder left on the table.  Here the records are synthetic, so
 # the planted parameters are known and the estimators can be checked
-# end to end.
+# end to end.  They are written to the documented CSV schema chunk by chunk
+# and read back into one columnar table, as the command line does.
 
 # %%
 import tempfile
@@ -22,7 +23,7 @@ from mevauction.empirics import (
     write_bundles,
 )
 from mevauction.profiles import MevType, TypeProfile
-from mevauction.synthetic import SyntheticSpec, generate_synthetic
+from mevauction.synthetic import SyntheticSpec, generate_chunks
 
 MU, SIGMA = 1.102, 2.524
 planted = {
@@ -36,9 +37,12 @@ for tau, (n, rho, gamma) in planted.items():
     specs.append(SyntheticSpec(profile=profile, epsilon=0.3,
                                strategy=solve_strategy(profile, 0.3)))
 
-records = list(generate_synthetic(specs, blocks=40_000, seed=99,
-                                  opportunities_per_block=2))
-print(f"{len(records)} records (frontrun blocks emit none: they revert unpaid)")
+tmp = tempfile.TemporaryDirectory()
+bundles = Path(tmp.name) / "bundles.csv"
+write_bundles(bundles, generate_chunks(specs, blocks=40_000, seed=99,
+                                       opportunities_per_block=2))
+table = BundleTable.read(bundles)
+print(f"{len(table)} records (frontrun blocks emit none: they revert unpaid)")
 
 # %% [markdown]
 # ## Plateau estimates against the planted shares
@@ -46,7 +50,7 @@ print(f"{len(records)} records (frontrun blocks emit none: they revert unpaid)")
 # %%
 estimates = {}
 for tau, (_, _, gamma) in planted.items():
-    schedule = bribe_schedule(records, tau)
+    schedule = bribe_schedule(table, tau)
     est = estimate_gamma(schedule)
     estimates[tau] = est
     lo = schedule.bins[0].mean_bribe_share
@@ -58,7 +62,7 @@ for tau, (_, _, gamma) in planted.items():
 # ## What a defecting builder could still take
 
 # %%
-report = decompose(records, estimates)
+report = decompose(table, estimates)
 for row in report.per_type:
     print(f"{row.mev_type.value:<12} tips {row.observed_tips:12.0f}   "
           f"foregone {row.foregone_surplus:12.0f}   ratio {row.ratio:.3f}")
@@ -69,28 +73,27 @@ print(f"{'all':<12} tips {report.total_tips:12.0f}   "
 # ## Concentration and per-builder views
 
 # %%
-conc = concentration(records, by="searcher")
+conc = concentration(table, by="searcher")
 for tau, stat in conc.items():
     print(f"{tau.value:<12} searchers {stat.groups:3d}  gini {stat.gini:.3f}  "
           f"top-1 share {stat.top_k_shares[1]:.3f}")
 
 print()
-for row in builder_table(records)[:4]:
+for row in builder_table(table)[:4]:
     print(f"{row.builder:<16} count {row.count:6d}  total {row.total_extracted:12.0f}  "
           f"mean bribe {row.mean_bribe_share:.3f}")
 
 # %% [markdown]
 # ## The same pipeline through the command line
 #
-# Writing the records to the documented CSV schema and running the report
-# command produces every figure-data file in one pass.
+# Running the report command on the CSV written above produces every
+# figure-data file in one pass.
 
 # %%
-with tempfile.TemporaryDirectory() as tmp:
-    bundles = Path(tmp) / "bundles.csv"
-    write_bundles(bundles, BundleTable.from_records(records))
-    from mevauction.cli import main
+from mevauction.cli import main
 
-    main(["report", "--input", str(bundles), "--out-dir", str(Path(tmp) / "out")])
-    for produced in sorted((Path(tmp) / "out").iterdir()):
-        print("wrote", produced.name)
+out = Path(tmp.name) / "out"
+main(["report", "--input", str(bundles), "--out-dir", str(out)])
+for produced in sorted(out.iterdir()):
+    print("wrote", produced.name)
+tmp.cleanup()

@@ -44,7 +44,6 @@ from .simulate import (
     DeviationScan,
     SimReport,
     deviation_payoff_grid,
-    payoff_of_deviation,
     run_many,
 )
 from .empirics import (
@@ -58,7 +57,6 @@ from .empirics import (
     bribe_schedule,
     decompose,
     estimate_gamma,
-    ingest,
     iter_bundles,
     validate_bergemann_rule,
     write_bundles,
@@ -72,7 +70,7 @@ from .diagnostics import (
     effective_bidder_counts,
     gini_coefficient,
 )
-from .synthetic import SyntheticSpec, generate_synthetic
+from .synthetic import SyntheticSpec
 
 __version__ = "0.1.0"
 

@@ -6,11 +6,11 @@ builders (Lorenz, Gini, top-k shares), per-builder aggregates, and revenue
 by effective-bidder-count bins.  Nothing here enforces a sign or a slope;
 the numbers are reported as found.
 
-Every diagnostic takes a ``BundleTable`` (or an iterable of records), except
-``affiliation_diagnostic``, which takes the ``AffiliationPairs`` that
-``affiliation_pairs`` returns, and ``board_diagnostic``, which takes the
-``BidderCounts`` that ``effective_bidder_counts`` returns.  Each groups the
-columns with numpy sorts and ``bincount``, keeping record order within each
+Every diagnostic takes a ``BundleTable``, except ``affiliation_diagnostic``,
+which takes the ``AffiliationPairs`` that ``affiliation_pairs`` returns, and
+``board_diagnostic``, which takes the ``BidderCounts`` that
+``effective_bidder_counts`` returns.  Each groups the columns with numpy
+sorts and ``bincount``, keeping record order within each
 group so the sums match a record-by-record loop bit for bit.  The pairs
 group the records by block and type with a sort on those integer keys alone
 and take each group's top two values with ``np.maximum.reduceat``, not a
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirics import MEV_TYPES, BundleTable, _as_table, _first_seen
+from .empirics import MEV_TYPES, BundleTable, _first_seen
 from .errors import ConfigurationError
 from .profiles import MevType
 
@@ -63,16 +63,15 @@ class AffiliationPairs:
         return self.mev_type.size
 
 
-def affiliation_pairs(records) -> AffiliationPairs:
-    """The pair of largest and second-largest log value of each block with two
-    or more positive-value records of the same type.
+def affiliation_pairs(table: BundleTable) -> AffiliationPairs:
+    """The pair of largest and second-largest log value of each block of
+    ``table`` with two or more positive-value records of the same type.
 
     The records are grouped by a stable sort on the integer keys (block, then
     type) alone.  Each group's top value is its ``np.maximum.reduceat``; the
     second is the same reduction after the top's first occurrence is set to
     -inf, so a tied top is also the second.
     """
-    table = _as_table(records)
     positive = table.value > 0
     block = table.block[positive]
     codes = table.mev_type[positive]
@@ -158,15 +157,15 @@ def gini_coefficient(totals) -> float:
     return float((2.0 * np.sum(idx * x) / (m * s)) - (m + 1.0) / m)
 
 
-def concentration(records, by: str = "searcher"):
-    """Lorenz curve, Gini, and top-k shares of extracted value per type.
+def concentration(table: BundleTable, by: str = "searcher"):
+    """Lorenz curve, Gini, and top-k shares of the extracted value of
+    ``table``'s records per type.
 
     ``by`` selects the grouping key, searcher or builder.  Records with
     non-positive extracted value are ignored.
     """
     if by not in ("searcher", "builder"):
         raise ConfigurationError("grouping key must be 'searcher' or 'builder'")
-    table = _as_table(records)
     positive = table.value > 0
     labels = table.searchers if by == "searcher" else table.builders
     key = (table.searcher if by == "searcher" else table.builder)[positive]
@@ -207,14 +206,14 @@ class BuilderRow:
     searchers: int
 
 
-def builder_table(records):
-    """Per-builder aggregates sorted by total extracted value, descending.
+def builder_table(table: BundleTable):
+    """Per-builder aggregates of ``table``'s records sorted by total extracted
+    value, descending.
 
     Counts and totals cover all records; bribe-share moments use only
     records with positive extracted value (population std, zero for a
     single record).
     """
-    table = _as_table(records)
     builder, n = table.builder, len(table.builders)
     count = np.bincount(builder, minlength=n)
     total = np.bincount(builder, weights=table.value, minlength=n)
@@ -268,14 +267,14 @@ class BidderCounts:
     proxy: np.ndarray
 
 
-def effective_bidder_counts(records, window: int = DEFAULT_PROXY_WINDOW) -> BidderCounts:
+def effective_bidder_counts(table: BundleTable,
+                            window: int = DEFAULT_PROXY_WINDOW) -> BidderCounts:
     """Proxy for market thickness: distinct same-type searchers active in the
-    trailing ``window`` blocks (inclusive), so every record of a block sees
+    trailing ``window`` blocks (inclusive), so every record of ``table`` sees
     the whole block.  Returns the records' proxies, ordered by block number
     within type (see ``BidderCounts``)."""
     if window < 1:
         raise ConfigurationError("proxy window must be >= 1")
-    table = _as_table(records)
     order = np.lexsort((table.block, table.mev_type))
     codes = table.mev_type[order]
     proxy = np.empty(order.size, dtype=np.int64)

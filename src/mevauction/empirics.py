@@ -28,14 +28,12 @@ checks.  Only a row that a check flags goes through ``_parse_row``, which
 holds the malformed-row rules and rejects the row or accepts it in place (a
 malformed row is reported by the file line it starts on).  A row that
 ``csv.reader`` cannot tokenize stops the read with an ``IngestError`` naming
-the file and that line.  ``iter_bundles`` and ``ingest`` are record views
-over that table, and every schedule, estimate and diagnostic groups the
-columns with numpy instead of looping over records.  Each of them also
-accepts an iterable of :class:`BundleRecord` and collects it into a table
-first.  ``write_bundles`` writes one table or a stream of tables
-(``BundleTable.from_records`` wraps records) with one format per row, the
+the file and that line.  Every schedule, estimate and diagnostic takes that
+table and groups its columns with numpy instead of looping over records.
+``write_bundles`` writes a stream of tables with one format per row, the
 label columns gathered by code, quoting fields exactly as ``csv.writer``'s
-default dialect does.
+default dialect does.  ``iter_bundles`` and ``BundleTable.records`` are a
+record view of a table that no command uses.
 
 Grouped sums keep the order of the records: a per-group total is
 ``np.bincount`` with weights, which adds in input order exactly as a
@@ -173,22 +171,6 @@ class BundleTable:
 
     def __len__(self) -> int:
         return len(self.tx_hash)
-
-    @classmethod
-    def from_records(cls, records) -> "BundleTable":
-        """Collect an iterable of BundleRecord into a table."""
-        records = list(records)
-        builders, searchers = {}, {}
-        return cls(
-            [r.tx_hash for r in records],
-            np.array([r.block_number for r in records], dtype=np.int64),
-            np.array([_TYPE_CODE[r.mev_type] for r in records], dtype=np.intp),
-            np.array([builders.setdefault(r.builder, len(builders)) for r in records],
-                     dtype=np.intp), tuple(builders),
-            np.array([searchers.setdefault(r.searcher, len(searchers)) for r in records],
-                     dtype=np.intp), tuple(searchers),
-            np.array([r.tip for r in records], dtype=float),
-            np.array([r.profit for r in records], dtype=float))
 
     @classmethod
     def read(cls, path, report: IngestReport | None = None) -> "BundleTable":
@@ -476,14 +458,6 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _as_table(records) -> BundleTable:
-    """``records`` as a BundleTable: a table passes through, an iterable of
-    BundleRecord is collected."""
-    if isinstance(records, BundleTable):
-        return records
-    return BundleTable.from_records(records)
-
-
 def _types_present(codes) -> list:
     """The type codes occurring in ``codes``, in label order."""
     return np.flatnonzero(np.bincount(codes, minlength=len(MEV_TYPES))).tolist()
@@ -496,7 +470,8 @@ def _first_seen(codes) -> list:
 
 
 def iter_bundles(path, report: IngestReport | None = None):
-    """Stream records from a bundle CSV (a record view of ``BundleTable.read``).
+    """The records of a bundle CSV: ``BundleTable.read`` reads the whole file
+    first, then its rows are yielded as BundleRecord objects.
 
     Malformed rows are counted in ``report`` (not fatal); if they exceed
     0.1% of rows, IngestError is raised with samples before any record is
@@ -505,23 +480,15 @@ def iter_bundles(path, report: IngestReport | None = None):
     yield from BundleTable.read(path, report).records()
 
 
-def ingest(path):
-    """Read a bundle CSV eagerly; returns (records, IngestReport)."""
-    report = IngestReport()
-    records = list(BundleTable.read(path, report).records())
-    return records, report
-
-
 def write_bundles(path, tables) -> int:
-    """Write a BundleTable, or an iterable of them written one after the
-    other, in the input schema; inverse of ``BundleTable.read`` on valid rows.
-    Returns the number of rows written.
+    """Write an iterable of BundleTable, one after the other, in the input
+    schema; inverse of ``BundleTable.read`` on valid rows.  Returns the
+    number of rows written.
     """
-    chunks = (tables,) if isinstance(tables, BundleTable) else tables
     count = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
-        for chunk in chunks:
+        for chunk in tables:
             fh.write(chunk.to_csv())
             count += len(chunk)
     return count
@@ -548,16 +515,14 @@ class BribeSchedule:
     shares_above_one: int
 
 
-def bribe_schedule(records, mev_type: MevType) -> BribeSchedule:
+def bribe_schedule(table: BundleTable, mev_type: MevType) -> BribeSchedule:
     """Quantile-binned bribe shares for one MEV type.
 
-    ``records`` is a BundleTable or an iterable of records.  Bins partition
-    the records by extracted value with equal counts (+-1, up to ties):
-    ``FULL_BINS`` of them, or max(10, count // 20) with a warning for a type
-    with fewer than ``THIN_THRESHOLD`` valid records.  Fewer than 10 valid
-    records is a ThinSampleError.
+    Bins partition the records of ``table`` by extracted value with equal
+    counts (+-1, up to ties): ``FULL_BINS`` of them, or max(10, count // 20)
+    with a warning for a type with fewer than ``THIN_THRESHOLD`` valid
+    records.  Fewer than 10 valid records is a ThinSampleError.
     """
-    table = _as_table(records)
     of_type = table.mev_type == _TYPE_CODE[mev_type]
     values = table.value[of_type]
     nonpositive = values <= 0
@@ -658,14 +623,13 @@ class DecompositionReport:
         return self.total_foregone / self.total_tips if self.total_tips > 0 else math.inf
 
 
-def decompose(records, gammas) -> DecompositionReport:
-    """Foregone frontrun surplus: sum of max(0, gamma_hat * value - tip).
+def decompose(table: BundleTable, gammas) -> DecompositionReport:
+    """Foregone frontrun surplus: sum of max(0, gamma_hat * value - tip) over
+    the records of ``table``.
 
-    ``records`` is a BundleTable or an iterable of records.  ``gammas`` maps
-    MevType to a GammaEstimate (or bare float); every type present with a
-    positive value must have an estimate.
+    ``gammas`` maps MevType to a GammaEstimate (or bare float); every type
+    present with a positive value must have an estimate.
     """
-    table = _as_table(records)
     positive = ~(table.value <= 0)
     excluded = len(table) - int(np.count_nonzero(positive))
     codes = table.mev_type[positive]

@@ -17,7 +17,7 @@ drawn apart from its top draw.  The other n - 1 draws are never made, so the
 cost of an auction does not grow with n.
 
 One private kernel, ``_play``, draws and plays a chunk of auctions; the
-game engine here and ``synthetic.generate_synthetic`` both call it, so the
+game engine here and ``synthetic._chunks`` both call it, so the
 rule is written once, and ``_top_draws`` is the one place that samples the
 top draws, for ``_play`` and for the deviation harness.
 Blocks are generated in fixed-size chunks, each on its own split random
@@ -374,11 +374,3 @@ def deviation_payoff_grid(v: float, bids, strategy: PiecewiseStrategy,
     return DeviationScan(valuation=float(v), bids=bids, means=means, stderrs=stderrs,
                          diff_means=diff_means, diff_stderrs=diff_stderrs,
                          reference_index=ref)
-
-
-def payoff_of_deviation(v: float, bid: float, strategy: PiecewiseStrategy,
-                        profile: TypeProfile, blocks: int, seed: int):
-    """Expected payoff (mean, stderr) of bidding ``bid`` at valuation ``v``."""
-    scan = deviation_payoff_grid(v, np.array([float(bid)]), strategy, profile,
-                                 blocks, seed, reference_index=0)
-    return float(scan.means[0]), float(scan.stderrs[0])

@@ -7,11 +7,10 @@ emitted as a bundle record: tip is the payment actually collected and
 profit is value minus tip.  A frontrun block collects no payment and emits
 no record, matching revert protection.  Records are drawn one chunk of
 ``_CHUNK`` blocks at a time and emitted as one ``BundleTable`` per chunk
-(``generate_chunks``), so memory is O(chunk); ``generate_synthetic``
-expands the same chunks into records.  The chunk size is part of the stream
-schedule (keyed (seed, type, chunk, purpose)).  Blocks are numbered from 1
-for every type, each winning bundle's builder is drawn uniformly from
-``BUILDER_POOL``, and the searcher labels of type tau are
+(``generate_chunks``), so memory is O(chunk).  The chunk size is part of
+the stream schedule (keyed (seed, type, chunk, purpose)).  Blocks are
+numbered from 1 for every type, each winning bundle's builder is drawn
+uniformly from ``BUILDER_POOL``, and the searcher labels of type tau are
 ``<tau>_searcher_00`` to ``<tau>_searcher_<n-1>``, one per entrant.  A
 record's tx hash is ``0x``, the seed's low 32 bits and the type's index in
 hex, then ``%010x%02x`` of its block and its auction index within the block
@@ -53,27 +52,18 @@ class SyntheticSpec:
         return solve_strategy(self.profile, self.epsilon)
 
 
-def generate_synthetic(specs, blocks: int, seed: int, *,
-                       opportunities_per_block: int = 1):
-    """Return an iterator of bundle records for ``blocks`` blocks of each spec.
+def generate_chunks(specs, blocks: int, seed: int, *,
+                    opportunities_per_block: int = 1):
+    """An iterator of BundleTable chunks, one per drawn chunk of blocks and
+    type, for ``blocks`` blocks of each spec.
 
     ``specs`` is an iterable of SyntheticSpec.  With
     ``opportunities_per_block`` > 1 the auctions of one block share the
     block's common factor, so within-block values are affiliated exactly as
     the signals are.  The arguments are checked and every strategy is
-    resolved here, before the first record is drawn, so a bad argument
+    resolved here, before the first chunk is drawn, so a bad argument
     raises before a caller opens its output.
     """
-    chunks = generate_chunks(specs, blocks, seed,
-                             opportunities_per_block=opportunities_per_block)
-    return (rec for table in chunks for rec in table.records())
-
-
-def generate_chunks(specs, blocks: int, seed: int, *,
-                    opportunities_per_block: int = 1):
-    """The records of ``generate_synthetic`` as an iterator of BundleTable
-    chunks, one per drawn chunk of blocks and type (same arguments and
-    checks)."""
     if blocks < 0:
         raise ParameterError("blocks must be >= 0")
     if seed < 0:

@@ -45,6 +45,34 @@ def marginal_quantile(q, mu=MU, sigma=SIGMA):
     return float(np.exp(mu + sigma * norm.ppf(q)))
 
 
+def table_from_records(records):
+    """Collect an iterable of BundleRecord into a BundleTable: builders and
+    searchers are coded in first-seen order, types by ``MEV_TYPES``."""
+    from mevauction.empirics import _TYPE_CODE, BundleTable
+
+    records = list(records)
+    builders, searchers = {}, {}
+    return BundleTable(
+        [r.tx_hash for r in records],
+        np.array([r.block_number for r in records], dtype=np.int64),
+        np.array([_TYPE_CODE[r.mev_type] for r in records], dtype=np.intp),
+        np.array([builders.setdefault(r.builder, len(builders)) for r in records],
+                 dtype=np.intp), tuple(builders),
+        np.array([searchers.setdefault(r.searcher, len(searchers)) for r in records],
+                 dtype=np.intp), tuple(searchers),
+        np.array([r.tip for r in records], dtype=float),
+        np.array([r.profit for r in records], dtype=float))
+
+
+def generated_records(specs, blocks, seed, **kwargs):
+    """The records of ``generate_chunks(specs, blocks, seed, **kwargs)``, in
+    chunk order."""
+    from mevauction.synthetic import generate_chunks
+
+    return [rec for table in generate_chunks(specs, blocks, seed, **kwargs)
+            for rec in table.records()]
+
+
 def counted_pairs(counted):
     """The ``(record, proxy)`` pairs of a ``BidderCounts``, in its order."""
     return list(zip(counted.table.select(counted.order).records(), counted.proxy.tolist()))

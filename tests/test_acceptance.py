@@ -26,12 +26,13 @@ from mevauction import (
     solve_strategy,
 )
 from mevauction.cli import main as cli_main
-from mevauction.empirics import bribe_schedule, decompose, estimate_gamma, ingest
+from mevauction.empirics import BundleTable, bribe_schedule, decompose, estimate_gamma
 from mevauction.equilibrium import PiecewiseStrategy
 from mevauction.profiles import MevType
-from mevauction.synthetic import SyntheticSpec, generate_synthetic
+from mevauction.synthetic import SyntheticSpec
 
-from conftest import MU, SIGMA, curve_for, make_profile, marginal_quantile
+from conftest import (MU, SIGMA, curve_for, generated_records, make_profile, marginal_quantile,
+                      table_from_records)
 
 # ---------------------------------------------------------------------------
 # profile matrix
@@ -179,15 +180,15 @@ def test_criterion_7_planted_parameter_recovery():
         specs.append(SyntheticSpec(
             profile=profile, epsilon=0.3,
             strategy=solve_strategy(profile, 0.3, curve=curve_for(profile))))
-    records = list(generate_synthetic(specs, 100_000, seed=514))
+    table = table_from_records(generated_records(specs, 100_000, seed=514))
     recovered = {}
     for tau, gamma in planted.items():
-        est = estimate_gamma(bribe_schedule(records, tau))
+        est = estimate_gamma(bribe_schedule(table, tau))
         recovered[tau] = est.gamma_hat
         assert abs(est.gamma_hat - gamma) <= 0.02, (tau, est.gamma_hat, gamma)
         estimates[tau] = est
 
-    report = decompose(records, estimates)
+    report = decompose(table, estimates)
     assert report.total_foregone >= 0.0
     assert all(t.foregone_surplus >= 0.0 for t in report.per_type)
 
@@ -195,11 +196,11 @@ def test_criterion_7_planted_parameter_recovery():
     profile = make_profile(n=5, rho=0.3, gamma=0.88)
     curve = curve_for(profile)
     exact = PiecewiseStrategy(curve=curve, cutoff=curve.v_min, gamma=0.88, epsilon=0.0)
-    exact_records = list(generate_synthetic(
+    exact_table = table_from_records(generated_records(
         [SyntheticSpec(profile=profile, epsilon=0.0, strategy=exact)],
         50_000, seed=515))
-    est = estimate_gamma(bribe_schedule(exact_records, profile.tau))
-    flat = decompose(exact_records, {profile.tau: est})
+    est = estimate_gamma(bribe_schedule(exact_table, profile.tau))
+    flat = decompose(exact_table, {profile.tau: est})
     assert flat.total_foregone < 0.01 * flat.total_tips
     note(7, "planted replicable shares recovered within 0.02 "
             + ", ".join(f"{t.value}: {g:.4f}" for t, g in recovered.items())
@@ -226,8 +227,8 @@ def test_criterion_8_report_pipeline(tmp_path):
         assert (out / name).exists(), name
 
     # table-1 aggregates must match the input exactly at desk scale
-    records, _ = ingest(bundles)
-    values = np.array([r.extracted_value for r in records if r.extracted_value > 0])
+    table = BundleTable.read(bundles)
+    values = table.value[table.value > 0]
     row = (out / "tab1_summary.csv").read_text().splitlines()[1].split(",")
     assert int(row[1]) == values.size
     assert float(row[2]) == pytest.approx(values.sum(), rel=1e-9)

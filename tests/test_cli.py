@@ -16,7 +16,7 @@ from mevauction.equilibrium import BidCurve, solve_bid_ode
 from mevauction.profiles import MevType, TypeProfile
 from mevauction.revenue import DEFAULT_EPSILON_GRID
 
-from conftest import counted_pairs
+from conftest import counted_pairs, table_from_records
 
 SOLVE_FLAGS = ["--type", "naked_arb", "--n", "4", "--rho", "0.2",
                "--gamma", "0.74", "--mu", "1.102", "--sigma", "1.5"]
@@ -413,7 +413,7 @@ class TestGenerateEstimateReport:
         assert report["decomposition"] is None
         assert report["affiliation"] == {}
         assert len(affiliation_pairs(BundleTable.read(path))) == 0
-        assert len(affiliation_pairs(BundleTable.from_records([]))) == 0
+        assert len(affiliation_pairs(table_from_records([]))) == 0
 
     def test_text_cells_quoted_as_csv_writer_quotes_them(self, tmp_path):
         label = 'Titan, "the" builder'

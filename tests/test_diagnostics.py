@@ -18,12 +18,13 @@ from mevauction.errors import ConfigurationError
 from mevauction.profiles import MevType
 from mevauction.rng import stream
 
-from conftest import pair_rows
+from conftest import pair_rows, table_from_records
 from test_empirics import record
 
 
 def top_two_blocks(rho, blocks, seed, mev_type=MevType.NAKED_ARB):
-    """Blocks holding the two largest of a five-value affiliated pool."""
+    """A table of blocks holding the two largest of a five-value affiliated
+    pool."""
     rng = stream(seed)
     Z = rng.standard_normal(blocks)
     u = rng.standard_normal((blocks, 5))
@@ -36,18 +37,18 @@ def top_two_blocks(rho, blocks, seed, mev_type=MevType.NAKED_ARB):
             v = top2[b, j]
             records.append(record(tip=0.6 * v, profit=0.4 * v, block=b,
                                   mev_type=mev_type, searcher=f"s{j}", tx=f"0x{b:x}{j}"))
-    return records
+    return table_from_records(records)
 
 
 class TestAffiliation:
     def test_no_pairs_reported_absent(self):
         records = [record(tip=1.0, profit=1.0, block=i, tx=f"0x{i:x}") for i in range(9)]
-        stats = affiliation_diagnostic(affiliation_pairs(records))
+        stats = affiliation_diagnostic(affiliation_pairs(table_from_records(records)))
         assert stats == {} or all(s.pairs < 2 for s in stats.values())
 
     def test_affiliated_pool_shows_positive_correlation(self):
-        records = top_two_blocks(rho=0.6, blocks=4000, seed=3)
-        stats = affiliation_diagnostic(affiliation_pairs(records))[MevType.NAKED_ARB]
+        table = top_two_blocks(rho=0.6, blocks=4000, seed=3)
+        stats = affiliation_diagnostic(affiliation_pairs(table))[MevType.NAKED_ARB]
         assert stats.pairs == 4000
         se = 1.0 / math.sqrt(stats.pairs)
         assert stats.correlation > 3 * se
@@ -56,9 +57,9 @@ class TestAffiliation:
     def test_independent_pool_matches_permutation_null(self):
         # even iid pools correlate max with second-max; compare against a
         # brute-force null built by permuting the second coordinates
-        records = top_two_blocks(rho=0.0, blocks=3000, seed=4)
-        stats = affiliation_diagnostic(affiliation_pairs(records))[MevType.NAKED_ARB]
-        pairs = np.array([(x, y) for _, x, y in pair_rows(affiliation_pairs(records))])
+        table = top_two_blocks(rho=0.0, blocks=3000, seed=4)
+        stats = affiliation_diagnostic(affiliation_pairs(table))[MevType.NAKED_ARB]
+        pairs = np.array([(x, y) for _, x, y in pair_rows(affiliation_pairs(table))])
         rng = stream(5)
         null = []
         for _ in range(200):
@@ -74,7 +75,7 @@ class TestAffiliation:
             record(tip=10.0, profit=0.0, block=7, tx="b"),
             record(tip=5.0, profit=0.0, block=7, tx="c"),
         ]
-        pairs = affiliation_pairs(records)
+        pairs = affiliation_pairs(table_from_records(records))
         assert pair_rows(pairs) == [(MevType.NAKED_ARB, math.log(10.0), math.log(5.0))]
 
 
@@ -107,19 +108,19 @@ class TestConcentration:
         records = [record(tip=v * 0.7, profit=v * 0.3, searcher=f"s{i % 17}", block=i,
                           tx=f"0x{i:x}")
                    for i, v in enumerate(np.exp(rng.normal(0, 2, size=300)))]
-        stat = concentration(records)[MevType.NAKED_ARB]
+        stat = concentration(table_from_records(records))[MevType.NAKED_ARB]
         area = np.trapezoid(stat.lorenz_value, stat.lorenz_population)
         assert 1.0 - 2.0 * area == pytest.approx(stat.gini, abs=1e-9)
         assert stat.top_k_shares[1] <= stat.top_k_shares[5] <= stat.top_k_shares[10]
 
     def test_grouping_key_validated(self):
         with pytest.raises(ConfigurationError):
-            concentration([], by="relay")
+            concentration(table_from_records([]), by="relay")
 
 
 class TestBuilderTable:
     def test_singleton(self):
-        rows = builder_table([record(tip=4.0, profit=1.0, builder="solo")])
+        rows = builder_table(table_from_records([record(tip=4.0, profit=1.0, builder="solo")]))
         assert len(rows) == 1
         row = rows[0]
         assert row.count == 1
@@ -132,13 +133,13 @@ class TestBuilderTable:
         records = [record(tip=1.0, profit=0.0, builder="small", block=1),
                    record(tip=50.0, profit=0.0, builder="big", block=2),
                    record(tip=10.0, profit=0.0, builder="mid", block=3)]
-        rows = builder_table(records)
+        rows = builder_table(table_from_records(records))
         assert [r.builder for r in rows] == ["big", "mid", "small"]
 
     def test_distinct_searchers_counted(self):
         records = [record(tip=1.0, profit=0.0, builder="b", searcher=f"s{i % 3}", block=i)
                    for i in range(9)]
-        assert builder_table(records)[0].searchers == 3
+        assert builder_table(table_from_records(records))[0].searchers == 3
 
 
 class TestBoardDiagnostic:
@@ -147,7 +148,7 @@ class TestBoardDiagnostic:
         records = [record(tip=0.5 * v, profit=0.5 * v, searcher=f"s{i % 4}", block=i,
                           tx=f"0x{i:x}")
                    for i, v in enumerate(np.exp(rng.normal(0, 1, size=200)))]
-        rows = board_diagnostic(effective_bidder_counts(records))
+        rows = board_diagnostic(effective_bidder_counts(table_from_records(records)))
         # four searchers: the proxy fills bins [1,1], [2,2] and [3,4]
         assert [(r.count_lo, r.count_hi) for r in rows] == [(1, 1), (2, 2), (3, 4)]
         weights = [r.records for r in rows]
@@ -162,20 +163,20 @@ class TestBoardDiagnostic:
         records = [record(tip=0.7 * v, profit=0.3 * v, searcher=f"s{i % 13}", block=i,
                           tx=f"0x{i:x}")
                    for i, v in enumerate(np.exp(rng.normal(0, 1, size=500)))]
-        rows = board_diagnostic(effective_bidder_counts(records))
+        rows = board_diagnostic(effective_bidder_counts(table_from_records(records)))
         for row in rows:
             assert row.mean_bribe_share == pytest.approx(0.7)
 
     def test_proxy_counts_distinct_in_window(self):
         records = [record(tip=1.0, profit=1.0, searcher=f"s{i}", block=i, tx=f"0x{i:x}")
                    for i in range(10)]
-        counted = effective_bidder_counts(records, window=3)
+        counted = effective_bidder_counts(table_from_records(records), window=3)
         # at block i the window holds blocks i-2..i, all distinct searchers
         assert counted.proxy.tolist() == [1, 2, 3, 3, 3, 3, 3, 3, 3, 3]
 
     def test_bad_window_rejected(self):
         with pytest.raises(ConfigurationError):
-            effective_bidder_counts([], window=0)
+            effective_bidder_counts(table_from_records([]), window=0)
 
     def test_empty_table_has_no_bins(self):
-        assert board_diagnostic(effective_bidder_counts([])) == []
+        assert board_diagnostic(effective_bidder_counts(table_from_records([]))) == []

@@ -11,11 +11,11 @@ from mevauction.empirics import (
     MEV_TYPES,
     BundleRecord,
     BundleTable,
+    IngestReport,
     bergemann_threshold,
     bribe_schedule,
     decompose,
     estimate_gamma,
-    ingest,
     iter_bundles,
     validate_bergemann_rule,
     write_bundles,
@@ -30,11 +30,19 @@ from mevauction.errors import (
 )
 from mevauction.profiles import MevType
 
+from conftest import table_from_records
+
 
 def record(tip, profit, mev_type=MevType.NAKED_ARB, block=1, builder="b0",
            searcher="s0", tx="0x0"):
     return BundleRecord(tx_hash=tx, block_number=block, mev_type=mev_type,
                         builder=builder, searcher=searcher, tip=tip, profit=profit)
+
+
+def read_records(path):
+    """The records of the bundle CSV at ``path`` and its IngestReport."""
+    report = IngestReport()
+    return list(BundleTable.read(path, report).records()), report
 
 
 def synthetic_records(n, rng, mev_type=MevType.NAKED_ARB, share=None):
@@ -44,6 +52,10 @@ def synthetic_records(n, rng, mev_type=MevType.NAKED_ARB, share=None):
         record(tip=s * v, profit=(1 - s) * v, mev_type=mev_type, block=i, tx=f"0x{i:x}")
         for i, (v, s) in enumerate(zip(values, shares))
     ]
+
+
+def synthetic_table(n, rng):
+    return table_from_records(synthetic_records(n, rng))
 
 
 class TestRecord:
@@ -61,21 +73,21 @@ class TestIngest:
         rng = np.random.default_rng(5)
         records = synthetic_records(50, rng)
         path = tmp_path / "bundles.csv"
-        write_bundles(path, BundleTable.from_records(records))
-        back, report = ingest(path)
+        write_bundles(path, [table_from_records(records)])
+        back, report = read_records(path)
         assert report.malformed == 0
         assert [r.tx_hash for r in back] == [r.tx_hash for r in records]
         np.testing.assert_allclose([r.tip for r in back], [r.tip for r in records],
                                    rtol=1e-11)
         # write -> read -> write is byte stable
         path2 = tmp_path / "again.csv"
-        write_bundles(path2, BundleTable.from_records(back))
+        write_bundles(path2, [table_from_records(back)])
         assert path.read_text() == path2.read_text()
 
     def test_empty_file_is_empty_stream(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\n")
-        records, report = ingest(path)
+        records, report = read_records(path)
         assert records == []
         assert report.rows_read == 0
 
@@ -92,7 +104,7 @@ class TestIngest:
         rows += [f"0x{i:x},{i},naked_arb,b,s,1.0,0.5" for i in range(2000)]
         rows[500] = "0xbad,notanint,naked_arb,b,s,1.0,0.5"
         path.write_text("\n".join(rows) + "\n")
-        records, report = ingest(path)
+        records, report = read_records(path)
         assert report.malformed == 1
         assert len(records) == 1999
 
@@ -111,7 +123,7 @@ class TestIngest:
         good = "\n".join(f"0x{i:x},{i},backrun,b,s,2.0,1.0" for i in range(999))
         path.write_text(",".join(CSV_COLUMNS) + "\n" + good
                         + "\n0xz,5,cex_dex,b,s,1.0,0.5\n")
-        records, report = ingest(path)
+        records, report = read_records(path)
         assert report.malformed == 1
         assert len(records) == 999
 
@@ -136,7 +148,7 @@ class TestIngest:
             rows.insert(100 * (k + 1), row)
         path = tmp_path / "bad.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n")
-        records, report = ingest(path)
+        records, report = read_records(path)
         assert (report.rows_read, report.records, report.malformed) == (6006, 6000, 6)
         # data row i sits on line i + 2 (line 1 is the header)
         assert report.samples == [{"line": 100 * (k + 1) + 2, "error": msg}
@@ -157,7 +169,7 @@ class TestIngest:
         text = ",".join(CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n"
         path = tmp_path / "breaks.csv"
         path.write_bytes(text.encode())
-        records, report = ingest(path)
+        records, report = read_records(path)
         assert (report.rows_read, report.records, report.malformed) == (4004, 4000, 4)
         assert records[0].builder == "a\nb" and records[1].searcher == "e\rf"
         # the line numbers an editor shows: the file split at \r\n, \r and \n
@@ -173,7 +185,7 @@ class TestIngest:
             f"0x{i:x},{i},{labels[i % 4]},b,s,1.0,{i + 1}\n" for i in range(40)))
         table = BundleTable.read(path)
         assert set(table.mev_type.tolist()) == {MEV_TYPES.index(MevType.NAKED_ARB)}
-        records, _ = ingest(path)
+        records, _ = read_records(path)
         assert all(r.mev_type is MevType.NAKED_ARB for r in records)
         schedule = bribe_schedule(table, MevType.NAKED_ARB)
         assert sum(b.count for b in schedule.bins) == 40
@@ -184,23 +196,23 @@ class TestIngest:
                           searcher=['x\ny', '"', ",,"][i % 3])
                    for i in range(9)]
         path = tmp_path / "quoted.csv"
-        write_bundles(path, BundleTable.from_records(records))
-        back, report = ingest(path)
+        write_bundles(path, [table_from_records(records)])
+        back, report = read_records(path)
         assert report.malformed == 0
         assert back == records
 
-    def test_write_accepts_a_table_or_chunks(self, tmp_path):
+    def test_write_takes_an_iterable_of_tables(self, tmp_path):
         records = [record(tip=0.5 * i, profit=1.0, block=i, tx=f"0x{i:x}",
                           builder=f"b{i % 2}", searcher=f"s{i % 3}") for i in range(7)]
-        table = BundleTable.from_records(records)
+        table = table_from_records(records)
         chunks = [table.select(range(3)), table.select(range(3, 7))]
-        given_forms = {"table": table, "chunks": chunks, "chunk-iterator": iter(chunks)}
+        given_forms = {"one-table": [table], "chunks": chunks, "chunk-iterator": iter(chunks)}
         for name, tables in given_forms.items():
             path = tmp_path / f"{name}.csv"
             assert write_bundles(path, tables) == 7
-            assert ingest(path)[0] == records, name
+            assert read_records(path)[0] == records, name
         header = ",".join(CSV_COLUMNS) + "\n"
-        for name, tables in {"no-chunks": [], "empty-table": BundleTable.from_records([])}.items():
+        for name, tables in {"no-chunks": [], "empty-table": [table_from_records([])]}.items():
             assert write_bundles(tmp_path / f"{name}.csv", tables) == 0
             assert (tmp_path / f"{name}.csv").read_text() == header
 
@@ -228,14 +240,14 @@ class TestIngest:
         csv.writer(buf).writerows(
             (r.tx_hash, str(r.block_number), r.mev_type.value, r.builder, r.searcher,
              f"{r.tip:.12g}", f"{r.profit:.12g}") for r in records)
-        assert BundleTable.from_records(records).to_csv() == buf.getvalue()
+        assert table_from_records(records).to_csv() == buf.getvalue()
 
 
 class TestBribeSchedule:
     def test_constant_share(self):
         rng = np.random.default_rng(1)
         records = synthetic_records(2000, rng, share=0.8)
-        schedule = bribe_schedule(records, MevType.NAKED_ARB)
+        schedule = bribe_schedule(table_from_records(records), MevType.NAKED_ARB)
         assert len(schedule.bins) == 50
         for b in schedule.bins:
             assert b.mean_bribe_share == pytest.approx(0.8)
@@ -243,14 +255,14 @@ class TestBribeSchedule:
 
     def test_bin_balance(self):
         rng = np.random.default_rng(2)
-        schedule = bribe_schedule(synthetic_records(5309, rng), MevType.NAKED_ARB)
+        schedule = bribe_schedule(synthetic_table(5309, rng), MevType.NAKED_ARB)
         counts = [b.count for b in schedule.bins]
         assert sum(counts) == 5309
         assert max(counts) - min(counts) <= 1
 
     def test_bins_ordered_by_value(self):
         rng = np.random.default_rng(3)
-        schedule = bribe_schedule(synthetic_records(1000, rng), MevType.NAKED_ARB)
+        schedule = bribe_schedule(synthetic_table(1000, rng), MevType.NAKED_ARB)
         his = [b.value_hi for b in schedule.bins]
         assert all(a <= b for a, b in zip(his, his[1:]))
 
@@ -260,20 +272,20 @@ class TestBribeSchedule:
         rng = np.random.default_rng(4)
         records = synthetic_records(count, rng)
         with pytest.warns(UserWarning, match="thin"):
-            schedule = bribe_schedule(records, MevType.NAKED_ARB)
+            schedule = bribe_schedule(table_from_records(records), MevType.NAKED_ARB)
         assert len(schedule.bins) == max(10, count // 20)
         assert sum(b.count for b in schedule.bins) == count
 
     def test_too_few_records_raises(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ThinSampleError, match="naked_arb"):
-            bribe_schedule(synthetic_records(7, rng), MevType.NAKED_ARB)
+            bribe_schedule(synthetic_table(7, rng), MevType.NAKED_ARB)
 
     def test_nonpositive_values_excluded_and_counted(self):
         rng = np.random.default_rng(6)
         records = synthetic_records(600, rng)
         records += [record(tip=1.0, profit=-3.0, block=10_000 + i) for i in range(5)]
-        schedule = bribe_schedule(records, MevType.NAKED_ARB)
+        schedule = bribe_schedule(table_from_records(records), MevType.NAKED_ARB)
         assert schedule.excluded_nonpositive == 5
         assert sum(b.count for b in schedule.bins) == 600
 
@@ -283,7 +295,7 @@ class TestBribeSchedule:
         rng = np.random.default_rng(seed)
         records = synthetic_records(n, rng)
         with pytest.warns(UserWarning):
-            schedule = bribe_schedule(records, MevType.NAKED_ARB)
+            schedule = bribe_schedule(table_from_records(records), MevType.NAKED_ARB)
         counts = [b.count for b in schedule.bins]
         assert sum(counts) == n
         assert max(counts) - min(counts) <= 1
@@ -292,7 +304,7 @@ class TestBribeSchedule:
 class TestEstimateGamma:
     def test_plateau_is_top_fifth(self):
         rng = np.random.default_rng(7)
-        schedule = bribe_schedule(synthetic_records(5000, rng), MevType.NAKED_ARB)
+        schedule = bribe_schedule(synthetic_table(5000, rng), MevType.NAKED_ARB)
         est = estimate_gamma(schedule)
         assert len(est.plateau_bins) == 10
         assert est.plateau_bins == schedule.bins[-10:]
@@ -300,13 +312,13 @@ class TestEstimateGamma:
     def test_constant_plateau_recovered_exactly(self):
         rng = np.random.default_rng(8)
         records = synthetic_records(4000, rng, share=0.63)
-        est = estimate_gamma(bribe_schedule(records, MevType.NAKED_ARB))
+        est = estimate_gamma(bribe_schedule(table_from_records(records), MevType.NAKED_ARB))
         assert est.gamma_hat == pytest.approx(0.63)
         assert est.dispersion == pytest.approx(0.0, abs=1e-12)
 
     def test_needs_ten_bins(self):
         rng = np.random.default_rng(9)
-        schedule = bribe_schedule(synthetic_records(900, rng), MevType.NAKED_ARB)
+        schedule = bribe_schedule(synthetic_table(900, rng), MevType.NAKED_ARB)
         trimmed = type(schedule)(mev_type=schedule.mev_type, bins=schedule.bins[:5],
                                  excluded_nonpositive=0, shares_above_one=0)
         with pytest.raises(ThinSampleError):
@@ -317,20 +329,20 @@ class TestEstimateGamma:
         rng = np.random.default_rng(10)
         recs += synthetic_records(40, rng)
         with pytest.warns(UserWarning):
-            schedule = bribe_schedule(recs, MevType.NAKED_ARB)
+            schedule = bribe_schedule(table_from_records(recs), MevType.NAKED_ARB)
         assert schedule.shares_above_one == 40
 
 
 class TestDecompose:
     def test_positive_part(self):
         recs = [record(tip=5.0, profit=1.0)]  # tip above gamma * value
-        report = decompose(recs, {MevType.NAKED_ARB: 0.7})
+        report = decompose(table_from_records(recs), {MevType.NAKED_ARB: 0.7})
         assert report.total_foregone == 0.0
 
     def test_exact_gamma_bids_leave_nothing(self):
         rng = np.random.default_rng(11)
         records = synthetic_records(500, rng, share=0.74)
-        report = decompose(records, {MevType.NAKED_ARB: 0.74})
+        report = decompose(table_from_records(records), {MevType.NAKED_ARB: 0.74})
         assert report.total_foregone == pytest.approx(0.0, abs=1e-9)
 
     def test_additivity_and_positivity(self):
@@ -338,7 +350,7 @@ class TestDecompose:
         records = synthetic_records(800, rng)
         records += synthetic_records(400, rng, mev_type=MevType.SANDWICH)
         gammas = {MevType.NAKED_ARB: 0.74, MevType.SANDWICH: 0.95}
-        report = decompose(records, gammas)
+        report = decompose(table_from_records(records), gammas)
         assert report.total_foregone >= 0
         assert report.total_foregone == pytest.approx(
             sum(t.foregone_surplus for t in report.per_type))
@@ -347,11 +359,11 @@ class TestDecompose:
     def test_missing_gamma_is_configuration_error(self):
         recs = [record(tip=1.0, profit=1.0, mev_type=MevType.BACKRUN)]
         with pytest.raises(ConfigurationError, match="backrun"):
-            decompose(recs, {MevType.NAKED_ARB: 0.74})
+            decompose(table_from_records(recs), {MevType.NAKED_ARB: 0.74})
 
     def test_hand_computed_example(self):
         recs = [record(tip=3.0, profit=7.0), record(tip=9.0, profit=1.0)]
-        report = decompose(recs, {MevType.NAKED_ARB: 0.8})
+        report = decompose(table_from_records(recs), {MevType.NAKED_ARB: 0.8})
         # first: 0.8*10 - 3 = 5; second: 0.8*10 - 9 < 0 -> 0
         assert report.total_foregone == pytest.approx(5.0)
         assert report.total_tips == pytest.approx(12.0)

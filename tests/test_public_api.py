@@ -20,18 +20,17 @@ PUBLIC = {
     "DEFAULT_EPSILON_GRID", "OptimalEpsilon", "RevenueProfile", "expected_revenue", "optimal_epsilon", "revenue_derivative",
     "revenue_sweep",
     # game engine
-    "DeviationScan", "SimReport", "deviation_payoff_grid", "payoff_of_deviation",
-    "run_many",
+    "DeviationScan", "SimReport", "deviation_payoff_grid", "run_many",
     # bundle pipeline
     "BribeSchedule", "BundleRecord", "BundleTable", "DecompositionReport",
     "GammaEstimate", "IngestReport", "bergemann_threshold", "bribe_schedule",
-    "decompose", "estimate_gamma", "ingest", "iter_bundles", "validate_bergemann_rule",
+    "decompose", "estimate_gamma", "iter_bundles", "validate_bergemann_rule",
     "write_bundles",
     # diagnostics
     "affiliation_diagnostic", "affiliation_pairs", "board_diagnostic", "builder_table",
     "concentration", "effective_bidder_counts", "gini_coefficient",
     # synthetic data
-    "SyntheticSpec", "generate_synthetic",
+    "SyntheticSpec",
 }
 
 

@@ -9,7 +9,6 @@ import pytest
 from mevauction import (
     deviation_payoff_grid,
     expected_revenue,
-    payoff_of_deviation,
     run_many,
     simulate,
     solve_strategy,
@@ -470,16 +469,18 @@ class TestDeviationPayoffs:
         strat = solve_strategy(profile, 0.3, curve=curve)
         v = marginal_quantile(0.5)
         bid = profile.gamma * curve.v_max * 10  # above any possible rival bid
-        mean, se = payoff_of_deviation(v, bid, strat, profile, blocks=2000, seed=3)
-        assert mean == pytest.approx(v - bid, rel=1e-12)
-        assert se <= 1e-9 * abs(v - bid)  # identical in every block, float noise only
+        scan = deviation_payoff_grid(v, [bid], strat, profile, blocks=2000, seed=3,
+                                     reference_index=0)
+        assert scan.means[0] == pytest.approx(v - bid, rel=1e-12)
+        # identical in every block, float noise only
+        assert scan.stderrs[0] <= 1e-9 * abs(v - bid)
 
     def test_zero_bid_never_wins(self, flagship):
         profile, curve = flagship
         strat = solve_strategy(profile, 0.3, curve=curve)
-        mean, se = payoff_of_deviation(marginal_quantile(0.5), 0.0, strat, profile,
-                                       blocks=5000, seed=3)
-        assert mean == 0.0
+        scan = deviation_payoff_grid(marginal_quantile(0.5), [0.0], strat, profile,
+                                     blocks=5000, seed=3, reference_index=0)
+        assert scan.means[0] == 0.0
 
     def test_equilibrium_bid_is_grid_optimal(self, flagship):
         profile, curve = flagship

@@ -9,9 +9,9 @@ from mevauction import solve_strategy
 from mevauction.diagnostics import board_diagnostic, effective_bidder_counts
 from mevauction.empirics import bribe_schedule, estimate_gamma
 from mevauction.profiles import MevType
-from mevauction.synthetic import SyntheticSpec, _tx_hashes, generate_chunks, generate_synthetic
+from mevauction.synthetic import SyntheticSpec, _tx_hashes, generate_chunks
 
-from conftest import make_profile
+from conftest import generated_records, make_profile, table_from_records
 
 
 class TestGenerateSynthetic:
@@ -19,13 +19,13 @@ class TestGenerateSynthetic:
         profile, curve = flagship
         spec = SyntheticSpec(profile=profile, epsilon=0.2,
                              strategy=solve_strategy(profile, 0.2, curve=curve))
-        assert list(generate_synthetic([spec], 0, seed=1)) == []
+        assert generated_records([spec], 0, seed=1) == []
 
     def test_no_defection_emits_every_block(self, flagship):
         profile, curve = flagship
         spec = SyntheticSpec(profile=profile, epsilon=0.0,
                              strategy=solve_strategy(profile, 0.0, curve=curve))
-        records = list(generate_synthetic([spec], 500, seed=2))
+        records = generated_records([spec], 500, seed=2)
         assert len(records) == 500
         assert len({r.block_number for r in records}) == 500
 
@@ -33,7 +33,7 @@ class TestGenerateSynthetic:
         profile, curve = flagship
         strategy = solve_strategy(profile, 0.3, curve=curve)
         spec = SyntheticSpec(profile=profile, epsilon=0.3, strategy=strategy)
-        records = list(generate_synthetic([spec], 3000, seed=3))
+        records = generated_records([spec], 3000, seed=3)
         # winners below the cutoff are exposed; a fraction of blocks vanish
         assert len(records) <= 3000
         # with the flagship cutoff deep in the left tail nearly all survive
@@ -44,7 +44,7 @@ class TestGenerateSynthetic:
         profile, curve = solved(n=4, rho=0.0, gamma=0.015)
         strategy = solve_strategy(profile, 0.0, curve=curve)
         spec = SyntheticSpec(profile=profile, epsilon=0.0, strategy=strategy)
-        records = list(generate_synthetic([spec], 400, seed=4))
+        records = generated_records([spec], 400, seed=4)
         for rec in records:
             assert rec.tip == pytest.approx(float(strategy.bid(rec.extracted_value)),
                                             rel=1e-9)
@@ -53,16 +53,15 @@ class TestGenerateSynthetic:
         profile, curve = flagship
         spec = SyntheticSpec(profile=profile, epsilon=0.25,
                              strategy=solve_strategy(profile, 0.25, curve=curve))
-        a = list(generate_synthetic([spec], 300, seed=9))
-        b = list(generate_synthetic([spec], 300, seed=9))
+        a = generated_records([spec], 300, seed=9)
+        b = generated_records([spec], 300, seed=9)
         assert a == b
 
     def test_multiple_opportunities_share_block(self, flagship):
         profile, curve = flagship
         spec = SyntheticSpec(profile=profile, epsilon=0.0,
                              strategy=solve_strategy(profile, 0.0, curve=curve))
-        records = list(generate_synthetic([spec], 200, seed=5,
-                                          opportunities_per_block=2))
+        records = generated_records([spec], 200, seed=5, opportunities_per_block=2)
         per_block = Counter(r.block_number for r in records)
         assert set(per_block.values()) == {2}
 
@@ -75,7 +74,7 @@ class TestGenerateSynthetic:
         blocks = 5000
         for planted in (strategy, dataclasses.replace(strategy, gamma=0.0)):
             spec = SyntheticSpec(profile=profile, epsilon=0.9, strategy=planted)
-            records = list(generate_synthetic([spec], blocks, seed=13))
+            records = generated_records([spec], blocks, seed=13)
             # the strategy's epsilon (0) or its gamma (0) would keep every block
             assert len(records) / blocks == pytest.approx(0.1, abs=0.02)
 
@@ -117,8 +116,8 @@ class TestRoundTrips:
         profile, curve = solved(n=5, rho=0.3, gamma=0.6)
         spec = SyntheticSpec(profile=profile, epsilon=0.3,
                              strategy=solve_strategy(profile, 0.3, curve=curve))
-        records = list(generate_synthetic([spec], 20_000, seed=7))
-        est = estimate_gamma(bribe_schedule(records, profile.tau))
+        table = table_from_records(generated_records([spec], 20_000, seed=7))
+        est = estimate_gamma(bribe_schedule(table, profile.tau))
         assert abs(est.gamma_hat - 0.6) < 0.02
 
     def test_planted_cutoff_shows_plateau(self, flagship):
@@ -130,8 +129,8 @@ class TestRoundTrips:
         cutoff = marginal_quantile(0.70)
         planted = PiecewiseStrategy(curve=curve, cutoff=cutoff, gamma=0.74, epsilon=0.0)
         spec = SyntheticSpec(profile=profile, epsilon=0.0, strategy=planted)
-        records = list(generate_synthetic([spec], 30_000, seed=8))
-        schedule = bribe_schedule(records, profile.tau)
+        table = table_from_records(generated_records([spec], 30_000, seed=8))
+        schedule = bribe_schedule(table, profile.tau)
         top = [b.mean_bribe_share for b in schedule.bins[-10:]]
         assert all(abs(s - 0.74) < 0.02 for s in top)
         # below the cutoff the curve bids strictly less than the plateau
@@ -141,8 +140,8 @@ class TestRoundTrips:
         profile, curve = solved(n=4, rho=0.0, gamma=0.015)
         strategy = solve_strategy(profile, 0.0, curve=curve)
         spec = SyntheticSpec(profile=profile, epsilon=0.0, strategy=strategy)
-        records = list(generate_synthetic([spec], 20_000, seed=10))
-        schedule = bribe_schedule(records, profile.tau)
+        table = table_from_records(generated_records([spec], 20_000, seed=10))
+        schedule = bribe_schedule(table, profile.tau)
         mids = np.array([math.sqrt(b.value_lo * b.value_hi) for b in schedule.bins])
         means = np.array([b.mean_bribe_share for b in schedule.bins])
         model = np.array([float(strategy.bid(v)) / v for v in mids])
@@ -154,12 +153,13 @@ class TestRoundTrips:
         thin = make_profile(n=3, rho=0.2, gamma=0.01, tau=MevType.BACKRUN)
         thick = make_profile(n=8, rho=0.2, gamma=0.01, tau=MevType.BACKRUN)
         specs = [SyntheticSpec(profile=thin, epsilon=0.0)]
-        recs = list(generate_synthetic(specs, 4000, seed=11))
+        recs = generated_records(specs, 4000, seed=11)
         specs2 = [SyntheticSpec(profile=thick, epsilon=0.0)]
         # the second stream's blocks follow the first's
         recs2 = [dataclasses.replace(r, block_number=r.block_number + 100_000)
-                 for r in generate_synthetic(specs2, 4000, seed=12)]
-        rows = board_diagnostic(effective_bidder_counts(recs + recs2, window=25))
+                 for r in generated_records(specs2, 4000, seed=12)]
+        rows = board_diagnostic(effective_bidder_counts(table_from_records(recs + recs2),
+                                                        window=25))
         by_bin = {(r.count_lo, r.count_hi): r for r in rows}
         # most thin-market records count 3-4 bidders, most thick-market ones 5-8
         assert by_bin[5, 8].mean_bribe_share > by_bin[3, 4].mean_bribe_share

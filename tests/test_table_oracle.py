@@ -24,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mevauction import solve_strategy
 from mevauction.diagnostics import (
     AffiliationPairs,
     AffiliationStat,
@@ -54,8 +55,9 @@ from mevauction.empirics import (
 )
 from mevauction.errors import ConfigurationError, ThinSampleError
 from mevauction.profiles import MevType
+from mevauction.synthetic import SyntheticSpec, generate_chunks
 
-from conftest import counted_pairs, pair_rows
+from conftest import counted_pairs, curve_for, make_profile, pair_rows, table_from_records
 from test_empirics import record
 
 
@@ -316,25 +318,25 @@ PROFITS = (AMOUNTS | st.sampled_from([-2.0, -1.0, -0.25])
 
 
 @st.composite
-def bundle_records(draw, max_size=160):
+def bundle_tables(draw, max_size=160):
     rows = draw(st.lists(st.tuples(
         st.sampled_from(list(MevType)),
         st.integers(0, 12),                  # few blocks: many records per block
         st.sampled_from(["b0", "b1", "b2"]) | st.text("xyz", min_size=1, max_size=3),
         st.sampled_from([f"s{i}" for i in range(6)]),
         TIPS, PROFITS), max_size=max_size))
-    return [record(tip=tip, profit=profit, mev_type=t, block=block, builder=b,
-                   searcher=s, tx=f"0x{i:x}")
-            for i, (t, block, b, s, tip, profit) in enumerate(rows)]
+    return table_from_records(
+        record(tip=tip, profit=profit, mev_type=t, block=block, builder=b,
+               searcher=s, tx=f"0x{i:x}")
+        for i, (t, block, b, s, tip, profit) in enumerate(rows))
 
 
-@given(bundle_records())
+@given(bundle_tables())
 @settings(max_examples=60, deadline=None)
-def test_columnar_matches_oracle(records):
-    table = BundleTable.from_records(records)
+def test_columnar_matches_oracle(table):
+    records = list(table.records())
     for mev_type in MevType:
-        for source in (records, table):
-            both(bribe_schedule, oracle_bribe_schedule, source, records, mev_type)
+        both(bribe_schedule, oracle_bribe_schedule, table, records, mev_type)
     gammas = {MevType.NAKED_ARB: 0.74, MevType.SANDWICH: 0.9, MevType.BACKRUN: 0.6}
     both(decompose, oracle_decompose, table, records, gammas)
     both(decompose, oracle_decompose, table, records,
@@ -404,7 +406,8 @@ def test_full_bins_and_thin_type_match_oracle():
                       searcher=f"s{i % 11}", tx=f"0x{i:x}")
                for i, (v, s, t) in enumerate(zip(values, shares, types))]
     records += [record(tip=1.0, profit=-4.0, block=i, tx=f"0xneg{i}") for i in range(9)]
-    table = BundleTable.from_records(records)
+    table = table_from_records(records)
+    records = list(table.records())
     full = both(bribe_schedule, oracle_bribe_schedule, table, records, MevType.NAKED_ARB)
     assert len(full.bins) == 50
     thin = both(bribe_schedule, oracle_bribe_schedule, table, records, MevType.SANDWICH)
@@ -427,7 +430,7 @@ def test_missing_gamma_names_first_seen_type():
     records = [record(tip=1.0, profit=1.0, mev_type=MevType.SANDWICH, block=1, tx="a"),
                record(tip=1.0, profit=1.0, mev_type=MevType.BACKRUN, block=2, tx="b")]
     with pytest.raises(ConfigurationError, match="sandwich"):
-        decompose(records, {MevType.NAKED_ARB: 0.5})
+        decompose(table_from_records(records), {MevType.NAKED_ARB: 0.5})
     with pytest.raises(ConfigurationError, match="sandwich"):
         oracle_decompose(records, {MevType.NAKED_ARB: 0.5})
 
@@ -435,8 +438,40 @@ def test_missing_gamma_names_first_seen_type():
 def test_record_view_round_trips():
     records = [BundleRecord("0x1", 5, MevType.BACKRUN, "b", "s", 1.5, -0.25),
                BundleRecord("0x2", 4, MevType.SANDWICH, "c", "t", 0.0, 2.0)]
-    table = BundleTable.from_records(records)
+    table = table_from_records(records)
     assert list(table.records()) == records
     assert list(table.select([1, 0]).records()) == records[::-1]
     assert list(table.select(np.array([False, True])).records()) == records[1:]
     assert list(table.select([]).records()) == []
+
+
+def test_table_from_records_rebuilds_generated_chunks():
+    # conftest's table_from_records codes builders and searchers in the order
+    # they are first seen, so the rebuilt label tuples are the chunk's labels
+    # in that order, and each row keeps its labels
+    specs = []
+    for tau, gamma in ((MevType.NAKED_ARB, 0.74), (MevType.BACKRUN, 0.6)):
+        profile = make_profile(gamma=gamma, tau=tau)
+        specs.append(SyntheticSpec(profile=profile, epsilon=0.3, strategy=solve_strategy(
+            profile, 0.3, curve=curve_for(profile))))
+    chunks = list(generate_chunks(specs, 2000, seed=5, opportunities_per_block=2))
+    assert [len(set(chunk.mev_type.tolist())) for chunk in chunks] == [1, 1]
+    for chunk in chunks:
+        rebuilt = table_from_records(chunk.records())
+        assert rebuilt.tx_hash == chunk.tx_hash
+        for name in ("block", "mev_type"):
+            got, want = getattr(rebuilt, name), getattr(chunk, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        for codes, labels in (("builder", "builders"), ("searcher", "searchers")):
+            rows = [getattr(chunk, labels)[c] for c in getattr(chunk, codes).tolist()]
+            assert getattr(rebuilt, labels) == tuple(dict.fromkeys(rows)), labels
+            assert [getattr(rebuilt, labels)[c] for c in getattr(rebuilt, codes).tolist()] \
+                == rows, codes
+        for name in ("tip", "profit", "value"):
+            got, want = getattr(rebuilt, name), getattr(chunk, name)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+    empty = table_from_records([])
+    assert len(empty) == 0 and empty.tx_hash == []
+    assert (empty.builders, empty.searchers) == ((), ())
+    for name in ("block", "mev_type", "builder", "searcher", "tip", "profit", "value"):
+        assert getattr(empty, name).shape == (0,), name
