@@ -14,7 +14,7 @@
 # %%
 import numpy as np
 
-from mevauction import optimal_epsilon, revenue_sweep, solve_bid_ode
+from mevauction import DEFAULT_EPSILON_GRID, revenue_sweep, solve_bid_ode
 from mevauction.profiles import MevType, TypeProfile
 
 MU, SIGMA = 1.102, 2.524
@@ -30,9 +30,8 @@ cases = {
 
 # %%
 for label, profile in cases.items():
-    result = optimal_epsilon(profile)
-    rp = result.profile
-    print(f"\n{label}: regime = {result.regime}, best rate = {result.epsilon_star}")
+    rp = revenue_sweep(profile, DEFAULT_EPSILON_GRID)
+    print(f"\n{label}: regime = {rp.regime}, best rate = {rp.epsilon_star}")
     for i in range(0, len(rp.epsilons), 4):
         cut = "inf" if np.isinf(rp.cutoffs[i]) else f"{rp.cutoffs[i]:.3g}"
         print(f"  eps={rp.epsilons[i]:.2f}  revenue={rp.revenues[i]:12.4f}  "

@@ -26,16 +26,21 @@ from mevauction.profiles import MevType, TypeProfile
 from mevauction.synthetic import SyntheticSpec, generate_chunks
 
 MU, SIGMA = 1.102, 2.524
+# (n, rho, gamma, epsilon) per type.  A plateau needs a finite cutoff: the
+# liquidation type's indifference level stays above 0.49 on the whole grid,
+# so at epsilon = 0.3 it would never deter, and it is planted at 0.8, where
+# its cutoff sits near the median value
 planted = {
-    MevType.NAKED_ARB: (5, 0.3, 0.74),
-    MevType.LIQUIDATION: (3, 0.2, 0.88),
-    MevType.BACKRUN: (7, 0.4, 0.60),
+    MevType.NAKED_ARB: (5, 0.3, 0.74, 0.3),
+    MevType.LIQUIDATION: (3, 0.2, 0.88, 0.8),
+    MevType.BACKRUN: (7, 0.4, 0.60, 0.3),
 }
 specs = []
-for tau, (n, rho, gamma) in planted.items():
+for tau, (n, rho, gamma, epsilon) in planted.items():
     profile = TypeProfile(tau, n=n, rho=rho, gamma=gamma, mu=MU, sigma=SIGMA)
-    specs.append(SyntheticSpec(profile=profile, epsilon=0.3,
-                               strategy=solve_strategy(profile, 0.3)))
+    specs.append(SyntheticSpec(profile=profile, epsilon=epsilon,
+                               strategy=solve_strategy(profile, epsilon)))
+cutoffs = {spec.profile.tau: spec.strategy.cutoff for spec in specs}
 
 tmp = tempfile.TemporaryDirectory()
 bundles = Path(tmp.name) / "bundles.csv"
@@ -46,16 +51,19 @@ print(f"{len(table)} records (frontrun blocks emit none: they revert unpaid)")
 
 # %% [markdown]
 # ## Plateau estimates against the planted shares
+#
+# Searchers above a type's cutoff bid gamma * v, so its bribe share levels
+# off at gamma in the right tail; the cutoff says where that plateau starts.
 
 # %%
 estimates = {}
-for tau, (_, _, gamma) in planted.items():
+for tau, (_, _, gamma, _) in planted.items():
     schedule = bribe_schedule(table, tau)
     est = estimate_gamma(schedule)
     estimates[tau] = est
     lo = schedule.bins[0].mean_bribe_share
     print(f"{tau.value:<12} planted {gamma:.2f}  estimated {est.gamma_hat:.4f}  "
-          f"(schedule runs {lo:.2f} -> {est.gamma_hat:.2f}, "
+          f"cutoff {cutoffs[tau]:.3g}  (schedule runs {lo:.2f} -> {est.gamma_hat:.2f}, "
           f"plateau dispersion {est.dispersion:.1e})")
 
 # %% [markdown]

@@ -33,10 +33,8 @@ from .equilibrium import (
 )
 from .revenue import (
     DEFAULT_EPSILON_GRID,
-    OptimalEpsilon,
     RevenueProfile,
     expected_revenue,
-    optimal_epsilon,
     revenue_derivative,
     revenue_sweep,
 )

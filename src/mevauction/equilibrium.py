@@ -95,7 +95,6 @@ def default_grid(profile: TypeProfile, nodes: int = DEFAULT_NODES) -> GridSpec:
     F(v)^(n-1) stays representable; the iid bound is conservative under
     affiliation, which only raises the conditional CDF at low own values.
     """
-    profile.require_dispersion()
     q_lo = max(DEFAULT_Q_LO, math.exp(-600.0 / (profile.n - 1)))
     v_min = math.exp(profile.mu + profile.sigma * ndtri(q_lo))
     v_max = math.exp(profile.mu - profile.sigma * ndtri(DEFAULT_TOP_TAIL / profile.n))
@@ -276,7 +275,6 @@ def solve_bid_ode(profile: TypeProfile, grid_spec: GridSpec | None = None) -> Bi
     The left boundary anchors at the independent-values closed form,
     ``ipv_bid(v_min)``; the equation contracts its error going right.
     """
-    profile.require_dispersion()
     spec = grid_spec or default_grid(profile)
 
     try:

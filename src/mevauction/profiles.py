@@ -4,7 +4,9 @@ A :class:`TypeProfile` bundles everything the game needs about one MEV
 category: how many searchers compete (``n``), how correlated their private
 signals are (``rho``), what fraction of the opportunity a defecting builder
 can replicate (``gamma``), and the log-normal value scale (``mu``, ``sigma``,
-both on the log-USDC scale).
+both on the log-USDC scale).  Its constructor is the one check of a profile:
+the solvers, the revenue integrals and the simulator take any profile as
+valid and check none of its fields again.
 """
 
 from __future__ import annotations
@@ -37,8 +39,10 @@ class MevType(str, enum.Enum):
 class TypeProfile:
     """Per-type structural parameters.
 
-    sigma = 0 is tolerated as a degenerate case (all values equal exp(mu)),
-    but the equilibrium and revenue solvers require sigma > 0.
+    sigma must be > 0: every solver integrates the log-normal value density
+    (the hazard ratio of the bid equation, the top-value density of the
+    revenue integrals, the factor posterior of the deviation harness), which
+    a point mass at exp(mu) does not have.
     """
 
     tau: MevType
@@ -57,9 +61,5 @@ class TypeProfile:
             raise ParameterError(f"gamma must be in [0, 1], got {self.gamma!r}")
         if not math.isfinite(self.mu):
             raise ParameterError(f"mu must be finite, got {self.mu!r}")
-        if not (self.sigma >= 0.0) or not math.isfinite(self.sigma):
-            raise ParameterError(f"sigma must be >= 0, got {self.sigma!r}")
-
-    def require_dispersion(self):
-        if self.sigma <= 0.0:
-            raise ParameterError("this operation requires sigma > 0")
+        if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
+            raise ParameterError(f"sigma must be > 0, got {self.sigma!r}")

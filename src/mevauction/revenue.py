@@ -187,7 +187,6 @@ def expected_revenue(epsilon: float, strategy: PiecewiseStrategy,
                      profile: TypeProfile) -> float:
     """Ex-ante builder revenue for the piecewise strategy at ``epsilon``."""
     _check_consistent(epsilon, strategy, profile)
-    profile.require_dispersion()
     level = IndifferenceLevel(strategy.curve, profile.gamma)
     bid, gap, safe = _PanelTable(level, profile).parts(strategy.cutoff)
     return float(bid + epsilon * gap + safe)
@@ -207,7 +206,6 @@ def revenue_derivative(epsilon: float, strategy: PiecewiseStrategy,
     derivative of ``expected_revenue``).
     """
     _check_consistent(epsilon, strategy, profile)
-    profile.require_dispersion()
     level = IndifferenceLevel(strategy.curve, profile.gamma)
     if not level.binds:
         return 0.0
@@ -263,13 +261,6 @@ class RevenueProfile:
         return float(np.asarray(self.epsilons)[0 if flat else int(np.argmax(revenues))])
 
 
-@dataclass(frozen=True)
-class OptimalEpsilon:
-    epsilon_star: float
-    regime: str
-    profile: RevenueProfile
-
-
 def revenue_sweep(profile: TypeProfile, grid, curve: BidCurve | None = None) -> RevenueProfile:
     """Revenue, derivative, and cutoff at each grid rate (any grid size >= 1).
 
@@ -287,7 +278,6 @@ def revenue_sweep(profile: TypeProfile, grid, curve: BidCurve | None = None) -> 
         raise ParameterError("epsilon grid must be increasing within [0, 1)")
 
     curve = curve if curve is not None else solve_bid_ode(profile)
-    profile.require_dispersion()
     level = IndifferenceLevel(curve, profile.gamma)
     table = _PanelTable(level, profile)
     parts = {}  # cutoff -> (bid, gap, safe)
@@ -311,14 +301,3 @@ def revenue_sweep(profile: TypeProfile, grid, curve: BidCurve | None = None) -> 
         cutoffs=np.array(cutoffs),
         regime=level.regime,
     )
-
-
-def optimal_epsilon(profile: TypeProfile, grid=None,
-                    curve: BidCurve | None = None) -> OptimalEpsilon:
-    """Grid argmax of expected revenue (``RevenueProfile.epsilon_star``)
-    with regime classification, on at least 21 rates."""
-    eps_grid = np.asarray(DEFAULT_EPSILON_GRID if grid is None else grid, dtype=float)
-    if eps_grid.size < 21:
-        raise ParameterError("epsilon grid needs at least 21 points")
-    rp = revenue_sweep(profile, eps_grid, curve=curve)
-    return OptimalEpsilon(epsilon_star=rp.epsilon_star, regime=rp.regime, profile=rp)

@@ -8,13 +8,13 @@ gamma * v_top, zeroes the searcher, and collects no bid.
 
 Winner rule: the highest idiosyncratic draw (equivalently, the highest
 signal) wins.  The searchers of a block share its common factor, and a value
-rises with its draw (``sqrt(1 - rho) > 0`` and ``sigma >= 0``), so the winner
-is the highest-value searcher; only its signal, value and bid are computed.
-The strategy never decreases, so it is also the highest bidder.  The top draw
-is sampled as one order statistic, the maximum of n iid N(0, 1) draws, whose
-CDF is Phi^n; by exchangeability the winner's index is uniform on [0, n) and
-drawn apart from its top draw.  The other n - 1 draws are never made, so the
-cost of an auction does not grow with n.
+rises strictly with its draw (``sqrt(1 - rho) > 0`` and ``sigma > 0``), so
+the winner is the highest-value searcher; only its signal, value and bid are
+computed.  The strategy never decreases, so it is also the highest bidder.
+The top draw is sampled as one order statistic, the maximum of n iid N(0, 1)
+draws, whose CDF is Phi^n; by exchangeability the winner's index is uniform
+on [0, n) and drawn apart from its top draw.  The other n - 1 draws are
+never made, so the cost of an auction does not grow with n.
 
 One private kernel, ``_play``, draws and plays a chunk of auctions; the
 game engine here and ``synthetic._chunks`` both call it, so the
@@ -350,7 +350,6 @@ def deviation_payoff_grid(v: float, bids, strategy: PiecewiseStrategy,
     """
     if not (v > 0 and math.isfinite(v)):
         raise DomainError("v must be positive and finite")
-    profile.require_dispersion()
     bids = np.asarray(bids, dtype=float)
     if bids.ndim != 1 or bids.size == 0 or not np.all(np.isfinite(bids) & (bids >= 0)):
         raise ParameterError("bids must be a 1-d array of finite nonnegative bids")

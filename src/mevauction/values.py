@@ -257,7 +257,6 @@ def _log_sum(terms):
 
 def rival_max_cdf(y, v, profile: TypeProfile):
     """H(y|v) = P(max of the n-1 rival values <= y | own value v)."""
-    profile.require_dispersion()
     y, y_scalar = _positive("y", y)
     v, v_scalar = _positive("v", v)
     y, v = np.broadcast_arrays(y, v)
@@ -276,7 +275,6 @@ def rival_max_hazard_ratio(v, profile: TypeProfile):
     Raises TailUnderflowError when H(v|v) is below 1e-300, which happens only
     for v absurdly deep in the left tail.
     """
-    profile.require_dispersion()
     v, scalar = _positive("v", v)
     out = _in_blocks(lambda vb: _hazard_rows(vb, profile), v)
     return float(out[0]) if scalar else out
@@ -307,7 +305,6 @@ def _hazard_rows(v, profile):
 
 def top_value_density(v, profile: TypeProfile):
     """Density f1(v) of max(v_1..v_n); integrates to one over (0, inf)."""
-    profile.require_dispersion()
     v, scalar = _positive("v", v)
     out = _in_blocks(lambda vb: _density_rows(vb, profile), v)
     return float(out[0]) if scalar else out
@@ -327,7 +324,6 @@ def _density_rows(v, profile):
 
 def top_value_cdf(v, profile: TypeProfile):
     """P(max of all n values <= v)."""
-    profile.require_dispersion()
     v, scalar = _positive("v", v)
     out = _in_blocks(lambda vb: _cdf_rows(vb, profile), v)
     return float(out[0]) if scalar else out
@@ -340,7 +336,6 @@ def _cdf_rows(v, profile):
 
 def top_value_sf(v, profile: TypeProfile):
     """P(max > v), computed without cancellation for deep right tails."""
-    profile.require_dispersion()
     v, scalar = _positive("v", v)
     out = _in_blocks(lambda vb: _sf_rows(vb, profile), v)
     return float(out[0]) if scalar else out
@@ -354,7 +349,6 @@ def _sf_rows(v, profile):
 
 def top_value_quantile(q: float, profile: TypeProfile) -> float:
     """Quantile of the maximum-value distribution, by Brent's method in ln v."""
-    profile.require_dispersion()
     if not (0.0 < q < 1.0):
         raise DomainError("q must be in (0, 1)")
     # the max lies between the marginal q-quantile and the q^(1/n) union bound
@@ -374,7 +368,6 @@ def top_value_tail_mean(limit: float, profile: TypeProfile) -> float:
     Phi(s + s_perp)^(n-1), handled by fixed Gauss-Legendre quadrature; the
     log-normal tail mean itself is analytic.
     """
-    profile.require_dispersion()
     if not (0.0 <= limit < math.inf):
         raise DomainError("limit must be >= 0 and finite")
     n = profile.n

@@ -19,8 +19,8 @@ from mevauction import (
     deviation_payoff_grid,
     expected_revenue,
     ipv_bid,
-    optimal_epsilon,
     revenue_derivative,
+    revenue_sweep,
     run_many,
     solve_bid_ode,
     solve_strategy,
@@ -112,13 +112,13 @@ def test_criterion_2_best_response():
 
 
 def test_criterion_3_high_extractability_monotone():
-    result = optimal_epsilon(ALL_BINDING, curve=curve_for(ALL_BINDING))
+    result = revenue_sweep(ALL_BINDING, DEFAULT_EPSILON_GRID, curve=curve_for(ALL_BINDING))
     assert result.regime == "high_extractability"
-    revenues = result.profile.revenues
+    revenues = result.revenues
     level = float(np.max(np.abs(revenues)))
     increments = np.diff(revenues)
     assert np.all(increments > 1e-6 * level), increments.min()
-    assert np.all(result.profile.derivatives[1:-1] > 0.0)
+    assert np.all(result.derivatives[1:-1] > 0.0)
     assert result.epsilon_star == DEFAULT_EPSILON_GRID[-1]
     note(3, f"revenue strictly increasing over the grid "
             f"(min increment {increments.min():.4g} on level {level:.4g}); "
@@ -126,9 +126,10 @@ def test_criterion_3_high_extractability_monotone():
 
 
 def test_criterion_4_low_extractability_flat():
-    result = optimal_epsilon(NEVER_BINDING, curve=curve_for(NEVER_BINDING))
+    result = revenue_sweep(NEVER_BINDING, DEFAULT_EPSILON_GRID,
+                           curve=curve_for(NEVER_BINDING))
     assert result.regime == "low_extractability"
-    revenues = result.profile.revenues
+    revenues = result.revenues
     spread = float(revenues.max() - revenues.min())
     level = float(np.max(np.abs(revenues)))
     assert spread < 1e-6 * level, spread

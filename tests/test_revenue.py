@@ -14,7 +14,6 @@ from mevauction import (
     PiecewiseStrategy,
     RevenueProfile,
     expected_revenue,
-    optimal_epsilon,
     revenue_derivative,
     revenue_sweep,
     run_many,
@@ -219,20 +218,20 @@ class TestRevenueDerivative:
 class TestOptimalEpsilon:
     def test_high_extractability_prefers_max_rate(self, solved):
         profile, curve = solved(n=3, rho=0.2, gamma=0.998)
-        result = optimal_epsilon(profile, curve=curve)
+        result = revenue_sweep(profile, DEFAULT_EPSILON_GRID, curve=curve)
         assert result.regime == "high_extractability"
         assert result.epsilon_star == DEFAULT_EPSILON_GRID[-1]
-        assert np.all(np.diff(result.profile.revenues) > 0)
-        assert np.all(result.profile.derivatives > 0)
+        assert np.all(np.diff(result.revenues) > 0)
+        assert np.all(result.derivatives > 0)
 
     def test_low_extractability_flat(self, solved):
         profile, curve = solved(n=10, rho=0.4, gamma=0.05, sigma=0.5)
-        result = optimal_epsilon(profile, curve=curve)
+        result = revenue_sweep(profile, DEFAULT_EPSILON_GRID, curve=curve)
         assert result.regime == "low_extractability"
-        level = result.profile.revenues.max()
-        assert result.profile.revenues.max() - result.profile.revenues.min() < 1e-6 * level
+        level = result.revenues.max()
+        assert result.revenues.max() - result.revenues.min() < 1e-6 * level
         assert result.epsilon_star == 0.0
-        assert np.all(result.profile.derivatives == 0.0)
+        assert np.all(result.derivatives == 0.0)
 
     def test_near_flat_profile_reports_the_lowest_rate_on_any_grid(self, solved):
         # revenues within 1e-15 relative whose raw argmax is the last rate: the
@@ -241,14 +240,13 @@ class TestOptimalEpsilon:
         rp = revenue_sweep(profile, list(DEFAULT_EPSILON_GRID), curve=curve)
         assert int(np.argmax(rp.revenues)) == len(DEFAULT_EPSILON_GRID) - 1
         assert rp.epsilon_star == 0.0
-        assert optimal_epsilon(profile, curve=curve).epsilon_star == 0.0
         assert revenue_sweep(profile, [0.5], curve=curve).epsilon_star == 0.5
 
     def test_mixed_regime_reported(self, flagship):
         profile, curve = flagship
-        result = optimal_epsilon(profile, curve=curve)
+        result = revenue_sweep(profile, DEFAULT_EPSILON_GRID, curve=curve)
         assert result.regime == "mixed"
-        assert np.all(np.isfinite(result.profile.revenues))
+        assert np.all(np.isfinite(result.revenues))
 
     def test_sweep_integrates_once_per_cutoff(self, solved, monkeypatch):
         # one panel table per sweep, evaluated once per distinct cutoff: the
@@ -294,11 +292,9 @@ class TestOptimalEpsilon:
         assert len(full_grid) == 1
 
     def test_grid_validation(self, flagship):
-        profile, _ = flagship
-        with pytest.raises(ParameterError):
-            optimal_epsilon(profile, grid=[0.0, 0.5])
-        with pytest.raises(ParameterError):
-            optimal_epsilon(profile, grid=np.linspace(0.0, 1.0, 21))
+        profile, curve = flagship
+        with pytest.raises(ParameterError, match=r"within \[0, 1\)"):
+            revenue_sweep(profile, np.linspace(0.0, 1.0, 21), curve=curve)
 
     def test_level_regime(self, solved):
         _, curve = solved(n=3, rho=0.2)
@@ -330,13 +326,13 @@ class TestReferenceSweep:
         # cutoff at eps = 0.2 is the one its solve command records
         reference = json.loads(REFERENCE.read_text(encoding="utf-8"))[label]
         profile = make_profile(**THEORY_PROFILES[label])
-        result = optimal_epsilon(profile, curve=curve_for(profile))
+        result = revenue_sweep(profile, DEFAULT_EPSILON_GRID, curve=curve_for(profile))
         sweep = reference["sweep"]
-        np.testing.assert_allclose(result.profile.revenues, sweep["revenues"],
+        np.testing.assert_allclose(result.revenues, sweep["revenues"],
                                    rtol=1e-9, atol=0.0)
         assert result.regime == sweep["regime"]
         assert result.epsilon_star == sweep["epsilon_star"]
-        cutoff = result.profile.cutoffs[DEFAULT_EPSILON_GRID.index(0.2)]
+        cutoff = result.cutoffs[DEFAULT_EPSILON_GRID.index(0.2)]
         if reference["solve"]["cutoff"] == "inf":
             assert cutoff == math.inf
         else:

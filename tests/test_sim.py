@@ -13,7 +13,7 @@ from mevauction import (
     simulate,
     solve_strategy,
 )
-from mevauction.equilibrium import BidCurve, PiecewiseStrategy
+from mevauction.equilibrium import PiecewiseStrategy
 from mevauction.errors import DomainError, ParameterError
 from mevauction.rng import stream
 from mevauction.simulate import (CHUNK, _chunk_sizes, _play, _rival_chunk, _simulate_chunk,
@@ -435,15 +435,11 @@ class TestPlay:
     @pytest.mark.parametrize("shape", [(CHUNK,), (CHUNK // 2, 2)],
                              ids=["plain", "two-per-block"])
     def test_equal_values_go_to_a_uniform_winner(self, shape):
-        # sigma = 0: every value is exp(mu), so every auction ties on value
-        # and bid, and the winner's index is uniform over the searchers
-        curve = BidCurve(grid=np.array([1.0, 2.0, 3.0, 4.0]),
-                         bids=np.array([0.5, 0.9, 0.9, 1.5]))
-        strat = PiecewiseStrategy(curve=curve, cutoff=math.inf, gamma=0.5, epsilon=0.5)
-        profile = make_profile(n=3, rho=0.3, gamma=0.5, mu=math.log(2.5), sigma=0.0)
-        winner, top_bid, top_val, _, _, _ = _play(strat, profile, 0.5, 0.5, (4, 1), shape)
-        np.testing.assert_array_equal(top_val, np.exp(np.full(shape, profile.mu)))
-        np.testing.assert_array_equal(top_bid, strat.bid(top_val.ravel()).reshape(shape))
+        # the searchers are exchangeable, so the winner's index is uniform
+        # over them
+        profile = make_profile(n=3)
+        strat = solve_strategy(profile, 0.5, curve=curve_for(profile))
+        winner, _, _, _, _, _ = _play(strat, profile, profile.gamma, 0.5, (4, 1), shape)
         assert chisquare(np.bincount(winner.ravel(), minlength=3)).pvalue > KS_P_MIN
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import signal
@@ -42,10 +43,13 @@ def draw_signals(profile, size, rng):
 
 
 class TestSampling:
-    def test_degenerate_dispersion(self):
-        profile = make_profile(rho=0.0, sigma=0.0)
-        _, _, z = draw_signals(profile, 1, stream(1))
-        assert np.all(np.exp(profile.mu + profile.sigma * z) == math.exp(MU))
+    def test_zero_dispersion_rejected(self):
+        # the constructor is the one check of a profile, so a copy made with
+        # dataclasses.replace must pass through it as well
+        valid = make_profile(sigma=1e-9)
+        for sigma in (0.0, -0.0, math.inf, math.nan):
+            with pytest.raises(ParameterError, match="sigma must be > 0"):
+                dataclasses.replace(valid, sigma=sigma)
 
     def test_lognormal_location_recovered(self):
         # mean of ln v over 1e6 draws must sit at mu within 0.01
@@ -85,6 +89,8 @@ class TestSampling:
             make_profile(gamma=1.5)
         with pytest.raises(ParameterError):
             make_profile(sigma=-0.1)
+        with pytest.raises(ParameterError, match="sigma must be > 0"):
+            make_profile(sigma=0.0)
 
 
 class TestRivalMaxCdf:
