@@ -56,7 +56,6 @@ from .empirics import (
     decompose,
     estimate_gamma,
     iter_bundles,
-    validate_bergemann_rule,
     write_bundles,
 )
 from .diagnostics import (

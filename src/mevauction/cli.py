@@ -73,7 +73,6 @@ from .empirics import (
     MEV_TYPES,
     BundleTable,
     IngestReport,
-    _bergemann_rule,
     _csv_field,
     _types_present,
     bergemann_threshold,
@@ -82,7 +81,6 @@ from .empirics import (
     estimate_gamma,
     iter_bundles,  # noqa: F401  perfbench's tracer test reads cli.iter_bundles
     write_bundles,
-    DEFAULT_BERGEMANN_RULE,
 )
 from .diagnostics import (
     DEFAULT_PROXY_WINDOW,
@@ -132,8 +130,7 @@ PARAMS = {
     "generate": SPEC + RUN + (
         ("opportunities_per_block", int, 1, "auctions per block and type"),),
     "estimate": (INPUT,),
-    "report": (INPUT, ("bergemann_rule", str, DEFAULT_BERGEMANN_RULE, "named disclosure rule"),
-               ("window", int, DEFAULT_PROXY_WINDOW, "bidder-count proxy window (blocks)")),
+    "report": (INPUT, ("window", int, DEFAULT_PROXY_WINDOW, "bidder-count proxy window (blocks)")),
 }
 
 
@@ -363,8 +360,7 @@ def cmd_estimate(p, written, out):
 
 
 def cmd_report(params, written, out):
-    # the rule, the input and the window are checked before the first write
-    rule = _bergemann_rule(params["bergemann_rule"])
+    # the input and the window are checked before the first write
     ingest_report = IngestReport()
     table = BundleTable.read(params["input"], ingest_report)
     counted = effective_bidder_counts(table, window=params["window"])
@@ -387,7 +383,7 @@ def cmd_report(params, written, out):
 
     # schedules, estimates, decomposition
     estimates = _write_estimates(table, out)
-    skipped_thin = sorted(MEV_TYPES[c].value for c in summarized
+    skipped_thin = sorted(MEV_TYPES[c].value for c in _types_present(table.mev_type)
                           if MEV_TYPES[c] not in estimates)
     decomposition = None
     if estimates:
@@ -427,7 +423,7 @@ def cmd_report(params, written, out):
     for c in _types_present(proxy_types):
         n_eff = max(2, int(round(float(np.median(counted.proxy[proxy_types == c])))))
         berg[MEV_TYPES[c].value] = {"n_effective": n_eff,
-                                    "threshold": bergemann_threshold(n_eff, rule=rule)}
+                                    "threshold": bergemann_threshold(n_eff)}
     _write_csv(out / "fig4_bergemann.csv", "mev_type,n_effective,threshold",
                ((t, b["n_effective"], b["threshold"]) for t, b in berg.items()))
 
@@ -452,7 +448,7 @@ def cmd_report(params, written, out):
         "concentration": {t.value: {"groups": c.groups, "gini": c.gini,
                                     "top_k_shares": c.top_k_shares}
                           for t, c in conc.items()},
-        "bergemann": {"rule": params["bergemann_rule"], "proxy_window_blocks": params["window"],
+        "bergemann": {"rule": "one_minus_inverse_n", "proxy_window_blocks": params["window"],
                       "per_type": berg},
         "bin_weighting": "record-weighted within bins; bin-uniform dispersion "
                          "reported by estimate_gamma",

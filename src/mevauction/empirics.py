@@ -185,7 +185,9 @@ class BundleTable:
         are converted one column at a time (``_block_columns``), and only a
         row that a column check flags goes through ``_parse_row``.
         Malformed rows are counted in ``report`` (not fatal); if they exceed
-        0.1% of rows, IngestError is raised with samples.  A row that
+        0.1% of this file's rows, IngestError is raised with this file's
+        samples.  ``report`` adds up the counts and samples of every read it
+        is given, and each read adds at most 10 samples.  A row that
         ``csv.reader`` cannot tokenize (a field longer than
         ``csv.field_size_limit()``, as an unterminated quote makes) is an
         IngestError naming the file and the line the row starts on.  A header
@@ -193,6 +195,7 @@ class BundleTable:
         """
         report = report if report is not None else IngestReport()
         rows_read = malformed = 0
+        samples = []
         # typed arrays hold each parsed field in 8 bytes (types in 1), with no
         # per-row Python object kept but the tx hash
         tx, builder_codes, searcher_codes = [], {}, {}
@@ -230,7 +233,7 @@ class BundleTable:
                 lines_read += spanned
                 rows_read += len(rows)
                 (t, b, c, bu, se, tp, pr), rejected = _block_columns(
-                    rows, first_line, report.samples)
+                    rows, first_line, samples)
                 malformed += rejected
                 tx += t
                 block.frombytes(b.tobytes())
@@ -242,10 +245,11 @@ class BundleTable:
         report.rows_read += rows_read
         report.malformed += malformed
         report.records += len(tx)
-        if report.rows_read and report.malformed > MALFORMED_LIMIT * report.rows_read:
+        report.samples += samples
+        if malformed > MALFORMED_LIMIT * rows_read:
             raise IngestError(
-                f"{path}: {report.malformed}/{report.rows_read} malformed rows "
-                f"exceed the {MALFORMED_LIMIT:.1%} threshold; samples: {report.samples[:5]}"
+                f"{path}: {malformed}/{rows_read} malformed rows "
+                f"exceed the {MALFORMED_LIMIT:.1%} threshold; samples: {samples[:5]}"
             )
 
         def codes(column):
@@ -667,46 +671,9 @@ def decompose(table: BundleTable, gammas) -> DecompositionReport:
 # honest-disclosure benchmark
 # ---------------------------------------------------------------------------
 
-def _rule_one_minus_inverse_n(n: int) -> float:
-    return 1.0 - 1.0 / n
-
-
-BERGEMANN_RULES = {"one_minus_inverse_n": _rule_one_minus_inverse_n}
-DEFAULT_BERGEMANN_RULE = "one_minus_inverse_n"
-
-_PROBE_NS = (2, 3, 5, 10, 20, 50, 100, 1000)
-
-
-def validate_bergemann_rule(rule) -> None:
-    """Contract for any disclosure rule: values in [0, 1], nondecreasing in n."""
-    vals = [rule(n) for n in _PROBE_NS]
-    if any(not (0.0 <= v <= 1.0) for v in vals):
-        raise ConfigurationError("disclosure rule must map into [0, 1]")
-    if any(b < a for a, b in zip(vals, vals[1:])):
-        raise ConfigurationError("disclosure rule must be nondecreasing in n")
-
-
-def bergemann_threshold(n_effective: int, rule=None) -> float:
-    """Honest-disclosure benchmark for ``n_effective`` competing searchers.
-
-    No closed form is imposed; the rule is configuration (name or callable)
-    and only its monotonicity and range are enforced.  Thicker markets must
-    tolerate at least as much disclosure.
-    """
+def bergemann_threshold(n_effective: int) -> float:
+    """Honest-disclosure benchmark for ``n_effective`` competing searchers:
+    1 - 1/n, which lies in [1/2, 1) and rises with the bidder count."""
     if n_effective < 2:
         raise DomainError("n_effective must be >= 2")
-    return float(_bergemann_rule(rule)(int(n_effective)))
-
-
-def _bergemann_rule(rule=None):
-    """The disclosure rule ``rule`` names (the default for None), or the
-    callable ``rule`` itself, checked against the rule contract."""
-    if rule is None:
-        rule = BERGEMANN_RULES[DEFAULT_BERGEMANN_RULE]
-    elif isinstance(rule, str):
-        try:
-            rule = BERGEMANN_RULES[rule]
-        except KeyError:
-            raise ConfigurationError(f"unknown disclosure rule {rule!r}") from None
-    validate_bergemann_rule(rule)
-    return rule
+    return 1.0 - 1.0 / n_effective

@@ -282,6 +282,19 @@ class TestGenerateEstimateReport:
         assert "naked_arb" in report["gamma_estimates"]
         assert report["bergemann"]["rule"] == "one_minus_inverse_n"
 
+    def test_report_manifest_records_no_disclosure_rule(self, tmp_path):
+        # the rule is fixed, so report.json names it and the manifest has no
+        # parameter for it
+        bundles = self.make_bundles(tmp_path)
+        out = tmp_path / "report"
+        assert run(["report", "--input", str(bundles), "--out-dir", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert not any("bergemann" in key or "rule" in key for key in config)
+        bergemann = json.loads((out / "report.json").read_text())["bergemann"]
+        assert bergemann["rule"] == "one_minus_inverse_n"
+        for doc in bergemann["per_type"].values():
+            assert doc["threshold"] == 1.0 - 1.0 / doc["n_effective"]
+
     def test_report_tolerates_thin_types(self, tmp_path):
         bundles = self.make_bundles(tmp_path)
         # append a handful of liquidation rows: too thin for a schedule
@@ -293,6 +306,20 @@ class TestGenerateEstimateReport:
         report = json.loads((out / "report.json").read_text())
         assert report["data_quality"]["types_too_thin_to_estimate"] == ["liquidation"]
         assert "naked_arb" in report["gamma_estimates"]
+
+    def test_report_counts_an_all_nonpositive_type_as_too_thin(self, tmp_path):
+        bundles = self.make_bundles(tmp_path)
+        # backrun rows whose every extracted value is non-positive: the type
+        # is read and counted, but has no record for a schedule
+        with open(bundles, "a", encoding="utf-8") as fh:
+            for i in range(600):
+                fh.write(f"0xneg{i},{i + 1},backrun,b,s,0,-1\n")
+        out = tmp_path / "nonpositive"
+        assert run(["report", "--input", str(bundles), "--out-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["data_quality"]["types_too_thin_to_estimate"] == ["backrun"]
+        assert report["data_quality"]["nonpositive_extracted_value"] == 600
+        assert sorted(report["gamma_estimates"]) == ["naked_arb"]
 
     def test_report_byte_identical_reruns(self, tmp_path):
         bundles = self.make_bundles(tmp_path, blocks=1500)
@@ -529,10 +556,8 @@ FAILED_RUNS = {
     "report-missing-input": (["report", "--input", "{missing}"], "FileNotFoundError"),
     "report-window": (["report", "--input", "{input}", "--window", "0"],
                       "ConfigurationError"),
-    "report-rule": (["report", "--input", "{input}", "--bergemann-rule", "bogus"],
-                    "ConfigurationError"),
-    "report-rule-header-only": (["report", "--input", "{header_only}", "--bergemann-rule",
-                                 "bogus"], "ConfigurationError"),
+    "report-window-header-only": (["report", "--input", "{header_only}", "--window", "0"],
+                                  "ConfigurationError"),
 }
 
 
@@ -569,6 +594,8 @@ BAD_CONFIGS = {
                              + "epsilon = 0.2\nblocks = 10\nseed = 1\nopportunities = 2\n"),
     "simulate-misspelt-key": ("simulate", "[simulate]\n" + PROFILE_INI
                               + "epsilon = 0.2\nblocks = 10\nseed = 1\nthread = 2\n"),
+    # the disclosure benchmark is one rule, 1 - 1/n, and no parameter
+    "report-disclosure-rule": ("report", "[report]\nbergemann_rule = one_minus_inverse_n\n"),
     "generate-type-section-unknown-key": ("generate", "[generate]\nblocks = 10\nseed = 1\n"
                                           "[generate.type.sandwich]\n" + PROFILE_INI
                                           + "epsilon = 0.2\nseed = 2\n"),
@@ -594,6 +621,17 @@ def test_malformed_config_is_usage_error(tmp_path, case):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as err:
         run([*argv, "--out-dir", str(out)])
+    assert err.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rule", ["one_minus_inverse_n", "bogus"])
+def test_disclosure_rule_flag_is_usage_error(tmp_path, sample_bundles, rule):
+    # report takes no rule flag: the disclosure benchmark is one rule, 1 - 1/n
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        run(["report", "--input", str(sample_bundles), "--bergemann-rule", rule,
+             "--out-dir", str(out)])
     assert err.value.code == 2
     assert not out.exists()
 
@@ -636,8 +674,7 @@ SAMPLE = {"type": "naked_arb", "n": "4", "rho": "0.2", "gamma": "0.74", "mu": "1
           "sigma": "1.5", "epsilon": "0.2", "v_min": "0.05", "v_max": "900",
           "nodes": "300", "epsilons": "0.1,0.3", "blocks": "500", "seed": "3",
           "threads": "2", "antithetic": None, "trace": None, "trace_cap": "50",
-          "opportunities_per_block": "2", "bergemann_rule": "one_minus_inverse_n",
-          "window": "7", "input": "bundles.csv"}
+          "opportunities_per_block": "2", "window": "7", "input": "bundles.csv"}
 FLAGS = sorted(parser_flags())
 
 
@@ -679,15 +716,10 @@ def test_every_flag_is_a_config_key(tmp_path, sample_bundles, command, flag, key
     assert by_config == by_flag
 
 
-@pytest.mark.parametrize("command,flag,error", [
-    ("estimate", "--input", "FileNotFoundError"),
-    ("report", "--input", "FileNotFoundError"),
-    ("report", "--bergemann-rule", "ConfigurationError")])
-def test_empty_flag_does_not_fall_back_to_config(tmp_path, capsys, sample_bundles,
-                                                 command, flag, error):
+@pytest.mark.parametrize("command", ["estimate", "report"])
+def test_empty_flag_does_not_fall_back_to_config(tmp_path, capsys, sample_bundles, command):
     cfg = tmp_path / "run.ini"
-    cfg.write_text(f"[{command}]\ninput = {sample_bundles}\n"
-                   + ("bergemann_rule = one_minus_inverse_n\n" if command == "report" else ""))
-    assert run([command, "--config", str(cfg), flag, "",
+    cfg.write_text(f"[{command}]\ninput = {sample_bundles}\n")
+    assert run([command, "--config", str(cfg), "--input", "",
                 "--out-dir", str(tmp_path / "out")]) == 1
-    assert json.loads(capsys.readouterr().err)["error"] == error
+    assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"

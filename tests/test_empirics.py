@@ -17,7 +17,6 @@ from mevauction.empirics import (
     decompose,
     estimate_gamma,
     iter_bundles,
-    validate_bergemann_rule,
     write_bundles,
 )
 from mevauction.errors import (
@@ -117,6 +116,28 @@ class TestIngest:
         with pytest.raises(IngestError) as err:
             list(iter_bundles(path))
         assert "samples" in str(err.value)
+
+    def test_threshold_judged_on_each_read(self, tmp_path):
+        # a report that already holds another read neither dilutes this
+        # file's malformed share nor lends the error its samples
+        good = [f"0x{i:x},{i},naked_arb,b,s,1.0,0.5" for i in range(1954)]
+        first = tmp_path / "first.csv"
+        first.write_text(",".join(CSV_COLUMNS) + "\n" + "\n".join(
+            good[:1000] + ["0xshort,1,naked_arb,b,s,1.0"] + good[1000:]) + "\n")
+        rows = good[:100]
+        rows.insert(50, "0xbad,notanint,naked_arb,b,s,1.0,0.5")
+        path = tmp_path / "small.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(IngestError, match="1/101 malformed rows"):
+            BundleTable.read(path)
+        report = IngestReport()
+        assert len(BundleTable.read(first, report)) == 1954
+        with pytest.raises(IngestError, match="1/101 malformed rows") as err:
+            BundleTable.read(path, report)
+        assert "notanint" in str(err.value) and "expected 7 fields" not in str(err.value)
+        # the report still adds up both reads
+        assert (report.rows_read, report.records, report.malformed) == (2056, 2054, 2)
+        assert [s["line"] for s in report.samples] == [1002, 52]
 
     def test_unknown_type_is_malformed(self, tmp_path):
         path = tmp_path / "u.csv"
@@ -375,23 +396,18 @@ class TestBergemann:
         vals = [bergemann_threshold(n) for n in (2, 5, 20, 100)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
-    def test_constant_rule_allowed(self):
-        assert bergemann_threshold(7, rule=lambda n: 0.4) == 0.4
+    def test_threshold_in_half_open_unit_range(self):
+        # 1 - 1/n lies in [1/2, 1): exactly 1/2 for two bidders, below 1 for any n
+        assert bergemann_threshold(2) == 0.5
+        assert all(0.5 <= bergemann_threshold(n) < 1.0 for n in (3, 10, 10**6, 2**53))
 
-    def test_any_rule_must_be_monotone_in_range(self):
-        with pytest.raises(ConfigurationError):
-            bergemann_threshold(5, rule=lambda n: 1.0 / n)
-        with pytest.raises(ConfigurationError):
-            bergemann_threshold(5, rule=lambda n: n * 1.0)
+    def test_one_minus_inverse_n_bit_for_bit(self):
+        ns = range(2, 1001)
+        vals = [bergemann_threshold(n) for n in ns]
+        assert [v.hex() for v in vals] == [(1.0 - 1.0 / n).hex() for n in ns]
+        assert all(b > a for a, b in zip(vals, vals[1:]))
+        assert bergemann_threshold(4) == 0.75
 
     def test_small_market_rejected(self):
         with pytest.raises(DomainError):
             bergemann_threshold(1)
-
-    def test_named_rule_lookup(self):
-        assert bergemann_threshold(4, rule="one_minus_inverse_n") == pytest.approx(0.75)
-        with pytest.raises(ConfigurationError):
-            bergemann_threshold(4, rule="no_such_rule")
-
-    def test_validate_exposed(self):
-        validate_bergemann_rule(lambda n: 1 - 1 / n)

@@ -24,8 +24,7 @@ PUBLIC = {
     # bundle pipeline
     "BribeSchedule", "BundleRecord", "BundleTable", "DecompositionReport",
     "GammaEstimate", "IngestReport", "bergemann_threshold", "bribe_schedule",
-    "decompose", "estimate_gamma", "iter_bundles", "validate_bergemann_rule",
-    "write_bundles",
+    "decompose", "estimate_gamma", "iter_bundles", "write_bundles",
     # diagnostics
     "affiliation_diagnostic", "affiliation_pairs", "board_diagnostic", "builder_table",
     "concentration", "effective_bidder_counts", "gini_coefficient",

@@ -42,7 +42,7 @@ LINE_BREAK = re.compile("\r\n|\r|\n")
 def oracle_read(path, report=None):
     """BundleTable.read as a loop over the rows of one csv.reader pass."""
     report = report if report is not None else IngestReport()
-    samples = report.samples
+    samples = []
     malformed = 0
     tx, builder_codes, searcher_codes = [], {}, {}
     block, types = array("q"), array("B")
@@ -83,11 +83,12 @@ def oracle_read(path, report=None):
     report.rows_read += rows
     report.malformed += malformed
     report.records += len(tx)
+    report.samples += samples
     limit = empirics.MALFORMED_LIMIT
-    if report.rows_read and report.malformed > limit * report.rows_read:
+    if malformed > limit * rows:
         raise IngestError(
-            f"{path}: {report.malformed}/{report.rows_read} malformed rows "
-            f"exceed the {limit:.1%} threshold; samples: {report.samples[:5]}"
+            f"{path}: {malformed}/{rows} malformed rows "
+            f"exceed the {limit:.1%} threshold; samples: {samples[:5]}"
         )
     return BundleTable(tx, np.array(block, dtype=np.int64), np.array(types, dtype=np.intp),
                        np.array(builder, dtype=np.intp), tuple(builder_codes),

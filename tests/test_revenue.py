@@ -215,7 +215,7 @@ class TestRevenueDerivative:
         assert val == pytest.approx(fd, abs=3e-5)
 
 
-class TestOptimalEpsilon:
+class TestEpsilonStar:
     def test_high_extractability_prefers_max_rate(self, solved):
         profile, curve = solved(n=3, rho=0.2, gamma=0.998)
         result = revenue_sweep(profile, DEFAULT_EPSILON_GRID, curve=curve)
