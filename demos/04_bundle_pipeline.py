@@ -81,7 +81,7 @@ print(f"{'all':<12} tips {report.total_tips:12.0f}   "
 # ## Concentration and per-builder views
 
 # %%
-conc = concentration(table, by="searcher")
+conc = concentration(table)
 for tau, stat in conc.items():
     print(f"{tau.value:<12} searchers {stat.groups:3d}  gini {stat.gini:.3f}  "
           f"top-1 share {stat.top_k_shares[1]:.3f}")

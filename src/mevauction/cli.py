@@ -405,7 +405,7 @@ def cmd_report(params, written, out):
                    (list(map(labels.__getitem__, pairs.mev_type.tolist())),
                     pairs.log_top.tolist(), pairs.log_second.tolist()))
     affiliation = affiliation_diagnostic(pairs)
-    conc = concentration(table, by="searcher")
+    conc = concentration(table)
     _write_csv(out / "figA2_lorenz.csv", "mev_type,population_share,value_share",
                ((t, p, v) for t, stat in sorted(conc.items(), key=lambda kv: kv[0].value)
                 for p, v in zip(stat.lorenz_population.tolist(), stat.lorenz_value.tolist())))

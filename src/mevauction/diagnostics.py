@@ -157,21 +157,16 @@ def gini_coefficient(totals) -> float:
     return float((2.0 * np.sum(idx * x) / (m * s)) - (m + 1.0) / m)
 
 
-def concentration(table: BundleTable, by: str = "searcher"):
+def concentration(table: BundleTable):
     """Lorenz curve, Gini, and top-k shares of the extracted value of
-    ``table``'s records per type.
+    ``table``'s records per type, grouped by searcher.
 
-    ``by`` selects the grouping key, searcher or builder.  Records with
-    non-positive extracted value are ignored.
+    Records with non-positive extracted value are ignored.
     """
-    if by not in ("searcher", "builder"):
-        raise ConfigurationError("grouping key must be 'searcher' or 'builder'")
     positive = table.value > 0
-    labels = table.searchers if by == "searcher" else table.builders
-    key = (table.searcher if by == "searcher" else table.builder)[positive]
     codes = table.mev_type[positive]
-    cell = codes * len(labels) + key
-    size = len(MEV_TYPES) * len(labels)
+    cell = codes * len(table.searchers) + table.searcher[positive]
+    size = len(MEV_TYPES) * len(table.searchers)
     sums = np.bincount(cell, weights=table.value[positive], minlength=size)
     seen = np.bincount(cell, minlength=size) > 0
     sums, seen = sums.reshape(len(MEV_TYPES), -1), seen.reshape(len(MEV_TYPES), -1)

@@ -71,5 +71,5 @@ class ThinSampleError(MevAuctionError):
 
 
 class ConfigurationError(MevAuctionError):
-    """A required configuration entry (gamma estimate, proxy window, grouping
-    key) is missing or violates its contract."""
+    """A required configuration entry (gamma estimate, proxy window) is
+    missing or violates its contract."""

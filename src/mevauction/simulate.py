@@ -24,15 +24,16 @@ Blocks are generated in fixed-size chunks, each on its own split random
 stream keyed (seed, chunk, purpose): the chunk sizes are part of that
 stream schedule, so changing ``CHUNK`` changes the draws.
 
-``run_many`` plays its chunks on a pool of worker threads, by default one
-per CPU this process may use (``values._usable_cpus``, the count that also
-splits the factor integrals' blocks).  Each worker reduces its chunk to
-moments (of the pair means under antithetic sampling, whose halves are
-paired) and keeps per-block arrays only for the blocks the trace still
-needs; traced chunks are played one at a time and written in row slices,
-the others at most two per worker ahead of the merge, so memory is
-O(workers x chunk) however many blocks it plays.  Chunk moments are merged in index order, so
-the report is bit-identical for any worker count.
+``run_many`` plays its chunks on ``values._in_order``, the package's one
+thread pool, with by default one worker per CPU this process may use
+(``values._usable_cpus``, the count that also splits the factor integrals'
+blocks).  Each worker reduces its chunk to moments (of the pair means under
+antithetic sampling, whose halves are paired) and keeps per-block arrays
+only for the blocks the trace still needs; traced chunks are played one at a
+time and written in row slices, the others at most two per worker ahead of
+the merge, so memory is O(workers x chunk) however many blocks it plays.
+Chunk moments are merged in index order, so the report is bit-identical for
+any worker count.
 
 The deviation harness conditions on the deviant's valuation: her signal is
 pinned and rivals draw the common factor from its posterior, then their own
@@ -44,9 +45,7 @@ its memory is O(chunk + bids), with no (bids x blocks) payoff matrix.
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,7 +56,7 @@ from .equilibrium import PiecewiseStrategy
 from .errors import DomainError, ParameterError
 from .profiles import TypeProfile
 from .rng import stream
-from .values import _usable_cpus, affiliated_signal
+from .values import _in_order, _usable_cpus, affiliated_signal
 
 CHUNK = 1 << 16
 DEFAULT_TRACE_CAP = 10_000
@@ -209,19 +208,6 @@ def _check_run_args(blocks, seed, workers, antithetic, trace_cap):
         raise ParameterError("trace_cap must be >= 0")
 
 
-def _in_order(pool, work, count, window):
-    """``work(i)`` for i < ``count`` in index order; call i is submitted to
-    ``pool`` once fewer than ``window(i)`` submitted calls are not yet
-    consumed."""
-    pending = deque()
-    for i in range(count):
-        while len(pending) >= window(i):
-            yield pending.popleft().result()
-        pending.append(pool.submit(work, i))
-    while pending:
-        yield pending.popleft().result()
-
-
 def _write_trace(file, start, blocks):
     """Write the traced blocks of one chunk, numbered from ``start``, in
     slices of ``_TRACE_ROWS`` rows, so only one slice is formatted at a time."""
@@ -236,36 +222,34 @@ def run_many(strategy: PiecewiseStrategy, profile: TypeProfile, blocks: int,
              trace_path=None, trace_cap: int = DEFAULT_TRACE_CAP) -> SimReport:
     """Aggregate ``blocks`` independent blocks into a SimReport.
 
-    ``workers`` threads (default: one per usable CPU, at most one per chunk)
-    play and reduce the chunks, at most two chunks per worker ahead of the
-    merge (one chunk at a time while the trace still needs them), so memory
-    is O(workers x chunk).  The result is identical for any worker count,
+    ``workers`` threads of ``values._in_order`` (default: one per usable CPU,
+    at most one per chunk) play and reduce the chunks, at most two chunks per
+    worker ahead of the merge (one chunk at a time while the trace still
+    needs them), so memory is O(workers x chunk); no thread outlives the
+    call, also when it raises.  The result is identical for any worker count,
     because chunk streams are keyed by index and chunk moments are merged
     (and traced) in index order.
     """
     _check_run_args(blocks, seed, workers, antithetic, trace_cap)
     sizes = _chunk_sizes(blocks)
-    workers = min(_usable_cpus() if workers is None else workers, len(sizes))
+    workers = _usable_cpus() if workers is None else workers
     trace_blocks = trace_cap if trace_path else 0
 
     def work(i):
         return _simulate_chunk(strategy, profile, seed, i, sizes[i], antithetic,
                                keep=min(sizes[i], max(0, trace_blocks - i * CHUNK)))
 
+    # a chunk the trace needs holds its per-block arrays until they are
+    # written: play those one at a time, so none waits beside the one being
+    # written, and the moment-only chunks two per worker
+    chunks = _in_order(work, len(sizes), workers,
+                       lambda i: 1 if i * CHUNK < trace_blocks else 2 * workers)
     rev_acc, sur_acc = _MomentAccumulator(), _MomentAccumulator()
     n_defect, n_front = 0, 0
-    with ExitStack() as stack:
-        if workers > 1:
-            pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
-            # a chunk the trace needs holds its per-block arrays until they
-            # are written: play those one at a time, so none waits beside the
-            # one being written, and the moment-only chunks two per worker
-            chunks = _in_order(pool, work, len(sizes),
-                               lambda i: 1 if i * CHUNK < trace_blocks else 2 * workers)
-        else:
-            chunks = map(work, range(len(sizes)))
+    # closing the chunks joins the pool's threads before an exception leaves
+    with closing(chunks), (open(trace_path, "w", encoding="utf-8") if trace_path
+                           else nullcontext()) as trace_file:
         if trace_path:
-            trace_file = stack.enter_context(open(trace_path, "w", encoding="utf-8"))
             trace_file.write("block,winner_index,winning_bid,winner_value,"
                              "defected,frontran,builder_revenue,searcher_surplus\n")
         start = 0

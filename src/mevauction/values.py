@@ -32,19 +32,20 @@ dividing by zero.
 Every array-valued integral is evaluated ``_BLOCK`` own values at a time
 (``_in_blocks``), so its (values x nodes) temporaries stay near 200 kB, inside
 L2, at any input size.  The block is split over the c usable CPUs
-(``_usable_cpus``, which also sizes ``simulate.run_many``'s pool) into
-sub-blocks of ``_BLOCK // c`` rows: at most c threads each run their share
-of the sub-blocks one at a time, the calling thread one share and a pool
-opened for the call the others, so at most ``_BLOCK`` rows are in flight at
-any CPU count and no thread outlives the call.  Each output row depends only
-on its own input row, so neither the blocks nor the threads change any bits.
+(``_usable_cpus``) into sub-blocks of ``_BLOCK // c`` rows, run as c strided
+shares on ``_in_order``, the package's one thread pool (``simulate.run_many``
+plays its chunks on it too), so at most ``_BLOCK`` rows are in flight at any
+CPU count and no thread outlives the call.  Each output row depends only on
+its own input row, so neither the blocks nor the threads change any bits.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
@@ -201,14 +202,39 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _in_order(work, count, workers, window):
+    """``work(i)`` for i < ``count``, yielded in index order, on the calling
+    thread for one worker, else on a pool of ``workers`` threads (at most one
+    per call) made for this generator: call i is submitted once fewer than
+    ``window(i)`` submitted calls are not yet yielded.  With a worker per
+    call the calling thread would only wait, so it is call 0's worker and
+    runs it when its result is first needed; with more calls it only submits
+    and yields, so at most ``workers`` calls run at once.  The generator's
+    end, failure (the lowest-index one, once every submitted call has
+    stopped) or close joins the pool; a caller that may stop early closes it."""
+    workers = min(workers, count)
+    if workers <= 1:
+        yield from map(work, range(count))
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque()
+        for i in range(count):
+            while len(pending) >= window(i):
+                yield pending.popleft()()
+            pending.append(partial(work, 0) if i == 0 and count == workers
+                           else pool.submit(work, i).result)
+        while pending:
+            yield pending.popleft()()
+
+
 def _in_blocks(rows, *columns):
     """``rows`` mapped over the equal-length 1-d ``columns`` in sub-blocks of
     ``_BLOCK // cpus`` entries (``cpus`` usable, at most ``_BLOCK``), each
     sub-block's floats written into one output array.
 
-    With w workers (one per usable CPU, at most one per sub-block), worker k
-    runs sub-blocks k, k + w, k + 2w, ... one at a time: worker 0 is the
-    calling thread, the others a pool opened for this call, so at most
+    With w workers (one per usable CPU, at most one per sub-block), share k
+    runs sub-blocks k, k + w, k + 2w, ... one at a time; ``_in_order`` runs
+    the w shares at once, share 0 on the calling thread, so at most
     ``_BLOCK`` rows are in flight and no thread outlives the call.  An
     exception in any share is raised here once every share has stopped.  A
     one-value call runs ``rows`` directly, with no CPU count taken.
@@ -226,14 +252,8 @@ def _in_blocks(rows, *columns):
         for lo in starts[k::workers]:
             out[lo:lo + step] = rows(*(c[lo:lo + step] for c in columns))
 
-    if workers == 1:
-        share(0)
-    else:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            others = [pool.submit(share, k) for k in range(1, workers)]
-            share(0)
-            for other in others:
-                other.result()
+    for _ in _in_order(share, workers, workers, lambda k: workers):
+        pass
     return out
 
 

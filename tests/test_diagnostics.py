@@ -113,10 +113,6 @@ class TestConcentration:
         assert 1.0 - 2.0 * area == pytest.approx(stat.gini, abs=1e-9)
         assert stat.top_k_shares[1] <= stat.top_k_shares[5] <= stat.top_k_shares[10]
 
-    def test_grouping_key_validated(self):
-        with pytest.raises(ConfigurationError):
-            concentration(table_from_records([]), by="relay")
-
 
 class TestBuilderTable:
     def test_singleton(self):

@@ -28,6 +28,7 @@ from mevauction.errors import (
     AssumptionViolationError,
     ConsistencyError,
     CutoffMonotonicityError,
+    DegenerateCutoffError,
     ParameterError,
     SolverError,
 )
@@ -213,6 +214,18 @@ class TestRevenueDerivative:
 
         fd = (rev(0.2 + 1e-4) - rev(0.2 - 1e-4)) / 2e-4
         assert val == pytest.approx(fd, abs=3e-5)
+
+    def test_flat_indifference_level_at_the_cutoff_raises(self):
+        # a hand-built curve whose indifference rate steps up by 1e-14 at the
+        # cutoff of rate 0.3: the cutoff moves by 1 / slope, which is not
+        # defined there
+        gamma = 0.8
+        v = np.geomspace(0.05, 5000.0, 400)
+        ebar = np.concatenate([np.linspace(0.1, 0.3, 200),
+                               0.3 + 1e-14 + np.linspace(0.0, 0.2, 200)])
+        curve = BidCurve(v, v * (gamma - ebar) / (1.0 - ebar))
+        with pytest.raises(DegenerateCutoffError, match="flat at the cutoff"):
+            revenue_sweep(make_profile(gamma=gamma), [0.3], curve=curve)
 
 
 class TestEpsilonStar:

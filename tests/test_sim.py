@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -12,6 +13,7 @@ from mevauction import (
     run_many,
     simulate,
     solve_strategy,
+    values,
 )
 from mevauction.equilibrium import PiecewiseStrategy
 from mevauction.errors import DomainError, ParameterError
@@ -155,10 +157,41 @@ class TestRunMany:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(values, "ThreadPoolExecutor", Recording)
         report = run_many(strat, profile, blocks, seed=31)
         assert started == ([] if pool is None else [pool])
         assert report == run_many(strat, profile, blocks, seed=31, workers=1)
+
+    @pytest.mark.parametrize("fault", ["chunk", "trace"])
+    def test_no_thread_outlives_a_raising_run(self, flagship, monkeypatch, tmp_path, fault):
+        # the pool's threads are joined before the exception reaches the
+        # caller, whether a pooled chunk or the trace writer on the calling
+        # thread raised
+        profile, curve = flagship
+        strat = solve_strategy(profile, 0.2, curve=curve)
+        simulate_chunk = simulate._simulate_chunk
+
+        def chunk(strategy, profile, seed, i, *args, **kwargs):
+            if i == 1:
+                raise RuntimeError("chunk")
+            return simulate_chunk(strategy, profile, seed, i, *args, **kwargs)
+
+        def write_trace(file, start, blocks):
+            raise RuntimeError("trace")
+
+        if fault == "chunk":
+            monkeypatch.setattr(simulate, "_simulate_chunk", chunk)
+        else:
+            monkeypatch.setattr(simulate, "_write_trace", write_trace)
+        before = threading.active_count()
+        try:
+            run_many(strat, profile, 6 * CHUNK, seed=3, workers=2,
+                     trace_path=tmp_path / "trace.csv", trace_cap=CHUNK)
+        except RuntimeError as exc:
+            assert str(exc) == fault
+            assert threading.active_count() == before
+        else:
+            pytest.fail("run_many did not raise")
 
     def test_usable_cpus(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
@@ -225,16 +258,20 @@ class TestRunMany:
 
     def test_traced_memory_flat_in_blocks_with_two_workers(self, flagship, tmp_path):
         # a traced chunk holds its per-block arrays until they are written,
-        # so the chunks ahead of the trace writer are bounded, not all chunks
+        # so the chunks ahead of the trace writer are bounded, not all chunks.
+        # Four traced chunks fill the window of two per worker that the
+        # untraced chunks get, so they show all the memory that window would
+        # add to traced chunks; more chunks cost time (a traced chunk takes
+        # about a second under tracemalloc) and check nothing more
         profile, curve = flagship
         strat = solve_strategy(profile, 0.2, curve=curve)
         trace = tmp_path / "trace.csv"
 
         def peak(blocks):
             return self._peak(lambda: run_many(strat, profile, blocks, seed=3, workers=2,
-                                               trace_path=trace, trace_cap=12 * CHUNK))
+                                               trace_path=trace, trace_cap=blocks))
 
-        assert peak(12 * CHUNK) <= 1.1 * peak(2 * CHUNK)
+        assert peak(4 * CHUNK) <= 1.1 * peak(2 * CHUNK)
 
     def test_traced_memory_near_untraced(self, flagship, tmp_path):
         # the trace is formatted in row slices, so tracing every block of a

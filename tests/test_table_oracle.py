@@ -179,12 +179,12 @@ def oracle_affiliation_diagnostic(pairs):
     return stats
 
 
-def oracle_concentration(records, by="searcher"):
+def oracle_concentration(records):
     sums = defaultdict(lambda: defaultdict(float))
     for rec in records:
         ev = rec.extracted_value
         if ev > 0:
-            sums[rec.mev_type][getattr(rec, by)] += ev
+            sums[rec.mev_type][rec.searcher] += ev
     out = {}
     for mev_type, groups in sums.items():
         totals = np.sort(np.fromiter(groups.values(), dtype=float))
@@ -344,8 +344,7 @@ def test_columnar_matches_oracle(table):
     pairs = both(affiliation_pair_rows, oracle_affiliation_pairs, table, records)
     assert_same(affiliation_diagnostic(affiliation_pairs(table)),
                 oracle_affiliation_diagnostic(pairs), "affiliation_diagnostic")
-    for by in ("searcher", "builder"):
-        both(concentration, oracle_concentration, table, records, by)
+    both(concentration, oracle_concentration, table, records)
     both(builder_table, oracle_builder_table, table, records)
     for window in (1, 3, 50):
         want = oracle_effective_bidder_counts(records, window)
@@ -417,7 +416,7 @@ def test_full_bins_and_thin_type_match_oracle():
     pairs = both(affiliation_pair_rows, oracle_affiliation_pairs, table, records)
     assert_same(affiliation_diagnostic(affiliation_pairs(table)),
                 oracle_affiliation_diagnostic(pairs), "affiliation_diagnostic")
-    both(concentration, oracle_concentration, table, records, "builder")
+    both(concentration, oracle_concentration, table, records)
     rows = both(builder_table, oracle_builder_table, table, records)
     assert any(r.count == 1 for r in rows)
     want = oracle_effective_bidder_counts(records, 20)

@@ -424,7 +424,8 @@ class TestBlocks:
         step = values._BLOCK // cpus  # the rows of a sub-block
         public, rows = BLOCKED[name]
         spec = default_grid(profile)
-        inputs = [np.geomspace(spec.v_min, spec.v_max, size) for size in (1, 255, 256, 257, 513)]
+        inputs = [np.geomspace(spec.v_min, spec.v_max, size)
+                  for size in (0, 1, 255, 256, 257, 513)]
         inputs.append(_hazard_grid(make_profile()))
         assert inputs[-1].size == 3999
         for v in inputs:
@@ -456,10 +457,11 @@ class TestBlocks:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_at_most_a_block_in_flight(self, cpus, monkeypatch):
-        # at most one thread per CPU, each on _BLOCK // cpus rows at a time.
-        # Each thread's first sub-block waits until every thread holds one, so
-        # no pool thread is idle, free to take another share, when the next
-        # share is submitted; a barrier that times out fails the test
+        # at most one thread per CPU, the caller among them, each on
+        # _BLOCK // cpus rows at a time.  Each thread's first sub-block waits
+        # until every thread holds one, so no pool thread is idle, free to
+        # take another share, when the next share is submitted; a barrier
+        # that times out fails the test
         monkeypatch.setattr(values, "_usable_cpus", lambda: cpus)
         calls = []
         density_rows = values._density_rows
@@ -476,7 +478,7 @@ class TestBlocks:
         profile = make_profile()
         top_value_density(_hazard_grid(profile), profile)
         threads, sizes = zip(*calls)
-        assert len(set(threads)) == cpus
+        assert len(set(threads)) == cpus and threading.get_ident() in threads
         assert max(sizes) * cpus <= values._BLOCK and sum(sizes) == 3999
 
     def test_more_threads_than_cpus_change_no_bits(self, monkeypatch):
