@@ -27,9 +27,14 @@ blank line; estimate and report
 on a copy of README's bundles in which only three rows in the middle hold a
 quoted field (a comma; a line break on the last line of the reader's second
 512-line block, which runs into the third; a comma and a quote), with CRLF
-and LF line endings in turn, so quote-free blocks split at commas beside the
-blocks ``csv.reader`` reads; estimate and report on a builder label holding a
-comma and a quote, and a config-driven report;
+and LF line endings in turn, so quote-free blocks go to ``np.loadtxt`` beside
+the blocks ``csv.reader`` reads; estimate and report on a copy of README's
+bundles with six rows, each in its own 512-row block, spelled at the edge of
+``np.loadtxt``: a tip with digit groups and a block number in full-width
+digits (valid rows that it rejects), a tip padded with ``\\x1c`` (malformed,
+though it would parse it), a blank line, a profit of ``1e400`` and a tip of
+``-0``; estimate and report on a builder label holding a comma and a quote,
+and a config-driven report;
 solve (eps 0.2 and 0), sweep, ``sweep --epsilons 0,0.2,0.5`` and
 ``sweep --epsilons 0,0.2,0.5,0.97`` on six profiles: the four theory
 profiles, rho = 0, and gamma = 0.32, where gamma*v crosses the bid in the
@@ -75,6 +80,10 @@ EDGE_ROWS = {511: "short", 512: "tip", 513: "type", 1023: "block", 1024: "profit
 # line 1025, the last of the reader's second 512-line block
 QUOTED_ROWS = {600: ("searcher", "searcher, with a comma"), 1024: ("searcher", BREAK_LABEL),
                1500: ("builder", COMMA_LABEL)}
+# data rows (1-based), each in its own 512-row block, respelled at the edge
+# of np.loadtxt; the blank line goes before its row
+SPELLINGS = {300: "tip_groups", 900: "block_full_width", 1500: "tip_padded",
+             2100: "blank", 2700: "profit_1e400", 3300: "tip_minus_zero"}
 
 
 def _flags(profile: dict) -> list:
@@ -136,6 +145,40 @@ def _quoted_middle_copy(src: Path, dst: Path):
         writers = [csv.writer(fh, lineterminator=end) for end in ("\r\n", "\n")]
         for i, row in enumerate([header, *rows]):
             writers[i % 2].writerow(row)
+
+
+def _digit_groups(number: str) -> str:
+    """``number``, a %.12g float, with ``_`` between its first two fraction
+    digits (a zero added where it has fewer): the same float to ``float()``."""
+    mantissa, e, exponent = number.partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    fraction = fraction.ljust(2, "0")
+    return f"{whole}.{fraction[0]}_{fraction[1:]}{e}{exponent}"
+
+
+def _loadtxt_spellings_copy(src: Path, dst: Path):
+    """Copy a bundle CSV with the rows of SPELLINGS respelled: a tip with
+    digit groups and a block number in full-width digits (valid), a tip
+    padded with \\x1c and a profit of 1e400 (malformed), a tip of -0 (valid)
+    and a blank line."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    tip, profit, block = (header.index(c) for c in ("tip_usdc", "profit_usdc", "block_number"))
+    for number, kind in sorted(SPELLINGS.items(), reverse=True):
+        row = rows[number - 1]
+        if kind == "tip_groups":
+            row[tip] = _digit_groups(row[tip])
+        elif kind == "block_full_width":
+            row[block] = "".join(chr(ord(d) + 0xFEE0) for d in row[block])
+        elif kind == "tip_padded":
+            row[tip] += "\x1c"
+        elif kind == "blank":
+            rows.insert(number - 1, [])
+        else:
+            column, text = {"profit_1e400": (profit, "1e400"), "tip_minus_zero": (tip, "-0")}[kind]
+            row[column] = text
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 def steps(run: Path) -> list:
@@ -216,12 +259,21 @@ def steps(run: Path) -> list:
     out += [[cmd, "--input", str(edges / "bundles.csv"), "--out-dir", str(edges / cmd)]
             for cmd in ("estimate", "report")]
 
-    # both of the reader's tokenizers in one file: quote-free blocks beside
-    # the blocks that hold README's three quoted rows
+    # both of the reader's tokenizers in one file: blocks for np.loadtxt
+    # beside the blocks that hold README's three quoted rows
     quoted = run / "quoted_middle"
     out.append(lambda: (quoted.mkdir(), _quoted_middle_copy(readme / "generate" / "bundles.csv",
                                                             quoted / "bundles.csv")))
     out += [[cmd, "--input", str(quoted / "bundles.csv"), "--out-dir", str(quoted / cmd)]
+            for cmd in ("estimate", "report")]
+
+    # rows at the edge of np.loadtxt, each in its own block: valid spellings
+    # it rejects, a padding it accepts and float() does not, a blank line,
+    # an overflowing profit and a negative zero
+    spellings = run / "loadtxt_spellings"
+    out.append(lambda: (spellings.mkdir(), _loadtxt_spellings_copy(
+        readme / "generate" / "bundles.csv", spellings / "bundles.csv")))
+    out += [[cmd, "--input", str(spellings / "bundles.csv"), "--out-dir", str(spellings / cmd)]
             for cmd in ("estimate", "report")]
 
     # a builder label holding a comma and a quote; a config-driven report

@@ -16,20 +16,24 @@ Records are held as one columnar :class:`BundleTable`: float64 ``tip``,
 ``profit`` and ``value`` (tip + profit, summed once), int64 ``block``, small
 integer codes for type, builder and searcher with their label tuples (each
 label listed once), and the tx hashes as a list.  ``BundleTable.read``
-builds it in a single pass over the file, 512 lines at a time, and each
-block picks its tokenizer from its content: a block with no quote, no NUL
-and no more characters than ``csv.field_size_limit()`` splits at each comma,
-one row per line, and any other block goes through ``csv.reader``, which
-takes the rest of a quoted field opened on the block's last line from the
-file.  Each block's rows are converted by column: ``float`` and ``int``
-over each numeric column, a dict lookup
-over the types, and numpy masks for the sign, finiteness and 64-bit range
-checks.  Only a row that a check flags goes through ``_parse_row``, which
-holds the malformed-row rules and rejects the row or accepts it in place (a
-malformed row is reported by the file line it starts on).  A row that
-``csv.reader`` cannot tokenize stops the read with an ``IngestError`` naming
-the file and that line.  Every schedule, estimate and diagnostic takes that
-table and groups its columns with numpy instead of looping over records.
+builds it in a single pass over the file, 512 lines at a time, with one of
+two tokenizers per block.  A block with no quote, no NUL, none of
+``\\x1c``-``\\x1f`` and no more characters than ``csv.field_size_limit()``
+goes to one ``np.loadtxt`` call, whose C parser splits it at commas, one row
+per line, and converts the block numbers, tips and profits.  A block that
+``np.loadtxt`` rejects (a number Python reads and it does not, such as
+``1_0``, or a row without seven fields) or that loses a line to it (a blank
+line), and any other block, goes through ``csv.reader``, which takes the
+rest of a quoted field opened on the block's last line from the file; its
+cells are converted by column with ``float`` and ``int``.  Either way a dict
+lookup codes the types, and numpy masks check the sign, finiteness and
+64-bit range.  Only a row that a check flags goes through ``_parse_row``,
+which holds the malformed-row rules and rejects the row or accepts it in
+place (a malformed row is reported by the file line it starts on).  A row
+that ``csv.reader`` cannot tokenize stops the read with an ``IngestError``
+naming the file and that line.  Every schedule, estimate and diagnostic
+takes that table and groups its columns with numpy instead of looping over
+records.
 ``write_bundles`` writes a stream of tables with one format per row, the
 label columns gathered by code, quoting fields exactly as ``csv.writer``'s
 default dialect does.  ``iter_bundles`` and ``BundleTable.records`` are a
@@ -178,12 +182,15 @@ class BundleTable:
 
         ``csv.reader`` reads the header; the file is then taken
         ``_READ_BLOCK`` physical lines at a time (``_block_rows``).  A block
-        with no quote, no NUL and no more characters than
-        ``csv.field_size_limit()`` splits at each comma, one row per line; any
-        other block goes through ``csv.reader``, which reads a quoted field
-        opened on the block's last line on into the file.  Each block's rows
-        are converted one column at a time (``_block_columns``), and only a
-        row that a column check flags goes through ``_parse_row``.
+        with no quote, no NUL, none of ``\\x1c``-``\\x1f`` and no more
+        characters than ``csv.field_size_limit()`` is tokenized and converted
+        by one ``np.loadtxt`` call, one row per line.  A block that
+        ``np.loadtxt`` rejects or that loses a line to it, and any other
+        block, goes through ``csv.reader``, which reads a quoted field opened
+        on the block's last line on into the file, and ``float`` and ``int``
+        convert its columns.  Column masks then flag rows
+        (``_block_columns``), and only a flagged row goes through
+        ``_parse_row``.
         Malformed rows are counted in ``report`` (not fatal); if they exceed
         0.1% of this file's rows, IngestError is raised with this file's
         samples.  ``report`` adds up the counts and samples of every read it
@@ -227,13 +234,14 @@ class BundleTable:
                     break
                 first_line = lines_read + 1
                 try:
-                    rows, spanned = _block_rows(lines, fh, field_limit, first_line)
+                    columns, flagged, row, line, spanned = _block_rows(
+                        lines, fh, field_limit, first_line)
                 except csv.Error as exc:
                     raise IngestError(f"{path}: {exc}") from None
                 lines_read += spanned
-                rows_read += len(rows)
+                rows_read += len(flagged)
                 (t, b, c, bu, se, tp, pr), rejected = _block_columns(
-                    rows, first_line, samples)
+                    columns, flagged, row, line, samples)
                 malformed += rejected
                 tx += t
                 block.frombytes(b.tobytes())
@@ -313,9 +321,21 @@ class BundleTable:
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 _LINE_BREAK = re.compile("\r\n|\r|\n")
 
-# physical lines BundleTable.read takes at a time: 4096-row blocks read the
-# benchmark input slower than a per-row loop, 512-row blocks faster
+# physical lines BundleTable.read takes at a time.  Medians of 21 in-process
+# reads (2-CPU machine), 256 / 512 / 1024 lines: the clean 116,204-row
+# generated file 118 / 118 / 121 ms, the benchmark input (its 290 injected
+# rows send about one block in ten to csv.reader) 130 / 134 / 149 ms.
+# Past csv.field_size_limit() characters (about 1250 lines) a block never
+# goes to np.loadtxt
 _READ_BLOCK = 512
+# a row as np.loadtxt converts it
+_ROW_DTYPE = np.dtype([("tx", object), ("block", np.int64), ("type", object),
+                       ("builder", object), ("searcher", object),
+                       ("tip", np.float64), ("profit", np.float64)])
+# characters that keep a block on csv.reader: a quote and NUL, which it
+# reads, and \x1c-\x1f, which np.loadtxt's number parser takes for padding
+# but float() and int() reject
+_CSV_ONLY = '"\0\x1c\x1d\x1e\x1f'
 # stands in for a row without seven fields, so that its block still splits
 # into columns; its tip is NaN, so the finiteness check flags it
 _NOT_A_ROW = ("", "0", "", "", "", "nan", "nan")
@@ -323,58 +343,84 @@ _NOT_A_ROW = ("", "0", "", "", "", "nan", "nan")
 
 def _block_rows(lines, fh, field_limit, first_line):
     """The rows that start on ``lines``, physical lines of the open bundle CSV
-    ``fh`` (terminators kept) from file line ``first_line`` on, and the
-    number of lines they span.
+    ``fh`` (terminators kept) from file line ``first_line`` on.
 
-    A block with no quote, no NUL and no more characters than ``field_limit``
-    (``csv.field_size_limit()``) splits at each comma, one row per line; a
-    blank line is a row of no fields, as ``csv.reader`` reads it.  Any other
-    block goes through ``csv.reader``, which takes the lines of a quoted
-    field opened on the block's last line from ``fh``.  A ``csv.Error`` is
-    raised again with the file line of the row it stopped in.
+    Returns the rows as columns (the tx hashes, types, builders and searchers
+    as sequences of str, the block numbers, tips and profits as arrays), a
+    mask of the rows that a field count or an integer check rejects, the
+    fields of row i and the file line it starts on as functions, and the
+    number of lines the rows span.
+
+    A block with a line that is not blank, no quote, no NUL, none of
+    \\x1c-\\x1f and no more characters than ``field_limit``
+    (``csv.field_size_limit()``) goes to one ``np.loadtxt`` call, which
+    tokenizes and converts it in C, one row per line.  The block falls back
+    when ``loadtxt`` raises (it rejects a row without seven fields, a number
+    that it does not parse, such as ``1_0`` or non-ASCII digits, and a block
+    number outside int64) or returns fewer rows than the block has lines (it
+    skips blank lines, which are malformed rows; a block of blank lines only,
+    on which it would warn that it read no data, never goes to it).  Any
+    other block goes through ``csv.reader``, which takes the lines of a
+    quoted field opened on the block's last line from ``fh``, and its cells
+    are converted column by column with ``float`` and ``int``.  A
+    ``csv.Error`` is raised again with the file line of the row it stopped
+    in.
     """
     text = "".join(lines)
-    if '"' in text or "\0" in text or len(text) > field_limit:
-        reader = csv.reader(chain(lines, fh))
-        rows, spanned = [], 0
+    if (text.strip("\r\n") and len(text) <= field_limit
+            and not any(c in text for c in _CSV_ONLY)):
         try:
-            for row in reader:
-                rows.append(row)
-                spanned = reader.line_num
-                if spanned >= len(lines):
-                    break
-        except csv.Error as exc:
-            # the failing row starts on the line after the last row read
-            raise csv.Error(f"line {first_line + spanned}: {exc}") from None
-        return rows, spanned
-    rows = [line.rstrip("\r\n").split(",") for line in lines]
-    if [""] in rows:
-        rows = [row if row != [""] else [] for row in rows]
-    return rows, len(lines)
-
-
-def _block_columns(rows, first_line, samples):
-    """The accepted rows of ``rows``, data rows the first of which starts on
-    file line ``first_line``, as columns, and the number of rows rejected.
-
-    The columns are the tx hashes, builders and searchers as tuples or lists,
-    and the block numbers, type codes, tips and profits as arrays.  Each
-    column converts in one pass, and masks flag each row that lacks seven
-    fields or whose tip, profit, block number or type label a check rejects.
-    Only a flagged row goes through ``_parse_row``, the one statement of the
-    malformed-row rules: it either rejects the row (sampled into ``samples``
-    while they hold fewer than 10, with the line the row starts on) or
-    accepts it in place, as it does a type label in another case.
-    """
+            table = np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",", comments=None,
+                               ndmin=1)
+        except (ValueError, OverflowError):
+            table = None
+        if table is not None and len(table) == len(lines):
+            # quote-free and no line lost: row i is line i
+            return ([table[name] if table.dtype[name] != object else table[name].tolist()
+                     for name in _ROW_DTYPE.names], np.zeros(len(lines), dtype=bool),
+                    lambda i: lines[i].rstrip("\r\n").split(","), first_line.__add__,
+                    len(lines))
+    reader = csv.reader(chain(lines, fh))
+    rows, spanned = [], 0
+    try:
+        for row in reader:
+            rows.append(row)
+            spanned = reader.line_num
+            if spanned >= len(lines):
+                break
+    except csv.Error as exc:
+        # the failing row starts on the line after the last row read
+        raise csv.Error(f"line {first_line + spanned}: {exc}") from None
     flagged = np.fromiter(map(len, rows), np.intp, len(rows)) != len(CSV_COLUMNS)
     cells = rows
     if flagged.any():
         cells = [_NOT_A_ROW if bad else row for row, bad in zip(rows, flagged.tolist())]
     tx, block, kind, builder, searcher, tip, profit = zip(*cells)
-    tip, profit = _floats(tip), _floats(profit)
-    flagged |= ~((tip >= 0.0) & (tip < math.inf) & (profit > -math.inf) & (profit < math.inf))
     block, wide = _int64s(block)
-    flagged |= wide
+
+    def line(i):
+        # a quoted line break inside a field spans one more line; the commas
+        # keep a break that ends one field from joining one that starts the next
+        return first_line + i + len(_LINE_BREAK.findall(",".join(chain.from_iterable(rows[:i]))))
+
+    return ([tx, block, kind, builder, searcher, _floats(tip), _floats(profit)],
+            flagged | wide, rows.__getitem__, line, spanned)
+
+
+def _block_columns(columns, flagged, row, line, samples):
+    """The accepted rows of a block, given as ``_block_rows`` returns it, as
+    columns, and the number of rows rejected.
+
+    Masks add each row whose tip, profit or type label a check rejects to
+    ``flagged``.  Only a flagged row goes through ``_parse_row``, the one
+    statement of the malformed-row rules, on its fields ``row(i)``: it either
+    rejects the row (sampled into ``samples`` while they hold fewer than 10,
+    with the line ``line(i)`` the row starts on) or accepts it in place, as
+    it does a type label in another case.
+    """
+    tx, block, kind, builder, searcher, tip, profit = columns
+    flagged = flagged | ~((tip >= 0.0) & (tip < math.inf)
+                          & (profit > -math.inf) & (profit < math.inf))
     try:
         codes = bytearray(map(_TYPE_CODE.get, kind))
     except TypeError:  # a label that is not a type's, as written
@@ -386,17 +432,13 @@ def _block_columns(rows, first_line, samples):
     rejected = []
     for i in np.flatnonzero(flagged).tolist():
         try:
-            _, block[i], codes[i], _, _, tip[i], profit[i] = _parse_row(rows[i])
+            _, block[i], codes[i], _, _, tip[i], profit[i] = _parse_row(row(i))
         except (ValueError, KeyError) as exc:
             rejected.append(i)
             if len(samples) < 10:
-                # a quoted line break inside a field spans one more line; the
-                # commas keep a break that ends one field from joining one
-                # that starts the next
-                breaks = len(_LINE_BREAK.findall(",".join(chain.from_iterable(rows[:i]))))
-                samples.append({"line": first_line + i + breaks, "error": str(exc)})
+                samples.append({"line": line(i), "error": str(exc)})
     if rejected:
-        keep = np.ones(len(rows), dtype=bool)
+        keep = np.ones(len(tx), dtype=bool)
         keep[rejected] = False
         kept = keep.tolist()
         tx, builder, searcher = (list(compress(c, kept)) for c in (tx, builder, searcher))

@@ -13,8 +13,10 @@ the winner is the highest-value searcher; only its signal, value and bid are
 computed.  The strategy never decreases, so it is also the highest bidder.
 The top draw is sampled as one order statistic, the maximum of n iid N(0, 1)
 draws, whose CDF is Phi^n; by exchangeability the winner's index is uniform
-on [0, n) and drawn apart from its top draw.  The other n - 1 draws are
-never made, so the cost of an auction does not grow with n.
+on [0, n) and apart from its top draw.  It is the last draw on the value
+stream, so only a caller that reads it draws it (the trace, the synthetic
+records' searchers), and skipping it moves no other draw.  The other n - 1
+draws are never made, so the cost of an auction does not grow with n.
 
 One private kernel, ``_play``, draws and plays a chunk of auctions; the
 game engine here and ``synthetic._chunks`` both call it, so the
@@ -118,17 +120,18 @@ class _MomentAccumulator:
 
 
 def _top_draws(rng, rows: int, n: int):
-    """(argmax, max) of n iid N(0, 1) draws, for each of ``rows`` auctions.
+    """The max of n iid N(0, 1) draws, for each of ``rows`` auctions.
 
     The max has CDF Phi^n, so it is Phi^-1(V^(1/n)) for V uniform; with
     V = 1 - U, its upper tail 1 - V^(1/n) is computed from U without
     cancellation.  By exchangeability the argmax is uniform and independent
-    of the max.  ``rng.random()`` is 0 with probability 2^-53, which would
-    give an infinite max, so that draw takes the midpoint of its grid cell.
+    of the max, so a caller that needs it draws it from ``rng`` next, as
+    ``rng.integers(n, size=rows)``.  ``rng.random()`` is 0 with probability
+    2^-53, which would give an infinite max, so that draw takes the midpoint
+    of its grid cell.
     """
     u = np.maximum(rng.random(rows), 2.0**-54)
-    top = -ndtri(-np.expm1(np.log1p(-u) / n))
-    return rng.integers(n, size=rows), top
+    return -ndtri(-np.expm1(np.log1p(-u) / n))
 
 
 def _play(strategy, profile, gamma, epsilon, key, shape, antithetic=False):
@@ -136,13 +139,15 @@ def _play(strategy, profile, gamma, epsilon, key, shape, antithetic=False):
 
     ``shape`` is (blocks,) or (blocks, auctions per block); the auctions of a
     block share its common factor.  Stream ``key + (0,)`` draws the values,
-    ``key + (1,)`` the defection coins, which is returned so a caller can
-    draw more from it.  The highest idiosyncratic draw (equivalently, the
-    highest signal) wins: ``_top_draws`` samples it and the winner's index,
-    uniform and apart from it, after the common factors, and only the winner
-    gets a signal, a value and a bid from ``strategy.bid``.  A defecting
+    ``key + (1,)`` the defection coins; both are returned so a caller can
+    draw more from them.  The highest idiosyncratic draw (equivalently, the
+    highest signal) wins: ``_top_draws`` samples it after the common
+    factors, and only the winner gets a signal, a value and a bid from
+    ``strategy.bid``.  The winner's index, uniform on [0, n) and apart from
+    its top draw, is the value stream's next draw, which a caller that reads
+    it makes as ``value_stream.integers(n, size=shape)``.  A defecting
     builder frontruns when ``gamma * top_val > top_bid``.
-    Returns (winner, top_bid, top_val, defect, frontrun, coin_stream).
+    Returns (top_bid, top_val, defect, frontrun, value_stream, coin_stream).
     """
     rng_v = stream(*key, 0)
     rows = shape[0]
@@ -153,7 +158,7 @@ def _play(strategy, profile, gamma, epsilon, key, shape, antithetic=False):
         Z = np.concatenate([half, -half])
     else:
         Z = rng_v.standard_normal(rows)
-    winner, top_u = _top_draws(rng_v, math.prod(shape), profile.n)
+    top_u = _top_draws(rng_v, math.prod(shape), profile.n)
     z = affiliated_signal(Z.reshape(Z.shape + (1,) * (len(shape) - 1)),
                           top_u.reshape(shape), profile.rho)
     top_val = np.exp(profile.mu + profile.sigma * z)
@@ -161,7 +166,7 @@ def _play(strategy, profile, gamma, epsilon, key, shape, antithetic=False):
     coin = stream(*key, 1)
     defect = coin.random(shape) < epsilon
     frontrun = defect & (gamma * top_val > top_bid)
-    return winner.reshape(shape), top_bid, top_val, defect, frontrun, coin
+    return top_bid, top_val, defect, frontrun, rng_v, coin
 
 
 class _ChunkResult(NamedTuple):
@@ -178,15 +183,18 @@ class _ChunkResult(NamedTuple):
 def _simulate_chunk(strategy, profile, seed, chunk_index, size, antithetic, keep=0):
     """Play chunk ``chunk_index`` and reduce it; keep the per-block arrays
     of its first ``keep`` blocks (none when ``keep`` is 0)."""
-    winner, top_bid, top_val, defect, frontrun, _ = _play(
+    top_bid, top_val, defect, frontrun, values, _ = _play(
         strategy, profile, strategy.gamma, strategy.epsilon, (seed, chunk_index),
         (size,), antithetic)
     revenue = np.where(frontrun, strategy.gamma * top_val, top_bid)
     surplus = np.where(frontrun, 0.0, top_val - top_bid)
     blocks = None
     if keep:
-        blocks = tuple(a[:keep] for a in (winner, top_bid, top_val, defect, frontrun,
-                                          revenue, surplus))
+        # only the trace reads the winners; the first ``keep`` of the chunk's
+        # are the first ``keep`` drawn
+        winner = values.integers(profile.n, size=keep)
+        blocks = (winner,) + tuple(a[:keep] for a in (top_bid, top_val, defect, frontrun,
+                                                      revenue, surplus))
     samples = (revenue, surplus)
     if antithetic:  # blocks j and j + size/2 share a common factor: one draw
         samples = tuple(0.5 * (a[:size // 2] + a[size // 2:]) for a in samples)
@@ -288,7 +296,7 @@ def _rival_chunk(v, strategy, profile, seed, chunk_index, size):
     z0 = (math.log(v) - profile.mu) / profile.sigma
     rng = stream(seed, chunk_index, 0)
     z_post = affiliated_signal(z0, rng.standard_normal(size), profile.rho)
-    _, top_u = _top_draws(rng, size, profile.n - 1)
+    top_u = _top_draws(rng, size, profile.n - 1)
     z_riv = affiliated_signal(z_post, top_u, profile.rho)
     rival_top = strategy.bid(np.exp(profile.mu + profile.sigma * z_riv))
     defect = stream(seed, chunk_index, 1).random(size) < strategy.epsilon

@@ -82,9 +82,10 @@ def _chunks(resolved, blocks, seed, k):
         prefix = f"0x{seed & 0xffffffff:08x}{t_idx:02x}"
         first_block = 1
         for chunk, size in enumerate(_chunk_sizes(blocks, _CHUNK)):
-            winner, top_bid, top_val, _, frontrun, coin = _play(
+            top_bid, top_val, _, frontrun, values, coin = _play(
                 strategy, profile, profile.gamma, spec.epsilon, (seed, t_idx, chunk),
                 (size, k))
+            winner = values.integers(profile.n, size=(size, k))
             builder_ids = coin.integers(0, len(BUILDER_POOL), size=(size, k))
             # surviving auctions in block-major order; a frontrun one reverts
             # unpaid and leaves no record

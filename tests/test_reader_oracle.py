@@ -9,20 +9,27 @@ in the same order), the same ``IngestReport`` (counts, samples and their
 lines) and, above the malformed-row threshold or past the csv field size
 limit, the same error.
 
-The block reader has two tokenizers: a block of lines with no quote, no NUL
-and no more characters than ``csv.field_size_limit()`` splits at commas, and
-any other block goes through ``csv.reader``.  The drawn texts put quoted,
-NUL-holding and long blocks beside quote-free ones, in 512-line blocks and in
-5-line ones, with the field size limit as it is and lowered.
+The block reader has two tokenizers: a block of lines with no quote, no NUL,
+none of ``\\x1c``-``\\x1f`` and no more characters than
+``csv.field_size_limit()`` goes to ``np.loadtxt``, and a block that it
+rejects or returns a row short, or any other block, goes through
+``csv.reader``.  The drawn texts put quoted, NUL-holding and long blocks
+beside quote-free ones, in 512-line blocks and in 5-line ones, with the
+field size limit as it is and lowered.  The boundary tests place one row
+kind (a spelling Python reads and ``np.loadtxt`` does not, or the reverse, a
+field count, a blank line) inside an otherwise clean block, and pin which
+blocks ``np.loadtxt`` loads, rejects or never sees.
 """
 
 import csv
 import re
+import sys
 from array import array
 from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -205,7 +212,7 @@ KINDS = {
     # a builder label first seen on a malformed row takes no code there
     "builder_new": _with(3, "b9"),
     "builder_new_tip_text": lambda row: _with(5, "abc")(_with(3, "b9")(row)),
-    # lines that split at commas as they are: whitespace only, trailing commas
+    # lines np.loadtxt rejects: whitespace only, empty fields, trailing commas
     "spaces": lambda row: [" \t"],
     "empty_fields": lambda row: [""] * 7,
     "trailing_comma": lambda row: row + [""],
@@ -278,15 +285,19 @@ def test_quoted_field_opened_on_a_block_last_line(tmp_path):
     # 512-line block, and its quoted searcher label breaks onto lines 514 and
     # 515: the first block's csv.reader takes them from the file, and the
     # next block starts on line 516.  The blocks after it hold no quote, so
-    # they split at commas, blank and whitespace-only lines included
+    # they go to np.loadtxt, which rejects both: the second for its
+    # whitespace-only line (its blank line alone would lose a row), the
+    # third for its trailing comma
     special = {508: "short", 511: "searcher_two_breaks", 512: "tip_text",
                600: "blank", 601: "spaces", 1100: "trailing_comma"}
     path = tmp_path / "edge.csv"
     path.write_text(csv_text(1200, special, "\r\n", True), encoding="utf-8", newline="")
-    with mock.patch.object(empirics.csv, "reader", side_effect=csv.reader) as reader:
+    with routes() as (outcomes, reader):
         report = assert_same_read(path, 1.0)
-    # the oracle's reader, the header's and the first block's
-    assert reader.call_count == 3
+    # np.loadtxt never sees the quoted first block, and raises on the others;
+    # csv.reader reads the oracle's rows, the header and all three blocks
+    assert outcomes == ["raised", "raised"]
+    assert reader.call_count == 5
     assert [s["line"] for s in report.samples] == [510, 516, 604, 605, 1104]
     assert report.rows_read == 1200 and report.malformed == 5
     for endings in ("\n", "\r", "mixed"):
@@ -334,3 +345,213 @@ def test_quoted_breaks_across_a_block_edge(tmp_path):
     for endings in ("\n", "\r", "mixed"):
         path.write_text(csv_text(1100, special, endings, False), encoding="utf-8", newline="")
         assert assert_same_read(path, 1.0) == report
+
+
+# ---------------------------------------------------------------------------
+# the np.loadtxt boundary: one row kind inside an otherwise clean block
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def routes():
+    """The outcome of each np.loadtxt call the reader makes, in block order:
+    "loaded" (a row per line), "short" (rows lost) or "raised"; and a mock
+    that counts the csv.reader calls."""
+    load, outcomes = np.loadtxt, []
+
+    def loadtxt(lines, **kwargs):
+        try:
+            table = load(lines, **kwargs)
+        except (ValueError, OverflowError):
+            outcomes.append("raised")
+            raise
+        outcomes.append("loaded" if len(table) == len(lines) else "short")
+        return table
+
+    with mock.patch.object(empirics.np, "loadtxt", loadtxt), \
+            mock.patch.object(empirics.csv, "reader", side_effect=csv.reader) as reader:
+        yield outcomes, reader
+
+
+# a 600-row file is a clean 512-line block (file lines 2-513) and an 88-line
+# one; the row kind goes on data row 301 (0-based 300), file line 302
+SPOT, SPOT_LINE = 300, 302
+
+
+def spot_text(line):
+    """A header and 600 good rows ended by CRLF, data row SPOT replaced by
+    the raw ``line`` (its ending included)."""
+    lines = [csv_line(row, "\r\n") for row in [list(CSV_COLUMNS)]
+             + [good_row(i) for i in range(600)]]
+    lines[SPOT + 1] = line
+    return "".join(lines)
+
+
+def spot_field(col, text):
+    """Row SPOT with field ``col`` written as ``text``, unquoted, CRLF-ended."""
+    row = good_row(SPOT)
+    row[col] = text
+    return ",".join(row) + "\r\n"
+
+
+def read_spot(path, text):
+    """Write ``text``, read it as the oracle does and check the two agree;
+    the report, the np.loadtxt outcomes and the count of csv.reader calls."""
+    path.write_bytes(text.encode("utf-8"))
+    with routes() as (outcomes, reader):
+        report = assert_same_read(path, 1.0)
+    return report, outcomes, reader.call_count
+
+
+BLOCK, TIP, PROFIT = 1, 5, 6
+# each kind is the spot row's line, whether _parse_row rejects it, and what
+# np.loadtxt makes of its block: "loaded" (the masks flag what they must),
+# "raised" or "short" (a line lost), after which csv.reader reads the block,
+# or "csv" (np.loadtxt never sees it)
+BOUNDARY = {
+    # Python's number spellings that np.loadtxt rejects: valid rows
+    "tip_digit_group": (spot_field(TIP, "1_0"), False, "raised"),
+    "tip_fraction_groups": (spot_field(TIP, "5.860_209_701_41"), False, "raised"),
+    "block_digit_group": (spot_field(BLOCK, "1_000"), False, "raised"),
+    "block_full_width": (spot_field(BLOCK, "１２"), False, "raised"),
+    "tip_full_width": (spot_field(TIP, "１.５"), False, "raised"),
+    "block_arabic_indic": (spot_field(BLOCK, "٣٤"), False, "raised"),
+    "profit_arabic_indic": (spot_field(PROFIT, "-٣.٥"), False, "raised"),
+    # block numbers that are no int64: malformed, whoever rejects them
+    "block_point_zero": (spot_field(BLOCK, "5.0"), True, "raised"),
+    "block_exponent": (spot_field(BLOCK, "1e3"), True, "raised"),
+    "block_2_to_63": (spot_field(BLOCK, "9223372036854775808"), True, "raised"),
+    "block_below_int64": (spot_field(BLOCK, "-9223372036854775809"), True, "raised"),
+    # what np.loadtxt converts and the masks flag or pass
+    "tip_1e400": (spot_field(TIP, "1e400"), True, "loaded"),
+    "profit_minus_1e400": (spot_field(PROFIT, "-1e400"), True, "loaded"),
+    "tip_minus_zero": (spot_field(TIP, "-0"), False, "loaded"),
+    "block_minus_zero": (spot_field(BLOCK, "-0"), False, "loaded"),
+    "tip_nan": (spot_field(TIP, "nan"), True, "loaded"),
+    "profit_infinity": (spot_field(PROFIT, "Infinity"), True, "loaded"),
+    "tip_negative": (spot_field(TIP, "-0.5"), True, "loaded"),
+    "type_unknown": (spot_field(2, "flashloan"), True, "loaded"),
+    "type_upper": (spot_field(2, "NAKED_ARB"), False, "loaded"),
+    "block_max": (spot_field(BLOCK, str((1 << 63) - 1)), False, "loaded"),
+    "block_min": (spot_field(BLOCK, str(-(1 << 63))), False, "loaded"),
+    # field counts
+    "six_fields": (",".join(good_row(SPOT)[:6]) + "\r\n", True, "raised"),
+    "eight_fields": (",".join(good_row(SPOT) + ["extra"]) + "\r\n", True, "raised"),
+    "trailing_comma": (",".join(good_row(SPOT)) + ",\r\n", True, "raised"),
+    # text fields keep their spaces and a '#'; numbers take ASCII spaces
+    "space_padded": (",".join(f" {f} " for f in good_row(SPOT)) + "\r\n", False, "loaded"),
+    "hash_in_labels": (",".join(["0x#1", "7", "sandwich", "b#", "#s", "1.5", "2"]) + "\r\n",
+                       False, "loaded"),
+    "hash_first": (",".join(["#0x1", "7", "backrun", "b1", "s1", "1.5", "2"]) + "\r\n",
+                   False, "loaded"),
+    # lines np.loadtxt skips or cannot split: malformed rows
+    "blank_crlf": ("\r\n", True, "short"),
+    "blank_lf": ("\n", True, "short"),
+    "whitespace_only": (" \t\r\n", True, "raised"),
+    # a NUL and a quote keep the block on csv.reader
+    "tip_nul": (spot_field(TIP, "1.5\0"), True, "csv"),
+    "quoted_builder": (spot_field(3, '"b,1"'), False, "csv"),
+}
+# \x1c-\x1f pad a number for np.loadtxt, but float() and int() reject them
+PADDING = {f"{name}_{ord(c):x}_{side}": (spot_field(col, c + v if side == "lead" else v + c),
+                                         True, "csv")
+           for c in "\x1c\x1d\x1e\x1f"
+           for name, col, v in (("block", BLOCK, "7"), ("tip", TIP, "1.5"),
+                                ("profit", PROFIT, "2.5"))
+           for side in ("lead", "trail")}
+
+
+@pytest.mark.parametrize("kind", sorted(BOUNDARY) + sorted(PADDING))
+def test_row_kind_at_the_loadtxt_boundary(tmp_path, kind):
+    line, malformed, route = {**BOUNDARY, **PADDING}[kind]
+    report, outcomes, csv_calls = read_spot(tmp_path / "spot.csv", spot_text(line))
+    assert report.rows_read == 600 and report.malformed == malformed
+    if malformed:
+        assert [s["line"] for s in report.samples] == [SPOT_LINE]
+    # the second, clean block always loads; csv.reader reads the header, the
+    # oracle's rows and the first block unless np.loadtxt loaded it
+    assert outcomes == ([] if route == "csv" else [route]) + ["loaded"]
+    assert csv_calls == 2 + (route != "loaded")
+
+
+def test_every_space_pads_numbers_as_python_does(tmp_path):
+    # every str.isspace() code point before and after a block number, a tip
+    # and a profit, in a clean block: as the oracle reads it, line numbers
+    # and messages included ("\n" and "\r" end the line there, as they do
+    # for csv.reader)
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert len(spaces) == 29
+    for c in spaces:
+        for col, value in ((BLOCK, "7"), (TIP, "1.5"), (PROFIT, "2.5")):
+            for padded in (c + value, value + c, c + value + c):
+                read_spot(tmp_path / "spot.csv", spot_text(spot_field(col, padded)))
+
+
+def test_cr_line_ends_stay_on_loadtxt(tmp_path):
+    # lines ended by a bare CR, with a negative tip and an unknown type that
+    # the masks flag (data rows 11 and 601, file lines 12 and 602)
+    special = {10: "tip_negative", 600: "type_unknown"}
+    for final in (True, False):
+        path = tmp_path / "cr.csv"
+        path.write_text(csv_text(1100, special, "\r", final), encoding="utf-8", newline="")
+        with routes() as (outcomes, reader):
+            report = assert_same_read(path, 1.0)
+        assert outcomes == ["loaded"] * 3 and reader.call_count == 2
+        assert [s["line"] for s in report.samples] == [12, 602]
+
+
+@pytest.mark.filterwarnings("error")
+def test_blank_lines_mid_block_and_a_blank_block(tmp_path):
+    # a blank line inside a block, which np.loadtxt would skip, and a whole
+    # 512-line block of blank lines, which it would warn about: each blank
+    # line is a malformed row, and no warning is raised
+    lines = [csv_line(row, "\n") for row in [list(CSV_COLUMNS)]
+             + [good_row(i) for i in range(1100)]]
+    lines[200:200] = ["\n"]
+    lines[513:513] = ["\n"] * 512
+    path = tmp_path / "blank.csv"
+    path.write_text("".join(lines), encoding="utf-8", newline="")
+    with routes() as (outcomes, reader):
+        report = assert_same_read(path, 1.0)
+    # block 1 loses its blank line and falls back; block 2 is all blank and
+    # goes to csv.reader unseen by np.loadtxt; blocks 3 and 4 load
+    assert outcomes == ["short", "loaded", "loaded"] and reader.call_count == 4
+    assert report.rows_read == 1100 + 513 and report.malformed == 513
+    assert [s["line"] for s in report.samples] == [201] + list(range(514, 523))
+
+
+def float_texts():
+    """Doubles below 1e307 in size (a tip and a profit add up without
+    overflow), as %.12g and as repr."""
+    return st.floats(min_value=-1e307, max_value=1e307).flatmap(
+        lambda x: st.sampled_from(["%.12g" % x, repr(x)]))
+
+
+@given(st.lists(float_texts(), min_size=1, max_size=400))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_loadtxt_floats_bit_for_bit(tmp_path_factory, texts):
+    # the tips (made nonnegative) and profits np.loadtxt converts carry the
+    # bits float() gives each text
+    tips = [t.lstrip("-") for t in texts]
+    path = tmp_path_factory.getbasetemp() / "floats.csv"
+    rows = [list(CSV_COLUMNS)] + [good_row(i)[:5] + [tip, profit]
+                                  for i, (tip, profit) in enumerate(zip(tips, texts[::-1]))]
+    path.write_text("".join(csv_line(row, "\n") for row in rows), encoding="utf-8")
+    with routes() as (outcomes, _):
+        table = BundleTable.read(path)
+    assert outcomes == ["loaded"]
+    assert table.tip.tobytes() == np.array([float(t) for t in tips]).tobytes()
+    assert table.profit.tobytes() == np.array([float(t) for t in texts[::-1]]).tobytes()
+
+
+def test_loadtxt_floats_bit_for_bit_over_the_exponents():
+    # 20000 doubles of uniformly drawn bits (every exponent, subnormals
+    # included), as %.12g and repr, through np.loadtxt as the reader calls it
+    bits = np.random.default_rng(30).integers(0, 1 << 63, size=20_000, dtype=np.uint64)
+    doubles = bits.view(np.float64)
+    doubles = doubles[np.isfinite(doubles)].tolist()
+    for texts in (["%.12g" % x for x in doubles], [repr(x) for x in doubles]):
+        lines = [f"0x0,1,sandwich,b,s,{t},{t}\n" for t in texts]
+        table = np.loadtxt(lines, dtype=empirics._ROW_DTYPE, delimiter=",", comments=None,
+                           ndmin=1)
+        want = np.array([float(t) for t in texts]).tobytes()
+        assert np.ascontiguousarray(table["tip"]).tobytes() == want

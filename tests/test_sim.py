@@ -39,18 +39,18 @@ def _priced_everywhere(strategy, values):
 
 
 def _draw_top(profile, key, shape, antithetic):
-    """The (winner, top value) ``_play`` draws on ``stream(*key, 0)``: the
-    common factors first (the antithetic half flips only them), then the
-    top draws and winners of ``_top_draws``."""
+    """The top values ``_play`` draws on ``stream(*key, 0)``: the common
+    factors first (the antithetic half flips only them), then the top draws
+    of ``_top_draws``; and the stream, for the winners drawn after them."""
     rng = stream(*key, 0)
     rows = shape[0]
     Z = rng.standard_normal(rows // 2 if antithetic else rows)
     if antithetic:
         Z = np.concatenate([Z, -Z])
-    winner, top_u = _top_draws(rng, math.prod(shape), profile.n)
+    top_u = _top_draws(rng, math.prod(shape), profile.n)
     z = affiliated_signal(Z.reshape(Z.shape + (1,) * (len(shape) - 1)), top_u.reshape(shape),
                           profile.rho)
-    return winner.reshape(shape), np.exp(profile.mu + profile.sigma * z)
+    return np.exp(profile.mu + profile.sigma * z), rng
 
 
 def _blocks(strategy, profile, seed, size):
@@ -140,6 +140,21 @@ class TestRunMany:
         threaded = run_many(strat, profile, 150_000, seed=31, workers=4)
         default = run_many(strat, profile, 150_000, seed=31)
         assert serial == threaded == default
+
+    @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+    def test_traced_run_sums_equal_untraced(self, flagship, tmp_path, antithetic):
+        # only a traced chunk draws its winners' indices, the last draw on its
+        # value stream, so tracing moves no other draw: chunk 0 traced in
+        # full, chunk 1 in part and chunk 2 not at all give the untraced sums
+        profile, curve = flagship
+        strat = solve_strategy(profile, 0.3, curve=curve)
+        blocks, cap, trace = 2 * CHUNK + 4096, CHUNK + 1000, tmp_path / "trace.csv"
+        untraced = run_many(strat, profile, blocks, seed=17, antithetic=antithetic)
+        traced = run_many(strat, profile, blocks, seed=17, antithetic=antithetic,
+                          trace_path=trace, trace_cap=cap)
+        assert traced == untraced
+        winners = np.loadtxt(trace, delimiter=",", skiprows=1, usecols=1)
+        assert winners.shape == (cap,) and set(np.unique(winners)) == set(range(profile.n))
 
     @pytest.mark.parametrize("cpus,blocks,pool", [(1, 3 * CHUNK, None), (2, 3 * CHUNK, 2),
                                                   (4, 3 * CHUNK, 3), (4, CHUNK, None)],
@@ -408,13 +423,16 @@ class TestTopDraws:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 50])
     def test_max_has_cdf_phi_to_the_n(self, n):
-        _, top = _top_draws(stream(41, n), 1_000_000, n)
+        top = _top_draws(stream(41, n), 1_000_000, n)
         assert np.all(np.isfinite(top))
         assert kstest(top, lambda x: ndtr(x) ** n).pvalue > KS_P_MIN
 
     @pytest.mark.parametrize("n", [2, 5, 50])
     def test_winner_uniform_and_independent_of_the_max(self, n):
-        winner, top = _top_draws(stream(43, n), 1_000_000, n)
+        # a caller draws the winners from the stream right after the max
+        rng = stream(43, n)
+        top = _top_draws(rng, 1_000_000, n)
+        winner = rng.integers(n, size=1_000_000)
         assert winner.min() >= 0 and winner.max() < n
         counts = np.bincount(winner, minlength=n)
         assert chisquare(counts).pvalue > KS_P_MIN
@@ -432,10 +450,7 @@ class TestTopDraws:
                 out[0] = 0.0
                 return out
 
-            def integers(self, n, size):
-                return np.zeros(size, dtype=np.int64)
-
-        _, top = _top_draws(ZeroFirst(), 3, 5)
+        top = _top_draws(ZeroFirst(), 3, 5)
         assert np.all(np.isfinite(top)) and top[0] > top[1]
 
 
@@ -448,11 +463,12 @@ class TestPlay:
         for profile, epsilon in KERNEL_PROFILES:
             strat = solve_strategy(profile, epsilon, curve=curve_for(profile))
             key = (11, profile.n, 3)
-            winner, top_bid, top_val, defect, frontrun, _ = _play(
+            top_bid, top_val, defect, frontrun, values, _ = _play(
                 strat, profile, profile.gamma, epsilon, key, shape, antithetic)
-            want_winner, want_val = _draw_top(profile, key, shape, antithetic)
-            np.testing.assert_array_equal(winner, want_winner)
+            want_val, want_values = _draw_top(profile, key, shape, antithetic)
             np.testing.assert_array_equal(top_val, want_val)
+            # the value stream comes back where the top draws left it
+            np.testing.assert_array_equal(values.random(8), want_values.random(8))
             np.testing.assert_array_equal(top_bid, _priced_everywhere(strat, top_val))
             np.testing.assert_array_equal(defect, stream(*key, 1).random(shape) < epsilon)
             np.testing.assert_array_equal(frontrun,
@@ -463,7 +479,7 @@ class TestPlay:
                                          make_profile(n=50)], ids=["rho0", "flagship", "n50"])
     def test_top_value_has_the_law_of_the_highest_value(self, profile, shape, antithetic):
         strat = solve_strategy(profile, 0.2, curve=curve_for(profile))
-        _, _, top_val, _, _, _ = _play(strat, profile, profile.gamma, 0.2, (12, profile.n),
+        _, top_val, _, _, _, _ = _play(strat, profile, profile.gamma, 0.2, (12, profile.n),
                                        shape, antithetic)
         for sample in _iid_samples(top_val, shape, antithetic):
             assert kstest(sample, lambda v: top_value_cdf(v, profile)).pvalue > KS_P_MIN
@@ -476,7 +492,8 @@ class TestPlay:
         # over them
         profile = make_profile(n=3)
         strat = solve_strategy(profile, 0.5, curve=curve_for(profile))
-        winner, _, _, _, _, _ = _play(strat, profile, profile.gamma, 0.5, (4, 1), shape)
+        _, _, _, _, values, _ = _play(strat, profile, profile.gamma, 0.5, (4, 1), shape)
+        winner = values.integers(profile.n, size=shape)
         assert chisquare(np.bincount(winner.ravel(), minlength=3)).pvalue > KS_P_MIN
 
 
