@@ -33,8 +33,15 @@ bundles with six rows, each in its own 512-row block, spelled at the edge of
 ``np.loadtxt``: a tip with digit groups and a block number in full-width
 digits (valid rows that it rejects), a tip padded with ``\\x1c`` (malformed,
 though it would parse it), a blank line, a profit of ``1e400`` and a tip of
-``-0``; estimate and report on a builder label holding a comma and a quote,
-and a config-driven report;
+``-0``; estimate and report on a copy of README's bundles with an 8-field
+row and a 6-field row, each alone in an otherwise clean 512-row block (each
+off six commas a line, so neither block goes to ``np.loadtxt``, which reads
+only some columns for ``estimate`` and ``report`` and would take the long
+row), and on a copy whose searcher labels all carry one suffix that makes
+every line longer than 256 characters (a 512-line block then holds more
+characters than ``csv.field_size_limit()``, but no line does); estimate and
+report on a builder label holding a comma and a quote, and a config-driven
+report;
 solve (eps 0.2 and 0), sweep, ``sweep --epsilons 0,0.2,0.5`` and
 ``sweep --epsilons 0,0.2,0.5,0.97`` on six profiles: the four theory
 profiles, rho = 0, and gamma = 0.32, where gamma*v crosses the bid in the
@@ -84,6 +91,10 @@ QUOTED_ROWS = {600: ("searcher", "searcher, with a comma"), 1024: ("searcher", B
 # of np.loadtxt; the blank line goes before its row
 SPELLINGS = {300: "tip_groups", 900: "block_full_width", 1500: "tip_padded",
              2100: "blank", 2700: "profit_1e400", 3300: "tip_minus_zero"}
+# data rows (1-based), each in its own 512-row block, given this many fields
+FIELD_COUNTS = {300: 8, 900: 6}
+# every line of the long-searcher copy is longer than this
+LONG_LINE = 256
 
 
 def _flags(profile: dict) -> list:
@@ -177,6 +188,33 @@ def _loadtxt_spellings_copy(src: Path, dst: Path):
         else:
             column, text = {"profit_1e400": (profit, "1e400"), "tip_minus_zero": (tip, "-0")}[kind]
             row[column] = text
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
+def _field_counts_copy(src: Path, dst: Path):
+    """Copy a bundle CSV with the rows of FIELD_COUNTS cut or padded to
+    their field counts."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    for number, count in FIELD_COUNTS.items():
+        row = rows[number - 1]
+        rows[number - 1] = row[:count] + ["extra"] * (count - len(row))
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
+def _long_searchers_copy(src: Path, dst: Path):
+    """Copy a bundle CSV with one suffix added to every searcher label, long
+    enough that every line is longer than LONG_LINE characters."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        shortest = min(len(line.rstrip("\r\n")) for line in list(fh)[1:])
+        fh.seek(0)
+        header, *rows = csv.reader(fh)
+    col = header.index("searcher")
+    suffix = "x" * (LONG_LINE + 1 - shortest)
+    for row in rows:
+        row[col] += suffix
     with open(dst, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([header, *rows])
 
@@ -275,6 +313,16 @@ def steps(run: Path) -> list:
         readme / "generate" / "bundles.csv", spellings / "bundles.csv")))
     out += [[cmd, "--input", str(spellings / "bundles.csv"), "--out-dir", str(spellings / cmd)]
             for cmd in ("estimate", "report")]
+
+    # rows of eight and six fields, each alone in a clean block; and lines
+    # too long for a whole block to stay under csv.field_size_limit()
+    for name, copy in (("field_counts", _field_counts_copy),
+                       ("long_searchers", _long_searchers_copy)):
+        base = run / name
+        out.append(lambda base=base, copy=copy: (
+            base.mkdir(), copy(readme / "generate" / "bundles.csv", base / "bundles.csv")))
+        out += [[cmd, "--input", str(base / "bundles.csv"), "--out-dir", str(base / cmd)]
+                for cmd in ("estimate", "report")]
 
     # a builder label holding a comma and a quote; a config-driven report
     labelled = run / "comma_label"

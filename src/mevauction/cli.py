@@ -353,7 +353,8 @@ def _estimates_doc(estimates):
 
 
 def cmd_estimate(p, written, out):
-    table = BundleTable.read(p["input"])
+    # no estimate output reads a free-text column
+    table = BundleTable.read(p["input"], text_columns=())
     estimates = _write_estimates(table, out)
     _write_json(out / "gamma_estimates.json", _estimates_doc(estimates), sort_keys=True)
     return written, f"estimated gamma for {len(estimates)} types"
@@ -362,7 +363,9 @@ def cmd_estimate(p, written, out):
 def cmd_report(params, written, out):
     # the input and the window are checked before the first write
     ingest_report = IngestReport()
-    table = BundleTable.read(params["input"], ingest_report)
+    # the diagnostics read the builders and searchers; no output reads a tx hash
+    table = BundleTable.read(params["input"], ingest_report,
+                             text_columns=("builder", "searcher"))
     counted = effective_bidder_counts(table, window=params["window"])
 
     # summary statistics and data quality

@@ -13,27 +13,32 @@ flagged, never clamped; data-quality issues should stay visible.  A block
 number outside the signed 64-bit range makes a row malformed.
 
 Records are held as one columnar :class:`BundleTable`: float64 ``tip``,
-``profit`` and ``value`` (tip + profit, summed once), int64 ``block``, small
-integer codes for type, builder and searcher with their label tuples (each
-label listed once), and the tx hashes as a list.  ``BundleTable.read``
-builds it in a single pass over the file, 512 lines at a time, with one of
-two tokenizers per block.  A block with no quote, no NUL, none of
-``\\x1c``-``\\x1f`` and no more characters than ``csv.field_size_limit()``
-goes to one ``np.loadtxt`` call, whose C parser splits it at commas, one row
-per line, and converts the block numbers, tips and profits.  A block that
-``np.loadtxt`` rejects (a number Python reads and it does not, such as
-``1_0``, or a row without seven fields) or that loses a line to it (a blank
-line), and any other block, goes through ``csv.reader``, which takes the
-rest of a quoted field opened on the block's last line from the file; its
-cells are converted by column with ``float`` and ``int``.  Either way a dict
-lookup codes the types, and numpy masks check the sign, finiteness and
-64-bit range.  Only a row that a check flags goes through ``_parse_row``,
-which holds the malformed-row rules and rejects the row or accepts it in
-place (a malformed row is reported by the file line it starts on).  A row
-that ``csv.reader`` cannot tokenize stops the read with an ``IngestError``
-naming the file and that line.  Every schedule, estimate and diagnostic
-takes that table and groups its columns with numpy instead of looping over
-records.
+``profit`` and ``value`` (tip + profit, summed once), int64 ``block`` and
+small integer codes for type, always; and, of the free-text columns, those
+its reader asks for: the tx hashes as a list, and integer codes for
+builder and searcher with their label tuples (each label listed once).  A
+column not read is None.  ``estimate`` reads none of the three, ``report``
+the builders and searchers, and ``BundleTable.read`` all three by default.
+``BundleTable.read`` builds the table in a single pass over the file, 512
+lines at a time, with one of two tokenizers per block.  A block with six
+commas a line, no quote, no NUL, none of ``\\x1c``-``\\x1f`` and no line
+longer than ``csv.field_size_limit()`` goes to one ``np.loadtxt`` call,
+whose C parser splits it at commas, one row per line, and converts the
+columns held (``usecols``).  A block that ``np.loadtxt`` rejects (a number
+Python reads and it does not, such as ``1_0``, or a short row whose missing
+commas a long row makes up) or that loses a line to it (a blank line, made
+up likewise), and any other block, goes through ``csv.reader``, which takes
+the rest of a quoted field opened on the block's last line from the file;
+its cells are converted by column with ``float`` and ``int``.  Either way
+a dict lookup codes the types, and numpy masks check the sign, finiteness
+and 64-bit range.  Only a row that a check flags goes through
+``_parse_row``, which holds the malformed-row rules, on all seven fields,
+and rejects the row or accepts it in place (a malformed row is reported by
+the file line it starts on), so the columns held change neither the rows
+accepted nor the report.  A row that ``csv.reader`` cannot tokenize stops
+the read with an ``IngestError`` naming the file and that line.  Every
+schedule, estimate and diagnostic takes that table and groups its columns
+with numpy instead of looping over records.
 ``write_bundles`` writes a stream of tables with one format per row, the
 label columns gathered by code, quoting fields exactly as ``csv.writer``'s
 default dialect does.  ``iter_bundles`` and ``BundleTable.records`` are a
@@ -79,6 +84,8 @@ from .profiles import MevType
 
 CSV_COLUMNS = ("tx_hash", "block_number", "mev_type", "builder", "searcher",
                "tip_usdc", "profit_usdc")
+# the free-text columns, which a table holds only when its reader asks for them
+TEXT_COLUMNS = ("tx_hash", "builder", "searcher")
 
 MALFORMED_LIMIT = 0.001
 FULL_BINS = 50
@@ -149,19 +156,23 @@ class BundleRecord:
 class BundleTable:
     """Bundle records as columns, in record order.
 
+    ``block``, ``mev_type``, ``tip`` and ``profit`` are always held.
     ``mev_type`` holds codes into ``MEV_TYPES``, ``builder`` and ``searcher``
     codes into the ``builders`` and ``searchers`` label tuples.  Each label is
     listed once, so each builder or searcher is one code; a repeated label
-    is a ParameterError.  ``value`` is tip + profit, computed once.
+    is a ParameterError.  ``value`` is tip + profit, computed once.  A table
+    read without a free-text column (``read``'s ``text_columns``) holds None
+    for it, and for its label tuple: ``select`` carries the None through,
+    and ``to_csv`` and ``records`` raise a ParameterError naming the column.
     """
 
-    tx_hash: list
+    tx_hash: list | None
     block: np.ndarray
     mev_type: np.ndarray
-    builder: np.ndarray
-    builders: tuple
-    searcher: np.ndarray
-    searchers: tuple
+    builder: np.ndarray | None
+    builders: tuple | None
+    searcher: np.ndarray | None
+    searchers: tuple | None
     tip: np.ndarray
     profit: np.ndarray
     value: np.ndarray = field(init=False)
@@ -169,28 +180,41 @@ class BundleTable:
     def __post_init__(self):
         for name in ("builders", "searchers"):
             labels = getattr(self, name)
-            if len(set(labels)) != len(labels):
+            if labels is not None and len(set(labels)) != len(labels):
                 raise ParameterError(f"{name} lists a label twice: {labels!r}")
         object.__setattr__(self, "value", self.tip + self.profit)
 
     def __len__(self) -> int:
-        return len(self.tx_hash)
+        return len(self.block)
+
+    def _require_text(self):
+        """ParameterError naming the first free-text column not held."""
+        for name in TEXT_COLUMNS:
+            if getattr(self, name) is None:
+                raise ParameterError(f"the table holds no {name} column; read it with "
+                                     f"{name!r} in text_columns")
 
     @classmethod
-    def read(cls, path, report: IngestReport | None = None) -> "BundleTable":
-        """Read a bundle CSV in one pass.
+    def read(cls, path, report: IngestReport | None = None,
+             text_columns=TEXT_COLUMNS) -> "BundleTable":
+        """Read a bundle CSV in one pass, holding the block numbers, types,
+        tips and profits and, of the free-text columns, those named in
+        ``text_columns`` (any of ``TEXT_COLUMNS``; the others are None in the
+        table).  ``estimate`` reads none of them, ``report`` the builders and
+        searchers.  Every row is checked on all seven fields whichever
+        columns are held, so the report and the errors do not depend on them.
 
         ``csv.reader`` reads the header; the file is then taken
         ``_READ_BLOCK`` physical lines at a time (``_block_rows``).  A block
-        with no quote, no NUL, none of ``\\x1c``-``\\x1f`` and no more
-        characters than ``csv.field_size_limit()`` is tokenized and converted
-        by one ``np.loadtxt`` call, one row per line.  A block that
-        ``np.loadtxt`` rejects or that loses a line to it, and any other
-        block, goes through ``csv.reader``, which reads a quoted field opened
-        on the block's last line on into the file, and ``float`` and ``int``
-        convert its columns.  Column masks then flag rows
-        (``_block_columns``), and only a flagged row goes through
-        ``_parse_row``.
+        with six commas a line, no quote, no NUL, none of ``\\x1c``-``\\x1f``
+        and no line longer than ``csv.field_size_limit()`` is tokenized by
+        one ``np.loadtxt`` call, one row per line, which converts only the
+        columns held.  A block that ``np.loadtxt`` rejects or that loses a
+        line to it, and any other block, goes through ``csv.reader``, which
+        reads a quoted field opened on the block's last line on into the
+        file, and ``float`` and ``int`` convert its columns.  Column masks
+        then flag rows (``_block_columns``), and only a flagged row goes
+        through ``_parse_row``.
         Malformed rows are counted in ``report`` (not fatal); if they exceed
         0.1% of this file's rows, IngestError is raised with this file's
         samples.  ``report`` adds up the counts and samples of every read it
@@ -200,14 +224,23 @@ class BundleTable:
         IngestError naming the file and the line the row starts on.  A header
         not matching the schema is a hard SchemaError up front.
         """
+        unknown = set(text_columns) - set(TEXT_COLUMNS)
+        if unknown:
+            raise ParameterError(f"text_columns {sorted(unknown)} are not among "
+                                 f"{TEXT_COLUMNS}")
+        usecols = tuple(i for i, name in enumerate(CSV_COLUMNS)
+                        if name in text_columns or name not in TEXT_COLUMNS)
+        dtype = np.dtype([(_ROW_DTYPE.names[i], _ROW_DTYPE[i]) for i in usecols])
         report = report if report is not None else IngestReport()
         rows_read = malformed = 0
         samples = []
         # typed arrays hold each parsed field in 8 bytes (types in 1), with no
         # per-row Python object kept but the tx hash
-        tx, builder_codes, searcher_codes = [], {}, {}
+        tx = [] if "tx_hash" in text_columns else None
+        # label -> code, and the codes, of each label column held
+        labelled = {name: ({}, array("q")) for name in ("builder", "searcher")
+                    if name in text_columns}
         block, types = array("q"), array("B")
-        builder, searcher = array("q"), array("q")
         tip, profit = array("d"), array("d")
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -235,7 +268,7 @@ class BundleTable:
                 first_line = lines_read + 1
                 try:
                     columns, flagged, row, line, spanned = _block_rows(
-                        lines, fh, field_limit, first_line)
+                        lines, fh, field_limit, first_line, usecols, dtype)
                 except csv.Error as exc:
                     raise IngestError(f"{path}: {exc}") from None
                 lines_read += spanned
@@ -243,16 +276,19 @@ class BundleTable:
                 (t, b, c, bu, se, tp, pr), rejected = _block_columns(
                     columns, flagged, row, line, samples)
                 malformed += rejected
-                tx += t
+                if tx is not None:
+                    tx += t
                 block.frombytes(b.tobytes())
                 types.frombytes(c.tobytes())
-                builder.frombytes(_label_codes(bu, builder_codes).tobytes())
-                searcher.frombytes(_label_codes(se, searcher_codes).tobytes())
+                for name, cells in (("builder", bu), ("searcher", se)):
+                    if name in labelled:
+                        codes, column = labelled[name]
+                        column.frombytes(_label_codes(cells, codes).tobytes())
                 tip.frombytes(tp.tobytes())
                 profit.frombytes(pr.tobytes())
         report.rows_read += rows_read
         report.malformed += malformed
-        report.records += len(tx)
+        report.records += len(block)
         report.samples += samples
         if malformed > MALFORMED_LIMIT * rows_read:
             raise IngestError(
@@ -260,13 +296,17 @@ class BundleTable:
                 f"exceed the {MALFORMED_LIMIT:.1%} threshold; samples: {samples[:5]}"
             )
 
-        def codes(column):
-            return np.frombuffer(column, dtype=np.int64).astype(np.intp, copy=False)
+        def label_column(name):
+            """(codes, labels) of a label column, or (None, None) if not held."""
+            if name not in labelled:
+                return None, None
+            codes, column = labelled[name]
+            return (np.frombuffer(column, dtype=np.int64).astype(np.intp, copy=False),
+                    tuple(codes))
 
         return cls(tx, np.frombuffer(block, dtype=np.int64),
                    np.frombuffer(types, dtype=np.uint8).astype(np.intp),
-                   codes(builder), tuple(builder_codes),
-                   codes(searcher), tuple(searcher_codes),
+                   *label_column("builder"), *label_column("searcher"),
                    np.frombuffer(tip, dtype=float), np.frombuffer(profit, dtype=float))
 
     def select(self, index) -> "BundleTable":
@@ -276,21 +316,22 @@ class BundleTable:
             index = np.flatnonzero(index)
         elif index.size == 0:  # [] converts to a float array
             index = index.astype(np.intp)
-        tx = self.tx_hash
-        return BundleTable([tx[i] for i in index.tolist()], self.block[index],
-                           self.mev_type[index], self.builder[index], self.builders,
-                           self.searcher[index], self.searchers,
+        tx, builder, searcher = self.tx_hash, self.builder, self.searcher
+        return BundleTable(None if tx is None else [tx[i] for i in index.tolist()],
+                           self.block[index], self.mev_type[index],
+                           None if builder is None else builder[index], self.builders,
+                           None if searcher is None else searcher[index], self.searchers,
                            self.tip[index], self.profit[index])
 
     def records(self):
-        """The rows as BundleRecord objects, in table order."""
+        """The rows as BundleRecord objects, in table order (an iterator)."""
+        self._require_text()
         builders, searchers = self.builders, self.searchers
-        for tx, block, t, b, s, tip, profit in zip(
-                self.tx_hash, self.block.tolist(), self.mev_type.tolist(),
-                self.builder.tolist(), self.searcher.tolist(),
-                self.tip.tolist(), self.profit.tolist()):
-            yield BundleRecord(tx, block, MEV_TYPES[t], builders[b], searchers[s],
-                               tip, profit)
+        return (BundleRecord(tx, block, MEV_TYPES[t], builders[b], searchers[s], tip, profit)
+                for tx, block, t, b, s, tip, profit in zip(
+                    self.tx_hash, self.block.tolist(), self.mev_type.tolist(),
+                    self.builder.tolist(), self.searcher.tolist(),
+                    self.tip.tolist(), self.profit.tolist()))
 
     def to_csv(self) -> str:
         """The rows as lines of the input schema, byte for byte what
@@ -303,6 +344,7 @@ class BundleTable:
         columns are gathered from object arrays of their quoted labels,
         indexed by code.
         """
+        self._require_text()
         tx = self.tx_hash
         joined = "".join(tx)
         if "," in joined or '"' in joined or "\r" in joined or "\n" in joined:
@@ -324,11 +366,10 @@ _LINE_BREAK = re.compile("\r\n|\r|\n")
 # physical lines BundleTable.read takes at a time.  Medians of 21 in-process
 # reads (2-CPU machine), 256 / 512 / 1024 lines: the clean 116,204-row
 # generated file 118 / 118 / 121 ms, the benchmark input (its 290 injected
-# rows send about one block in ten to csv.reader) 130 / 134 / 149 ms.
-# Past csv.field_size_limit() characters (about 1250 lines) a block never
-# goes to np.loadtxt
+# rows send about one block in ten to csv.reader) 130 / 134 / 149 ms
 _READ_BLOCK = 512
-# a row as np.loadtxt converts it
+# a row's fields as np.loadtxt converts them, in CSV_COLUMNS order;
+# BundleTable.read asks it for the fields of the columns it holds
 _ROW_DTYPE = np.dtype([("tx", object), ("block", np.int64), ("type", object),
                        ("builder", object), ("searcher", object),
                        ("tip", np.float64), ("profit", np.float64)])
@@ -341,43 +382,56 @@ _CSV_ONLY = '"\0\x1c\x1d\x1e\x1f'
 _NOT_A_ROW = ("", "0", "", "", "", "nan", "nan")
 
 
-def _block_rows(lines, fh, field_limit, first_line):
+def _block_rows(lines, fh, field_limit, first_line, usecols, dtype):
     """The rows that start on ``lines``, physical lines of the open bundle CSV
     ``fh`` (terminators kept) from file line ``first_line`` on.
 
-    Returns the rows as columns (the tx hashes, types, builders and searchers
-    as sequences of str, the block numbers, tips and profits as arrays), a
+    Returns the rows as the seven columns of the schema (the block numbers,
+    tips and profits as arrays, the tx hashes, types, builders and searchers
+    as sequences of str; a free-text column not in ``usecols`` is None), a
     mask of the rows that a field count or an integer check rejects, the
     fields of row i and the file line it starts on as functions, and the
     number of lines the rows span.
 
-    A block with a line that is not blank, no quote, no NUL, none of
-    \\x1c-\\x1f and no more characters than ``field_limit``
-    (``csv.field_size_limit()``) goes to one ``np.loadtxt`` call, which
-    tokenizes and converts it in C, one row per line.  The block falls back
-    when ``loadtxt`` raises (it rejects a row without seven fields, a number
-    that it does not parse, such as ``1_0`` or non-ASCII digits, and a block
-    number outside int64) or returns fewer rows than the block has lines (it
-    skips blank lines, which are malformed rows; a block of blank lines only,
-    on which it would warn that it read no data, never goes to it).  Any
-    other block goes through ``csv.reader``, which takes the lines of a
-    quoted field opened on the block's last line from ``fh``, and its cells
-    are converted column by column with ``float`` and ``int``.  A
-    ``csv.Error`` is raised again with the file line of the row it stopped
-    in.
+    A block with six commas a line, no quote, no NUL, none of \\x1c-\\x1f
+    and no line longer than ``field_limit`` (``csv.field_size_limit()``; no
+    field of a quote-free line is longer than the line) goes to one
+    ``np.loadtxt`` call, which tokenizes it in C, one row per line, and
+    converts the columns ``usecols`` into the fields of ``dtype``.  With
+    ``usecols`` it no longer rejects a row of more than seven fields, so the
+    comma count (quote-free, every comma is a separator) stands in for that
+    check: a block that passes it with a long row also holds a short row,
+    which lacks the profit column that ``usecols`` always takes, or a blank
+    line.  The block falls back when ``loadtxt`` raises (a short row, a
+    number that it does not parse, such as ``1_0`` or non-ASCII digits, and
+    a block number outside int64) or returns fewer rows than the block has
+    lines (it skips blank lines, which are malformed rows; a block of blank
+    lines only, on which it would warn that it read no data, has no comma
+    and never goes to it).  Any other block goes through
+    ``csv.reader``, which takes the lines of a quoted field opened on the
+    block's last line from ``fh``, and its cells are converted column by
+    column with ``float`` and ``int``.  A ``csv.Error`` is raised again with
+    the file line of the row it stopped in.
     """
     text = "".join(lines)
-    if (text.strip("\r\n") and len(text) <= field_limit
-            and not any(c in text for c in _CSV_ONLY)):
+    # the commas are counted in the UTF-8 bytes, by numpy (a quarter of the
+    # time of str.count); no byte of a multi-byte character is a comma's.  A
+    # block no longer than the limit has no line longer than it
+    if (not any(c in text for c in _CSV_ONLY)
+            and np.count_nonzero(np.frombuffer(text.encode(), np.uint8) == ord(","))
+            == (len(CSV_COLUMNS) - 1) * len(lines)
+            and (len(text) <= field_limit or max(map(len, lines)) <= field_limit)):
         try:
-            table = np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",", comments=None,
-                               ndmin=1)
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                               usecols=usecols, ndmin=1)
         except (ValueError, OverflowError):
             table = None
         if table is not None and len(table) == len(lines):
             # quote-free and no line lost: row i is line i
-            return ([table[name] if table.dtype[name] != object else table[name].tolist()
-                     for name in _ROW_DTYPE.names], np.zeros(len(lines), dtype=bool),
+            columns = [None] * len(CSV_COLUMNS)
+            for i, name in zip(usecols, dtype.names):
+                columns[i] = table[name].tolist() if dtype[name] == object else table[name]
+            return (columns, np.zeros(len(lines), dtype=bool),
                     lambda i: lines[i].rstrip("\r\n").split(","), first_line.__add__,
                     len(lines))
     reader = csv.reader(chain(lines, fh))
@@ -395,7 +449,8 @@ def _block_rows(lines, fh, field_limit, first_line):
     cells = rows
     if flagged.any():
         cells = [_NOT_A_ROW if bad else row for row, bad in zip(rows, flagged.tolist())]
-    tx, block, kind, builder, searcher, tip, profit = zip(*cells)
+    tx, block, kind, builder, searcher, tip, profit = (
+        column if i in usecols else None for i, column in enumerate(zip(*cells)))
     block, wide = _int64s(block)
 
     def line(i):
@@ -409,7 +464,8 @@ def _block_rows(lines, fh, field_limit, first_line):
 
 def _block_columns(columns, flagged, row, line, samples):
     """The accepted rows of a block, given as ``_block_rows`` returns it, as
-    columns, and the number of rows rejected.
+    columns (a free-text column not read stays None), and the number of rows
+    rejected.
 
     Masks add each row whose tip, profit or type label a check rejects to
     ``flagged``.  Only a flagged row goes through ``_parse_row``, the one
@@ -438,10 +494,11 @@ def _block_columns(columns, flagged, row, line, samples):
             if len(samples) < 10:
                 samples.append({"line": line(i), "error": str(exc)})
     if rejected:
-        keep = np.ones(len(tx), dtype=bool)
+        keep = np.ones(len(block), dtype=bool)
         keep[rejected] = False
         kept = keep.tolist()
-        tx, builder, searcher = (list(compress(c, kept)) for c in (tx, builder, searcher))
+        tx, builder, searcher = (None if c is None else list(compress(c, kept))
+                                 for c in (tx, builder, searcher))
         block, codes, tip, profit = block[keep], codes[keep], tip[keep], profit[keep]
     return (tx, block, codes, builder, searcher, tip, profit), len(rejected)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mevauction.empirics import (
     CSV_COLUMNS,
     MEV_TYPES,
+    TEXT_COLUMNS,
     BundleRecord,
     BundleTable,
     IngestReport,
@@ -236,6 +237,43 @@ class TestIngest:
         for name, tables in {"no-chunks": [], "empty-table": [table_from_records([])]}.items():
             assert write_bundles(tmp_path / f"{name}.csv", tables) == 0
             assert (tmp_path / f"{name}.csv").read_text() == header
+
+    @pytest.mark.parametrize("held", [(), ("builder", "searcher"), ("tx_hash",)])
+    def test_table_read_without_free_text_columns(self, tmp_path, held):
+        # a column not read is None, in the table and in a selection of it;
+        # the record view and the CSV text need all three, and name the first
+        # one missing
+        records = [record(tip=0.5 * i, profit=1.0, block=i, tx=f"0x{i:x}",
+                          builder=f"b{i % 2}", searcher=f"s{i % 3}") for i in range(7)]
+        path = tmp_path / "bundles.csv"
+        write_bundles(path, [table_from_records(records)])
+        report = IngestReport()
+        table = BundleTable.read(path, report, text_columns=held)
+        full = BundleTable.read(path)
+        assert len(table) == report.records == 7
+        picked, want = table.select([5, 0, 3]), full.select([5, 0, 3])
+        for t, w in ((table, full), (picked, want)):
+            for name in ("block", "mev_type", "tip", "profit", "value"):
+                assert np.array_equal(getattr(t, name), getattr(w, name)), name
+            for name, labels in (("tx_hash", None), ("builder", "builders"),
+                                 ("searcher", "searchers")):
+                if name in held:
+                    assert np.array_equal(getattr(t, name), getattr(w, name)), name
+                else:
+                    assert getattr(t, name) is None
+                    assert labels is None or getattr(t, labels) is None
+        missing = next(name for name in TEXT_COLUMNS if name not in held)
+        for t in (table, picked):
+            with pytest.raises(ParameterError, match=f"holds no {missing} column"):
+                t.to_csv()
+            with pytest.raises(ParameterError, match=f"holds no {missing} column"):
+                t.records()
+
+    def test_read_rejects_an_unknown_text_column(self, tmp_path):
+        path = tmp_path / "bundles.csv"
+        write_bundles(path, [])
+        with pytest.raises(ParameterError, match="mev_type"):
+            BundleTable.read(path, text_columns=("builder", "mev_type"))
 
     @pytest.mark.parametrize("builders, searchers", [
         (("x", "y", "x"), ("s", "t")),

@@ -7,18 +7,21 @@ each malformed row sampled with the file line it starts on, and a
 reader must give the same table (every column bit for bit, the label tuples
 in the same order), the same ``IngestReport`` (counts, samples and their
 lines) and, above the malformed-row threshold or past the csv field size
-limit, the same error.
+limit, the same error.  It must do so under each set of free-text columns
+that a command holds (``COLUMN_SETS``): the columns held match the oracle's,
+and the others are None.
 
-The block reader has two tokenizers: a block of lines with no quote, no NUL,
-none of ``\\x1c``-``\\x1f`` and no more characters than
+The block reader has two tokenizers: a block of lines with six commas a
+line, no quote, no NUL, none of ``\\x1c``-``\\x1f`` and no line longer than
 ``csv.field_size_limit()`` goes to ``np.loadtxt``, and a block that it
 rejects or returns a row short, or any other block, goes through
 ``csv.reader``.  The drawn texts put quoted, NUL-holding and long blocks
 beside quote-free ones, in 512-line blocks and in 5-line ones, with the
 field size limit as it is and lowered.  The boundary tests place one row
 kind (a spelling Python reads and ``np.loadtxt`` does not, or the reverse, a
-field count, a blank line) inside an otherwise clean block, and pin which
-blocks ``np.loadtxt`` loads, rejects or never sees.
+field count, a blank line), or two rows whose field counts make up the comma
+count, inside an otherwise clean block, and pin which blocks ``np.loadtxt``
+loads, rejects or never sees, the same under every column set.
 """
 
 import csv
@@ -37,6 +40,7 @@ from mevauction import empirics
 from mevauction.empirics import (
     CSV_COLUMNS,
     MALFORMED_LIMIT,
+    TEXT_COLUMNS,
     BundleTable,
     IngestReport,
     _parse_row,
@@ -136,22 +140,36 @@ def field_size_limit(limit):
         csv.field_size_limit(old)
 
 
+# the free-text columns a table holds: all three (the default, which the
+# library's callers use), report's builders and searchers, and estimate's none
+COLUMN_SETS = (TEXT_COLUMNS, ("builder", "searcher"), ())
+
+
 def assert_same_read(path, limit=MALFORMED_LIMIT):
-    """BundleTable.read and the oracle agree on ``path`` with the
-    malformed-row threshold at ``limit``."""
+    """BundleTable.read under each of COLUMN_SETS and the oracle agree on
+    ``path`` with the malformed-row threshold at ``limit``: the same report
+    and error, and each column held as the oracle holds it."""
     with mock.patch.object(empirics, "MALFORMED_LIMIT", limit):
         want, want_report, want_error = outcome(oracle_read, path)
-        got, got_report, got_error = outcome(BundleTable.read, path)
-    assert got_report == want_report
-    assert got_error == want_error
-    if want is None:
-        assert got is None
-        return want_report
-    assert got.tx_hash == want.tx_hash
-    assert got.builders == want.builders and got.searchers == want.searchers
-    for name in ("block", "mev_type", "builder", "searcher", "tip", "profit", "value"):
-        g, w = getattr(got, name), getattr(want, name)
-        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+        for held in COLUMN_SETS:
+            got, got_report, got_error = outcome(
+                lambda path, report: BundleTable.read(path, report, held), path)
+            assert got_report == want_report, held
+            assert got_error == want_error, held
+            if want is None:
+                assert got is None
+                continue
+            assert got.tx_hash == (want.tx_hash if "tx_hash" in held else None)
+            names = ["block", "mev_type", "tip", "profit", "value"]
+            for name, labels in (("builder", "builders"), ("searcher", "searchers")):
+                if name in held:
+                    assert getattr(got, labels) == getattr(want, labels)
+                    names.append(name)
+                else:
+                    assert getattr(got, name) is None and getattr(got, labels) is None
+            for name in names:
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (name, held)
     return want_report
 
 
@@ -284,20 +302,17 @@ def test_quoted_field_opened_on_a_block_last_line(tmp_path):
     # data row 512 (1-based) starts on file line 513, the last of the first
     # 512-line block, and its quoted searcher label breaks onto lines 514 and
     # 515: the first block's csv.reader takes them from the file, and the
-    # next block starts on line 516.  The blocks after it hold no quote, so
-    # they go to np.loadtxt, which rejects both: the second for its
-    # whitespace-only line (its blank line alone would lose a row), the
-    # third for its trailing comma
+    # next block starts on line 516.  The blocks after it hold no quote, but
+    # the second's blank and whitespace-only lines and the third's trailing
+    # comma put each off six commas a line
     special = {508: "short", 511: "searcher_two_breaks", 512: "tip_text",
                600: "blank", 601: "spaces", 1100: "trailing_comma"}
     path = tmp_path / "edge.csv"
     path.write_text(csv_text(1200, special, "\r\n", True), encoding="utf-8", newline="")
-    with routes() as (outcomes, reader):
-        report = assert_same_read(path, 1.0)
-    # np.loadtxt never sees the quoted first block, and raises on the others;
-    # csv.reader reads the oracle's rows, the header and all three blocks
-    assert outcomes == ["raised", "raised"]
-    assert reader.call_count == 5
+    report = assert_same_read(path, 1.0)
+    # np.loadtxt sees none of the three blocks; csv.reader reads the header
+    # and all three
+    assert read_routes(path) == ([], 4)
     assert [s["line"] for s in report.samples] == [510, 516, 604, 605, 1104]
     assert report.rows_read == 1200 and report.malformed == 5
     for endings in ("\n", "\r", "mixed"):
@@ -329,6 +344,43 @@ def test_a_field_over_the_size_limit_raises(tmp_path):
     assert csv.field_size_limit() == before
     with field_size_limit(40):
         assert assert_same_read(path, 1.0).malformed == 0
+
+
+def test_long_lines_stay_on_loadtxt(tmp_path):
+    # searcher labels padded so every line is 275 characters: a 512-line
+    # block holds more characters than csv.field_size_limit(), but no line
+    # is that long, so each of the three blocks goes to np.loadtxt
+    rows = [good_row(i) for i in range(1100)]
+    for row in rows:
+        row[4] += "x" * (275 - len(csv_line(row, "\r\n")))
+    lines = [csv_line(row, "\r\n") for row in [list(CSV_COLUMNS)] + rows]
+    assert {len(line) for line in lines[1:]} == {275}
+    assert 512 * 275 > csv.field_size_limit()
+    path = tmp_path / "long_lines.csv"
+    path.write_text("".join(lines), encoding="utf-8", newline="")
+    assert assert_same_read(path).malformed == 0
+    assert read_routes(path) == (["loaded"] * 3, 1)
+
+
+def test_a_line_over_the_size_limit_goes_to_csv_reader(tmp_path):
+    # a quote-free builder label one character over csv.field_size_limit()
+    # on data row 701 (file line 702): its block goes to csv.reader, which
+    # raises as the oracle does, after the block before it loaded
+    limit = csv.field_size_limit()
+    lines = [csv_line(row, "\n") for row in [list(CSV_COLUMNS)]
+             + [good_row(i) for i in range(1100)]]
+    row = good_row(700)
+    row[3] = "b" * (limit + 1)
+    lines[701] = csv_line(row, "\n")
+    path = tmp_path / "long_field.csv"
+    path.write_text("".join(lines), encoding="utf-8", newline="")
+    for held in COLUMN_SETS:
+        with routes() as (outcomes, _):
+            _, _, error = outcome(lambda path, report: BundleTable.read(path, report, held),
+                                  path)
+        assert error == f"IngestError: {path}: line 702: field larger than field limit ({limit})"
+        assert outcomes == ["loaded"]
+    assert_same_read(path, 1.0)
 
 
 def test_quoted_breaks_across_a_block_edge(tmp_path):
@@ -372,17 +424,33 @@ def routes():
         yield outcomes, reader
 
 
+def read_routes(path):
+    """The np.loadtxt outcomes and the count of csv.reader calls (the
+    header's included) of one BundleTable.read of ``path``, with the
+    malformed-row threshold out of the way; the same under each of
+    COLUMN_SETS."""
+    seen = set()
+    with mock.patch.object(empirics, "MALFORMED_LIMIT", 1.0):
+        for held in COLUMN_SETS:
+            with routes() as (outcomes, reader):
+                BundleTable.read(path, text_columns=held)
+            seen.add((tuple(outcomes), reader.call_count))
+    assert len(seen) == 1, seen
+    outcomes, calls = seen.pop()
+    return list(outcomes), calls
+
+
 # a 600-row file is a clean 512-line block (file lines 2-513) and an 88-line
 # one; the row kind goes on data row 301 (0-based 300), file line 302
 SPOT, SPOT_LINE = 300, 302
 
 
-def spot_text(line):
-    """A header and 600 good rows ended by CRLF, data row SPOT replaced by
-    the raw ``line`` (its ending included)."""
+def spot_text(*spot_lines):
+    """A header and 600 good rows ended by CRLF, data rows SPOT, SPOT + 1,
+    ... replaced by the raw ``spot_lines`` (their endings included)."""
     lines = [csv_line(row, "\r\n") for row in [list(CSV_COLUMNS)]
              + [good_row(i) for i in range(600)]]
-    lines[SPOT + 1] = line
+    lines[SPOT + 1:SPOT + 1 + len(spot_lines)] = spot_lines
     return "".join(lines)
 
 
@@ -397,16 +465,15 @@ def read_spot(path, text):
     """Write ``text``, read it as the oracle does and check the two agree;
     the report, the np.loadtxt outcomes and the count of csv.reader calls."""
     path.write_bytes(text.encode("utf-8"))
-    with routes() as (outcomes, reader):
-        report = assert_same_read(path, 1.0)
-    return report, outcomes, reader.call_count
+    report = assert_same_read(path, 1.0)
+    return (report, *read_routes(path))
 
 
 BLOCK, TIP, PROFIT = 1, 5, 6
 # each kind is the spot row's line, whether _parse_row rejects it, and what
-# np.loadtxt makes of its block: "loaded" (the masks flag what they must),
-# "raised" or "short" (a line lost), after which csv.reader reads the block,
-# or "csv" (np.loadtxt never sees it)
+# np.loadtxt makes of its block: "loaded" (the masks flag what they must) or
+# "raised", after which csv.reader reads the block, or "csv" (np.loadtxt
+# never sees it)
 BOUNDARY = {
     # Python's number spellings that np.loadtxt rejects: valid rows
     "tip_digit_group": (spot_field(TIP, "1_0"), False, "raised"),
@@ -433,20 +500,21 @@ BOUNDARY = {
     "type_upper": (spot_field(2, "NAKED_ARB"), False, "loaded"),
     "block_max": (spot_field(BLOCK, str((1 << 63) - 1)), False, "loaded"),
     "block_min": (spot_field(BLOCK, str(-(1 << 63))), False, "loaded"),
-    # field counts
-    "six_fields": (",".join(good_row(SPOT)[:6]) + "\r\n", True, "raised"),
-    "eight_fields": (",".join(good_row(SPOT) + ["extra"]) + "\r\n", True, "raised"),
-    "trailing_comma": (",".join(good_row(SPOT)) + ",\r\n", True, "raised"),
+    # field counts, which put the block off six commas a line (np.loadtxt
+    # reading only some columns would take a row of eight fields)
+    "six_fields": (",".join(good_row(SPOT)[:6]) + "\r\n", True, "csv"),
+    "eight_fields": (",".join(good_row(SPOT) + ["extra"]) + "\r\n", True, "csv"),
+    "trailing_comma": (",".join(good_row(SPOT)) + ",\r\n", True, "csv"),
     # text fields keep their spaces and a '#'; numbers take ASCII spaces
     "space_padded": (",".join(f" {f} " for f in good_row(SPOT)) + "\r\n", False, "loaded"),
     "hash_in_labels": (",".join(["0x#1", "7", "sandwich", "b#", "#s", "1.5", "2"]) + "\r\n",
                        False, "loaded"),
     "hash_first": (",".join(["#0x1", "7", "backrun", "b1", "s1", "1.5", "2"]) + "\r\n",
                    False, "loaded"),
-    # lines np.loadtxt skips or cannot split: malformed rows
-    "blank_crlf": ("\r\n", True, "short"),
-    "blank_lf": ("\n", True, "short"),
-    "whitespace_only": (" \t\r\n", True, "raised"),
+    # lines without a comma: malformed rows
+    "blank_crlf": ("\r\n", True, "csv"),
+    "blank_lf": ("\n", True, "csv"),
+    "whitespace_only": (" \t\r\n", True, "csv"),
     # a NUL and a quote keep the block on csv.reader
     "tip_nul": (spot_field(TIP, "1.5\0"), True, "csv"),
     "quoted_builder": (spot_field(3, '"b,1"'), False, "csv"),
@@ -467,10 +535,36 @@ def test_row_kind_at_the_loadtxt_boundary(tmp_path, kind):
     assert report.rows_read == 600 and report.malformed == malformed
     if malformed:
         assert [s["line"] for s in report.samples] == [SPOT_LINE]
-    # the second, clean block always loads; csv.reader reads the header, the
-    # oracle's rows and the first block unless np.loadtxt loaded it
+    # the second, clean block always loads; csv.reader reads the header and
+    # the first block unless np.loadtxt loaded it
     assert outcomes == ([] if route == "csv" else [route]) + ["loaded"]
-    assert csv_calls == 2 + (route != "loaded")
+    assert csv_calls == 1 + (route != "loaded")
+
+
+def fields(count):
+    """Row SPOT cut or padded to ``count`` fields, CRLF-ended."""
+    row = good_row(SPOT)
+    return ",".join(row[:count] + ["extra"] * (count - len(row))) + "\r\n"
+
+
+# two adjacent rows whose commas add up to six a line; each is malformed
+PAIRS = {
+    # np.loadtxt takes the profit of every row, so it raises on the short one
+    "six_and_eight": ((fields(6), fields(8)), "raised"),
+    "eight_and_six": ((fields(8), fields(6)), "raised"),
+    "five_and_nine": ((fields(5), fields(9)), "raised"),
+    # it skips the blank line and loads the long row: a row lost
+    "blank_and_thirteen": (("\r\n", fields(13)), "short"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PAIRS))
+def test_field_counts_that_make_up_the_comma_count(tmp_path, kind):
+    lines, route = PAIRS[kind]
+    report, outcomes, csv_calls = read_spot(tmp_path / "pair.csv", spot_text(*lines))
+    assert report.rows_read == 600 and report.malformed == 2
+    assert [s["line"] for s in report.samples] == [SPOT_LINE, SPOT_LINE + 1]
+    assert outcomes == [route, "loaded"] and csv_calls == 2
 
 
 def test_every_space_pads_numbers_as_python_does(tmp_path):
@@ -493,9 +587,8 @@ def test_cr_line_ends_stay_on_loadtxt(tmp_path):
     for final in (True, False):
         path = tmp_path / "cr.csv"
         path.write_text(csv_text(1100, special, "\r", final), encoding="utf-8", newline="")
-        with routes() as (outcomes, reader):
-            report = assert_same_read(path, 1.0)
-        assert outcomes == ["loaded"] * 3 and reader.call_count == 2
+        report = assert_same_read(path, 1.0)
+        assert read_routes(path) == (["loaded"] * 3, 1)
         assert [s["line"] for s in report.samples] == [12, 602]
 
 
@@ -503,18 +596,17 @@ def test_cr_line_ends_stay_on_loadtxt(tmp_path):
 def test_blank_lines_mid_block_and_a_blank_block(tmp_path):
     # a blank line inside a block, which np.loadtxt would skip, and a whole
     # 512-line block of blank lines, which it would warn about: each blank
-    # line is a malformed row, and no warning is raised
+    # line is a malformed row, and no warning is raised, under every column set
     lines = [csv_line(row, "\n") for row in [list(CSV_COLUMNS)]
              + [good_row(i) for i in range(1100)]]
     lines[200:200] = ["\n"]
     lines[513:513] = ["\n"] * 512
     path = tmp_path / "blank.csv"
     path.write_text("".join(lines), encoding="utf-8", newline="")
-    with routes() as (outcomes, reader):
-        report = assert_same_read(path, 1.0)
-    # block 1 loses its blank line and falls back; block 2 is all blank and
-    # goes to csv.reader unseen by np.loadtxt; blocks 3 and 4 load
-    assert outcomes == ["short", "loaded", "loaded"] and reader.call_count == 4
+    report = assert_same_read(path, 1.0)
+    # block 1 is a comma short, and block 2, all blank, holds none: both go
+    # to csv.reader unseen by np.loadtxt; blocks 3 and 4 load
+    assert read_routes(path) == (["loaded", "loaded"], 3)
     assert report.rows_read == 1100 + 513 and report.malformed == 513
     assert [s["line"] for s in report.samples] == [201] + list(range(514, 523))
 
