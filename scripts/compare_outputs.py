@@ -4,51 +4,18 @@
     python3 scripts/compare_outputs.py <base-rev> [<tree>]
 
 Checks out ``<base-rev>`` with ``git worktree add`` in a temp dir and runs
-one fixed list of CLI commands there and then in ``<tree>`` (default: this
+the command list of ``steps()`` there and then in ``<tree>`` (default: this
 working tree), each with that tree's ``src/`` on PYTHONPATH.  Both trees
 write to the same absolute paths, one tree at a time, with the first results
 moved aside, so ``manifest.json`` is compared too.  Prints every file whose
-sha256 differs and every file that only one tree wrote (``timing.json``
-aside).  Exit 0 when nothing differs, 1 on a difference, 2 when a command
-fails.  Floating-point output depends on the numpy and scipy build, so no
-digests are stored: the two trees are always run on one machine.
+sha256 differs and every file that only one tree wrote (``digests`` sets
+``timing.json``, the wall clock, aside).  Exit 0 when nothing differs, 1 on
+a difference, 2 when a command fails.  Floating-point output depends on the
+numpy and scipy build, so no digests are stored: the two trees are always
+run on one machine.
 
-The command list: the benchmark's three workloads at seed 1; acceptance
-criteria 8 and 9; ``simulate --trace`` with ``--threads 2``, with
-``--antithetic`` and with the default threads tracing every block;
-``generate --opportunities 3``, and ``generate --opportunities 300`` on 40
-blocks, whose auction indices from 256 on are too wide for the tx hash's two
-digits, each followed by estimate and report on its bundles; README's
-``ini`` example and its generate, estimate and report sequence, each in its
-own out dir; estimate and report on a copy of README's bundles with LF line
-endings, malformed rows at data rows 511-513 and 1023-1025 (the ends of the
-reader's 512-row blocks), a quoted line break in a searcher label and a
-blank line; estimate and report
-on a copy of README's bundles in which only three rows in the middle hold a
-quoted field (a comma; a line break on the last line of the reader's second
-512-line block, which runs into the third; a comma and a quote), with CRLF
-and LF line endings in turn, so quote-free blocks go to ``np.loadtxt`` beside
-the blocks ``csv.reader`` reads; estimate and report on a copy of README's
-bundles with six rows, each in its own 512-row block, spelled at the edge of
-``np.loadtxt``: a tip with digit groups and a block number in full-width
-digits (valid rows that it rejects), a tip padded with ``\\x1c`` (malformed,
-though it would parse it), a blank line, a profit of ``1e400`` and a tip of
-``-0``; estimate and report on a copy of README's bundles with an 8-field
-row and a 6-field row, each alone in an otherwise clean 512-row block (each
-off six commas a line, so neither block goes to ``np.loadtxt``, which reads
-only some columns for ``estimate`` and ``report`` and would take the long
-row), and on a copy whose searcher labels all carry one suffix that makes
-every line longer than 256 characters (a 512-line block then holds more
-characters than ``csv.field_size_limit()``, but no line does); estimate and
-report on a builder label holding a comma and a quote, and a config-driven
-report;
-solve (eps 0.2 and 0), sweep, ``sweep --epsilons 0,0.2,0.5`` and
-``sweep --epsilons 0,0.2,0.5,0.97`` on six profiles: the four theory
-profiles, rho = 0, and gamma = 0.32, where gamma*v crosses the bid in the
-bulk of the grid; and ``sweep --epsilons`` with the default grid's 21 rates
-spelled out on a near-flat profile (gamma = 0.05, sigma = 0.5), whose
-revenues vary by less than 1e-6 relative; and ``solve --nodes 257`` on the
-flagship profile, whose 513 hazard points end in a one-row block.
+``check_invariance.py`` runs its variants of one tree with the same runner,
+``run_steps``, and compares them with the same ``digests``.
 """
 
 from __future__ import annotations
@@ -62,6 +29,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.dont_write_bytecode = True
@@ -105,30 +73,31 @@ def _write_ini(path: Path, sections: dict):
     path.write_text(workloads._ini(sections), encoding="utf-8")
 
 
-def _relabel_builder(src: Path, dst: Path):
-    """Copy a bundle CSV with the first row's builder renamed to COMMA_LABEL."""
+def _rewrite(src: Path, dst: Path, edit=None, dialect=None):
+    """Copy a bundle CSV, its rows after ``edit(header, rows)`` where given,
+    each file line (from 1) written by a csv.writer in ``dialect(line)``."""
     with open(src, newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
-    col = header.index("builder")
-    old = rows[0][col]
-    for row in rows:
-        if row[col] == old:
-            row[col] = COMMA_LABEL
+    if edit is not None:
+        edit(header, rows)
     with open(dst, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows([header, *rows])
+        for line, row in enumerate([header, *rows], start=1):
+            csv.writer(fh, **(dialect(line) if dialect else {})).writerow(row)
 
 
-def _block_edge_copy(src: Path, dst: Path):
-    """Copy a bundle CSV with LF line endings, the rows of EDGE_ROWS made
-    malformed, the first row's searcher renamed to BREAK_LABEL and a blank
-    line after data row 1500."""
-    with open(src, newline="", encoding="utf-8") as fh:
-        header, *rows = csv.reader(fh)
-    col = header.index("searcher")
+def _relabel(header: list, rows: list, column: str, label: str):
+    """Rename the first row's label in ``column`` to ``label`` in every row."""
+    col = header.index(column)
     old = rows[0][col]
     for row in rows:
         if row[col] == old:
-            row[col] = BREAK_LABEL
+            row[col] = label
+
+
+def _block_edges(header: list, rows: list):
+    """Make the rows of EDGE_ROWS malformed, rename the first row's searcher
+    to BREAK_LABEL and add a blank line after data row 1500."""
+    _relabel(header, rows, "searcher", BREAK_LABEL)
     for number, kind in EDGE_ROWS.items():
         row = rows[number - 1]
         if kind == "short":
@@ -141,21 +110,12 @@ def _block_edge_copy(src: Path, dst: Path):
                             "profit": ("profit_usdc", "inf")}[kind]
             row[header.index(column)] = text
     rows.insert(1500, [])
-    with open(dst, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
-def _quoted_middle_copy(src: Path, dst: Path):
-    """Copy a bundle CSV with the fields of QUOTED_ROWS relabelled, so that
-    only those rows are quoted, and line endings CRLF and LF in turn."""
-    with open(src, newline="", encoding="utf-8") as fh:
-        header, *rows = csv.reader(fh)
+def _quoted_middle(header: list, rows: list):
+    """Relabel the fields of QUOTED_ROWS, so that only those rows are quoted."""
     for number, (column, label) in QUOTED_ROWS.items():
         rows[number - 1][header.index(column)] = label
-    with open(dst, "w", newline="", encoding="utf-8") as fh:
-        writers = [csv.writer(fh, lineterminator=end) for end in ("\r\n", "\n")]
-        for i, row in enumerate([header, *rows]):
-            writers[i % 2].writerow(row)
 
 
 def _digit_groups(number: str) -> str:
@@ -167,13 +127,10 @@ def _digit_groups(number: str) -> str:
     return f"{whole}.{fraction[0]}_{fraction[1:]}{e}{exponent}"
 
 
-def _loadtxt_spellings_copy(src: Path, dst: Path):
-    """Copy a bundle CSV with the rows of SPELLINGS respelled: a tip with
-    digit groups and a block number in full-width digits (valid), a tip
-    padded with \\x1c and a profit of 1e400 (malformed), a tip of -0 (valid)
-    and a blank line."""
-    with open(src, newline="", encoding="utf-8") as fh:
-        header, *rows = csv.reader(fh)
+def _loadtxt_spellings(header: list, rows: list):
+    """Respell the rows of SPELLINGS: a tip with digit groups and a block
+    number in full-width digits (valid), a tip padded with \\x1c and a profit
+    of 1e400 (malformed), a tip of -0 (valid) and a blank line."""
     tip, profit, block = (header.index(c) for c in ("tip_usdc", "profit_usdc", "block_number"))
     for number, kind in sorted(SPELLINGS.items(), reverse=True):
         row = rows[number - 1]
@@ -188,35 +145,39 @@ def _loadtxt_spellings_copy(src: Path, dst: Path):
         else:
             column, text = {"profit_1e400": (profit, "1e400"), "tip_minus_zero": (tip, "-0")}[kind]
             row[column] = text
-    with open(dst, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows([header, *rows])
 
 
-def _field_counts_copy(src: Path, dst: Path):
-    """Copy a bundle CSV with the rows of FIELD_COUNTS cut or padded to
-    their field counts."""
-    with open(src, newline="", encoding="utf-8") as fh:
-        header, *rows = csv.reader(fh)
+def _field_counts(header: list, rows: list):
+    """Cut or pad the rows of FIELD_COUNTS to their field counts."""
     for number, count in FIELD_COUNTS.items():
         row = rows[number - 1]
         rows[number - 1] = row[:count] + ["extra"] * (count - len(row))
-    with open(dst, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows([header, *rows])
 
 
-def _long_searchers_copy(src: Path, dst: Path):
-    """Copy a bundle CSV with one suffix added to every searcher label, long
-    enough that every line is longer than LONG_LINE characters."""
-    with open(src, newline="", encoding="utf-8") as fh:
-        shortest = min(len(line.rstrip("\r\n")) for line in list(fh)[1:])
-        fh.seek(0)
-        header, *rows = csv.reader(fh)
+def _long_searchers(header: list, rows: list):
+    """Add one suffix to every searcher label, long enough that every line
+    (of a file that quotes no field) is longer than LONG_LINE characters."""
     col = header.index("searcher")
-    suffix = "x" * (LONG_LINE + 1 - shortest)
+    suffix = "x" * (LONG_LINE + 1 - min(len(",".join(row)) for row in rows))
     for row in rows:
         row[col] += suffix
-    with open(dst, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows([header, *rows])
+
+
+def readme_block(language: str, after: str = "") -> str:
+    """The first ```language block of README.md after the line ``after``;
+    ValueError where there is none."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    found = re.compile(rf"^```{language}\n(.*?)^```$", re.S | re.M).search(
+        text, text.index(after + "\n") if after else 0)
+    if found is None:
+        raise ValueError(f"README.md holds no {language} block after {after!r}")
+    return found.group(1)
+
+
+def estimate_report(src: Path, base: Path) -> list:
+    """estimate and report on the bundle CSV ``src``, into ``base``/<command>."""
+    return [[cmd, "--input", str(src), "--out-dir", str(base / cmd)]
+            for cmd in ("estimate", "report")]
 
 
 def steps(run: Path) -> list:
@@ -262,73 +223,45 @@ def steps(run: Path) -> list:
                 ["simulate", *flags, "--trace-cap", "300000",
                  "--out-dir", str(run / "trace" / label / "default_threads")]]
 
-    # several auctions per block, then estimate and report on them
-    opp = run / "opportunities3"
-    out += [["generate", *CRITERION_FLAGS, "--epsilon", "0.3", "--blocks", "100000",
-             "--seed", str(SEED), "--opportunities", "3", "--out-dir", str(opp / "gen")]]
-    out += [[cmd, "--input", str(opp / "gen" / "bundles.csv"), "--out-dir", str(opp / cmd)]
-            for cmd in ("estimate", "report")]
-    # auction indices 256-299 overflow the tx hash's two digits
-    wide = run / "opportunities300"
-    out += [["generate", *CRITERION_FLAGS, "--epsilon", "0.3", "--blocks", "40",
-             "--seed", str(SEED), "--opportunities", "300", "--out-dir", str(wide / "gen")]]
-    out += [[cmd, "--input", str(wide / "gen" / "bundles.csv"), "--out-dir", str(wide / cmd)]
-            for cmd in ("estimate", "report")]
+    # several auctions per block, then estimate and report on them; auction
+    # indices 256-299 overflow the tx hash's two digits
+    for opportunities, blocks in ((3, 100000), (300, 40)):
+        base = run / f"opportunities{opportunities}"
+        out += [["generate", *CRITERION_FLAGS, "--epsilon", "0.3", "--blocks", str(blocks),
+                 "--seed", str(SEED), "--opportunities", str(opportunities),
+                 "--out-dir", str(base / "gen")],
+                *estimate_report(base / "gen" / "bundles.csv", base)]
 
     # README's config example and its command sequence, each command in its
     # own out dir as README runs them, so every manifest is compared
     readme = run / "readme"
     readme.mkdir()
-    ini = re.search(r"^```ini\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"),
-                    re.S | re.M).group(1)
-    (readme / "run.ini").write_text(ini, encoding="utf-8")
+    (readme / "run.ini").write_text(readme_block("ini"), encoding="utf-8")
+    generated = readme / "generate" / "bundles.csv"
     out += [["generate", "--config", str(readme / "run.ini"), "--blocks", "20000",
-             "--out-dir", str(readme / "generate")]]
-    out += [[cmd, "--input", str(readme / "generate" / "bundles.csv"),
-             "--out-dir", str(readme / cmd)]
-            for cmd in ("estimate", "report")]
+             "--out-dir", str(generated.parent)], *estimate_report(generated, readme)]
 
-    # the reader's block edges: README's bundles with malformed rows at the
-    # ends of the 512-row blocks, a line break in a searcher label, a blank
-    # line and LF line endings
-    edges = run / "block_edges"
-    out.append(lambda: (edges.mkdir(), _block_edge_copy(readme / "generate" / "bundles.csv",
-                                                        edges / "bundles.csv")))
-    out += [[cmd, "--input", str(edges / "bundles.csv"), "--out-dir", str(edges / cmd)]
-            for cmd in ("estimate", "report")]
-
-    # both of the reader's tokenizers in one file: blocks for np.loadtxt
-    # beside the blocks that hold README's three quoted rows
-    quoted = run / "quoted_middle"
-    out.append(lambda: (quoted.mkdir(), _quoted_middle_copy(readme / "generate" / "bundles.csv",
-                                                            quoted / "bundles.csv")))
-    out += [[cmd, "--input", str(quoted / "bundles.csv"), "--out-dir", str(quoted / cmd)]
-            for cmd in ("estimate", "report")]
-
-    # rows at the edge of np.loadtxt, each in its own block: valid spellings
-    # it rejects, a padding it accepts and float() does not, a blank line,
-    # an overflowing profit and a negative zero
-    spellings = run / "loadtxt_spellings"
-    out.append(lambda: (spellings.mkdir(), _loadtxt_spellings_copy(
-        readme / "generate" / "bundles.csv", spellings / "bundles.csv")))
-    out += [[cmd, "--input", str(spellings / "bundles.csv"), "--out-dir", str(spellings / cmd)]
-            for cmd in ("estimate", "report")]
-
-    # rows of eight and six fields, each alone in a clean block; and lines
-    # too long for a whole block to stay under csv.field_size_limit()
-    for name, copy in (("field_counts", _field_counts_copy),
-                       ("long_searchers", _long_searchers_copy)):
+    # estimate and report on copies of README's bundles, and on one of
+    # criterion 8's with a builder label holding a comma and a quote.  Both
+    # of the reader's tokenizers in one file: quoted_middle holds blocks for
+    # np.loadtxt beside the blocks of its quoted rows, with CRLF and LF line
+    # endings in turn; long_searchers' lines are too long for a whole block
+    # to stay under csv.field_size_limit()
+    for name, src, edit, dialect in (
+            ("block_edges", generated, _block_edges, lambda line: {"lineterminator": "\n"}),
+            ("quoted_middle", generated, _quoted_middle,
+             lambda line: {"lineterminator": "\r\n" if line % 2 else "\n"}),
+            ("loadtxt_spellings", generated, _loadtxt_spellings, None),
+            ("field_counts", generated, _field_counts, None),
+            ("long_searchers", generated, _long_searchers, None),
+            ("comma_label", bundles,
+             lambda header, rows: _relabel(header, rows, "builder", COMMA_LABEL), None)):
         base = run / name
-        out.append(lambda base=base, copy=copy: (
-            base.mkdir(), copy(readme / "generate" / "bundles.csv", base / "bundles.csv")))
-        out += [[cmd, "--input", str(base / "bundles.csv"), "--out-dir", str(base / cmd)]
-                for cmd in ("estimate", "report")]
+        out.append(lambda base=base, src=src, edit=edit, dialect=dialect: (
+            base.mkdir(), _rewrite(src, base / "bundles.csv", edit, dialect)))
+        out += estimate_report(base / "bundles.csv", base)
 
-    # a builder label holding a comma and a quote; a config-driven report
-    labelled = run / "comma_label"
-    out.append(lambda: (labelled.mkdir(), _relabel_builder(bundles, labelled / "bundles.csv")))
-    out += [[cmd, "--input", str(labelled / "bundles.csv"), "--out-dir", str(labelled / cmd)]
-            for cmd in ("estimate", "report")]
+    # a config-driven report
     config = run / "config_report"
     config.mkdir()
     _write_ini(config / "report.ini", {"report": {"input": bundles, "window": 3}})
@@ -351,29 +284,56 @@ def steps(run: Path) -> list:
     return out
 
 
-def run_tree(tree: Path, run: Path) -> bool:
-    """Run every step with ``tree``'s src/ on PYTHONPATH; False on a failure."""
+class Command(NamedTuple):
+    """A CLI argv run after ``prefix`` (say ``taskset -c 0``), in ``cwd``."""
+
+    argv: list
+    prefix: tuple = ()
+    cwd: Path | None = None
+
+
+def run_steps(tree: Path, steps: list) -> bool:
+    """Run each step with ``tree``'s src/ on PYTHONPATH: a callable is
+    called, and a CLI argv or Command runs as ``python -m mevauction``.
+    False on the first failure, whose stderr is printed."""
     env = {k: v for k, v in os.environ.items() if k != "MEVAUCTION_OUT"}
     env.update(PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    run.mkdir()
-    for step in steps(run):
+    for step in steps:
         if callable(step):
             step()
             continue
-        done = subprocess.run([sys.executable, "-m", "mevauction", *step], env=env,
-                              capture_output=True, text=True)
+        command = step if isinstance(step, Command) else Command(step)
+        argv = [*command.prefix, sys.executable, "-m", "mevauction", *command.argv]
+        try:
+            done = subprocess.run(argv, env=env, cwd=command.cwd, capture_output=True, text=True)
+        except OSError as error:  # a prefix that is not installed
+            done = subprocess.CompletedProcess(argv, 127, stderr=str(error))
         if done.returncode != 0:
-            print(f"command failed in {tree} (exit {done.returncode}): mevauction "
-                  + " ".join(step), file=sys.stderr)
+            print(f"command failed in {tree} (exit {done.returncode}): "
+                  + " ".join([*command.prefix, "mevauction", *command.argv]), file=sys.stderr)
             print(done.stderr.strip()[-2000:], file=sys.stderr)
             return False
     return True
 
 
-def digests(results: Path) -> dict:
+def digests(results: Path, aside: tuple = ()) -> dict:
+    """The sha256 of each file under ``results`` by its relative path, with
+    ``timing.json`` (the wall clock) and the file names ``aside`` set aside."""
     return {str(path.relative_to(results)): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(results.rglob("*"))
-            if path.is_file() and path.name != "timing.json"}
+            if path.is_file() and path.name not in ("timing.json", *aside)}
+
+
+def compare(base: dict, new: dict, where: str = "", sides: tuple = ("base", "tree")) -> int:
+    """Print each path (after ``where``) whose digest differs between two
+    ``digests``, and each that only one side holds; the number printed."""
+    differs = sorted(p for p in base.keys() & new.keys() if base[p] != new[p])
+    for path in differs:
+        print(f"differs    {where}{path}")
+    for side, only in zip(sides, (base.keys() - new.keys(), new.keys() - base.keys())):
+        for path in sorted(only):
+            print(f"only {side}  {where}{path}")
+    return len(differs) + len(base.keys() ^ new.keys())
 
 
 def main(argv: list) -> int:
@@ -390,7 +350,8 @@ def main(argv: list) -> int:
             return 2
         results = {}
         for name, source in (("base", checkout), ("tree", tree)):
-            if not run_tree(source, run):
+            run.mkdir()
+            if not run_steps(source, steps(run)):
                 return 2
             results[name] = digests(run.rename(tmp / name))
     finally:
@@ -400,14 +361,7 @@ def main(argv: list) -> int:
         shutil.rmtree(tmp, ignore_errors=True)
 
     base, new = results["base"], results["tree"]
-    differs = sorted(p for p in base.keys() & new.keys() if base[p] != new[p])
-    for path in differs:
-        print(f"differs    {path}")
-    for path in sorted(base.keys() - new.keys()):
-        print(f"only base  {path}")
-    for path in sorted(new.keys() - base.keys()):
-        print(f"only tree  {path}")
-    changed = len(differs) + len(base.keys() ^ new.keys())
+    changed = compare(base, new)
     print(f"{len(base.keys() | new.keys())} files compared: {changed} differ")
     return 1 if changed else 0
 

@@ -163,6 +163,7 @@ def concentration(table: BundleTable):
 
     Records with non-positive extracted value are ignored.
     """
+    table._require_text(("searcher",))
     positive = table.value > 0
     codes = table.mev_type[positive]
     cell = codes * len(table.searchers) + table.searcher[positive]
@@ -209,6 +210,7 @@ def builder_table(table: BundleTable):
     records with positive extracted value (population std, zero for a
     single record).
     """
+    table._require_text(("builder", "searcher"))
     builder, n = table.builder, len(table.builders)
     count = np.bincount(builder, minlength=n)
     total = np.bincount(builder, weights=table.value, minlength=n)
@@ -270,6 +272,7 @@ def effective_bidder_counts(table: BundleTable,
     within type (see ``BidderCounts``)."""
     if window < 1:
         raise ConfigurationError("proxy window must be >= 1")
+    table._require_text(("searcher",))
     order = np.lexsort((table.block, table.mev_type))
     codes = table.mev_type[order]
     proxy = np.empty(order.size, dtype=np.int64)

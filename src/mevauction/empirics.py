@@ -163,7 +163,8 @@ class BundleTable:
     is a ParameterError.  ``value`` is tip + profit, computed once.  A table
     read without a free-text column (``read``'s ``text_columns``) holds None
     for it, and for its label tuple: ``select`` carries the None through,
-    and ``to_csv`` and ``records`` raise a ParameterError naming the column.
+    and ``to_csv``, ``records`` and the diagnostics that read the column
+    raise a ParameterError naming it.
     """
 
     tx_hash: list | None
@@ -187,9 +188,10 @@ class BundleTable:
     def __len__(self) -> int:
         return len(self.block)
 
-    def _require_text(self):
-        """ParameterError naming the first free-text column not held."""
-        for name in TEXT_COLUMNS:
+    def _require_text(self, names=TEXT_COLUMNS):
+        """ParameterError naming the first of the free-text columns ``names``
+        not held."""
+        for name in names:
             if getattr(self, name) is None:
                 raise ParameterError(f"the table holds no {name} column; read it with "
                                      f"{name!r} in text_columns")

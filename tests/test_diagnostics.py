@@ -14,7 +14,8 @@ from mevauction.diagnostics import (
     effective_bidder_counts,
     gini_coefficient,
 )
-from mevauction.errors import ConfigurationError
+from mevauction.empirics import BundleTable, write_bundles
+from mevauction.errors import ConfigurationError, ParameterError
 from mevauction.profiles import MevType
 from mevauction.rng import stream
 
@@ -176,3 +177,26 @@ class TestBoardDiagnostic:
 
     def test_empty_table_has_no_bins(self):
         assert board_diagnostic(effective_bidder_counts(table_from_records([]))) == []
+
+
+# the label columns each diagnostic reads
+NEEDS = {concentration: ("searcher",), builder_table: ("builder", "searcher"),
+         effective_bidder_counts: ("searcher",)}
+
+
+@pytest.mark.parametrize("held", [(), ("tx_hash",), ("builder",), ("searcher",)])
+@pytest.mark.parametrize("diagnostic", list(NEEDS), ids=lambda f: f.__name__)
+def test_diagnostic_names_a_label_column_not_read(tmp_path, diagnostic, held):
+    # a table read without a label column a diagnostic reads raises the
+    # package's ParameterError naming the column, not numpy's TypeError
+    records = [record(tip=1.0, profit=1.0, block=i, builder=f"b{i % 2}",
+                      searcher=f"s{i % 3}", tx=f"0x{i:x}") for i in range(6)]
+    path = tmp_path / "bundles.csv"
+    write_bundles(path, [table_from_records(records)])
+    table = BundleTable.read(path, text_columns=held)
+    missing = [name for name in NEEDS[diagnostic] if name not in held]
+    if missing:
+        with pytest.raises(ParameterError, match=f"holds no {missing[0]} column"):
+            diagnostic(table)
+    else:
+        diagnostic(table)
