@@ -26,7 +26,7 @@ Config grammar (INI): one section per command, keyed by its rows' keys.
 Each value is read with its row's type, booleans as INI booleans (true/false,
 yes/no, on/off, 1/0), and recorded in ``manifest.json`` as written.  A key
 the section does not list, a value that does not convert, a missing required
-parameter or a file that is not INI is a usage error::
+parameter or a file that is not UTF-8 INI is a usage error::
 
     [solve]
     type = naked_arb
@@ -174,7 +174,7 @@ def _params(args, parser):
         with open(args.config, encoding="utf-8") as fh:
             try:
                 config.read_file(fh)
-            except configparser.Error as exc:
+            except (configparser.Error, UnicodeDecodeError) as exc:
                 parser.error(f"config file {args.config}: {exc}")
     declared = {args.command: PARAMS[args.command]}
     if args.command == "generate":

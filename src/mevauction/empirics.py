@@ -20,25 +20,19 @@ builder and searcher with their label tuples (each label listed once).  A
 column not read is None.  ``estimate`` reads none of the three, ``report``
 the builders and searchers, and ``BundleTable.read`` all three by default.
 ``BundleTable.read`` builds the table in a single pass over the file, 512
-lines at a time, with one of two tokenizers per block.  A block with six
-commas a line, no quote, no NUL, none of ``\\x1c``-``\\x1f`` and no line
-longer than ``csv.field_size_limit()`` goes to one ``np.loadtxt`` call,
-whose C parser splits it at commas, one row per line, and converts the
-columns held (``usecols``).  A block that ``np.loadtxt`` rejects (a number
-Python reads and it does not, such as ``1_0``, or a short row whose missing
-commas a long row makes up) or that loses a line to it (a blank line, made
-up likewise), and any other block, goes through ``csv.reader``, which takes
-the rest of a quoted field opened on the block's last line from the file;
-its cells are converted by column with ``float`` and ``int``.  Either way
-a dict lookup codes the types, and numpy masks check the sign, finiteness
-and 64-bit range.  Only a row that a check flags goes through
-``_parse_row``, which holds the malformed-row rules, on all seven fields,
-and rejects the row or accepts it in place (a malformed row is reported by
-the file line it starts on), so the columns held change neither the rows
-accepted nor the report.  A row that ``csv.reader`` cannot tokenize stops
-the read with an ``IngestError`` naming the file and that line.  Every
-schedule, estimate and diagnostic takes that table and groups its columns
-with numpy instead of looping over records.
+lines at a time, with one of two tokenizers per block (``_block_rows``
+gives the rule): one ``np.loadtxt`` call, whose C parser splits a
+quote-free block at commas, one row per line, and converts the columns held
+(``usecols``), or ``csv.reader``, which takes the rest of a quoted field
+opened on the block's last line from the file.  ``_parse_row`` holds the
+malformed-row rules, on all seven fields.  It parses every row that
+``csv.reader`` reads, and each row of a loaded block that numpy masks flag
+by its tip, profit or type label, so the columns held change neither the
+rows accepted nor the report.  A malformed row is reported by the file line
+it starts on, and a row that ``csv.reader`` cannot tokenize stops the read
+with an ``IngestError`` naming the file and that line.  Every schedule,
+estimate and diagnostic takes that table and groups its columns with numpy
+instead of looping over records.
 ``write_bundles`` writes a stream of tables with one format per row, the
 label columns gathered by code, quoting fields exactly as ``csv.writer``'s
 default dialect does.  ``iter_bundles`` and ``BundleTable.records`` are a
@@ -207,23 +201,19 @@ class BundleTable:
         columns are held, so the report and the errors do not depend on them.
 
         ``csv.reader`` reads the header; the file is then taken
-        ``_READ_BLOCK`` physical lines at a time (``_block_rows``).  A block
-        with six commas a line, no quote, no NUL, none of ``\\x1c``-``\\x1f``
-        and no line longer than ``csv.field_size_limit()`` is tokenized by
-        one ``np.loadtxt`` call, one row per line, which converts only the
-        columns held.  A block that ``np.loadtxt`` rejects or that loses a
-        line to it, and any other block, goes through ``csv.reader``, which
-        reads a quoted field opened on the block's last line on into the
-        file, and ``float`` and ``int`` convert its columns.  Column masks
-        then flag rows (``_block_columns``), and only a flagged row goes
-        through ``_parse_row``.
+        ``_READ_BLOCK`` physical lines at a time, and each block is
+        tokenized by one ``np.loadtxt`` call or by ``csv.reader``
+        (``_block_rows`` gives the rule).  ``_parse_row`` parses each row
+        that ``csv.reader`` reads; of a loaded block, column masks flag rows
+        (``_block_columns``), and only a flagged row goes through it.
         Malformed rows are counted in ``report`` (not fatal); if they exceed
         0.1% of this file's rows, IngestError is raised with this file's
         samples.  ``report`` adds up the counts and samples of every read it
         is given, and each read adds at most 10 samples.  A row that
         ``csv.reader`` cannot tokenize (a field longer than
         ``csv.field_size_limit()``, as an unterminated quote makes) is an
-        IngestError naming the file and the line the row starts on.  A header
+        IngestError naming the file and the line the row starts on, and a
+        file that is not UTF-8 an IngestError naming the file.  A header
         not matching the schema is a hard SchemaError up front.
         """
         unknown = set(text_columns) - set(TEXT_COLUMNS)
@@ -234,7 +224,7 @@ class BundleTable:
                         if name in text_columns or name not in TEXT_COLUMNS)
         dtype = np.dtype([(_ROW_DTYPE.names[i], _ROW_DTYPE[i]) for i in usecols])
         report = report if report is not None else IngestReport()
-        rows_read = malformed = 0
+        rows_read = 0
         samples = []
         # typed arrays hold each parsed field in 8 bytes (types in 1), with no
         # per-row Python object kept but the tx hash
@@ -244,50 +234,52 @@ class BundleTable:
                     if name in text_columns}
         block, types = array("q"), array("B")
         tip, profit = array("d"), array("d")
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaError(f"{path}: empty file, expected header "
-                                  f"{','.join(CSV_COLUMNS)}") from None
-            except csv.Error as exc:
-                raise IngestError(f"{path}: line 1: {exc}") from None
-            got = tuple(h.strip() for h in header)
-            if got != CSV_COLUMNS:
-                missing = set(CSV_COLUMNS) - set(got)
-                extra = set(got) - set(CSV_COLUMNS)
-                raise SchemaError(
-                    f"{path}: header mismatch; missing={sorted(missing)} "
-                    f"unexpected={sorted(extra)}"
-                )
-            lines_read = reader.line_num
-            field_limit = csv.field_size_limit()
-            while True:
-                lines = list(islice(fh, _READ_BLOCK))
-                if not lines:
-                    break
-                first_line = lines_read + 1
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
                 try:
-                    columns, flagged, row, line, spanned = _block_rows(
-                        lines, fh, field_limit, first_line, usecols, dtype)
+                    header = next(reader)
+                except StopIteration:
+                    raise SchemaError(f"{path}: empty file, expected header "
+                                      f"{','.join(CSV_COLUMNS)}") from None
                 except csv.Error as exc:
-                    raise IngestError(f"{path}: {exc}") from None
-                lines_read += spanned
-                rows_read += len(flagged)
-                (t, b, c, bu, se, tp, pr), rejected = _block_columns(
-                    columns, flagged, row, line, samples)
-                malformed += rejected
-                if tx is not None:
-                    tx += t
-                block.frombytes(b.tobytes())
-                types.frombytes(c.tobytes())
-                for name, cells in (("builder", bu), ("searcher", se)):
-                    if name in labelled:
-                        codes, column = labelled[name]
-                        column.frombytes(_label_codes(cells, codes).tobytes())
-                tip.frombytes(tp.tobytes())
-                profit.frombytes(pr.tobytes())
+                    raise IngestError(f"{path}: line 1: {exc}") from None
+                got = tuple(h.strip() for h in header)
+                if got != CSV_COLUMNS:
+                    missing = set(CSV_COLUMNS) - set(got)
+                    extra = set(got) - set(CSV_COLUMNS)
+                    raise SchemaError(
+                        f"{path}: header mismatch; missing={sorted(missing)} "
+                        f"unexpected={sorted(extra)}"
+                    )
+                lines_read = reader.line_num
+                field_limit = csv.field_size_limit()
+                while True:
+                    lines = list(islice(fh, _READ_BLOCK))
+                    if not lines:
+                        break
+                    try:
+                        (t, b, c, bu, se, tp, pr), rows, spanned = _block_rows(
+                            lines, fh, field_limit, lines_read + 1, usecols, dtype, samples)
+                    except csv.Error as exc:
+                        raise IngestError(f"{path}: {exc}") from None
+                    lines_read += spanned
+                    rows_read += rows
+                    if tx is not None:
+                        tx += t
+                    block.frombytes(b.tobytes())
+                    types.frombytes(c.tobytes())
+                    for name, cells in (("builder", bu), ("searcher", se)):
+                        if name in labelled:
+                            codes, column = labelled[name]
+                            column.frombytes(_label_codes(cells, codes).tobytes())
+                    tip.frombytes(tp.tobytes())
+                    profit.frombytes(pr.tobytes())
+        except UnicodeDecodeError as exc:
+            # the decoder reads ahead of the lines parsed, so no line is named
+            raise IngestError(f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x} "
+                              f"({exc.reason})") from None
+        malformed = rows_read - len(block)
         report.rows_read += rows_read
         report.malformed += malformed
         report.records += len(block)
@@ -363,7 +355,6 @@ class BundleTable:
 
 
 _CSV_SPECIAL = re.compile('[,"\r\n]')
-_LINE_BREAK = re.compile("\r\n|\r|\n")
 
 # physical lines BundleTable.read takes at a time.  Medians of 21 in-process
 # reads (2-CPU machine), 256 / 512 / 1024 lines: the clean 116,204-row
@@ -379,21 +370,19 @@ _ROW_DTYPE = np.dtype([("tx", object), ("block", np.int64), ("type", object),
 # reads, and \x1c-\x1f, which np.loadtxt's number parser takes for padding
 # but float() and int() reject
 _CSV_ONLY = '"\0\x1c\x1d\x1e\x1f'
-# stands in for a row without seven fields, so that its block still splits
-# into columns; its tip is NaN, so the finiteness check flags it
-_NOT_A_ROW = ("", "0", "", "", "", "nan", "nan")
 
 
-def _block_rows(lines, fh, field_limit, first_line, usecols, dtype):
-    """The rows that start on ``lines``, physical lines of the open bundle CSV
-    ``fh`` (terminators kept) from file line ``first_line`` on.
+def _block_rows(lines, fh, field_limit, first_line, usecols, dtype, samples):
+    """The accepted rows of those that start on ``lines``, physical lines of
+    the open bundle CSV ``fh`` (terminators kept) from file line
+    ``first_line`` on; the number of rows, accepted or not; and the number
+    of lines they span.
 
-    Returns the rows as the seven columns of the schema (the block numbers,
-    tips and profits as arrays, the tx hashes, types, builders and searchers
-    as sequences of str; a free-text column not in ``usecols`` is None), a
-    mask of the rows that a field count or an integer check rejects, the
-    fields of row i and the file line it starts on as functions, and the
-    number of lines the rows span.
+    The accepted rows are returned as the seven columns of the schema (the
+    block numbers, type codes, tips and profits as arrays, the tx hashes,
+    builders and searchers as sequences of str; a free-text column not in
+    ``usecols`` is None).  A rejected row is sampled into ``samples`` while
+    they hold fewer than 10, with the file line it starts on.
 
     A block with six commas a line, no quote, no NUL, none of \\x1c-\\x1f
     and no line longer than ``field_limit`` (``csv.field_size_limit()``; no
@@ -409,11 +398,11 @@ def _block_rows(lines, fh, field_limit, first_line, usecols, dtype):
     a block number outside int64) or returns fewer rows than the block has
     lines (it skips blank lines, which are malformed rows; a block of blank
     lines only, on which it would warn that it read no data, has no comma
-    and never goes to it).  Any other block goes through
-    ``csv.reader``, which takes the lines of a quoted field opened on the
-    block's last line from ``fh``, and its cells are converted column by
-    column with ``float`` and ``int``.  A ``csv.Error`` is raised again with
-    the file line of the row it stopped in.
+    and never goes to it).  ``_block_columns`` checks the rows of a loaded
+    block.  Any other block goes through ``csv.reader``, which takes the
+    lines of a quoted field opened on the block's last line from ``fh``, and
+    ``_parse_row`` parses each of its rows.  A ``csv.Error`` is raised again
+    with the file line of the row it stopped in.
     """
     text = "".join(lines)
     # the commas are counted in the UTF-8 bytes, by numpy (a quarter of the
@@ -433,52 +422,44 @@ def _block_rows(lines, fh, field_limit, first_line, usecols, dtype):
             columns = [None] * len(CSV_COLUMNS)
             for i, name in zip(usecols, dtype.names):
                 columns[i] = table[name].tolist() if dtype[name] == object else table[name]
-            return (columns, np.zeros(len(lines), dtype=bool),
-                    lambda i: lines[i].rstrip("\r\n").split(","), first_line.__add__,
-                    len(lines))
+            return _block_columns(columns, lines, first_line, samples), len(lines), len(lines)
     reader = csv.reader(chain(lines, fh))
-    rows, spanned = [], 0
+    parsed, rows, spanned = [], 0, 0
     try:
-        for row in reader:
-            rows.append(row)
+        for rows, row in enumerate(reader, 1):
+            try:
+                parsed.append(_parse_row(row))
+            except ValueError as exc:
+                if len(samples) < 10:
+                    # the row starts on the line after the last row read
+                    samples.append({"line": first_line + spanned, "error": str(exc)})
             spanned = reader.line_num
             if spanned >= len(lines):
                 break
     except csv.Error as exc:
-        # the failing row starts on the line after the last row read
         raise csv.Error(f"line {first_line + spanned}: {exc}") from None
-    flagged = np.fromiter(map(len, rows), np.intp, len(rows)) != len(CSV_COLUMNS)
-    cells = rows
-    if flagged.any():
-        cells = [_NOT_A_ROW if bad else row for row, bad in zip(rows, flagged.tolist())]
-    tx, block, kind, builder, searcher, tip, profit = (
-        column if i in usecols else None for i, column in enumerate(zip(*cells)))
-    block, wide = _int64s(block)
-
-    def line(i):
-        # a quoted line break inside a field spans one more line; the commas
-        # keep a break that ends one field from joining one that starts the next
-        return first_line + i + len(_LINE_BREAK.findall(",".join(chain.from_iterable(rows[:i]))))
-
-    return ([tx, block, kind, builder, searcher, _floats(tip), _floats(profit)],
-            flagged | wide, rows.__getitem__, line, spanned)
+    tx, block, codes, builder, searcher, tip, profit = (
+        column if i in usecols else None
+        for i, column in enumerate(zip(*parsed) if parsed else [()] * len(CSV_COLUMNS)))
+    return ((tx, np.array(block, np.int64), np.array(codes, np.uint8), builder, searcher,
+             np.array(tip, float), np.array(profit, float)), rows, spanned)
 
 
-def _block_columns(columns, flagged, row, line, samples):
-    """The accepted rows of a block, given as ``_block_rows`` returns it, as
-    columns (a free-text column not read stays None), and the number of rows
-    rejected.
+def _block_columns(columns, lines, first_line, samples):
+    """The accepted rows of a block that ``np.loadtxt`` loaded, row i from
+    ``lines[i]``, file line ``first_line + i``: given as its columns and
+    returned as ``_block_rows`` returns them (a free-text column not read
+    stays None).
 
-    Masks add each row whose tip, profit or type label a check rejects to
-    ``flagged``.  Only a flagged row goes through ``_parse_row``, the one
-    statement of the malformed-row rules, on its fields ``row(i)``: it either
-    rejects the row (sampled into ``samples`` while they hold fewer than 10,
-    with the line ``line(i)`` the row starts on) or accepts it in place, as
-    it does a type label in another case.
+    Masks flag each row whose tip, profit or type label a check rejects.
+    Only a flagged row goes through ``_parse_row``, the one statement of the
+    malformed-row rules, on the fields of its line: it either rejects the
+    row (sampled into ``samples`` while they hold fewer than 10, with its
+    file line) or accepts it in place, as it does a type label in another
+    case.
     """
     tx, block, kind, builder, searcher, tip, profit = columns
-    flagged = flagged | ~((tip >= 0.0) & (tip < math.inf)
-                          & (profit > -math.inf) & (profit < math.inf))
+    flagged = ~((tip >= 0.0) & (tip < math.inf) & (profit > -math.inf) & (profit < math.inf))
     try:
         codes = bytearray(map(_TYPE_CODE.get, kind))
     except TypeError:  # a label that is not a type's, as written
@@ -490,11 +471,12 @@ def _block_columns(columns, flagged, row, line, samples):
     rejected = []
     for i in np.flatnonzero(flagged).tolist():
         try:
-            _, block[i], codes[i], _, _, tip[i], profit[i] = _parse_row(row(i))
-        except (ValueError, KeyError) as exc:
+            _, block[i], codes[i], _, _, tip[i], profit[i] = _parse_row(
+                lines[i].rstrip("\r\n").split(","))
+        except ValueError as exc:
             rejected.append(i)
             if len(samples) < 10:
-                samples.append({"line": line(i), "error": str(exc)})
+                samples.append({"line": first_line + i, "error": str(exc)})
     if rejected:
         keep = np.ones(len(block), dtype=bool)
         keep[rejected] = False
@@ -502,45 +484,7 @@ def _block_columns(columns, flagged, row, line, samples):
         tx, builder, searcher = (None if c is None else list(compress(c, kept))
                                  for c in (tx, builder, searcher))
         block, codes, tip, profit = block[keep], codes[keep], tip[keep], profit[keep]
-    return (tx, block, codes, builder, searcher, tip, profit), len(rejected)
-
-
-def _floats(cells):
-    """``float`` of each of ``cells`` as an array, NaN where a cell does not
-    convert."""
-    try:
-        return np.fromiter(map(float, cells), float, len(cells))
-    except ValueError:
-        return np.array([_float_or_nan(c) for c in cells])
-
-
-def _float_or_nan(cell):
-    try:
-        return float(cell)
-    except ValueError:
-        return math.nan
-
-
-def _int64s(cells):
-    """``int`` of each of ``cells`` as an int64 array, and a mask of the cells
-    that do not convert or fall outside int64 (held as 0), or False if none.
-
-    The range is checked on the Python ints, before any becomes an int64."""
-    try:
-        ints = list(map(int, cells))
-        if _BLOCK_MIN <= min(ints) and max(ints) <= _BLOCK_MAX:
-            return np.array(ints, dtype=np.int64), False
-    except ValueError:
-        ints = list(map(_int_or_none, cells))
-    bad = [i is None or not _BLOCK_MIN <= i <= _BLOCK_MAX for i in ints]
-    return np.array([0 if b else i for i, b in zip(ints, bad)], dtype=np.int64), np.array(bad)
-
-
-def _int_or_none(cell):
-    try:
-        return int(cell)
-    except ValueError:
-        return None
+    return tx, block, codes, builder, searcher, tip, profit
 
 
 def _label_codes(labels, codes):

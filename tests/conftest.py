@@ -73,6 +73,20 @@ def generated_records(specs, blocks, seed, **kwargs):
             for rec in table.records()]
 
 
+def not_utf8_bundles(path, where):
+    """Write a 2000-row bundle CSV to ``path`` that is UTF-8 but for one 0xe9
+    byte (Latin-1 "e" acute): in the header's ``block_number`` (``where`` is
+    "header") or in data row 1500's builder label ("data_row_1500")."""
+    from mevauction.empirics import CSV_COLUMNS
+
+    lines = [",".join(CSV_COLUMNS).encode()]
+    lines += [f"0x{i:x},{i},naked_arb,b{i % 3},s,1.0,0.5".encode() for i in range(2000)]
+    k = {"header": 0, "data_row_1500": 1500}[where]
+    lines[k] = lines[k].replace(b",b", b",b\xe9", 1)
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    return path
+
+
 def counted_pairs(counted):
     """The ``(record, proxy)`` pairs of a ``BidderCounts``, in its order."""
     return list(zip(counted.table.select(counted.order).records(), counted.proxy.tolist()))

@@ -16,7 +16,7 @@ from mevauction.equilibrium import BidCurve, solve_bid_ode
 from mevauction.profiles import MevType, TypeProfile
 from mevauction.revenue import DEFAULT_EPSILON_GRID
 
-from conftest import counted_pairs, table_from_records
+from conftest import counted_pairs, not_utf8_bundles, table_from_records
 
 SOLVE_FLAGS = ["--type", "naked_arb", "--n", "4", "--rho", "0.2",
                "--gamma", "0.74", "--mu", "1.102", "--sigma", "1.5"]
@@ -389,6 +389,21 @@ class TestGenerateEstimateReport:
                        f"({csv.field_size_limit()})"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["header", "data_row_1500"])
+    @pytest.mark.parametrize("command", ["estimate", "report"])
+    def test_input_not_utf8_is_an_ingest_error(self, tmp_path, capsys, command, where):
+        # one JSON error line naming the file, exit 1, no traceback
+        bundles = not_utf8_bundles(tmp_path / "latin1.csv", where)
+        capsys.readouterr()
+        out = tmp_path / command
+        assert run([command, "--input", str(bundles), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "IngestError",
+            "message": f"{bundles}: not UTF-8: byte 0xe9 (invalid continuation byte)"}
+        assert not out.exists()
+
     def test_pipeline_builds_no_records(self, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("a BundleRecord was built")
@@ -623,6 +638,21 @@ def test_malformed_config_is_usage_error(tmp_path, case):
         run([*argv, "--out-dir", str(out)])
     assert err.value.code == 2
     assert not out.exists()
+
+
+def test_config_not_utf8_is_usage_error(tmp_path, capsys):
+    # a valid INI but for one Latin-1 byte in a comment
+    cfg = tmp_path / "run.ini"
+    text = b"# r\xe9sum\xe9\n[solve]\n" + PROFILE_INI.encode() + b"epsilon = 0.2\n"
+    cfg.write_bytes(text)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        run(["solve", "--config", str(cfg), "--out-dir", str(out)])
+    assert err.value.code == 2
+    assert f"config file {cfg}: 'utf-8' codec can't decode" in capsys.readouterr().err
+    assert not out.exists()
+    cfg.write_bytes(text.replace(b"\xe9", b"e"))
+    assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
 
 
 @pytest.mark.parametrize("rule", ["one_minus_inverse_n", "bogus"])

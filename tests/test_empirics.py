@@ -30,7 +30,7 @@ from mevauction.errors import (
 )
 from mevauction.profiles import MevType
 
-from conftest import table_from_records
+from conftest import not_utf8_bundles, table_from_records
 
 
 def record(tip, profit, mev_type=MevType.NAKED_ARB, block=1, builder="b0",
@@ -268,6 +268,13 @@ class TestIngest:
                 t.to_csv()
             with pytest.raises(ParameterError, match=f"holds no {missing} column"):
                 t.records()
+
+    @pytest.mark.parametrize("where", ["header", "data_row_1500"])
+    def test_file_not_utf8_is_an_ingest_error(self, tmp_path, where):
+        path = not_utf8_bundles(tmp_path / "latin1.csv", where)
+        with pytest.raises(IngestError) as err:
+            BundleTable.read(path)
+        assert str(err.value) == f"{path}: not UTF-8: byte 0xe9 (invalid continuation byte)"
 
     def test_read_rejects_an_unknown_text_column(self, tmp_path):
         path = tmp_path / "bundles.csv"

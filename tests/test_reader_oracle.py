@@ -1,27 +1,26 @@
 """Exact-equality check of ``BundleTable.read`` against a row-by-row reader.
 
-``oracle_read`` is the loop that the block-by-column reader replaced, kept as
-the reference: one ``csv.reader`` pass, ``_parse_row`` on every data row, and
-each malformed row sampled with the file line it starts on, and a
-``csv.Error`` raised as an ``IngestError`` naming that line too.  The block
-reader must give the same table (every column bit for bit, the label tuples
-in the same order), the same ``IngestReport`` (counts, samples and their
-lines) and, above the malformed-row threshold or past the csv field size
-limit, the same error.  It must do so under each set of free-text columns
-that a command holds (``COLUMN_SETS``): the columns held match the oracle's,
-and the others are None.
+``oracle_read`` is the reference: one ``csv.reader`` pass over the whole
+file, ``_parse_row`` on every data row, each malformed row sampled with the
+file line it starts on, and a ``csv.Error`` raised as an ``IngestError``
+naming that line too.  The block reader's fallback path is that loop, block
+by block, and its ``np.loadtxt`` path parses only the rows that its masks
+flag.  The block reader must give the same table (every column bit for bit,
+the label tuples in the same order), the same ``IngestReport`` (counts,
+samples and their lines) and, above the malformed-row threshold or past the
+csv field size limit, the same error.  It must do so under each set of
+free-text columns that a command holds (``COLUMN_SETS``): the columns held
+match the oracle's, and the others are None.
 
-The block reader has two tokenizers: a block of lines with six commas a
-line, no quote, no NUL, none of ``\\x1c``-``\\x1f`` and no line longer than
-``csv.field_size_limit()`` goes to ``np.loadtxt``, and a block that it
-rejects or returns a row short, or any other block, goes through
-``csv.reader``.  The drawn texts put quoted, NUL-holding and long blocks
-beside quote-free ones, in 512-line blocks and in 5-line ones, with the
-field size limit as it is and lowered.  The boundary tests place one row
-kind (a spelling Python reads and ``np.loadtxt`` does not, or the reverse, a
-field count, a blank line), or two rows whose field counts make up the comma
-count, inside an otherwise clean block, and pin which blocks ``np.loadtxt``
-loads, rejects or never sees, the same under every column set.
+The block reader has two tokenizers, ``np.loadtxt`` and ``csv.reader``
+(``empirics._block_rows`` gives the rule that picks one).  The drawn texts
+put quoted, NUL-holding and long blocks beside quote-free ones, in 512-line
+blocks and in 5-line ones, with the field size limit as it is and lowered.
+The boundary tests place one row kind (a spelling Python reads and
+``np.loadtxt`` does not, or the reverse, a field count, a blank line), or
+two rows whose field counts make up the comma count, inside an otherwise
+clean block, and pin which blocks ``np.loadtxt`` loads, rejects or never
+sees, the same under every column set.
 """
 
 import csv
