@@ -66,13 +66,29 @@ def _grouped_tips(header: list, rows: list):
         row[tip] = co._digit_groups(row[tip])
 
 
+def _marked_header(header: list, rows: list):
+    """Prefix the header's first cell with a UTF-8 byte-order mark."""
+    header[0] = "\ufeff" + header[0]
+
+
+def _shifted_blocks(header: list, rows: list):
+    """Shift every block number so that the lowest is -2**63."""
+    block = header.index("block_number")
+    shift = -2**63 - min(int(row[block]) for row in rows)
+    for row in rows:
+        row[block] = str(int(row[block]) + shift)
+
+
 # name -> (edit, dialect) of compare_outputs._rewrite.  The reader sends
 # quote-free 512-line blocks to np.loadtxt and reads any other block, or one
 # np.loadtxt rejects, with csv.reader.  digit_groups writes every tip with
 # "_" between two fraction digits (the same float to float(), which
 # np.loadtxt rejects, so every block falls back); long_searchers makes every
 # line longer than 256 characters, so a block is longer than
-# csv.field_size_limit() though no line is (no output prints a searcher)
+# csv.field_size_limit() though no line is (no output prints a searcher);
+# bom starts the file with a byte-order mark, as spreadsheet exports do;
+# block_shift moves the blocks to the bottom of the int64 range, where the
+# bidder-count window must not wrap around (no output prints a block)
 READER_COPIES = {
     "quote_all": (None, lambda line: {"quoting": csv.QUOTE_ALL}),
     "lf": (None, lambda line: {"lineterminator": "\n"}),
@@ -80,6 +96,8 @@ READER_COPIES = {
     "quoted_700": (None, lambda line: {"quoting": csv.QUOTE_ALL} if line == 700 else {}),
     "digit_groups": (_grouped_tips, None),
     "long_searchers": (co._long_searchers, None),
+    "bom": (_marked_header, None),
+    "block_shift": (_shifted_blocks, None),
 }
 
 

@@ -290,23 +290,27 @@ def _window_counts(block, searcher, window):
     the searcher counts at block b exactly when one of its runs has
     start <= b and last > b - window.  Runs of one searcher never overlap in
     that sense, so the count is #(starts <= b) - #(lasts <= b - window):
-    O(n log n) however many searchers there are.
+    O(n log n) however many searchers there are.  The arithmetic runs on
+    uint64 offsets from the first block, exact over the whole int64 range.
     """
     if block.size == 0:
         return block
-    # a window wider than the blocks spanned counts the same and cannot overflow
-    window = min(window, int(block[-1]) - int(block[0]) + 1)
-    by_searcher = np.lexsort((block, searcher))
-    sb, ss = block[by_searcher], searcher[by_searcher]
+    off = block.view(np.uint64) - block[:1].view(np.uint64)
+    # window - 1, at most the span: a wider window counts the same
+    reach = np.uint64(min(window - 1, int(off[-1])))
+    by_searcher = np.lexsort((off, searcher))
+    sb, ss = off[by_searcher], searcher[by_searcher]
     first, _ = _runs(ss, sb)
     active_block, active_searcher = sb[first], ss[first]
     run = np.ones(active_block.size, dtype=bool)
+    # a searcher's first gap wraps around in uint64, but its run starts anyway
     run[1:] = ((active_searcher[1:] != active_searcher[:-1])
-               | (active_block[1:] - active_block[:-1] >= window))
+               | (active_block[1:] - active_block[:-1] > reach))
     starts = np.sort(active_block[run])
     lasts = np.sort(active_block[np.append(np.flatnonzero(run)[1:] - 1, run.size - 1)])
-    return (np.searchsorted(starts, block, side="right")
-            - np.searchsorted(lasts, block - window, side="right"))
+    # lasts <= b - window is lasts < b - reach; no last qualifies below reach
+    return (np.searchsorted(starts, off, side="right")
+            - np.searchsorted(lasts, np.maximum(off, reach) - reach))
 
 
 def board_diagnostic(counted: BidderCounts):

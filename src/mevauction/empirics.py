@@ -213,7 +213,8 @@ class BundleTable:
         ``csv.reader`` cannot tokenize (a field longer than
         ``csv.field_size_limit()``, as an unterminated quote makes) is an
         IngestError naming the file and the line the row starts on, and a
-        file that is not UTF-8 an IngestError naming the file.  A header
+        file that is not UTF-8 an IngestError naming the file; a UTF-8
+        byte-order mark before the header is skipped.  A header
         not matching the schema is a hard SchemaError up front.
         """
         unknown = set(text_columns) - set(TEXT_COLUMNS)
@@ -235,7 +236,8 @@ class BundleTable:
         block, types = array("q"), array("B")
         tip, profit = array("d"), array("d")
         try:
-            with open(path, newline="", encoding="utf-8") as fh:
+            # utf-8-sig drops a byte-order mark, as spreadsheet exports write
+            with open(path, newline="", encoding="utf-8-sig") as fh:
                 reader = csv.reader(fh)
                 try:
                     header = next(reader)

@@ -395,10 +395,6 @@ class IndifferenceLevel:
         """Whether the threat binds at some grid node."""
         return bool(np.any(self.levels > 0.0))
 
-    def binds_below(self, v_star: float) -> bool:
-        """Whether the threat binds at every grid node below ``v_star``."""
-        return bool(np.all(self.levels[self.curve.grid < v_star] > 0.0))
-
     @property
     def regime(self) -> str:
         """Sign pattern of ebar (that is, of gamma*v - bid) over the grid."""

@@ -50,10 +50,6 @@ class DegenerateCutoffError(MevAuctionError):
     """The indifference curve is locally flat at the cutoff (|slope| < 1e-12)."""
 
 
-class AssumptionViolationError(MevAuctionError):
-    """A formula's maintained assumption fails for the supplied inputs."""
-
-
 class ConsistencyError(MevAuctionError):
     """Mismatched pieces passed together (e.g. strategy solved for another epsilon)."""
 

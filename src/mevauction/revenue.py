@@ -8,9 +8,10 @@ density f1 of the highest valuation the risky branch is ``bid + eps * gap``,
 with bid and gap the integrals of b and (gamma*v - b)^+ over (0, v*).  At and
 above the cutoff the deterrence bid gamma*v leaves nothing to frontrun, so
 that branch is gamma * E[v_(1) 1{v_(1) > v*}], in closed form.  The
-derivative in eps is ``gap`` plus the boundary term of a moving cutoff, and
-honest first-price revenue (no cutoff, eps = 0) is ``bid``.  The Monte Carlo
-engine in ``simulate`` implements the game mechanics independently, and the
+derivative in eps, which ``revenue_derivative`` and ``revenue_sweep`` both
+give, is ``gap`` plus the boundary term of a moving cutoff, and honest
+first-price revenue (no cutoff, eps = 0) is ``bid``.  The Monte Carlo engine
+in ``simulate`` implements the game mechanics independently, and the
 acceptance suite requires the two to agree.
 
 Where the threat binds is decided in ``equilibrium.IndifferenceLevel``: the
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AssumptionViolationError,
     ConsistencyError,
     DegenerateCutoffError,
     ParameterError,
@@ -194,28 +194,17 @@ def expected_revenue(epsilon: float, strategy: PiecewiseStrategy,
 
 def revenue_derivative(epsilon: float, strategy: PiecewiseStrategy,
                        profile: TypeProfile) -> float:
-    """d E[R] / d epsilon.
+    """d E[R] / d epsilon, the exact Leibniz derivative of ``expected_revenue``.
 
-    The interior term integrates (gamma*v - bid) below the cutoff; the
-    boundary term moves the cutoff by implicit differentiation of the
-    indifference condition.  When the threat binds nowhere the derivative is
-    exactly zero.  A partially binding region below the cutoff violates the
-    formula's maintained assumption and raises AssumptionViolationError;
-    ``revenue_sweep`` reports the positive-part derivative there (the
-    non-binding part contributes nothing, which is the exact Leibniz
-    derivative of ``expected_revenue``).
+    The interior term integrates (gamma*v - bid)^+ below the cutoff, so where
+    the threat does not bind it adds nothing; the boundary term moves the
+    cutoff by implicit differentiation of the indifference condition.  When
+    the threat binds nowhere the derivative is exactly zero.
     """
     _check_consistent(epsilon, strategy, profile)
     level = IndifferenceLevel(strategy.curve, profile.gamma)
     if not level.binds:
         return 0.0
-    if not level.binds_below(strategy.cutoff):
-        raise AssumptionViolationError(
-            "frontrunning threat does not bind on all of [v_min, v*); "
-            "the closed-form derivative assumption fails (revenue_sweep "
-            "reports the positive-part derivative)"
-        )
-
     _, gap, _ = _PanelTable(level, profile).parts(strategy.cutoff)
     return _derivative(epsilon, strategy, level, profile, gap)
 
@@ -267,9 +256,8 @@ def revenue_sweep(profile: TypeProfile, grid, curve: BidCurve | None = None) -> 
     The bid curve is shared across the sweep (it never depends on epsilon);
     only the cutoff is re-solved per grid point, on one indifference level
     computed and checked once.  One panel table serves every rate, and each
-    distinct cutoff is evaluated on it once.
-    Derivatives are the positive-part form, also where the threat binds on
-    only part of [v_min, v*) and ``revenue_derivative`` raises.
+    distinct cutoff is evaluated on it once.  Each revenue and derivative is
+    ``expected_revenue``'s and ``revenue_derivative``'s at that rate.
     """
     eps_grid = np.asarray(grid, dtype=float)
     if eps_grid.ndim != 1 or eps_grid.size < 1:

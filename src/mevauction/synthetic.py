@@ -57,8 +57,8 @@ def generate_chunks(specs, blocks: int, seed: int, *,
     """An iterator of BundleTable chunks, one per drawn chunk of blocks and
     type, for ``blocks`` blocks of each spec.
 
-    ``specs`` is an iterable of SyntheticSpec.  With
-    ``opportunities_per_block`` > 1 the auctions of one block share the
+    ``specs`` is an iterable of SyntheticSpec, at most one per MEV type.
+    With ``opportunities_per_block`` > 1 the auctions of one block share the
     block's common factor, so within-block values are affiliated exactly as
     the signals are.  The arguments are checked and every strategy is
     resolved here, before the first chunk is drawn, so a bad argument
@@ -70,6 +70,12 @@ def generate_chunks(specs, blocks: int, seed: int, *,
         raise ParameterError("seed must be >= 0")
     if opportunities_per_block < 1:
         raise ParameterError("opportunities_per_block must be >= 1")
+    specs = list(specs)
+    taus = [spec.profile.tau for spec in specs]
+    for tau in taus:
+        if taus.count(tau) > 1:
+            # both would number their blocks from 1 under the same searcher labels
+            raise ParameterError(f"more than one spec of MEV type {tau.value}")
     resolved = [(spec, spec.resolved_strategy()) for spec in specs]
     return _chunks(resolved, blocks, seed, opportunities_per_block)
 

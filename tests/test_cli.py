@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import csv
 import json
 import random
@@ -402,6 +403,35 @@ class TestGenerateEstimateReport:
         assert json.loads(err) == {
             "error": "IngestError",
             "message": f"{bundles}: not UTF-8: byte 0xe9 (invalid continuation byte)"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "report"])
+    def test_byte_order_mark_reads_as_without(self, tmp_path, command):
+        bundles = self.make_bundles(tmp_path, blocks=1000)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + bundles.read_bytes())
+        written = []
+        for src in (bundles, marked):
+            out = tmp_path / src.stem / command
+            assert run([command, "--input", str(src), "--out-dir", str(out)]) == 0
+            written.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name not in ("manifest.json", "timing.json")})
+        assert len(written[0]) > 1
+        assert written[0] == written[1]
+
+    def test_two_type_sections_of_one_type_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        # the first section's type is its label, the second's its type key
+        cfg.write_text("[generate]\nblocks = 200\nseed = 17\n"
+                       "[generate.type.sandwich]\nn = 3\nrho = 0.2\ngamma = 0.9\n"
+                       "mu = 1.102\nsigma = 1.5\nepsilon = 0.3\n"
+                       "[generate.type.other]\ntype = sandwich\nn = 5\nrho = 0.2\n"
+                       "gamma = 0.5\nmu = 1.102\nsigma = 1.5\nepsilon = 0.3\n")
+        out = tmp_path / "gen"
+        capsys.readouterr()
+        assert run(["generate", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ParameterError", "message": "more than one spec of MEV type sandwich"}
         assert not out.exists()
 
     def test_pipeline_builds_no_records(self, tmp_path, monkeypatch):

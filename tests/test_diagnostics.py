@@ -171,6 +171,25 @@ class TestBoardDiagnostic:
         # at block i the window holds blocks i-2..i, all distinct searchers
         assert counted.proxy.tolist() == [1, 2, 3, 3, 3, 3, 3, 3, 3, 3]
 
+    @pytest.mark.parametrize("window", [1, 5, 50])
+    @pytest.mark.parametrize("edge", ["first_at_min", "last_at_max"])
+    def test_proxy_invariant_to_a_shift_to_the_int64_edges(self, edge, window):
+        # the blocks within a window of -2**63 or of 2**63 - 1 count as any other
+        rng = stream(12)
+        blocks = np.sort(rng.integers(0, 400, size=300)).tolist()
+        int64 = np.iinfo(np.int64)
+        shift = int64.min - blocks[0] if edge == "first_at_min" else int64.max - blocks[-1]
+
+        def counted(shift):
+            return effective_bidder_counts(table_from_records(
+                record(tip=1.0, profit=1.0, mev_type=(MevType.SANDWICH, MevType.NAKED_ARB)[i % 2],
+                       block=b + shift, searcher=f"s{(7 * b + i) % 9}", tx=f"0x{i:x}")
+                for i, b in enumerate(blocks)), window=window)
+
+        want, got = counted(0), counted(shift)
+        assert got.order.tolist() == want.order.tolist()
+        assert got.proxy.tolist() == want.proxy.tolist()
+
     def test_bad_window_rejected(self):
         with pytest.raises(ConfigurationError):
             effective_bidder_counts(table_from_records([]), window=0)

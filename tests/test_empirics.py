@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 
@@ -275,6 +276,21 @@ class TestIngest:
         with pytest.raises(IngestError) as err:
             BundleTable.read(path)
         assert str(err.value) == f"{path}: not UTF-8: byte 0xe9 (invalid continuation byte)"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # as spreadsheet exports write it: the same records, report and line
+        # numbers as without, over two blocks and a malformed row
+        path = tmp_path / "bundles.csv"
+        write_bundles(path, [table_from_records(synthetic_records(1200, np.random.default_rng(6)))])
+        lines = path.read_bytes().split(b"\n")
+        lines[900] = lines[900].replace(b",naked_arb,", b",not_a_type,")
+        path.write_bytes(b"\n".join(lines))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        want, want_report = read_records(path)
+        got, report = read_records(marked)
+        assert want_report.malformed == 1
+        assert (got, report) == (want, want_report)
 
     def test_read_rejects_an_unknown_text_column(self, tmp_path):
         path = tmp_path / "bundles.csv"

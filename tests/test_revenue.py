@@ -25,7 +25,6 @@ from mevauction import (
 )
 from mevauction.equilibrium import BidCurve, IndifferenceLevel
 from mevauction.errors import (
-    AssumptionViolationError,
     ConsistencyError,
     CutoffMonotonicityError,
     DegenerateCutoffError,
@@ -201,19 +200,48 @@ class TestRevenueDerivative:
         fd = (rev(0.9 + 1e-4) - rev(0.9 - 1e-4)) / 2e-4
         assert analytic == pytest.approx(fd, rel=1e-3)
 
-    def test_partial_binding_raises_where_sweep_does_not(self, flagship):
+    def test_partial_binding_is_the_sweeps_derivative(self, flagship):
         profile, curve = flagship
         strat = strategy_for(profile, 0.2, curve)
-        with pytest.raises(AssumptionViolationError, match="revenue_sweep"):
-            revenue_derivative(0.2, strat, profile)
-        # the sweep's positive-part derivative is the exact Leibniz derivative
+        # the positive-part derivative is the exact Leibniz derivative
         val = revenue_sweep(profile, [0.2], curve=curve).derivatives[0]
+        assert revenue_derivative(0.2, strat, profile) == val
 
         def rev(e):
             return expected_revenue(e, strategy_for(profile, e, curve), profile)
 
         fd = (rev(0.2 + 1e-4) - rev(0.2 - 1e-4)) / 2e-4
         assert val == pytest.approx(fd, abs=3e-5)
+
+    @pytest.mark.parametrize("label", list(THEORY_PROFILES))
+    def test_derivative_and_revenue_are_the_sweeps(self, label):
+        # one derivative: the sweep's at every default rate, bit for bit
+        profile = make_profile(**THEORY_PROFILES[label])
+        curve = curve_for(profile)
+        rp = revenue_sweep(profile, DEFAULT_EPSILON_GRID, curve=curve)
+        strategies = [strategy_for(profile, eps, curve) for eps in DEFAULT_EPSILON_GRID]
+        assert [revenue_derivative(eps, strat, profile)
+                for eps, strat in zip(DEFAULT_EPSILON_GRID, strategies)] \
+            == rp.derivatives.tolist()
+        assert [expected_revenue(eps, strat, profile)
+                for eps, strat in zip(DEFAULT_EPSILON_GRID, strategies)] \
+            == rp.revenues.tolist()
+
+    @pytest.mark.parametrize("epsilon", [0.35, 0.5])
+    @pytest.mark.parametrize("label", ["flagship", "n50"])
+    def test_mixed_regime_matches_finite_difference(self, label, epsilon):
+        # where the threat binds on only part of [v_min, v*)
+        profile = make_profile(**THEORY_PROFILES[label])
+        curve = curve_for(profile)
+        assert IndifferenceLevel(curve, profile.gamma).regime == "mixed"
+
+        def rev(e):
+            return expected_revenue(e, strategy_for(profile, e, curve), profile)
+
+        fd = (rev(epsilon + 1e-4) - rev(epsilon - 1e-4)) / 2e-4
+        analytic = revenue_derivative(epsilon, strategy_for(profile, epsilon, curve), profile)
+        assert math.isfinite(analytic)
+        assert analytic == pytest.approx(fd, rel=1e-3)
 
     def test_flat_indifference_level_at_the_cutoff_raises(self):
         # a hand-built curve whose indifference rate steps up by 1e-14 at the

@@ -5,9 +5,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import mevauction.synthetic as synthetic_module
 from mevauction import solve_strategy
 from mevauction.diagnostics import board_diagnostic, effective_bidder_counts
 from mevauction.empirics import bribe_schedule, estimate_gamma
+from mevauction.errors import ParameterError
 from mevauction.profiles import MevType
 from mevauction.synthetic import SyntheticSpec, _tx_hashes, generate_chunks
 
@@ -78,6 +80,20 @@ class TestGenerateSynthetic:
             # the strategy's epsilon (0) or its gamma (0) would keep every block
             assert len(records) / blocks == pytest.approx(0.1, abs=0.02)
 
+    def test_two_specs_of_one_type_are_refused(self, monkeypatch):
+        # both would be numbered from block 1 under the same searcher labels
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a strategy was solved")
+
+        monkeypatch.setattr(synthetic_module, "solve_strategy", forbidden)
+        specs = [SyntheticSpec(profile=make_profile(n=4), epsilon=0.2),
+                 SyntheticSpec(profile=make_profile(n=3, gamma=0.9, tau=MevType.SANDWICH),
+                               epsilon=0.2),
+                 SyntheticSpec(profile=make_profile(n=5, gamma=0.5, tau=MevType.SANDWICH),
+                               epsilon=0.3)]
+        with pytest.raises(ParameterError, match="more than one spec of MEV type sandwich"):
+            generate_chunks(iter(specs), 100, seed=1)
+
 
 class TestTxHashes:
     PREFIX = "0x0000000701"
@@ -101,8 +117,11 @@ class TestTxHashes:
         profile, curve = flagship
         spec = SyntheticSpec(profile=profile, epsilon=0.0,
                              strategy=solve_strategy(profile, 0.0, curve=curve))
+        # the same game under a second type label: one spec per type
+        twin = dataclasses.replace(
+            spec, profile=dataclasses.replace(profile, tau=MevType.SANDWICH))
         blocks, k, seed = 4, 300, 7
-        tables = list(generate_chunks([spec, spec], blocks, seed, opportunities_per_block=k))
+        tables = list(generate_chunks([spec, twin], blocks, seed, opportunities_per_block=k))
         block = [b for b in range(1, blocks + 1) for _ in range(k)]
         auction = list(range(k)) * blocks
         for t_idx, table in enumerate(tables):

@@ -425,6 +425,21 @@ def test_full_bins_and_thin_type_match_oracle():
     assert_same(board_diagnostic(counted), oracle_board_diagnostic(want))
 
 
+@pytest.mark.parametrize("window", [1, 4, 2**64 - 1, 2**64], ids=["1", "4", "2**64-1", "2**64"])
+def test_bidder_counts_over_the_whole_int64_range_match_oracle(window):
+    # one type's blocks run from -2**63 to 2**63 - 1, so its span and its
+    # gaps exceed int64, and a window of 2**64 reaches across the whole range
+    lo, hi = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+    blocks = [lo, lo, lo + 1, lo + 3, -1, 0, 0, 2, hi - 3, hi - 1, hi, hi]
+    records = [record(tip=1.0, profit=1.0, block=b, searcher=f"s{i % 3}", tx=f"0x{i:x}")
+               for i, b in enumerate(blocks)]
+    records += [record(tip=1.0, profit=1.0, mev_type=MevType.SANDWICH, block=b,
+                       searcher=f"s{i % 2}", tx=f"0xs{i:x}") for i, b in enumerate([lo, hi])]
+    table = table_from_records(records)
+    want = oracle_effective_bidder_counts(list(table.records()), window)
+    assert_same(counted_pairs(effective_bidder_counts(table, window)), want)
+
+
 def test_missing_gamma_names_first_seen_type():
     records = [record(tip=1.0, profit=1.0, mev_type=MevType.SANDWICH, block=1, tx="a"),
                record(tip=1.0, profit=1.0, mev_type=MevType.BACKRUN, block=2, tx="b")]
