@@ -45,13 +45,14 @@ defaults to the label); these replace the profile flags and keys of
 written.  The only environment variable honored is MEVAUCTION_OUT (default
 output directory).
 
-This module alone formats output files, from result objects that hold
-numbers: tables through ``_write_csv`` (rows) or ``_write_columns``
-(columns, as the affiliation pairs are held), documents (strict JSON)
-through ``_write_json``, each making its parent dir.  Only the bundle CSV
+This module writes output files from result objects that hold numbers:
+tables through ``_write_csv`` (rows) or ``_write_columns`` (columns, as the
+affiliation pairs are held), documents (strict JSON) through
+``_write_json``, each making its parent dir.  Only the bundle CSV
 (``write_bundles``) and the simulation trace (``run_many``) are written
 elsewhere, as they stream, so ``generate`` and ``simulate --trace`` make the
 out dir themselves, after every check and the strategy solve.
+``empirics._format_rows`` formats the rows of every CSV file.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from .empirics import (
     MEV_TYPES,
     BundleTable,
     IngestReport,
-    _csv_field,
+    _format_rows,
     _types_present,
     bergemann_threshold,
     bribe_schedule,
@@ -212,23 +213,9 @@ def _write_csv(path: Path, header, rows):
 
 def _write_columns(path: Path, header, columns):
     """Write the rows of ``columns``, equal-length sequences, under the header
-    line ``header``: floats to 12 significant digits (inf and nan spelled out),
-    integers in full, MEV types by label and text quoted as ``csv.writer``
-    quotes it.  The first cell of each column fixes its kind, and every row is
-    formatted by one ``%``-format."""
-    lines = [header + "\n"]
-    if columns and len(columns[0]):
-        kinds = [type(column[0]) for column in columns]
-        line = ",".join("%s" if issubclass(kind, str) else "%.12g" if issubclass(kind, float)
-                        else "%d" for kind in kinds) + "\n"
-        # each distinct text cell is labelled and quoted once
-        columns = [map({cell: _csv_field(getattr(cell, "value", cell))
-                        for cell in set(column)}.__getitem__, column)
-                   if issubclass(kind, str) else column
-                   for kind, column in zip(kinds, columns)]
-        lines += map(line.__mod__, zip(*columns))
+    line ``header``, as ``empirics._format_rows`` formats them."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("".join(lines), encoding="utf-8")
+    path.write_text(header + "\n" + _format_rows(columns), encoding="utf-8")
 
 
 def _write_json(path: Path, doc, sort_keys=False):

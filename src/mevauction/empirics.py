@@ -33,10 +33,11 @@ it starts on, and a row that ``csv.reader`` cannot tokenize stops the read
 with an ``IngestError`` naming the file and that line.  Every schedule,
 estimate and diagnostic takes that table and groups its columns with numpy
 instead of looping over records.
-``write_bundles`` writes a stream of tables with one format per row, the
-label columns gathered by code, quoting fields exactly as ``csv.writer``'s
-default dialect does.  ``iter_bundles`` and ``BundleTable.records`` are a
-record view of a table that no command uses.
+``write_bundles`` writes a stream of tables, the label columns gathered by
+code.  ``_format_rows`` spells the cells of every CSV file the package
+writes: the bundle CSV here, the simulation trace and the command tables.
+``iter_bundles`` and ``BundleTable.records`` are a record view of a table
+that no command uses.
 
 Grouped sums keep the order of the records: a per-group total is
 ``np.bincount`` with weights, which adds in input order exactly as a
@@ -46,7 +47,7 @@ taken with ``np.mean``/``np.std`` over each group's values in record order.
 The outputs therefore match a record-by-record computation bit for bit.
 
 Schedules, estimates and the decomposition hold numbers; ``cli.py`` writes
-their files.
+their files, through ``_format_rows``.
 
 Bribe schedules use equal-count quantile bins of extracted value (50, fewer
 for thin types), and the replicable share of a type is the
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -331,32 +331,20 @@ class BundleTable:
 
     def to_csv(self) -> str:
         """The rows as lines of the input schema, byte for byte what
-        ``csv.writer`` writes for them (floats to 12 significant digits).
-
-        One ``%``-format per row instead of ``csv.writer.writerows``: on the
-        pipeline benchmark workload writerows cut throughput by about 15%.
-        The tx hashes are quoted one by one only when their join holds a
-        comma, a quote or a line break, and the type, builder and searcher
-        columns are gathered from object arrays of their quoted labels,
-        indexed by code.
-        """
+        ``csv.writer`` writes for them (floats to 12 significant digits); the
+        label columns are gathered by code from object arrays of the labels."""
         self._require_text()
-        tx = self.tx_hash
-        joined = "".join(tx)
-        if "," in joined or '"' in joined or "\r" in joined or "\n" in joined:
-            tx = [_csv_field(t) for t in tx]
 
         def labels(texts, codes):
-            return np.array([_csv_field(t) for t in texts], dtype=object)[codes].tolist()
+            return np.array(texts, dtype=object)[codes].tolist()
 
-        return "".join(map("%s,%d,%s,%s,%s,%.12g,%.12g\r\n".__mod__, zip(
-            tx, self.block.tolist(),
-            labels([t.value for t in MEV_TYPES], self.mev_type),
-            labels(self.builders, self.builder), labels(self.searchers, self.searcher),
-            self.tip.tolist(), self.profit.tolist())))
+        # type labels as plain str: %s formats a MevType more slowly
+        return _format_rows((self.tx_hash, self.block.tolist(),
+                             labels([t.value for t in MEV_TYPES], self.mev_type),
+                             labels(self.builders, self.builder),
+                             labels(self.searchers, self.searcher),
+                             self.tip.tolist(), self.profit.tolist()), end="\r\n")
 
-
-_CSV_SPECIAL = re.compile('[,"\r\n]')
 
 # physical lines BundleTable.read takes at a time.  Medians of 21 in-process
 # reads (2-CPU machine), 256 / 512 / 1024 lines: the clean 116,204-row
@@ -501,12 +489,31 @@ def _label_codes(labels, codes):
         return np.fromiter(map(codes.__getitem__, labels), np.int64, len(labels))
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as a field of csv.writer's default dialect: quoted, with quotes
-    doubled, when it holds a comma, a quote or a line break."""
-    if _CSV_SPECIAL.search(text):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def _format_rows(columns, end="\n") -> str:
+    """The rows of ``columns``, equal-length sequences, as CSV lines ending in
+    ``end``, "" for none: the one rule for the cells of every CSV file the
+    package writes.  The first cell of a column fixes its kind: floats to 12
+    significant digits (inf and nan spelled out), integers and booleans in
+    full, text (a MevType by its label) quoted as ``csv.writer``'s default
+    dialect quotes it, each distinct cell once, unless the column's join
+    holds no comma, quote or line break.  Each row is one ``%``-format."""
+    if not columns or not len(columns[0]):
+        return ""
+    formats, cells = [], []
+    for column in columns:
+        first = column[0]
+        if isinstance(first, str):
+            formats.append("%s")
+            joined = "".join(column)
+            # four `in` scans: a regex search of the join is some 40 times slower
+            if "," in joined or '"' in joined or "\r" in joined or "\n" in joined:
+                column = list(map({cell: '"' + cell.replace('"', '""') + '"'
+                                   if any(c in cell for c in ',"\r\n') else cell
+                                   for cell in set(column)}.__getitem__, column))
+        else:
+            formats.append("%.12g" if isinstance(first, float) else "%d")
+        cells.append(column)
+    return "".join(map((",".join(formats) + end).__mod__, zip(*cells)))
 
 
 def _types_present(codes) -> list:

@@ -24,6 +24,8 @@ class MevType(str, enum.Enum):
     LIQUIDATION = "liquidation"
     BACKRUN = "backrun"
 
+    __str__ = str.__str__  # a type prints as its label, as in enum.StrEnum (3.11+)
+
     @classmethod
     def parse(cls, text: str) -> "MevType":
         try:

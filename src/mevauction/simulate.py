@@ -32,8 +32,9 @@ thread pool, with by default one worker per CPU this process may use
 blocks).  Each worker reduces its chunk to moments (of the pair means under
 antithetic sampling, whose halves are paired) and keeps per-block arrays
 only for the blocks the trace still needs; traced chunks are played one at a
-time and written in row slices, the others at most two per worker ahead of
-the merge, so memory is O(workers x chunk) however many blocks it plays.
+time and written in row slices by ``empirics._format_rows``, the others at
+most two per worker ahead of the merge, so memory is O(workers x chunk)
+however many blocks it plays.
 Chunk moments are merged in index order, so the report is bit-identical for
 any worker count.
 
@@ -54,6 +55,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
+from .empirics import _format_rows
 from .equilibrium import PiecewiseStrategy
 from .errors import DomainError, ParameterError
 from .profiles import TypeProfile
@@ -220,9 +222,8 @@ def _write_trace(file, start, blocks):
     """Write the traced blocks of one chunk, numbered from ``start``, in
     slices of ``_TRACE_ROWS`` rows, so only one slice is formatted at a time."""
     for lo in range(0, blocks[0].size, _TRACE_ROWS):
-        columns = (a[lo:lo + _TRACE_ROWS].tolist() for a in blocks)
-        file.write("".join(map("%d,%d,%.12g,%.12g,%d,%d,%.12g,%.12g\n".__mod__,
-                               zip(range(start + lo, start + lo + _TRACE_ROWS), *columns))))
+        columns = [a[lo:lo + _TRACE_ROWS].tolist() for a in blocks]
+        file.write(_format_rows([range(start + lo, start + lo + len(columns[0])), *columns]))
 
 
 def run_many(strategy: PiecewiseStrategy, profile: TypeProfile, blocks: int,

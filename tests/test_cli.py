@@ -441,8 +441,9 @@ class TestGenerateEstimateReport:
         monkeypatch.setattr(mevauction.empirics, "BundleRecord", forbidden)
         bundles = self.make_bundles(tmp_path, blocks=300)
         for command in ("estimate", "report"):
-            assert run([command, "--input", str(bundles),
-                        "--out-dir", str(tmp_path / command)]) == 0
+            with pytest.warns(UserWarning, match="is thin"):
+                assert run([command, "--input", str(bundles),
+                            "--out-dir", str(tmp_path / command)]) == 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_report_json_is_strict_json_when_tips_are_zero(self, tmp_path):
@@ -454,7 +455,8 @@ class TestGenerateEstimateReport:
             f"0x{i:x},{i // 2},backrun,b,s{i % 3},0,{1 if i % 2 else 2 + i}\n"
             for i in range(50)))
         out = tmp_path / "report"
-        assert run(["report", "--input", str(path), "--out-dir", str(out)]) == 0
+        with pytest.warns(UserWarning, match="is thin"):
+            assert run(["report", "--input", str(path), "--out-dir", str(out)]) == 0
 
         def reject(constant):
             raise ValueError(f"report.json holds the bare constant {constant}")

@@ -1,6 +1,7 @@
 import codecs
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mevauction.empirics import (
     BundleRecord,
     BundleTable,
     IngestReport,
+    _format_rows,
     bergemann_threshold,
     bribe_schedule,
     decompose,
@@ -57,6 +59,42 @@ def synthetic_records(n, rng, mev_type=MevType.NAKED_ARB, share=None):
 
 def synthetic_table(n, rng):
     return table_from_records(synthetic_records(n, rng))
+
+
+# the kinds of column _format_rows is given: text with the characters that
+# make csv.writer quote, types by member, types beside "all" (as
+# tab1_summary.csv holds them), floats with the non-finite ones and -0.0,
+# integers and booleans
+CELL_KINDS = (
+    st.text(st.one_of(st.sampled_from(',"\r\n'), st.characters()), max_size=6),
+    st.sampled_from(list(MevType)),
+    st.sampled_from([*MevType, "all"]),
+    st.one_of(st.sampled_from([math.inf, -math.inf, math.nan, -0.0]), st.floats()),
+    st.integers(),
+    st.booleans(),
+)
+
+
+@st.composite
+def table_columns(draw):
+    """Two to five equal-length columns, each of one of ``CELL_KINDS``."""
+    rows = draw(st.integers(0, 6))
+    kinds = draw(st.lists(st.sampled_from(CELL_KINDS), min_size=2, max_size=5))
+    return [draw(st.lists(kind, min_size=rows, max_size=rows)) for kind in kinds]
+
+
+def csv_writer_rows(columns, end):
+    """The rows of ``columns`` as csv.writer's default dialect writes them,
+    floats given as %.12g and integers and booleans as %d, each line ended
+    by ``end``."""
+    lines = []
+    for row in zip(*columns):
+        buf = io.StringIO()
+        csv.writer(buf).writerow(cell if isinstance(cell, str) else
+                                 "%.12g" % cell if isinstance(cell, float) else "%d" % cell
+                                 for cell in row)
+        lines.append(buf.getvalue().removesuffix("\r\n") + end)
+    return "".join(lines)
 
 
 class TestRecord:
@@ -210,7 +248,8 @@ class TestIngest:
         assert set(table.mev_type.tolist()) == {MEV_TYPES.index(MevType.NAKED_ARB)}
         records, _ = read_records(path)
         assert all(r.mev_type is MevType.NAKED_ARB for r in records)
-        schedule = bribe_schedule(table, MevType.NAKED_ARB)
+        with pytest.warns(UserWarning, match="is thin"):
+            schedule = bribe_schedule(table, MevType.NAKED_ARB)
         assert sum(b.count for b in schedule.bins) == 40
 
     def test_labels_with_commas_and_quotes_round_trip(self, tmp_path):
@@ -323,6 +362,15 @@ class TestIngest:
             (r.tx_hash, str(r.block_number), r.mev_type.value, r.builder, r.searcher,
              f"{r.tip:.12g}", f"{r.profit:.12g}") for r in records)
         assert table_from_records(records).to_csv() == buf.getvalue()
+
+    @given(table_columns(), st.sampled_from(["\n", "\r\n"]))
+    @settings(max_examples=200, deadline=None)
+    def test_format_rows_matches_csv_writer(self, columns, end):
+        assert _format_rows(columns, end) == csv_writer_rows(columns, end)
+
+    def test_format_rows_of_no_rows_and_type_labels(self):
+        assert _format_rows([]) == _format_rows([[], []], "\r\n") == ""
+        assert str(MevType.SANDWICH) == f"{MevType.SANDWICH}" == "sandwich"
 
 
 class TestBribeSchedule:

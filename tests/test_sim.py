@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import os
 import threading
@@ -18,8 +20,8 @@ from mevauction import (
 from mevauction.equilibrium import PiecewiseStrategy
 from mevauction.errors import DomainError, ParameterError
 from mevauction.rng import stream
-from mevauction.simulate import (CHUNK, _chunk_sizes, _play, _rival_chunk, _simulate_chunk,
-                                 _top_draws, _usable_cpus)
+from mevauction.simulate import (CHUNK, _TRACE_ROWS, _chunk_sizes, _play, _rival_chunk,
+                                 _simulate_chunk, _top_draws, _usable_cpus)
 from mevauction.synthetic import SyntheticSpec, generate_chunks
 from mevauction.values import affiliated_signal, rival_max_cdf, top_value_cdf, top_value_mean
 from scipy.special import ndtr
@@ -155,6 +157,37 @@ class TestRunMany:
         assert traced == untraced
         winners = np.loadtxt(trace, delimiter=",", skiprows=1, usecols=1)
         assert winners.shape == (cap,) and set(np.unique(winners)) == set(range(profile.n))
+
+    def test_trace_text_is_csv_writer_text(self, flagship, tmp_path):
+        # the trace byte for byte: two workers, a cap past the first chunk
+        # and past one more slice of _TRACE_ROWS rows, and the per-block
+        # arrays written by csv.writer, floats to 12 significant digits and
+        # booleans as 0/1
+        profile, curve = flagship
+        strat = solve_strategy(profile, 0.3, curve=curve)
+        blocks, cap, trace = CHUNK + 5000, CHUNK + 4100, tmp_path / "trace.csv"
+        assert _TRACE_ROWS < cap - CHUNK < blocks - CHUNK
+        run_many(strat, profile, blocks, seed=23, workers=2, trace_path=trace, trace_cap=cap)
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(["block", "winner_index", "winning_bid", "winner_value", "defected",
+                         "frontran", "builder_revenue", "searcher_surplus"])
+        start = 0
+        for i, size in enumerate(_chunk_sizes(blocks)):
+            keep = min(size, cap - start)
+            winner, bid, value, defect, frontrun, revenue, surplus = _simulate_chunk(
+                strat, profile, 23, i, size, False, keep=keep).blocks
+            writer.writerows(
+                (start + j, w, "%.12g" % b, "%.12g" % v, int(d), int(f), "%.12g" % r,
+                 "%.12g" % s)
+                for j, (w, b, v, d, f, r, s) in enumerate(zip(
+                    winner.tolist(), bid.tolist(), value.tolist(), defect.tolist(),
+                    frontrun.tolist(), revenue.tolist(), surplus.tolist())))
+            start += size
+        got, want = trace.read_text().splitlines(True), text.getvalue().splitlines(True)
+        # the first differing line: pytest's diff of two texts this long takes minutes
+        assert len(got) == len(want) == cap + 1
+        assert next(((g, w) for g, w in zip(got, want) if g != w), None) is None
 
     @pytest.mark.parametrize("cpus,blocks,pool", [(1, 3 * CHUNK, None), (2, 3 * CHUNK, 2),
                                                   (4, 3 * CHUNK, 3), (4, CHUNK, None)],
