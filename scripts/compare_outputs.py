@@ -45,6 +45,8 @@ PROFILES.update(rho0=dict(workloads.FLAGSHIP, rho=0.0),
 # revenues within 1e-6 relative whose raw argmax is the last rate
 NEAR_FLAT = dict(workloads.FLAGSHIP, gamma=0.05, sigma=0.5)
 DEFAULT_RATES = ",".join(f"{0.05 * k:.2f}" for k in range(20)) + ",0.99"
+# 100 rates, 0 to 0.99: a sweep over many distinct cutoffs
+DENSE_RATES = ",".join(f"{0.01 * k:.2f}" for k in range(100))
 COMMA_LABEL = 'Titan, "the" builder'
 BREAK_LABEL = "searcher\nwith a line break"
 # data rows (1-based) at the ends of the reader's 512-row blocks, each made
@@ -278,6 +280,10 @@ def steps(run: Path) -> list:
                 for name, grid in (("sweep_eps3", "0,0.2,0.5"), ("sweep_eps4", "0,0.2,0.5,0.97"))]
     out.append(["sweep", *_flags(NEAR_FLAT), "--epsilons", DEFAULT_RATES,
                 "--out-dir", str(run / "near_flat" / "sweep_spelled")])
+    # the dense grid where the cutoff moves with the rate
+    out += [["sweep", *_flags(PROFILES[label]), "--epsilons", DENSE_RATES,
+             "--out-dir", str(run / "profiles" / label / "sweep_eps100")]
+            for label in ("flagship", "n50")]
     # 257 nodes and 256 midpoints: hazard blocks of 256, 256 and 1 rows
     out.append(["solve", *_flags(PROFILES["flagship"]), "--epsilon", "0.2", "--nodes", "257",
                 "--out-dir", str(run / "nodes257" / "solve")])

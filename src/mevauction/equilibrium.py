@@ -36,6 +36,8 @@ matches scipy's ``PchipInterpolator`` bit for bit; roots come from
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -59,6 +61,8 @@ DEFAULT_TOP_TAIL = 1e-9
 
 # explicit RK4 needs h * v * r(v) comfortably inside its stability region
 _STABILITY_LIMIT = 2.0
+
+_CORRUPT_CURVE = "corrupt curve: bid >= v inside indifference_epsilon"
 
 
 def _ipv_rule():
@@ -216,6 +220,41 @@ class BidCurve:
         )
         return float(out[0]) if scalar else out
 
+    @cached_property
+    def _floats(self):
+        """The grid and the four coefficient rows, copied byte for byte into
+        arrays of doubles (lists of floats would take four times the memory),
+        and the two end shares."""
+        return (*(array("d", row.tobytes()) for row in (self.grid, *self._coef)),
+                float(self.bids[0] / self.grid[0]), float(self.bids[-1] / self.grid[-1]))
+
+    def _bid_at(self, v: float) -> float:
+        """``bid`` at one positive finite float, on Python floats: its and
+        ``_ppoly``'s IEEE operations in their order, at a small fraction of
+        their per-call cost."""
+        grid, c0, c1, c2, c3, lo_share, hi_share = self._floats
+        if v < grid[0]:
+            return lo_share * v
+        if v > grid[-1]:
+            return hi_share * v
+        i = min(max(bisect_right(grid, v) - 1, 0), len(grid) - 2)
+        s = v - grid[i]
+        b = 0.0 + c3[i]
+        b += c2[i] * s
+        power = s * s
+        b += c1[i] * power
+        power = power * s
+        b += c0[i] * power
+        return b
+
+    def _indifference(self, v: float, gamma: float) -> float:
+        """``indifference_epsilon`` at one positive finite float, on Python
+        floats (``_bid_at``)."""
+        b = self._bid_at(v)
+        if b >= v:
+            raise SolverError(_CORRUPT_CURVE)
+        return (gamma * v - b) / (v - b)
+
 # ---------------------------------------------------------------------------
 # independent-values closed form (left boundary anchor and test oracle)
 # ---------------------------------------------------------------------------
@@ -346,7 +385,7 @@ def indifference_epsilon(v, curve: BidCurve, gamma: float):
     v_arr, scalar = _positive("v", v)
     b = curve.bid(v_arr)
     if np.any(b >= v_arr):
-        raise SolverError("corrupt curve: bid >= v inside indifference_epsilon")
+        raise SolverError(_CORRUPT_CURVE)
     out = (gamma * v_arr - b) / (v_arr - b)
     return float(out[0]) if scalar else out
 
@@ -382,8 +421,11 @@ class IndifferenceLevel:
 
     ``levels`` is ebar on the curve's grid, evaluated once; every answer
     below reads it, and ``_root`` finds every root between two nodes (a
-    cutoff at ebar = eps, a kink at ebar = 0).  Strict monotonicity is
-    checked once, before the first cutoff; the regime and kinks need none.
+    cutoff at ebar = eps, a kink at ebar = 0).  The root finder evaluates
+    ebar on Python floats (``BidCurve._indifference``), with the same IEEE
+    operations as ``indifference_epsilon``, so a root costs no array call.
+    Strict monotonicity is checked once, before the first cutoff; the regime
+    and kinks need none.
     """
 
     def __init__(self, curve: BidCurve, gamma: float):
@@ -462,12 +504,12 @@ class IndifferenceLevel:
 
     def _root(self, i: int, level: float) -> float:
         """The v between grid nodes i and i + 1 where ebar(v) = level."""
-        grid, curve, gamma = self.curve.grid, self.curve, self.gamma
-        root = _brentq(lambda x: indifference_epsilon(x, curve, gamma) - level,
+        grid, ebar, gamma = self.curve._floats[0], self.curve._indifference, self.gamma
+        root = _brentq(lambda x: ebar(x, gamma) - level,
                        grid[i], grid[i + 1], xtol=1e-13 * grid[i], rtol=8.9e-16)
-        if abs(indifference_epsilon(root, curve, gamma) - level) >= 1e-9:
+        if abs(ebar(root, gamma) - level) >= 1e-9:
             raise SolverError("cutoff refinement failed to reach 1e-9")
-        return float(root)
+        return root
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +533,7 @@ class PiecewiseStrategy:
         if not (self.cutoff > 0.0):
             raise ParameterError("cutoff must be positive (or +inf)")
         if math.isfinite(self.cutoff):
-            b_star = self.curve.bid(self.cutoff)
+            b_star = self.curve._bid_at(self.cutoff)
             if self.gamma * self.cutoff < b_star - 1e-9 * self.cutoff:
                 raise SolverError(
                     "safe bid below risky bid at the cutoff; strategy not monotone"

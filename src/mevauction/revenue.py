@@ -22,8 +22,12 @@ once per (curve, profile) in a panel table over s = ln v: a 4-node
 Gauss-Legendre rule on every panel of the curve's own grid and on 60 panels
 over the 12 ln-units below it, with panels split at every crossing of
 gamma*v and the bid and at the cap (below).  The table stores cumulative
-panel sums, so a cutoff costs one ``searchsorted`` and one partial panel.  A
-sweep builds one indifference level and one table for all its rates.
+panel sums, so a cutoff needs only its partial panel.  A sweep builds one
+indifference level and one table for all its rates, and prices the rates at
+once: one density call for the partial panels of all its distinct cutoffs,
+one tail-mean integral for their deterrence branches and one density call
+for the boundary terms of the moving cutoffs.  ``expected_revenue`` and
+``revenue_derivative`` run the same code with one rate.
 
 Without a finite cutoff the integrals run to the 1 - 1e-8 quantile of the
 max-value distribution (the cap) and both tails beyond it are added
@@ -51,6 +55,7 @@ from .equilibrium import BidCurve, IndifferenceLevel, PiecewiseStrategy, \
     indifference_epsilon, solve_bid_ode
 from .profiles import TypeProfile
 from .values import (
+    _tail_means,
     top_value_density,
     top_value_quantile,
     top_value_sf,
@@ -131,7 +136,8 @@ class _PanelTable:
         self.cumulative = np.concatenate([np.zeros((3, 1)), np.cumsum(sums, axis=1)], axis=1)
 
         mass = self.cumulative[2, np.searchsorted(edges, s_cap)]
-        exact = top_value_tail_mean(0.0, profile) - top_value_tail_mean(cap, profile)
+        above_zero, above_cap = _tail_means([0.0, cap], profile).tolist()
+        exact = above_zero - above_cap
         if abs(mass - exact) > _CHECK_RTOL * exact:
             raise SolverError(
                 f"revenue panels give E[v_(1); v_(1) <= {cap:.6g}] = {mass:.12g}, "
@@ -139,48 +145,83 @@ class _PanelTable:
             )
         self.tail = _frozen_tail(profile.gamma, curve.bid(cap), cap, profile)
 
-    def parts(self, v_star: float):
-        """(bid, gap, safe) for the strategy with cutoff ``v_star``.
+    def parts(self, cutoffs) -> list:
+        """(bid, gap, safe) for the strategy with each cutoff in ``cutoffs``.
 
         ``bid`` and ``gap`` integrate b and (gamma*v - b)^+ against f1 below
         the cutoff, plus the frozen tail beyond the cap when the cutoff is
         infinite; ``safe`` is the deterrence branch above a finite cutoff.
+        The partial panels of all cutoffs take one density call, and their
+        deterrence branches one tail-mean integral.
         """
-        finite = math.isfinite(v_star)
-        hi = min(v_star, max(self.cap, self.curve.v_max)) if finite else self.cap
-        s_hi = math.log(hi)
-        k = int(np.searchsorted(self.edges, s_hi, side="right")) - 1
-        if k < 0:
-            bid = gap = 0.0
-        else:
-            bid, gap, _ = self.cumulative[:, k]
-            if s_hi > self.edges[k]:
-                part_bid, part_gap, _ = _panel_sums(
-                    self.curve, self.profile, self.edges[k:k + 1], np.array([s_hi]))[:, 0]
+        his = [min(v, max(self.cap, self.curve.v_max)) if math.isfinite(v) else self.cap
+               for v in cutoffs]
+        s_his = [math.log(hi) for hi in his]
+        ks = (np.searchsorted(self.edges, s_his, side="right") - 1).tolist()
+        inner = [j for j, (k, s_hi) in enumerate(zip(ks, s_his))
+                 if k >= 0 and s_hi > self.edges[k]]
+        partial = dict(zip(inner, _panel_sums(
+            self.curve, self.profile, self.edges[[ks[j] for j in inner]],
+            np.array([s_his[j] for j in inner])).T.tolist())) if inner else {}
+        finite = [j for j, v in enumerate(cutoffs) if math.isfinite(v)]
+        safe = dict(zip(finite, _tail_means([his[j] for j in finite], self.profile).tolist())) \
+            if finite else {}
+        out = []
+        for j, k in enumerate(ks):
+            bid, gap, _ = self.cumulative[:, k] if k >= 0 else (0.0, 0.0, 0.0)
+            if j in partial:
+                part_bid, part_gap, _ = partial[j]
                 bid, gap = bid + part_bid, gap + part_gap
-        if finite:
-            return bid, gap, self.profile.gamma * top_value_tail_mean(hi, self.profile)
-        tail_bid, tail_gap = self.tail
-        return bid + tail_bid, gap + tail_gap, 0.0
+            if j in safe:
+                out.append((bid, gap, self.profile.gamma * safe[j]))
+            else:
+                tail_bid, tail_gap = self.tail
+                out.append((bid + tail_bid, gap + tail_gap, 0.0))
+        return out
 
 
-def _derivative(epsilon, strategy: PiecewiseStrategy, level, profile, gap):
-    """``gap`` plus the boundary term when the cutoff tracks epsilon."""
-    v_star, gamma = strategy.cutoff, level.gamma
+def _motion(epsilon: float, v_star: float, level: IndifferenceLevel):
+    """d v*/d eps where the cutoff tracks epsilon (ebar(v*) = epsilon > 0),
+    by implicit differentiation of the indifference condition; else None.
+
+    Raises ``DegenerateCutoffError`` where the level is flat at the cutoff.
+    """
     if not math.isfinite(v_star):
-        return float(gap)
-    ebar_star = indifference_epsilon(v_star, level.curve, gamma)
-    if epsilon > 0.0 and abs(ebar_star - epsilon) < 1e-9:
-        slope = float(level.slope(v_star))
-        # the slope is per unit of money; its elasticity v* slope has no unit
-        if abs(slope * v_star) < 1e-12:
-            raise DegenerateCutoffError(
-                f"indifference level is flat at the cutoff "
-                f"(|v* slope|={abs(slope * v_star):.2e})"
-            )
-        dvstar = 1.0 / slope
-        gap -= dvstar * v_star * epsilon * (1.0 - gamma) * top_value_density(v_star, profile)
-    return float(gap)
+        return None
+    ebar_star = level.curve._indifference(v_star, level.gamma)
+    if not (epsilon > 0.0 and abs(ebar_star - epsilon) < 1e-9):
+        return None
+    slope = float(level.slope(v_star))
+    # the slope is per unit of money; its elasticity v* slope has no unit
+    if abs(slope * v_star) < 1e-12:
+        raise DegenerateCutoffError(
+            f"indifference level is flat at the cutoff "
+            f"(|v* slope|={abs(slope * v_star):.2e})"
+        )
+    return 1.0 / slope
+
+
+def _priced(table, epsilons, cutoffs, motions):
+    """(revenues, derivatives) at each rate, its cutoff and its ``_motion``.
+
+    Each derivative is ``gap`` plus the boundary term of a moving cutoff.
+    The distinct cutoffs take one ``parts`` call, and the moving ones one
+    density call for their boundary terms.
+    """
+    distinct = list(dict.fromkeys(cutoffs))
+    parts = dict(zip(distinct, table.parts(distinct)))
+    moving = list(dict.fromkeys(v for v, m in zip(cutoffs, motions) if m is not None))
+    density = dict(zip(moving, top_value_density(np.array(moving), table.profile).tolist())) \
+        if moving else {}
+    gamma = table.profile.gamma
+    revenues, derivatives = [], []
+    for eps, v_star, dvstar in zip(epsilons, cutoffs, motions):
+        bid, gap, safe = parts[v_star]
+        revenues.append(bid + eps * gap + safe)
+        if dvstar is not None:
+            gap -= dvstar * v_star * eps * (1.0 - gamma) * density[v_star]
+        derivatives.append(float(gap))
+    return revenues, derivatives
 
 
 def expected_revenue(epsilon: float, strategy: PiecewiseStrategy,
@@ -188,7 +229,7 @@ def expected_revenue(epsilon: float, strategy: PiecewiseStrategy,
     """Ex-ante builder revenue for the piecewise strategy at ``epsilon``."""
     _check_consistent(epsilon, strategy, profile)
     level = IndifferenceLevel(strategy.curve, profile.gamma)
-    bid, gap, safe = _PanelTable(level, profile).parts(strategy.cutoff)
+    [(bid, gap, safe)] = _PanelTable(level, profile).parts([strategy.cutoff])
     return float(bid + epsilon * gap + safe)
 
 
@@ -205,8 +246,10 @@ def revenue_derivative(epsilon: float, strategy: PiecewiseStrategy,
     level = IndifferenceLevel(strategy.curve, profile.gamma)
     if not level.binds:
         return 0.0
-    _, gap, _ = _PanelTable(level, profile).parts(strategy.cutoff)
-    return _derivative(epsilon, strategy, level, profile, gap)
+    motion = _motion(epsilon, strategy.cutoff, level)
+    _, [derivative] = _priced(_PanelTable(level, profile), [epsilon], [strategy.cutoff],
+                              [motion])
+    return derivative
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +298,9 @@ def revenue_sweep(profile: TypeProfile, grid, curve: BidCurve | None = None) -> 
 
     The bid curve is shared across the sweep (it never depends on epsilon);
     only the cutoff is re-solved per grid point, on one indifference level
-    computed and checked once.  One panel table serves every rate, and each
-    distinct cutoff is evaluated on it once.  Each revenue and derivative is
+    computed and checked once.  One panel table serves every rate, and the
+    distinct cutoffs are evaluated on it in one batch, after every rate's
+    checks have run in rate order.  Each revenue and derivative is
     ``expected_revenue``'s and ``revenue_derivative``'s at that rate.
     """
     eps_grid = np.asarray(grid, dtype=float)
@@ -268,24 +312,21 @@ def revenue_sweep(profile: TypeProfile, grid, curve: BidCurve | None = None) -> 
     curve = curve if curve is not None else solve_bid_ode(profile)
     level = IndifferenceLevel(curve, profile.gamma)
     table = _PanelTable(level, profile)
-    parts = {}  # cutoff -> (bid, gap, safe)
-    revenues, derivatives, cutoffs = [], [], []
-    for eps in map(float, eps_grid):
+    epsilons = eps_grid.tolist()
+    # every check that can raise, in rate order, before the batched integrals:
+    # the cutoff, the strategy's own check and the boundary term's slope
+    cutoffs, motions = [], []
+    for eps in epsilons:
         cut = level.cutoff(eps)
-        strat = PiecewiseStrategy(curve=curve, cutoff=cut,
-                                  gamma=profile.gamma, epsilon=eps)
-        if cut not in parts:
-            parts[cut] = table.parts(cut)
-        bid, gap, safe = parts[cut]
-        revenues.append(bid + eps * gap + safe)
-        derivatives.append(_derivative(eps, strat, level, profile, gap) if level.binds
-                           else 0.0)
+        PiecewiseStrategy(curve=curve, cutoff=cut, gamma=profile.gamma, epsilon=eps)
         cutoffs.append(cut)
+        motions.append(_motion(eps, cut, level) if level.binds else None)
+    revenues, derivatives = _priced(table, epsilons, cutoffs, motions)
 
     return RevenueProfile(
         epsilons=eps_grid,
         revenues=np.array(revenues),
-        derivatives=np.array(derivatives),
+        derivatives=np.array(derivatives) if level.binds else np.zeros(len(epsilons)),
         cutoffs=np.array(cutoffs),
         regime=level.regime,
     )

@@ -37,6 +37,9 @@ shares on ``_in_order``, the package's one thread pool (``simulate.run_many``
 plays its chunks on it too), so at most ``_BLOCK`` rows are in flight at any
 CPU count and no thread outlives the call.  Each output row depends only on
 its own input row, so neither the blocks nor the threads change any bits.
+The tail mean E[v_(1) 1{v_(1) > limit}] is such an integral too: its rows are
+the distinct (limit, node) windows of every limit asked for at once
+(``_tail_means``).
 """
 
 from __future__ import annotations
@@ -388,25 +391,43 @@ def top_value_tail_mean(limit: float, profile: TypeProfile) -> float:
     Phi(s + s_perp)^(n-1), handled by fixed Gauss-Legendre quadrature; the
     log-normal tail mean itself is analytic.
     """
-    if not (0.0 <= limit < math.inf):
+    return float(_tail_means([limit], profile)[0])
+
+
+def _tail_means(limits, profile: TypeProfile) -> np.ndarray:
+    """``top_value_tail_mean`` at each of ``limits``, as one factor integral.
+
+    Each (limit, Gauss-Hermite node) pair integrates over a window in s whose
+    lower end alone fixes the result: the limit standardised at the node, or
+    -8 where that lies below -8 (limit 0 at every node).  Each distinct window
+    is one row of ``_in_blocks``, so memory stays bounded in the number of
+    limits.
+    """
+    if not all(0.0 <= limit < math.inf for limit in limits):
         raise DomainError("limit must be >= 0 and finite")
     n = profile.n
     shift, logw, s_perp = _factor_nodes(profile)
-    w = np.exp(logw)
     mu_z = profile.mu + shift[0]
-    if limit == 0.0:
-        c = np.full_like(mu_z, -np.inf)
-    else:
-        c = (math.log(limit) - mu_z) / s_perp - s_perp
-    lo = np.maximum(c, -8.0)
+    # math.log, not np.log: the two differ in the last bit on some inputs
+    logs = np.array([math.log(limit) if limit > 0.0 else -math.inf for limit in limits])
+    c = (logs[:, None] - mu_z) / s_perp - s_perp
+    lo, window = np.unique(np.maximum(c, -8.0), return_inverse=True)
+    J = _in_blocks(lambda lb: _tail_rows(lb, n, s_perp), lo)[window].reshape(c.shape)
+    return n * np.sum(np.exp(logw) * np.exp(mu_z + 0.5 * s_perp**2) * J, axis=1)
+
+
+def _tail_rows(lo, n, s_perp):
+    """The integral of phi(s) Phi(s + s_perp)^(n-1) over (lo, inf), one row
+    per lower end ``lo`` >= -8: by Gauss-Legendre up to 8 + s_perp, and in
+    closed form, the normal tail, for an end beyond it."""
     hi = np.maximum(lo + 1e-12, 8.0 + s_perp)
     s = 0.5 * (hi - lo)[:, None] * _GL_X[None, :] + 0.5 * (hi + lo)[:, None]
     integrand = np.exp(_norm_logpdf(s) + (n - 1) * log_ndtr(s + s_perp))
     J = np.sum(integrand * (0.5 * (hi - lo)[:, None] * _GL_W[None, :]), axis=1)
-    deep = c > 8.0 + s_perp
+    deep = lo > 8.0 + s_perp
     if np.any(deep):
-        J = np.where(deep, 1.0 - ndtr(np.minimum(c, 38.0)), J)
-    return float(n * np.sum(w * np.exp(mu_z + 0.5 * s_perp**2) * J))
+        J = np.where(deep, 1.0 - ndtr(np.minimum(lo, 38.0)), J)
+    return J
 
 
 def top_value_mean(profile: TypeProfile) -> float:

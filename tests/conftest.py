@@ -11,6 +11,16 @@ def make_profile(n=5, rho=0.3, gamma=0.74, mu=MU, sigma=SIGMA, tau=MevType.NAKED
     return TypeProfile(tau=tau, n=n, rho=rho, gamma=gamma, mu=mu, sigma=sigma)
 
 
+# the benchmark's theory profiles, whose sweeps perfbench/reference.json
+# records, as make_profile arguments
+THEORY_PROFILES = {
+    "flagship": {},
+    "all_binding": {"n": 3, "rho": 0.2, "gamma": 0.998, "tau": MevType.SANDWICH},
+    "never_binding": {"n": 10, "rho": 0.4, "gamma": 0.05, "sigma": 0.5,
+                      "tau": MevType.LIQUIDATION},
+    "n50": {"n": 50},
+}
+
 # the bid curve depends only on (n, rho, mu, sigma); share across gammas
 _CURVES = {}
 

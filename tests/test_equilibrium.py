@@ -27,7 +27,7 @@ from mevauction.errors import (
     SolverError,
 )
 
-from conftest import MU, SIGMA, make_profile, marginal_quantile
+from conftest import MU, SIGMA, THEORY_PROFILES, curve_for, make_profile, marginal_quantile
 
 
 class TestSolveBidOde:
@@ -143,6 +143,32 @@ class TestIndifference:
         _, curve = flagship
         vs = np.geomspace(curve.v_min, curve.v_max, 50)
         assert np.all(indifference_epsilon(vs, curve, 0.74) <= 0.74 + 1e-12)
+
+    @pytest.mark.parametrize("label", list(THEORY_PROFILES))
+    def test_float_evaluator_is_the_array_path(self, label):
+        # the root finder's bid and ebar on Python floats and the array
+        # path's, bit for bit: at every node and midpoint, at seeded points
+        # inside panels and on both linear extensions
+        profile = make_profile(**THEORY_PROFILES[label])
+        curve = curve_for(profile)
+        grid = curve.grid
+        rng = np.random.default_rng(2024)
+        panel = rng.integers(0, grid.size - 1, 1000)
+        inside = grid[panel] + rng.uniform(0.0, 1.0, 1000) * np.diff(grid)[panel]
+        vs = np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:]), inside,
+                             [curve.v_min / 3.0, 3.0 * curve.v_max]])
+        assert [curve._bid_at(v) for v in vs.tolist()] == curve.bid(vs).tolist()
+        assert [curve._indifference(v, profile.gamma) for v in vs.tolist()] \
+            == indifference_epsilon(vs, curve, profile.gamma).tolist()
+
+    def test_float_evaluator_raises_the_array_paths_error(self):
+        # valid at its nodes, but the interpolant reaches the value near 0.9
+        curve = BidCurve(grid=np.array([0.5, 1.0, 2.0]), bids=np.array([0.0, 0.999, 0.9995]))
+        with pytest.raises(SolverError) as array_error:
+            indifference_epsilon(0.9, curve, 0.5)
+        with pytest.raises(SolverError) as float_error:
+            curve._indifference(0.9, 0.5)
+        assert str(float_error.value) == str(array_error.value)
 
 
 class TestSolveCutoff:

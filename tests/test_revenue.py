@@ -31,20 +31,10 @@ from mevauction.errors import (
     ParameterError,
     SolverError,
 )
-from mevauction.profiles import MevType
 
-from conftest import curve_for, make_profile
+from conftest import THEORY_PROFILES, curve_for, make_profile
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-
-# the benchmark's theory profiles, whose sweeps reference.json records
-THEORY_PROFILES = {
-    "flagship": {},
-    "all_binding": {"n": 3, "rho": 0.2, "gamma": 0.998, "tau": MevType.SANDWICH},
-    "never_binding": {"n": 10, "rho": 0.4, "gamma": 0.05, "sigma": 0.5,
-                      "tau": MevType.LIQUIDATION},
-    "n50": {"n": 50},
-}
 
 
 def strategy_for(profile, epsilon, curve):
@@ -227,6 +217,25 @@ class TestRevenueDerivative:
                 for eps, strat in zip(DEFAULT_EPSILON_GRID, strategies)] \
             == rp.revenues.tolist()
 
+    @pytest.mark.parametrize("label", [*THEORY_PROFILES, "gamma0.32"])
+    def test_dense_sweep_is_the_one_rate_path(self, label, monkeypatch):
+        # 200 rates and up to as many distinct cutoffs: the batched sweep and
+        # the one-rate functions, bit for bit, at every rate.  The panel table
+        # is free of the rate, so the one-rate calls share one
+        profile = make_profile(**THEORY_PROFILES.get(label, {"gamma": 0.32}))
+        curve = curve_for(profile)
+        grid = np.linspace(0.0, 0.99, 200).tolist()
+        rp = revenue_sweep(profile, grid, curve=curve)
+        table = revenue_module._PanelTable(IndifferenceLevel(curve, profile.gamma), profile)
+        monkeypatch.setattr(revenue_module, "_PanelTable", lambda *args: table)
+        assert rp.cutoffs.tolist() == [solve_cutoff(curve, profile.gamma, eps) for eps in grid]
+        strategies = [PiecewiseStrategy(curve, cut, profile.gamma, eps)
+                      for eps, cut in zip(grid, rp.cutoffs.tolist())]
+        assert rp.revenues.tolist() == [expected_revenue(eps, strat, profile)
+                                        for eps, strat in zip(grid, strategies)]
+        assert rp.derivatives.tolist() == [revenue_derivative(eps, strat, profile)
+                                           for eps, strat in zip(grid, strategies)]
+
     @pytest.mark.parametrize("epsilon", [0.35, 0.5])
     @pytest.mark.parametrize("label", ["flagship", "n50"])
     def test_mixed_regime_matches_finite_difference(self, label, epsilon):
@@ -290,9 +299,10 @@ class TestEpsilonStar:
         assert np.all(np.isfinite(result.revenues))
 
     def test_sweep_integrates_once_per_cutoff(self, solved, monkeypatch):
-        # one panel table per sweep, evaluated once per distinct cutoff: the
-        # all-binding rates share the infinite cutoff, flagship has 15
-        tables, cutoffs = [], []
+        # one panel table per sweep and one batched parts call over the
+        # distinct cutoffs: the all-binding rates share the infinite cutoff,
+        # flagship has 15
+        tables, calls = [], []
         real_table = revenue_module._PanelTable
 
         class CountingTable(real_table):
@@ -300,19 +310,20 @@ class TestEpsilonStar:
                 tables.append(args)
                 super().__init__(*args)
 
-            def parts(self, v_star):
-                cutoffs.append(v_star)
-                return super().parts(v_star)
+            def parts(self, cutoffs):
+                calls.append(list(cutoffs))
+                return super().parts(cutoffs)
 
         monkeypatch.setattr(revenue_module, "_PanelTable", CountingTable)
         for params, distinct in (({"n": 3, "rho": 0.2, "gamma": 0.998}, 1), ({}, 15)):
             profile, curve = solved(**params)
             tables.clear()
-            cutoffs.clear()
+            calls.clear()
             rp = revenue_sweep(profile, DEFAULT_EPSILON_GRID, curve=curve)
             assert np.unique(rp.cutoffs).size == distinct
             assert len(tables) == 1
-            assert sorted(cutoffs) == sorted(np.unique(rp.cutoffs))
+            assert len(calls) == 1
+            assert sorted(calls[0]) == np.unique(rp.cutoffs).tolist()
 
     def test_sweep_evaluates_indifference_level_once(self, solved, monkeypatch):
         # ebar on the whole grid and its monotonicity scan are free of eps:

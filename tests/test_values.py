@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import log_ndtr, logsumexp, ndtri
+from scipy.special import log_ndtr, logsumexp, ndtr, ndtri
 from scipy.stats import norm
 
 from mevauction import (
@@ -29,7 +29,7 @@ from mevauction import (
 from mevauction import equilibrium, values
 from mevauction.errors import DomainError, ParameterError, TailUnderflowError
 from mevauction.rng import stream
-from mevauction.values import _log_sum, affiliated_signal
+from mevauction.values import _log_sum, _tail_means, affiliated_signal
 
 from conftest import MU, SIGMA, make_profile
 
@@ -250,6 +250,43 @@ class TestTopValue:
     def test_tail_mean_rejects_a_limit_outside_zero_to_inf(self, limit):
         with pytest.raises(DomainError):
             top_value_tail_mean(limit, make_profile())
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("profile", [make_profile(), make_profile(n=50),
+                                         make_profile(rho=0.0)], ids=["flagship", "n50", "rho0"])
+    def test_tail_means_are_the_one_limit_path(self, profile, cpus, monkeypatch):
+        # many limits in one factor integral, one limit and the formula on
+        # one limit, bit for bit: limit 0, limits through the bulk and past
+        # the deep branch of every node (1e300), and rho = 0, a rule of one
+        # node
+        monkeypatch.setattr(values, "_usable_cpus", lambda: cpus)
+        # and limits whose np.log is not math.log on this numpy build, if any
+        draws = np.random.default_rng(5).uniform(0.01, 100.0, 100_000)
+        unlike = draws[np.log(draws) != np.array([math.log(x) for x in draws.tolist()])]
+        limits = [0.0, *np.geomspace(1e-3, 1e40, 41).tolist(), 1e300, *unlike[:4].tolist()]
+        shift, _, s_perp = values._factor_nodes(profile)
+        assert (math.log(1e300) - profile.mu - shift.max()) / s_perp - s_perp > 8.0 + s_perp
+        assert _tail_means(limits, profile).tolist() \
+            == [top_value_tail_mean(limit, profile) for limit in limits] \
+            == [_one_limit_tail_mean(limit, profile) for limit in limits]
+
+
+def _one_limit_tail_mean(limit, profile):
+    """E[v_(1) 1{v_(1) > limit}] as one (nodes, 128) Gauss-Legendre array and
+    a 1-d sum over the nodes: the tail mean's operations on one limit."""
+    n = profile.n
+    shift, logw, s_perp = values._factor_nodes(profile)
+    mu_z = profile.mu + shift[0]
+    c = np.full_like(mu_z, -np.inf) if limit == 0.0 \
+        else (math.log(limit) - mu_z) / s_perp - s_perp
+    lo = np.maximum(c, -8.0)
+    hi = np.maximum(lo + 1e-12, 8.0 + s_perp)
+    x, w = values._GL_X, values._GL_W
+    s = 0.5 * (hi - lo)[:, None] * x[None, :] + 0.5 * (hi + lo)[:, None]
+    integrand = np.exp(values._norm_logpdf(s) + (n - 1) * log_ndtr(s + s_perp))
+    J = np.sum(integrand * (0.5 * (hi - lo)[:, None] * w[None, :]), axis=1)
+    J = np.where(c > 8.0 + s_perp, 1.0 - ndtr(np.minimum(c, 38.0)), J)
+    return float(n * np.sum(np.exp(logw) * np.exp(mu_z + 0.5 * s_perp**2) * J))
 
 
 # the five factor integrals, each as a function of one value array
