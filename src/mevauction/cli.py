@@ -74,6 +74,7 @@ from .empirics import (
     MEV_TYPES,
     BundleTable,
     IngestReport,
+    _float_cells,
     _format_rows,
     _types_present,
     bergemann_threshold,
@@ -251,15 +252,16 @@ def cmd_solve(p, written, out):
                    **{k: p[k] for k in ("v_min", "v_max") if p[k] is not None})
     curve = solve_bid_ode(profile, grid)
     strategy = solve_strategy(profile, p["epsilon"], curve=curve)
-    _write_csv(out / "curve.csv", "v,beta", zip(curve.grid.tolist(), curve.bids.tolist()))
-    # the curve and the cutoff as text of 12 significant digits
+    # the curve and the cutoff as the text of curve.csv's cells, each
+    # number formatted once for both files
+    grid_cells, bid_cells = (_float_cells(a.tolist()) for a in (curve.grid, curve.bids))
+    cutoff, v_min, v_max = _float_cells([strategy.cutoff, curve.v_min, curve.v_max])
+    _write_columns(out / "curve.csv", "v,beta", [grid_cells, bid_cells])
     _write_json(out / "strategy.json", {
-        "gamma": strategy.gamma, "epsilon": strategy.epsilon,
-        "cutoff": "%.12g" % strategy.cutoff,
-        "curve": {"v_min": "%.12g" % curve.v_min, "v_max": "%.12g" % curve.v_max,
+        "gamma": strategy.gamma, "epsilon": strategy.epsilon, "cutoff": cutoff,
+        "curve": {"v_min": v_min, "v_max": v_max,
                   "nodes": curve.grid.size, "interpolation": "pchip",
-                  "grid": ["%.12g" % v for v in curve.grid.tolist()],
-                  "bids": ["%.12g" % b for b in curve.bids.tolist()]}})
+                  "grid": grid_cells, "bids": bid_cells}})
     return ({**written, "nodes": grid.nodes, "v_min": grid.v_min, "v_max": grid.v_max},
             f"solved curve ({curve.grid.size} nodes), cutoff = {strategy.cutoff:.6g}")
 

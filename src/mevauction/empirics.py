@@ -489,6 +489,16 @@ def _label_codes(labels, codes):
         return np.fromiter(map(codes.__getitem__, labels), np.int64, len(labels))
 
 
+# a float cell: 12 significant digits, inf and nan spelled out
+_FLOAT_CELL = "%.12g"
+
+
+def _float_cells(values) -> list:
+    """The floats ``values`` as the cells ``_format_rows`` writes for them,
+    for a caller that writes one number in more than one place."""
+    return list(map(_FLOAT_CELL.__mod__, values))
+
+
 def _format_rows(columns, end="\n") -> str:
     """The rows of ``columns``, equal-length sequences, as CSV lines ending in
     ``end``, "" for none: the one rule for the cells of every CSV file the
@@ -511,7 +521,7 @@ def _format_rows(columns, end="\n") -> str:
                                    if any(c in cell for c in ',"\r\n') else cell
                                    for cell in set(column)}.__getitem__, column))
         else:
-            formats.append("%.12g" if isinstance(first, float) else "%d")
+            formats.append(_FLOAT_CELL if isinstance(first, float) else "%d")
         cells.append(column)
     return "".join(map((",".join(formats) + end).__mod__, zip(*cells)))
 

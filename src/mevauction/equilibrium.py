@@ -29,8 +29,11 @@ The curve and the strategy hold numbers; ``cli.py`` writes their files.
 Between grid nodes the curve and ebar's slope are the monotone cubic Hermite
 interpolant of Fritsch and Carlson (1980), written here in numpy so that it
 matches scipy's ``PchipInterpolator`` bit for bit; roots come from
-``values._brentq``, a port of scipy's ``brentq``.  The module needs only
-``scipy.special`` from scipy, which keeps ``import mevauction`` light.
+``values._brentq``, a port of scipy's ``brentq``.  From scipy the module
+uses only ``scipy.special`` (the normal CDF, its logarithm and inverse), and
+only through ``values._special``, which imports it at its first call: the
+grid, the boundary bid and the truncation mass load it, importing the
+module does not.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import (
     BoundaryError,
@@ -52,7 +54,14 @@ from .errors import (
     TailUnderflowError,
 )
 from .profiles import TypeProfile
-from .values import _brentq, _in_blocks, _positive, rival_max_hazard_ratio, top_value_sf
+from .values import (
+    _brentq,
+    _in_blocks,
+    _positive,
+    _special,
+    rival_max_hazard_ratio,
+    top_value_sf,
+)
 
 DEFAULT_NODES = 2000
 DEFAULT_Q_LO = 1e-4
@@ -100,8 +109,8 @@ def default_grid(profile: TypeProfile, nodes: int = DEFAULT_NODES) -> GridSpec:
     affiliation, which only raises the conditional CDF at low own values.
     """
     q_lo = max(DEFAULT_Q_LO, math.exp(-600.0 / (profile.n - 1)))
-    v_min = math.exp(profile.mu + profile.sigma * ndtri(q_lo))
-    v_max = math.exp(profile.mu - profile.sigma * ndtri(DEFAULT_TOP_TAIL / profile.n))
+    v_min = math.exp(profile.mu + profile.sigma * _special.ndtri(q_lo))
+    v_max = math.exp(profile.mu - profile.sigma * _special.ndtri(DEFAULT_TOP_TAIL / profile.n))
     return GridSpec(v_min=v_min, v_max=v_max, nodes=nodes)
 
 
@@ -289,8 +298,8 @@ def _ipv_rows(v, n, mu, sigma):
     terms = np.empty((v.size, t.size))
     for row, zk in zip(terms, z):
         np.subtract(zk, t, out=row)
-    log_ndtr(terms, out=terms)
-    for row, ck in zip(terms, log_ndtr(z)):
+    _special.log_ndtr(terms, out=terms)
+    for row, ck in zip(terms, _special.log_ndtr(z)):
         row -= ck
         row *= n - 1
         row -= _IPV_T
@@ -572,6 +581,6 @@ def truncation_mass(strategy: PiecewiseStrategy, profile: TypeProfile) -> dict:
         return {"marginal_mass_above_cutoff": 0.0, "top_mass_above_cutoff": 0.0}
     z = (math.log(strategy.cutoff) - profile.mu) / profile.sigma
     return {
-        "marginal_mass_above_cutoff": float(ndtr(-z)),
+        "marginal_mass_above_cutoff": float(_special.ndtr(-z)),
         "top_mass_above_cutoff": float(top_value_sf(strategy.cutoff, profile)),
     }

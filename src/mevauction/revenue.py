@@ -51,8 +51,7 @@ from .errors import (
     ParameterError,
     SolverError,
 )
-from .equilibrium import BidCurve, IndifferenceLevel, PiecewiseStrategy, \
-    indifference_epsilon, solve_bid_ode
+from .equilibrium import BidCurve, IndifferenceLevel, PiecewiseStrategy, solve_bid_ode
 from .profiles import TypeProfile
 from .values import (
     _tail_means,

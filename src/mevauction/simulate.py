@@ -53,14 +53,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .empirics import _format_rows
 from .equilibrium import PiecewiseStrategy
 from .errors import DomainError, ParameterError
 from .profiles import TypeProfile
 from .rng import stream
-from .values import _in_order, _usable_cpus, affiliated_signal
+from .values import _in_order, _special, _usable_cpus, affiliated_signal
 
 CHUNK = 1 << 16
 DEFAULT_TRACE_CAP = 10_000
@@ -133,7 +132,7 @@ def _top_draws(rng, rows: int, n: int):
     of its grid cell.
     """
     u = np.maximum(rng.random(rows), 2.0**-54)
-    return -ndtri(-np.expm1(np.log1p(-u) / n))
+    return -_special.ndtri(-np.expm1(np.log1p(-u) / n))
 
 
 def _play(strategy, profile, gamma, epsilon, key, shape, antithetic=False):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .empirics import MEV_TYPES, BundleTable
-from .equilibrium import PiecewiseStrategy, solve_strategy
+from .equilibrium import PiecewiseStrategy, solve_bid_ode, solve_strategy
 from .errors import ParameterError
 from .profiles import TypeProfile
 from .simulate import _chunk_sizes, _play
@@ -46,11 +46,6 @@ class SyntheticSpec:
     epsilon: float
     strategy: PiecewiseStrategy | None = None
 
-    def resolved_strategy(self) -> PiecewiseStrategy:
-        if self.strategy is not None:
-            return self.strategy
-        return solve_strategy(self.profile, self.epsilon)
-
 
 def generate_chunks(specs, blocks: int, seed: int, *,
                     opportunities_per_block: int = 1):
@@ -62,7 +57,10 @@ def generate_chunks(specs, blocks: int, seed: int, *,
     block's common factor, so within-block values are affiliated exactly as
     the signals are.  The arguments are checked and every strategy is
     resolved here, before the first chunk is drawn, so a bad argument
-    raises before a caller opens its output.
+    raises before a caller opens its output.  The bid curve depends on
+    (n, rho, mu, sigma) alone, never on gamma or epsilon, so specs without a
+    planted strategy solve one curve per such value profile and attach
+    their own cutoffs to it.
     """
     if blocks < 0:
         raise ParameterError("blocks must be >= 0")
@@ -76,7 +74,16 @@ def generate_chunks(specs, blocks: int, seed: int, *,
         if taus.count(tau) > 1:
             # both would number their blocks from 1 under the same searcher labels
             raise ParameterError(f"more than one spec of MEV type {tau.value}")
-    resolved = [(spec, spec.resolved_strategy()) for spec in specs]
+    curves, resolved = {}, []
+    for spec in specs:
+        strategy = spec.strategy
+        if strategy is None:
+            p = spec.profile
+            key = (p.n, p.rho, p.mu, p.sigma)
+            if key not in curves:
+                curves[key] = solve_bid_ode(p)
+            strategy = solve_strategy(p, spec.epsilon, curve=curves[key])
+        resolved.append((spec, strategy))
     return _chunks(resolved, blocks, seed, opportunities_per_block)
 
 

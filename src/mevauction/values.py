@@ -40,6 +40,12 @@ its own input row, so neither the blocks nor the threads change any bits.
 The tail mean E[v_(1) 1{v_(1) > limit}] is such an integral too: its rows are
 the distinct (limit, node) windows of every limit asked for at once
 (``_tail_means``).
+
+The normal CDF, its logarithm and its inverse are scipy.special's ``ndtr``,
+``log_ndtr`` and ``ndtri``, the package's one use of scipy.  Every call in
+the package goes through ``_special``, which imports scipy.special at the
+first call, so ``import mevauction`` loads no scipy, and the bundle pipeline
+(``empirics``, ``diagnostics``), which calls none of the three, never does.
 """
 
 from __future__ import annotations
@@ -49,9 +55,9 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from importlib import import_module
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import DomainError, TailUnderflowError
 from .profiles import TypeProfile
@@ -72,6 +78,25 @@ _BRENT_MAXITER = 100
 # own values in flight in a factor integral, over all its threads: a
 # (256, 96) temporary is 192 kB
 _BLOCK = 256
+
+
+class _Special:
+    """``scipy.special``, imported at the first use of one of its functions.
+
+    The package's one route to scipy: the first read of a function imports
+    the module and caches the function on this object, so later reads are
+    plain attribute lookups.  ``import_module`` returns the module once it
+    is fully loaded (a concurrent first read waits on the import lock), with
+    no read of the parent package's attribute.
+    """
+
+    def __getattr__(self, name):
+        function = getattr(import_module("scipy.special"), name)
+        setattr(self, name, function)
+        return function
+
+
+_special = _Special()
 
 
 def _norm_logpdf(x):
@@ -289,7 +314,7 @@ def rival_max_cdf(y, v, profile: TypeProfile):
 
 def _rival_cdf_rows(y, v, profile):
     a, logw, _ = _standardized(y, profile, given=v)
-    return np.exp(_log_sum(logw + (profile.n - 1) * log_ndtr(a)))
+    return np.exp(_log_sum(logw + (profile.n - 1) * _special.log_ndtr(a)))
 
 
 def rival_max_hazard_ratio(v, profile: TypeProfile):
@@ -306,7 +331,7 @@ def rival_max_hazard_ratio(v, profile: TypeProfile):
 def _hazard_rows(v, profile):
     n = profile.n
     a, logw, s_perp = _standardized(v, profile, given=v)
-    logPhi = log_ndtr(a)
+    logPhi = _special.log_ndtr(a)
     logH = _log_sum(logw + (n - 1) * logPhi)
     if np.any(logH < _LOG_TINY):
         raise TailUnderflowError(
@@ -341,7 +366,7 @@ def _density_rows(v, profile):
         + math.log(n)
         + _norm_logpdf(a)
         - np.log(v * s_perp)[:, None]
-        + (n - 1) * log_ndtr(a)
+        + (n - 1) * _special.log_ndtr(a)
     ))
 
 
@@ -354,7 +379,7 @@ def top_value_cdf(v, profile: TypeProfile):
 
 def _cdf_rows(v, profile):
     a, logw, _ = _standardized(v, profile)
-    return np.exp(_log_sum(logw + profile.n * log_ndtr(a)))
+    return np.exp(_log_sum(logw + profile.n * _special.log_ndtr(a)))
 
 
 def top_value_sf(v, profile: TypeProfile):
@@ -366,7 +391,7 @@ def top_value_sf(v, profile: TypeProfile):
 
 def _sf_rows(v, profile):
     a, logw, _ = _standardized(v, profile)
-    sf_terms = -np.expm1(profile.n * log_ndtr(a))  # 1 - Phi^n, stable
+    sf_terms = -np.expm1(profile.n * _special.log_ndtr(a))  # 1 - Phi^n, stable
     return np.sum(np.exp(logw) * sf_terms, axis=1)
 
 
@@ -375,10 +400,10 @@ def top_value_quantile(q: float, profile: TypeProfile) -> float:
     if not (0.0 < q < 1.0):
         raise DomainError("q must be in (0, 1)")
     # the max lies between the marginal q-quantile and the q^(1/n) union bound
-    lo = profile.mu + profile.sigma * ndtri(q) - 1.0
-    top = ndtri(1.0 - (1.0 - q) / profile.n)
+    lo = profile.mu + profile.sigma * _special.ndtri(q) - 1.0
+    top = _special.ndtri(1.0 - (1.0 - q) / profile.n)
     if not math.isfinite(top):  # 1 - (1 - q)/n rounded to 1
-        top = -ndtri((1.0 - q) / profile.n)
+        top = -_special.ndtri((1.0 - q) / profile.n)
     hi = profile.mu + profile.sigma * top + 1.0
     f = lambda lv: top_value_cdf(math.exp(lv), profile) - q
     return math.exp(_brentq(f, lo, hi, xtol=1e-12, rtol=1e-14))
@@ -422,11 +447,11 @@ def _tail_rows(lo, n, s_perp):
     closed form, the normal tail, for an end beyond it."""
     hi = np.maximum(lo + 1e-12, 8.0 + s_perp)
     s = 0.5 * (hi - lo)[:, None] * _GL_X[None, :] + 0.5 * (hi + lo)[:, None]
-    integrand = np.exp(_norm_logpdf(s) + (n - 1) * log_ndtr(s + s_perp))
+    integrand = np.exp(_norm_logpdf(s) + (n - 1) * _special.log_ndtr(s + s_perp))
     J = np.sum(integrand * (0.5 * (hi - lo)[:, None] * _GL_W[None, :]), axis=1)
     deep = lo > 8.0 + s_perp
     if np.any(deep):
-        J = np.where(deep, 1.0 - ndtr(np.minimum(lo, 38.0)), J)
+        J = np.where(deep, 1.0 - _special.ndtr(np.minimum(lo, 38.0)), J)
     return J
 
 

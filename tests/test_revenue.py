@@ -336,8 +336,7 @@ class TestEpsilonStar:
                 full_grid.append(gamma)
             return real(v, curve, gamma)
 
-        for module in (equilibrium_module, revenue_module):
-            monkeypatch.setattr(module, "indifference_epsilon", counting)
+        monkeypatch.setattr(equilibrium_module, "indifference_epsilon", counting)
         profile, curve = solved()
         rp = revenue_sweep(profile, DEFAULT_EPSILON_GRID, curve=curve)
         assert np.any(rp.derivatives != 0.0) and np.any(np.isfinite(rp.cutoffs))

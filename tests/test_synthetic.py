@@ -94,6 +94,30 @@ class TestGenerateSynthetic:
         with pytest.raises(ParameterError, match="more than one spec of MEV type sandwich"):
             generate_chunks(iter(specs), 100, seed=1)
 
+    def test_specs_of_one_value_profile_share_one_curve(self, monkeypatch):
+        # the bid curve depends on (n, rho, mu, sigma) alone: three gammas
+        # planted on one value profile solve one curve, a fourth profile its
+        # own, and every table equals that of specs solved one by one
+        specs = [SyntheticSpec(profile=make_profile(n=4, gamma=gamma, tau=tau), epsilon=eps)
+                 for gamma, tau, eps in ((0.74, MevType.NAKED_ARB, 0.2),
+                                         (0.9, MevType.SANDWICH, 0.3),
+                                         (0.5, MevType.LIQUIDATION, 0.1))]
+        specs.append(SyntheticSpec(profile=make_profile(n=6, tau=MevType.BACKRUN), epsilon=0.2))
+        one_by_one = [dataclasses.replace(spec, strategy=solve_strategy(spec.profile,
+                                                                          spec.epsilon))
+                      for spec in specs]
+        solved = []
+        real = synthetic_module.solve_bid_ode
+
+        def counting(profile, *args, **kwargs):
+            solved.append(profile.n)
+            return real(profile, *args, **kwargs)
+
+        monkeypatch.setattr(synthetic_module, "solve_bid_ode", counting)
+        shared = generated_records(specs, 300, seed=5)
+        assert sorted(solved) == [4, 6]
+        assert shared == generated_records(one_by_one, 300, seed=5)
+
 
 class TestTxHashes:
     PREFIX = "0x0000000701"
