@@ -29,14 +29,17 @@ ONE_CPU = ("taskset", "-c", "0")  # sets the affinity of the child process only
 
 def simulate_threads(run: Path):
     """The game engine is invariant to --threads: 200k n = 50 blocks (four
-    chunks), every block traced, with one thread, two and the default (the
-    usable CPUs), plain and antithetic (which draws the common factors in two
-    halves and reduces each chunk over its pair means, so the merge order of
-    the pair moments is checked too)."""
+    chunks) with one thread, two and the default (the usable CPUs), plain and
+    antithetic (which draws the common factors in two halves and reduces
+    each chunk over its pair means, so the merge order of the pair moments is
+    checked too), every block traced and none (an untraced chunk is reduced
+    in the arrays it was played in)."""
     flags = [*co._flags(workloads.N50), "--epsilon", "0.2", "--blocks", "200000",
-             "--seed", "1", "--trace", "--trace-cap", "200000"]
+             "--seed", "1"]
+    traced = ["--trace", "--trace-cap", "200000"]
     steps, pairs = [], []
-    for sampling, extra in (("plain", []), ("antithetic", ["--antithetic"])):
+    for sampling, extra in (("plain", traced), ("antithetic", [*traced, "--antithetic"]),
+                            ("plain_untraced", []), ("antithetic_untraced", ["--antithetic"])):
         for threads in ("1", "2", "default"):
             steps.append(["simulate", *flags, *extra, "--out-dir", str(run / sampling / threads),
                           *([] if threads == "default" else ["--threads", threads])])

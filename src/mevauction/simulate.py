@@ -21,7 +21,11 @@ draws are never made, so the cost of an auction does not grow with n.
 One private kernel, ``_play``, draws and plays a chunk of auctions; the
 game engine here and ``synthetic._chunks`` both call it, so the
 rule is written once, and ``_top_draws`` is the one place that samples the
-top draws, for ``_play`` and for the deviation harness.
+top draws, for ``_play`` and for the deviation harness.  Each stage writes
+into the arrays the chunk already holds: the uniforms become the top draws,
+then the winner's signal and value, in one array; the bid is a second.
+Only commutative operations are reordered, so the bits are those of a fresh
+array per stage.
 Blocks are generated in fixed-size chunks, each on its own split random
 stream keyed (seed, chunk, purpose): the chunk sizes are part of that
 stream schedule, so changing ``CHUNK`` changes the draws.
@@ -30,11 +34,12 @@ stream schedule, so changing ``CHUNK`` changes the draws.
 thread pool, with by default one worker per CPU this process may use
 (``values._usable_cpus``, the count that also splits the factor integrals'
 blocks).  Each worker reduces its chunk to moments (of the pair means under
-antithetic sampling, whose halves are paired) and keeps per-block arrays
-only for the blocks the trace still needs; traced chunks are played one at a
-time and written in row slices by ``empirics._format_rows``, the others at
-most two per worker ahead of the merge, so memory is O(workers x chunk)
-however many blocks it plays.
+antithetic sampling, whose halves are paired) in the two chunk-sized arrays
+it holds, the surplus over the value and the revenue over the bid, and
+copies out per-block arrays only for the blocks the trace still needs;
+traced chunks are played one at a time and written in row slices by
+``empirics._format_rows``, the others at most two per worker ahead of the
+merge, so memory is O(workers x chunk) however many blocks it plays.
 Chunk moments are merged in index order, so the report is bit-identical for
 any worker count.
 
@@ -64,7 +69,7 @@ from .values import _in_order, _special, _usable_cpus, affiliated_signal
 CHUNK = 1 << 16
 DEFAULT_TRACE_CAP = 10_000
 # trace rows formatted at once
-_TRACE_ROWS = 1 << 12
+_TRACE_ROWS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -91,9 +96,12 @@ def _chunk_sizes(blocks: int, chunk: int = CHUNK):
 
 
 def _moments(sample: np.ndarray):
-    """(count, mean, scatter) of a 1-d ``sample``."""
+    """(count, mean, scatter) of a 1-d ``sample``, which is overwritten by
+    the squared deviations its scatter sums."""
     mean = sample.mean()
-    return sample.size, mean, np.sum((sample - mean) ** 2)
+    sample -= mean
+    np.square(sample, out=sample)
+    return sample.size, mean, np.sum(sample)
 
 
 class _MomentAccumulator:
@@ -131,8 +139,15 @@ def _top_draws(rng, rows: int, n: int):
     2^-53, which would give an infinite max, so that draw takes the midpoint
     of its grid cell.
     """
-    u = np.maximum(rng.random(rows), 2.0**-54)
-    return -_special.ndtri(-np.expm1(np.log1p(-u) / n))
+    top = rng.random(rows)  # each step below writes into this one array
+    np.maximum(top, 2.0**-54, out=top)
+    np.negative(top, out=top)
+    np.log1p(top, out=top)
+    top /= n
+    np.expm1(top, out=top)
+    np.negative(top, out=top)
+    _special.ndtri(top, out=top)
+    return np.negative(top, out=top)
 
 
 def _play(strategy, profile, gamma, epsilon, key, shape, antithetic=False):
@@ -156,13 +171,18 @@ def _play(strategy, profile, gamma, epsilon, key, shape, antithetic=False):
         if rows % 2:
             raise ParameterError("antithetic sampling needs an even chunk size")
         half = rng_v.standard_normal(rows // 2)
-        Z = np.concatenate([half, -half])
+        common = np.concatenate([half, -half])
+        del half
     else:
-        Z = rng_v.standard_normal(rows)
-    top_u = _top_draws(rng_v, math.prod(shape), profile.n)
-    z = affiliated_signal(Z.reshape(Z.shape + (1,) * (len(shape) - 1)),
-                          top_u.reshape(shape), profile.rho)
-    top_val = np.exp(profile.mu + profile.sigma * z)
+        common = rng_v.standard_normal(rows)
+    # the top draws' array becomes the winner's signal, then its value
+    top_val = _top_draws(rng_v, math.prod(shape), profile.n).reshape(shape)
+    affiliated_signal(common.reshape(common.shape + (1,) * (len(shape) - 1)), top_val,
+                      profile.rho, out=top_val)
+    del common
+    top_val *= profile.sigma
+    top_val += profile.mu
+    np.exp(top_val, out=top_val)
     top_bid = strategy.bid(top_val.ravel()).reshape(shape)
     coin = stream(*key, 1)
     defect = coin.random(shape) < epsilon
@@ -183,23 +203,36 @@ class _ChunkResult(NamedTuple):
 
 def _simulate_chunk(strategy, profile, seed, chunk_index, size, antithetic, keep=0):
     """Play chunk ``chunk_index`` and reduce it; keep the per-block arrays
-    of its first ``keep`` blocks (none when ``keep`` is 0)."""
+    of its first ``keep`` blocks (none when ``keep`` is 0).
+
+    The chunk is reduced in the two arrays ``_play`` returns: the surplus
+    overwrites the value and the revenue the bid, and ``_moments`` squares
+    them in place.  The kept blocks are copied before they are overwritten,
+    and their winners drawn once those two arrays are dropped."""
+    gamma = strategy.gamma
     top_bid, top_val, defect, frontrun, values, _ = _play(
-        strategy, profile, strategy.gamma, strategy.epsilon, (seed, chunk_index),
-        (size,), antithetic)
-    revenue = np.where(frontrun, strategy.gamma * top_val, top_bid)
-    surplus = np.where(frontrun, 0.0, top_val - top_bid)
+        strategy, profile, gamma, strategy.epsilon, (seed, chunk_index), (size,), antithetic)
+    kept = [a[:keep].copy() for a in (top_bid, top_val, defect, frontrun)]
+    # a frontrun pays gamma * v and leaves no surplus
+    revenue = np.multiply(top_val, gamma, out=top_bid, where=frontrun)
+    surplus = np.subtract(top_val, revenue, out=top_val)
+    np.copyto(surplus, 0.0, where=frontrun)
+    del top_bid, top_val
+    kept += [revenue[:keep].copy(), surplus[:keep].copy()]
+    if antithetic:  # blocks j and j + size/2 share a common factor: one draw
+        half = size // 2
+        for a in (revenue, surplus):
+            a[:half] += a[half:]
+            a[:half] *= 0.5
+        revenue, surplus = revenue[:half], surplus[:half]
+    moments = _moments(revenue), _moments(surplus)
+    del revenue, surplus
     blocks = None
     if keep:
         # only the trace reads the winners; the first ``keep`` of the chunk's
         # are the first ``keep`` drawn
-        winner = values.integers(profile.n, size=keep)
-        blocks = (winner,) + tuple(a[:keep] for a in (top_bid, top_val, defect, frontrun,
-                                                      revenue, surplus))
-    samples = (revenue, surplus)
-    if antithetic:  # blocks j and j + size/2 share a common factor: one draw
-        samples = tuple(0.5 * (a[:size // 2] + a[size // 2:]) for a in samples)
-    return _ChunkResult(*map(_moments, samples), int(np.count_nonzero(defect)),
+        blocks = (values.integers(profile.n, size=keep), *kept)
+    return _ChunkResult(*moments, int(np.count_nonzero(defect)),
                         int(np.count_nonzero(frontrun)), blocks)
 
 

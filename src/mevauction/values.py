@@ -177,9 +177,13 @@ def _brentq(f, a, b, xtol, rtol):
 # the signal draw
 # ---------------------------------------------------------------------------
 
-def affiliated_signal(common, idiosyncratic, rho: float):
-    """z = sqrt(rho) * common + sqrt(1 - rho) * idiosyncratic (broadcasting)."""
-    return math.sqrt(rho) * common + math.sqrt(1.0 - rho) * idiosyncratic
+def affiliated_signal(common, idiosyncratic, rho: float, out=None):
+    """z = sqrt(rho) * common + sqrt(1 - rho) * idiosyncratic (broadcasting
+    ``common`` to the shape of ``idiosyncratic``), written into ``out`` when
+    given, which may be ``idiosyncratic`` itself."""
+    out = np.multiply(idiosyncratic, math.sqrt(1.0 - rho), out=out)
+    out += math.sqrt(rho) * common
+    return out
 
 
 # ---------------------------------------------------------------------------

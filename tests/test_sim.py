@@ -20,11 +20,11 @@ from mevauction import (
 from mevauction.equilibrium import PiecewiseStrategy
 from mevauction.errors import DomainError, ParameterError
 from mevauction.rng import stream
-from mevauction.simulate import (CHUNK, _TRACE_ROWS, _chunk_sizes, _play, _rival_chunk,
-                                 _simulate_chunk, _top_draws, _usable_cpus)
+from mevauction.simulate import (CHUNK, _TRACE_ROWS, _chunk_sizes, _ChunkResult, _play,
+                                 _rival_chunk, _simulate_chunk, _top_draws, _usable_cpus)
 from mevauction.synthetic import SyntheticSpec, generate_chunks
 from mevauction.values import affiliated_signal, rival_max_cdf, top_value_cdf, top_value_mean
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 from scipy.stats import chi2_contingency, chisquare, kstest
 
 from conftest import curve_for, make_profile, marginal_quantile
@@ -347,6 +347,16 @@ class TestRunMany:
         assert peak50 < 0.5 * CHUNK * 50 * 8
         assert peak50 <= 1.1 * peak(5)
 
+    @pytest.mark.parametrize("epsilon", [0.2, 0.99])
+    def test_untraced_chunk_works_in_two_arrays(self, flagship, epsilon):
+        # an untraced chunk is reduced in the bid and value arrays it plays
+        # in; at most one more chunk-sized array (the common factors, then
+        # the coins, then gamma * v) exists beside them at a time, at any rate
+        profile, curve = flagship
+        strat = solve_strategy(profile, epsilon, curve=curve)
+        peak = self._peak(lambda: _simulate_chunk(strat, profile, 1, 0, CHUNK, False))
+        assert peak <= 4 * CHUNK * 8
+
     def test_rejects_zero_blocks(self, flagship):
         profile, curve = flagship
         strat = solve_strategy(profile, 0.2, curve=curve)
@@ -528,6 +538,120 @@ class TestPlay:
         _, _, _, _, values, _ = _play(strat, profile, profile.gamma, 0.5, (4, 1), shape)
         winner = values.integers(profile.n, size=shape)
         assert chisquare(np.bincount(winner.ravel(), minlength=3)).pvalue > KS_P_MIN
+
+
+# ---------------------------------------------------------------------------
+# the chunk kernel as it was before it ran in place: a fresh array for every
+# stage.  It is the oracle of the in-place kernel, whose outputs must be the
+# same bytes.
+# ---------------------------------------------------------------------------
+
+def _oracle_top_draws(rng, rows, n):
+    u = np.maximum(rng.random(rows), 2.0**-54)
+    return -ndtri(-np.expm1(np.log1p(-u) / n))
+
+
+def _oracle_play(strategy, profile, gamma, epsilon, key, shape, antithetic=False):
+    rng_v = stream(*key, 0)
+    rows = shape[0]
+    if antithetic:
+        half = rng_v.standard_normal(rows // 2)
+        Z = np.concatenate([half, -half])
+    else:
+        Z = rng_v.standard_normal(rows)
+    top_u = _oracle_top_draws(rng_v, math.prod(shape), profile.n)
+    z = (math.sqrt(profile.rho) * Z.reshape(Z.shape + (1,) * (len(shape) - 1))
+         + math.sqrt(1.0 - profile.rho) * top_u.reshape(shape))
+    top_val = np.exp(profile.mu + profile.sigma * z)
+    top_bid = strategy.bid(top_val.ravel()).reshape(shape)
+    coin = stream(*key, 1)
+    defect = coin.random(shape) < epsilon
+    frontrun = defect & (gamma * top_val > top_bid)
+    return top_bid, top_val, defect, frontrun, rng_v, coin
+
+
+def _oracle_moments(sample):
+    mean = sample.mean()
+    return sample.size, mean, np.sum((sample - mean) ** 2)
+
+
+def _oracle_chunk(strategy, profile, seed, chunk_index, size, antithetic, keep=0):
+    top_bid, top_val, defect, frontrun, values, _ = _oracle_play(
+        strategy, profile, strategy.gamma, strategy.epsilon, (seed, chunk_index),
+        (size,), antithetic)
+    revenue = np.where(frontrun, strategy.gamma * top_val, top_bid)
+    surplus = np.where(frontrun, 0.0, top_val - top_bid)
+    blocks = None
+    if keep:
+        winner = values.integers(profile.n, size=keep)
+        blocks = (winner,) + tuple(a[:keep] for a in (top_bid, top_val, defect, frontrun,
+                                                      revenue, surplus))
+    samples = (revenue, surplus)
+    if antithetic:
+        samples = tuple(0.5 * (a[:size // 2] + a[size // 2:]) for a in samples)
+    return _ChunkResult(*map(_oracle_moments, samples), int(np.count_nonzero(defect)),
+                        int(np.count_nonzero(frontrun)), blocks)
+
+
+def _as_bytes(x):
+    """``x`` as comparable bytes: tuples item by item, arrays and numbers
+    with their dtype and shape."""
+    if x is None:
+        return None
+    if isinstance(x, tuple):
+        return tuple(map(_as_bytes, x))
+    a = np.asarray(x)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+ORACLE_PROFILES = pytest.mark.parametrize(
+    "profile", [make_profile(n=2), FLAGSHIP, make_profile(n=50)], ids=["n2", "flagship", "n50"])
+ORACLE_EPSILONS = pytest.mark.parametrize("epsilon", [0.0, 0.2, 0.99])
+PARTIAL = 2 * 1234  # a last chunk shorter than CHUNK, even for antithetic pairs
+
+
+class TestInPlaceKernel:
+    """``_top_draws``, ``_play`` and ``_simulate_chunk`` write each stage
+    into the arrays they already hold; every output is byte for byte the
+    oracle's, the kernel that made a fresh array for each stage."""
+
+    @ORACLE_PROFILES
+    @ORACLE_EPSILONS
+    @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+    def test_chunk_is_the_oracles(self, profile, epsilon, antithetic):
+        strat = solve_strategy(profile, epsilon, curve=curve_for(profile))
+        for index, size in enumerate([CHUNK, PARTIAL]):
+            for keep in (0, 100, CHUNK):
+                args = (strat, profile, 7, index, size, antithetic, min(keep, size))
+                got, want = _simulate_chunk(*args), _oracle_chunk(*args)
+                assert type(got) is _ChunkResult
+                assert _as_bytes(got) == _as_bytes(want), (size, keep)
+        if profile.n == 50 and epsilon == 0.2:
+            # the cutoff (18.6) sits inside the values: both branches are priced
+            value = want.blocks[2]
+            assert value.min() < strat.cutoff < value.max()
+
+    @ORACLE_PROFILES
+    @ORACLE_EPSILONS
+    @pytest.mark.parametrize("shape,antithetic", [((CHUNK,), False), ((CHUNK,), True),
+                                                  ((PARTIAL,), False), ((PARTIAL // 2, 2), False),
+                                                  ((PARTIAL // 2, 2), True)],
+                             ids=["plain", "antithetic", "partial", "two-per-block",
+                                  "two-per-block-antithetic"])
+    def test_play_is_the_oracles(self, profile, epsilon, shape, antithetic):
+        strat = solve_strategy(profile, epsilon, curve=curve_for(profile))
+        args = (strat, profile, profile.gamma, epsilon, (5, profile.n, 3), shape, antithetic)
+        got, want = _play(*args), _oracle_play(*args)
+        assert _as_bytes(got[:4]) == _as_bytes(want[:4])
+        # both streams come back where the oracle's left them
+        for rng, oracle_rng in zip(got[4:], want[4:]):
+            assert rng.random(8).tobytes() == oracle_rng.random(8).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 50])
+    def test_top_draws_are_the_oracles(self, n):
+        got = _top_draws(stream(3, n), PARTIAL, n)
+        want = _oracle_top_draws(stream(3, n), PARTIAL, n)
+        assert _as_bytes(got) == _as_bytes(want)
 
 
 class TestRivalChunk:

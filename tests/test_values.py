@@ -51,6 +51,19 @@ class TestSampling:
             with pytest.raises(ParameterError, match="sigma must be > 0"):
                 dataclasses.replace(valid, sigma=sigma)
 
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.9])
+    def test_signal_written_in_place_is_the_allocated_one(self, rho):
+        # the game engine writes the signal into its idiosyncratic draws
+        Z, u, z = draw_signals(make_profile(n=3, rho=rho), 1000, stream(8))
+        want = math.sqrt(rho) * Z[:, None] + math.sqrt(1.0 - rho) * u
+        assert z.tobytes() == want.tobytes()
+        assert affiliated_signal(Z[:, None], u, rho, out=u) is u
+        assert u.tobytes() == z.tobytes()
+        # a scalar common factor, as the deviation harness's posterior draws
+        u = stream(9).standard_normal(1000)
+        want = affiliated_signal(-0.7, u, rho)
+        assert affiliated_signal(-0.7, u, rho, out=u).tobytes() == want.tobytes()
+
     def test_lognormal_location_recovered(self):
         # mean of ln v over 1e6 draws must sit at mu within 0.01
         profile = make_profile(rho=0.0)
